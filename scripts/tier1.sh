@@ -12,12 +12,13 @@ cmake --build build -j "$(nproc)"
 cmake -B build-asan -S . -DDRUGTREE_SANITIZE=address
 cmake --build build-asan -j "$(nproc)" \
   --target obs_test obs_telemetry_test query_batch_test \
-           storage_encoding_test query_adaptive_test
+           storage_encoding_test query_adaptive_test query_index_join_test
 ./build-asan/tests/obs_test
 ./build-asan/tests/obs_telemetry_test
 ./build-asan/tests/query_batch_test
 ./build-asan/tests/storage_encoding_test
 ./build-asan/tests/query_adaptive_test
+./build-asan/tests/query_index_join_test
 
 # TSan smoke of the concurrency-bearing paths: the thread pool itself, the
 # multi-channel network + windowed mediator, morsel-parallel execution, the
@@ -26,13 +27,14 @@ cmake --build build-asan -j "$(nproc)" \
 # the sharded scatter-gather tier (replica failover races, per-shard
 # deadline cancellation, cross-replica handle tracking), and the adaptive
 # planning loop (shared plan cache / cost calibrator / adaptive controller
-# hit from every serving slot), and the continuous-telemetry stack (gauge
-# Set vs Snapshot hammer, sampler/alert engine ticked from serving threads).
+# hit from every serving slot), the continuous-telemetry stack (gauge
+# Set vs Snapshot hammer, sampler/alert engine ticked from serving threads),
+# and the index nested-loop join under parallelism and sharded serving.
 cmake -B build-tsan -S . -DDRUGTREE_SANITIZE=thread
 cmake --build build-tsan -j "$(nproc)" \
   --target util_thread_pool_test integration_async_test query_parallel_test \
            server_test query_batch_test shard_test query_adaptive_test \
-           obs_test obs_telemetry_test
+           obs_test obs_telemetry_test query_index_join_test
 ./build-tsan/tests/util_thread_pool_test
 ./build-tsan/tests/integration_async_test
 ./build-tsan/tests/query_parallel_test
@@ -42,6 +44,7 @@ cmake --build build-tsan -j "$(nproc)" \
 ./build-tsan/tests/query_adaptive_test
 ./build-tsan/tests/obs_test
 ./build-tsan/tests/obs_telemetry_test
+./build-tsan/tests/query_index_join_test
 
 # Statusz smoke: the serving layer's JSON introspection snapshot must parse
 # and cover every exported surface (tracker tree, SLOs, occupancy, traces,

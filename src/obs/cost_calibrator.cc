@@ -26,7 +26,12 @@ int CostCalibrator::Classify(const std::string& label) {
     return label.find(" [encoded: ") != std::string::npos ? kEncodedScan
                                                           : kSeqScan;
   }
-  if (StartsWith(label, "IndexScan")) return kIndexScan;
+  // An index nested-loop join's own time is its probes and fetches, which
+  // the planner prices per fetched row with index_row, like an index scan.
+  if (StartsWith(label, "IndexScan") ||
+      StartsWith(label, "IndexNestedLoopJoin")) {
+    return kIndexScan;
+  }
   if (StartsWith(label, "HashJoin")) return kHashJoin;
   if (StartsWith(label, "NestedLoopJoin")) return kNestedLoop;
   return -1;

@@ -1,6 +1,7 @@
 #include "query/cost_model.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/string_util.h"
 
@@ -10,28 +11,36 @@ namespace query {
 using storage::ColumnStats;
 using storage::Value;
 
-const ColumnStats* CostModel::StatsFor(const std::string& qualified) const {
-  size_t dot = qualified.find('.');
-  if (dot == std::string::npos) return nullptr;
-  std::string alias = qualified.substr(0, dot);
-  std::string col = qualified.substr(dot + 1);
+namespace {
+
+/// "alias.column" -> "column".
+std::string Unqualified(const std::string& qualified) {
+  return qualified.substr(qualified.find('.') + 1);
+}
+
+}  // namespace
+
+const storage::Table* CostModel::TableFor(const std::string& alias) const {
   auto it = alias_to_table_.find(alias);
   if (it == alias_to_table_.end()) return nullptr;
   auto table = catalog_->Lookup(it->second);
-  if (!table.ok()) return nullptr;
-  const storage::TableStats* stats = (*table)->stats();
-  if (stats == nullptr) return nullptr;
-  auto idx = (*table)->schema().IndexOf(col);
+  return table.ok() ? *table : nullptr;
+}
+
+const ColumnStats* CostModel::StatsFor(const std::string& qualified) const {
+  size_t dot = qualified.find('.');
+  if (dot == std::string::npos) return nullptr;
+  const storage::Table* table = TableFor(qualified.substr(0, dot));
+  if (table == nullptr || table->stats() == nullptr) return nullptr;
+  auto idx = table->schema().IndexOf(qualified.substr(dot + 1));
   if (!idx.ok()) return nullptr;
-  return &stats->column(*idx);
+  return &table->stats()->column(*idx);
 }
 
 double CostModel::TableRows(const std::string& alias) const {
-  auto it = alias_to_table_.find(alias);
-  if (it == alias_to_table_.end()) return 1000.0;
-  auto table = catalog_->Lookup(it->second);
-  if (!table.ok()) return 1000.0;
-  return std::max<double>(1.0, static_cast<double>((*table)->NumRows()));
+  const storage::Table* table = TableFor(alias);
+  if (table == nullptr) return 1000.0;
+  return std::max<double>(1.0, static_cast<double>(table->NumRows()));
 }
 
 double CostModel::ConjunctSelectivity(const Expr& conjunct) const {
@@ -111,12 +120,84 @@ double CostModel::ConjunctSelectivity(const Expr& conjunct) const {
   return 0.5;
 }
 
+bool CostModel::FoldRangeBound(const Expr& conjunct,
+                               std::map<std::string, Interval>* intervals) {
+  if (conjunct.kind != ExprKind::kBinary) return false;
+  BinaryOp op = conjunct.bin_op;
+  if (op != BinaryOp::kLt && op != BinaryOp::kLe && op != BinaryOp::kGt &&
+      op != BinaryOp::kGe) {
+    return false;
+  }
+  const Expr* col = conjunct.children[0].get();
+  const Expr* lit = conjunct.children[1].get();
+  if (col->kind == ExprKind::kLiteral && lit->kind == ExprKind::kColumnRef) {
+    std::swap(col, lit);
+    switch (op) {
+      case BinaryOp::kLt: op = BinaryOp::kGt; break;
+      case BinaryOp::kLe: op = BinaryOp::kGe; break;
+      case BinaryOp::kGt: op = BinaryOp::kLt; break;
+      default: op = BinaryOp::kLe; break;
+    }
+  }
+  if (col->kind != ExprKind::kColumnRef || lit->kind != ExprKind::kLiteral ||
+      lit->literal.is_null()) {
+    return false;
+  }
+  Interval& iv = (*intervals)[col->column];
+  const bool inclusive = op == BinaryOp::kLe || op == BinaryOp::kGe;
+  // Keep the tighter of repeated bounds on the same side.
+  if (op == BinaryOp::kGt || op == BinaryOp::kGe) {
+    int c = iv.lo.is_null() ? 1 : lit->literal.Compare(iv.lo);
+    if (c > 0 || (c == 0 && !inclusive)) {
+      iv.lo = lit->literal;
+      iv.lo_inclusive = inclusive;
+    }
+  } else {
+    int c = iv.hi.is_null() ? -1 : lit->literal.Compare(iv.hi);
+    if (c < 0 || (c == 0 && !inclusive)) {
+      iv.hi = lit->literal;
+      iv.hi_inclusive = inclusive;
+    }
+  }
+  return true;
+}
+
+double CostModel::IntervalSelectivity(const std::string& qualified,
+                                      const Interval& iv) const {
+  const std::string alias = qualified.substr(0, qualified.find('.'));
+  const std::string column = Unqualified(qualified);
+  // A rewritten SUBTREE is an interval on the tree-bound pre-order column;
+  // its B+-tree counts the clade's rows exactly.
+  const storage::Table* table = TableFor(alias);
+  const TreeBinding* binding =
+      table == nullptr ? nullptr : catalog_->GetTreeBinding(table->name());
+  if (binding != nullptr && binding->pre_col == column) {
+    auto rows = table->IndexRange(column, iv.lo, iv.lo_inclusive, iv.hi,
+                                  iv.hi_inclusive);
+    if (rows.ok()) {
+      return static_cast<double>(rows->size()) / TableRows(alias);
+    }
+  }
+  if (const ColumnStats* stats = StatsFor(qualified)) {
+    return stats->RangeSelectivity(iv.lo, iv.lo_inclusive, iv.hi,
+                                   iv.hi_inclusive);
+  }
+  return costs_.range_default_selectivity;
+}
+
 double CostModel::EstimateScanRows(const std::string& alias,
                                    const ExprPtr& pred) const {
   double rows = TableRows(alias);
   if (pred) {
+    // Bounds on one column are not independent filters: two sides of a
+    // clade interval each keep about half the table, yet together keep the
+    // clade. Fold them into one interval per column.
+    std::map<std::string, Interval> intervals;
     for (const auto& c : SplitConjuncts(pred)) {
-      rows *= ConjunctSelectivity(*c);
+      if (!FoldRangeBound(*c, &intervals)) rows *= ConjunctSelectivity(*c);
+    }
+    for (const auto& [column, iv] : intervals) {
+      rows *= IntervalSelectivity(column, iv);
     }
   }
   return std::max(1.0, rows);
@@ -124,14 +205,40 @@ double CostModel::EstimateScanRows(const std::string& alias,
 
 double CostModel::ScanCost(const std::string& alias) const {
   double per_row = costs_.seq_scan_row;
-  auto it = alias_to_table_.find(alias);
-  if (it != alias_to_table_.end()) {
-    auto table = catalog_->Lookup(it->second);
-    if (table.ok() && (*table)->encoded() != nullptr) {
-      per_row *= costs_.encoded_scan_discount;
-    }
+  const storage::Table* table = TableFor(alias);
+  if (table != nullptr && table->encoded() != nullptr) {
+    per_row *= costs_.encoded_scan_discount;
   }
   return per_row * TableRows(alias);
+}
+
+double CostModel::AccessCost(const std::string& alias,
+                             const ExprPtr& pred) const {
+  const storage::Table* table = TableFor(alias);
+  if (table != nullptr && pred) {
+    for (const auto& c : SplitConjuncts(pred)) {
+      // Mirrors physical planning's index selection: equality on any
+      // indexed column, or a range on a B+-tree column.
+      std::map<std::string, Interval> range;
+      bool usable = false;
+      if (FoldRangeBound(*c, &range)) {
+        usable = table->GetBTreeIndex(Unqualified(range.begin()->first)) !=
+                 nullptr;
+      } else if (c->kind == ExprKind::kBinary && c->bin_op == BinaryOp::kEq) {
+        const Expr* col = c->children[0].get();
+        const Expr* lit = c->children[1].get();
+        if (col->kind == ExprKind::kLiteral) std::swap(col, lit);
+        usable = col->kind == ExprKind::kColumnRef &&
+                 lit->kind == ExprKind::kLiteral &&
+                 table->HasIndex(Unqualified(col->column));
+      }
+      if (usable) {
+        return costs_.index_probe +
+               costs_.index_row * EstimateScanRows(alias, pred);
+      }
+    }
+  }
+  return ScanCost(alias);
 }
 
 double CostModel::JoinSelectivity(const std::string& left_col,
@@ -143,6 +250,36 @@ double CostModel::JoinSelectivity(const std::string& left_col,
   if (r != nullptr) ndv = std::max(ndv, static_cast<double>(r->num_distinct()));
   if (ndv <= 0) return 0.01;
   return 1.0 / ndv;
+}
+
+CostModel::JoinPricing CostModel::PriceJoin(
+    double outer_rows, double output_rows, const std::string& inner_alias,
+    const ExprPtr& inner_pred,
+    const std::vector<std::string>& inner_keys) const {
+  JoinPricing price;
+  price.hash = AccessCost(inner_alias, inner_pred) +
+               costs_.hash_build_row * EstimateScanRows(inner_alias,
+                                                        inner_pred) +
+               costs_.hash_probe_row * (outer_rows + output_rows);
+  const storage::Table* table = TableFor(inner_alias);
+  if (table == nullptr) return price;
+  for (const std::string& key : inner_keys) {
+    const std::string column = Unqualified(key);
+    const storage::HashIndex* index = table->GetHashIndex(column);
+    if (index == nullptr) continue;
+    // Each probe fetches one key's posting list: the average list length.
+    const double per_probe =
+        index->NumKeys() == 0 ? 0.0
+                              : static_cast<double>(index->size()) /
+                                    static_cast<double>(index->NumKeys());
+    const double cost = costs_.hash_probe_row * outer_rows +
+                        costs_.index_row * outer_rows * per_probe;
+    if (cost < price.index_nested_loop) {
+      price.index_nested_loop = cost;
+      price.index_column = column;
+    }
+  }
+  return price;
 }
 
 }  // namespace query

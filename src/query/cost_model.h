@@ -8,8 +8,10 @@
 #ifndef DRUGTREE_QUERY_COST_MODEL_H_
 #define DRUGTREE_QUERY_COST_MODEL_H_
 
+#include <limits>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "obs/cost_calibrator.h"
 #include "query/catalog.h"
@@ -45,16 +47,49 @@ class CostModel {
   double ConjunctSelectivity(const Expr& conjunct) const;
 
   /// Estimated output of scanning `alias` under a conjunction (may be null).
+  /// Range conjuncts on one column are estimated together as one interval;
+  /// an interval on the table's tree-bound pre-order column (a rewritten
+  /// SUBTREE) is counted exactly through that column's B+-tree index.
   double EstimateScanRows(const std::string& alias, const ExprPtr& pred) const;
 
   /// Estimated cost of scanning `alias`: per-row scan cost times base rows,
   /// with the encoded discount when a fresh compressed snapshot exists.
   double ScanCost(const std::string& alias) const;
 
+  /// Estimated cost of producing the rows of `alias` under `pred` the way
+  /// physical planning does: an index scan (index_probe plus index_row per
+  /// row) when a conjunct compares an indexed column with a literal, else
+  /// ScanCost.
+  double AccessCost(const std::string& alias, const ExprPtr& pred) const;
+
   /// Equi-join selectivity for `left_col = right_col`: 1/max(ndv_l, ndv_r);
   /// falls back to 0.01 when statistics are missing.
   double JoinSelectivity(const std::string& left_col,
                          const std::string& right_col) const;
+
+  /// One join step priced both ways.
+  struct JoinPricing {
+    /// Hash join: AccessCost of the inner scan and hash_build_row per
+    /// inner row to build, then hash_probe_row per outer row and per match
+    /// (every candidate's key is re-evaluated and compared).
+    double hash = 0.0;
+    /// Index nested-loop join: hash_probe_row per outer row plus index_row
+    /// per fetched row (a key's whole posting list, which the inner
+    /// predicate filters after the fetch; the lookup itself is exact).
+    /// Infinite when no inner key column has a hash index.
+    double index_nested_loop = std::numeric_limits<double>::infinity();
+    /// The unqualified inner column whose hash index prices cheapest.
+    std::string index_column;
+  };
+
+  /// Prices joining `outer_rows` estimated rows to the scan of
+  /// `inner_alias` under its pushed-down predicate `inner_pred` into
+  /// `output_rows` estimated matches, on equi-conditions whose inner sides
+  /// are the qualified `inner_keys`.
+  JoinPricing PriceJoin(double outer_rows, double output_rows,
+                        const std::string& inner_alias,
+                        const ExprPtr& inner_pred,
+                        const std::vector<std::string>& inner_keys) const;
 
   /// Historical per-operator cost constants (arbitrary units ~ row touches).
   /// Kept as the documented defaults of the named coefficients.
@@ -66,6 +101,24 @@ class CostModel {
   static constexpr double kNestedLoopRowCost = 0.6;
 
  private:
+  /// Range bounds on one column, folded from a conjunction's comparisons.
+  struct Interval {
+    storage::Value lo, hi;  // NULL = unbounded
+    bool lo_inclusive = true, hi_inclusive = true;
+  };
+
+  /// Folds `column op literal` (op one of < <= > >=, either operand order)
+  /// into `intervals`; false for any other shape.
+  static bool FoldRangeBound(const Expr& conjunct,
+                             std::map<std::string, Interval>* intervals);
+
+  /// Selectivity of one column's interval (qualified column name).
+  double IntervalSelectivity(const std::string& qualified,
+                             const Interval& interval) const;
+
+  /// The table behind `alias`, or null.
+  const storage::Table* TableFor(const std::string& alias) const;
+
   /// Splits "alias.column"; returns the ColumnStats or null.
   const storage::ColumnStats* StatsFor(const std::string& qualified) const;
 

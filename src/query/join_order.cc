@@ -170,13 +170,20 @@ util::Result<JoinOrderResult> ChooseJoinOrder(
       return util::Status::InvalidArgument("join edge index out of range");
     }
   }
+  JoinOrderResult result;
   if (!enable_reordering || relations.size() == 1) {
-    return FixedOrder(relations, edges);
+    result = FixedOrder(relations, edges);
+  } else if (relations.size() <= kDpTableLimit) {
+    result = DpOrder(relations, edges, costs);
+  } else {
+    result = GreedyOrder(relations, edges);
   }
-  if (relations.size() <= kDpTableLimit) {
-    return DpOrder(relations, edges, costs);
+  uint32_t mask = 0;
+  for (size_t rel : result.order) {
+    mask |= 1u << rel;
+    result.rows.push_back(SetRows(mask, relations, edges));
   }
-  return GreedyOrder(relations, edges);
+  return result;
 }
 
 }  // namespace query

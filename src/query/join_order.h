@@ -36,10 +36,13 @@ struct JoinEdge {
 
 /// The chosen order: relation indices, left-deep; step i joins order[i] into
 /// the accumulated left side. conditions[i-1] holds the predicates applied
-/// at step i (possibly empty = cross product).
+/// at step i (possibly empty = cross product), and rows[i] the estimated
+/// rows of the accumulated side after step i (rows[0]: the first relation),
+/// so step i joins rows[i-1] outer rows into rows[i] output rows.
 struct JoinOrderResult {
   std::vector<size_t> order;
   std::vector<std::vector<ExprPtr>> conditions;
+  std::vector<double> rows;
   double estimated_cost = 0.0;
 };
 

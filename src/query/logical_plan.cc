@@ -103,6 +103,10 @@ std::string LogicalNode::ToString(int indent) const {
       out += "Join";
       if (join_condition) out += " ON " + join_condition->ToString();
       else out += " (cross)";
+      if (join_method == JoinMethod::kIndexNestedLoop) {
+        out += " [index nested-loop: " + children[1]->alias + "." +
+               index_column + "]";
+      }
       break;
     case LogicalKind::kAggregate: {
       out += "Aggregate";

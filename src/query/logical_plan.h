@@ -19,6 +19,13 @@ namespace query {
 enum class LogicalKind { kScan, kFilter, kProject, kJoin, kAggregate, kSort,
                          kLimit, kDistinct };
 
+/// How a join is executed. The optimizer records the cheaper method per join
+/// step (CostModel::PriceJoin); physical planning lowers it.
+enum class JoinMethod {
+  kHash,             // hash join (nested loops when it has no equi-keys)
+  kIndexNestedLoop,  // probe the inner base table's hash index per outer row
+};
+
 struct LogicalNode;
 using LogicalPtr = std::shared_ptr<LogicalNode>;
 
@@ -49,6 +56,10 @@ struct LogicalNode {
 
   // kJoin
   ExprPtr join_condition;  // may be null (cross product)
+  JoinMethod join_method = JoinMethod::kHash;
+  /// kIndexNestedLoop: the right (inner) scan's column whose hash index is
+  /// probed, unqualified.
+  std::string index_column;
 
   // kAggregate
   std::vector<ExprPtr> group_by;

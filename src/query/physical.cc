@@ -1045,6 +1045,102 @@ std::string HashJoinOp::Describe() const {
   return out;
 }
 
+// ---------------------------------------------------- IndexNestedLoopJoinOp
+
+IndexNestedLoopJoinOp::IndexNestedLoopJoinOp(
+    PhysicalPtr left, const Table* table, std::string alias,
+    std::string index_column, ExprPtr outer_key, ExprPtr inner_predicate,
+    ExprPtr residual, EvalContext ctx, ExecStats* stats)
+    : left_(std::move(left)),
+      table_(table),
+      alias_(std::move(alias)),
+      index_column_(std::move(index_column)),
+      outer_key_(std::move(outer_key)),
+      inner_predicate_(std::move(inner_predicate)),
+      residual_(std::move(residual)),
+      ctx_(ctx),
+      stats_(stats) {
+  explain_children_ = {left_.get()};
+}
+
+util::Status IndexNestedLoopJoinOp::OpenImpl() {
+  DRUGTREE_RETURN_IF_ERROR(left_->Open());
+  index_ = table_->GetHashIndex(index_column_);
+  if (index_ == nullptr) {
+    return util::Status::Internal("no hash index on " + table_->name() + "." +
+                                  index_column_);
+  }
+  DRUGTREE_ASSIGN_OR_RETURN(Schema inner, ScanSchema(*table_, alias_));
+  std::vector<Column> cols = left_->schema().columns();
+  for (const auto& c : inner.columns()) cols.push_back(c);
+  DRUGTREE_ASSIGN_OR_RETURN(schema_, Schema::Create(std::move(cols)));
+  DRUGTREE_RETURN_IF_ERROR(BindExpr(outer_key_.get(), left_->schema()));
+  if (inner_predicate_) {
+    DRUGTREE_RETURN_IF_ERROR(BindExpr(inner_predicate_.get(), inner));
+  }
+  if (residual_) {
+    DRUGTREE_RETURN_IF_ERROR(BindExpr(residual_.get(), schema_));
+  }
+  postings_ = nullptr;
+  posting_pos_ = 0;
+  fetched_ = 0;
+  return util::Status::OK();
+}
+
+util::Result<bool> IndexNestedLoopJoinOp::NextImpl(Row* out) {
+  for (;;) {
+    while (postings_ != nullptr && posting_pos_ < postings_->size()) {
+      const storage::RowId id = (*postings_)[posting_pos_++];
+      // A selective inner predicate can walk many fetched rows per emitted
+      // one; checkpoint by rows fetched, not by Next() call.
+      if (query_context() != nullptr && (++fetched_ % kCancelCheckRows) == 0) {
+        DRUGTREE_RETURN_IF_ERROR(query_context()->Check());
+      }
+      if (table_->IsDeleted(id)) continue;
+      ++stats_->rows_index_fetched;
+      const Row& r = table_->row(id);
+      if (inner_predicate_) {
+        ++stats_->predicate_evals;
+        DRUGTREE_ASSIGN_OR_RETURN(bool keep,
+                                  EvalPredicate(*inner_predicate_, r, ctx_));
+        if (!keep) continue;
+      }
+      Row joined;
+      joined.reserve(current_left_.size() + r.size());
+      joined.insert(joined.end(), current_left_.begin(), current_left_.end());
+      joined.insert(joined.end(), r.begin(), r.end());
+      if (residual_) {
+        ++stats_->predicate_evals;
+        DRUGTREE_ASSIGN_OR_RETURN(bool keep,
+                                  EvalPredicate(*residual_, joined, ctx_));
+        if (!keep) continue;
+      }
+      ++stats_->rows_joined;
+      *out = std::move(joined);
+      return true;
+    }
+    DRUGTREE_ASSIGN_OR_RETURN(bool more, left_->Next(&current_left_));
+    if (!more) return false;
+    DRUGTREE_ASSIGN_OR_RETURN(Value key,
+                              EvalExpr(*outer_key_, current_left_, ctx_));
+    // NULL keys never join (the index may still hold NULL-keyed rows).
+    postings_ = key.is_null() ? nullptr : index_->Postings(key);
+    posting_pos_ = 0;
+  }
+}
+
+std::string IndexNestedLoopJoinOp::Describe() const {
+  std::string out = "IndexNestedLoopJoin " + table_->name();
+  if (alias_ != table_->name()) out += " AS " + alias_;
+  out += " ON " + outer_key_->ToString() + " = " + alias_ + "." +
+         index_column_;
+  if (inner_predicate_) {
+    out += " [filter: " + inner_predicate_->ToString() + "]";
+  }
+  if (residual_) out += " [residual: " + residual_->ToString() + "]";
+  return out;
+}
+
 // ------------------------------------------------------------------- SortOp
 
 SortOp::SortOp(PhysicalPtr child, std::vector<OrderKey> keys, EvalContext ctx)

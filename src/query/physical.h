@@ -382,6 +382,40 @@ class HashJoinOp : public PhysicalOperator {
   size_t probe_idx_ = 0;
 };
 
+/// Index nested-loop join against a base table: for each left row, the
+/// outer key is evaluated and the inner table's hash index on
+/// `index_column` is probed, so only the matching rows are fetched (in row
+/// id order). Each fetched row must pass the inner scan's pushed-down
+/// predicate, and each joined row the residual (the remaining join
+/// conjuncts). NULL keys never join. Output order is the left order, then
+/// the inner rows' id order; nothing is materialized.
+class IndexNestedLoopJoinOp : public PhysicalOperator {
+ public:
+  IndexNestedLoopJoinOp(PhysicalPtr left, const storage::Table* table,
+                        std::string alias, std::string index_column,
+                        ExprPtr outer_key, ExprPtr inner_predicate,
+                        ExprPtr residual, EvalContext ctx, ExecStats* stats);
+  util::Status OpenImpl() override;
+  util::Result<bool> NextImpl(storage::Row* out) override;
+  std::string Describe() const override;
+
+ private:
+  PhysicalPtr left_;
+  const storage::Table* table_;
+  std::string alias_;
+  std::string index_column_;
+  ExprPtr outer_key_;        // bound to the left schema
+  ExprPtr inner_predicate_;  // bound to the inner table's scan schema
+  ExprPtr residual_;         // bound to the joined schema
+  EvalContext ctx_;
+  ExecStats* stats_;
+  const storage::HashIndex* index_ = nullptr;
+  storage::Row current_left_;
+  const std::vector<storage::RowId>* postings_ = nullptr;  // current probe
+  size_t posting_pos_ = 0;
+  int64_t fetched_ = 0;  // posting entries walked (cancellation cadence)
+};
+
 /// Full sort (materializing).
 class SortOp : public PhysicalOperator {
  public:

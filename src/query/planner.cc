@@ -77,6 +77,34 @@ std::string UnqualifiedName(const std::string& qualified) {
   return dot == std::string::npos ? qualified : qualified.substr(dot + 1);
 }
 
+/// Splits an index nested-loop join's condition into the outer key probed
+/// against `probe_column` (the qualified inner column), taken from the first
+/// `outer_expr = probe_column` conjunct, and the remaining conjuncts.
+/// Returns null when no conjunct has that shape.
+ExprPtr SplitProbeKey(const ExprPtr& condition,
+                      const std::string& probe_column,
+                      const storage::Schema& outer,
+                      std::vector<ExprPtr>* residual) {
+  ExprPtr key;
+  for (auto& c : SplitConjuncts(condition)) {
+    if (key == nullptr && c->kind == ExprKind::kBinary &&
+        c->bin_op == BinaryOp::kEq) {
+      for (size_t side = 0; side < 2; ++side) {
+        const Expr& col = *c->children[side];
+        const ExprPtr& other = c->children[1 - side];
+        if (col.kind == ExprKind::kColumnRef && col.column == probe_column &&
+            RefersOnly(*other, outer)) {
+          key = other;
+          break;
+        }
+      }
+      if (key != nullptr) continue;
+    }
+    residual->push_back(std::move(c));
+  }
+  return key;
+}
+
 }  // namespace
 
 ParallelContext Planner::MakeParallelContext(const PlannerOptions& options) {
@@ -197,6 +225,27 @@ util::Result<PhysicalPtr> Planner::ToPhysical(const LogicalPtr& node,
     case LogicalKind::kJoin: {
       DRUGTREE_ASSIGN_OR_RETURN(PhysicalPtr left,
                                 ToPhysical(node->children[0], options, stats));
+      // The optimizer's cost choice, lowered only when index access paths
+      // are enabled. The inner scan is not lowered: its table is probed
+      // once per outer row, and its pushed-down predicate filters the
+      // fetched rows.
+      if (node->join_method == JoinMethod::kIndexNestedLoop &&
+          options.enable_index_selection) {
+        const LogicalNode& inner = *node->children[1];
+        DRUGTREE_ASSIGN_OR_RETURN(Table * table, catalog_->Lookup(inner.table));
+        std::vector<ExprPtr> residual;
+        ExprPtr key = SplitProbeKey(node->join_condition,
+                                    inner.alias + "." + node->index_column,
+                                    node->children[0]->schema, &residual);
+        if (key != nullptr &&
+            table->GetHashIndex(node->index_column) != nullptr) {
+          return PhysicalPtr(std::make_unique<IndexNestedLoopJoinOp>(
+              std::move(left), table, inner.alias, node->index_column,
+              std::move(key),
+              inner.scan_predicate ? inner.scan_predicate->Clone() : nullptr,
+              CombineConjuncts(residual), ctx, stats));
+        }
+      }
       DRUGTREE_ASSIGN_OR_RETURN(PhysicalPtr right,
                                 ToPhysical(node->children[1], options, stats));
       // Split the condition into equi pairs and residual.
@@ -363,17 +412,21 @@ util::Result<QueryOutcome> Planner::Run(const std::string& sql,
       plan_cache_->Install(norm.fingerprint, optimized, norm.params, versions);
     }
   }
-  outcome.logical_plan = optimized->ToString();
   DRUGTREE_ASSIGN_OR_RETURN(PhysicalPtr physical, [&] {
     obs::TracePhaseScope plan_phase(obs::TracePhase::kPlan);
     DT_SPAN("query.plan.physical");
     return ToPhysical(optimized, options, &outcome.stats);
   }());
-  outcome.physical_plan = physical->ExplainString();
-  if (outcome.from_plan_cache) {
-    // Mirror the shard router's "route: ..." convention so EXPLAIN shows
-    // when the optimizer was skipped.
-    outcome.physical_plan = "plan: cached\n" + outcome.physical_plan;
+  // Plan texts are rendered for EXPLAIN [ANALYZE] only; other statements
+  // leave them empty.
+  if (stmt.explain != ExplainMode::kNone) {
+    outcome.logical_plan = optimized->ToString();
+    outcome.physical_plan = physical->ExplainString();
+    if (outcome.from_plan_cache) {
+      // Mirror the shard router's "route: ..." convention so EXPLAIN shows
+      // when the optimizer was skipped.
+      outcome.physical_plan = "plan: cached\n" + outcome.physical_plan;
+    }
   }
   if (stmt.explain == ExplainMode::kPlan) {
     // Plan-only: the plan texts are the result.

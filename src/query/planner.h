@@ -24,7 +24,9 @@ namespace query {
 
 struct PlannerOptions {
   OptimizerOptions optimizer;
-  /// Pick index access paths for pushed-down scan predicates.
+  /// Pick index access paths for pushed-down scan predicates, and lower
+  /// joins the optimizer priced as index nested-loop joins to them (hash
+  /// or nested-loop joins otherwise).
   bool enable_index_selection = true;
   /// Prefer hash joins for equi-conditions (nested loops otherwise).
   bool enable_hash_join = true;
@@ -56,8 +58,10 @@ struct PlannerOptions {
 /// The outcome of running one statement, including plan introspection.
 struct QueryOutcome {
   QueryResult result;
-  std::string logical_plan;   // optimized logical plan (EXPLAIN text)
-  std::string physical_plan;  // physical plan (EXPLAIN text)
+  /// Optimized logical and physical plan texts; rendered only for EXPLAIN
+  /// and EXPLAIN ANALYZE (empty otherwise).
+  std::string logical_plan;
+  std::string physical_plan;
   /// For EXPLAIN ANALYZE: the executed plan annotated with per-operator
   /// rows_out / Next() calls / cumulative time. Empty otherwise.
   std::string analyzed_plan;

@@ -260,7 +260,9 @@ util::Result<LogicalPtr> OptimizeLogicalPlan(const LogicalPtr& plan,
     }
   }
 
-  // Attach scan predicates and estimate cardinalities.
+  // Attach scan predicates and estimate cardinalities. The estimates only
+  // steer join order and join methods, so a lone scan skips them (an exact
+  // clade count walks the clade's index entries).
   CostModel cost(&catalog, alias_to_table, options.costs);
   std::vector<JoinRelation> relations;
   std::map<std::string, size_t> alias_index;
@@ -271,7 +273,9 @@ util::Result<LogicalPtr> OptimizeLogicalPlan(const LogicalPtr& plan,
     }
     alias_index[s->alias] = relations.size();
     relations.push_back(
-        {s->alias, cost.EstimateScanRows(s->alias, s->scan_predicate)});
+        {s->alias, region.scans.size() > 1
+                       ? cost.EstimateScanRows(s->alias, s->scan_predicate)
+                       : 1.0});
   }
 
   std::vector<JoinEdge> edges;
@@ -292,12 +296,31 @@ util::Result<LogicalPtr> OptimizeLogicalPlan(const LogicalPtr& plan,
                            cost.costs());
   }());
 
-  // Rebuild the join tree left-deep in the chosen order.
+  // Rebuild the join tree left-deep in the chosen order. Each step records
+  // the join method the cost model prices cheaper at the step's estimated
+  // outer and output rows.
   LogicalPtr rebuilt = region.scans[order.order[0]];
   for (size_t step = 1; step < order.order.size(); ++step) {
-    ExprPtr condition = CombineConjuncts(order.conditions[step - 1]);
-    rebuilt = LogicalNode::Join(rebuilt, region.scans[order.order[step]],
-                                condition);
+    const std::vector<ExprPtr>& conditions = order.conditions[step - 1];
+    const LogicalPtr& inner = region.scans[order.order[step]];
+    rebuilt = LogicalNode::Join(rebuilt, inner, CombineConjuncts(conditions));
+    // Every step condition is an equi-edge `colA = colB`; collect its inner
+    // side.
+    std::vector<std::string> inner_keys;
+    for (const auto& c : conditions) {
+      for (const auto& side : c->children) {
+        if (*ReferencedAliases(*side).begin() == inner->alias) {
+          inner_keys.push_back(side->column);
+        }
+      }
+    }
+    CostModel::JoinPricing price =
+        cost.PriceJoin(order.rows[step - 1], order.rows[step], inner->alias,
+                       inner->scan_predicate, inner_keys);
+    if (price.index_nested_loop < price.hash) {
+      rebuilt->join_method = JoinMethod::kIndexNestedLoop;
+      rebuilt->index_column = price.index_column;
+    }
   }
   if (!residual.empty()) {
     rebuilt = LogicalNode::Filter(rebuilt, CombineConjuncts(residual));

@@ -39,9 +39,13 @@ util::Status HashIndex::Erase(const Value& key, RowId row) {
 }
 
 std::vector<RowId> HashIndex::Find(const Value& key) const {
+  const std::vector<RowId>* rows = Postings(key);
+  return rows == nullptr ? std::vector<RowId>() : *rows;
+}
+
+const std::vector<RowId>* HashIndex::Postings(const Value& key) const {
   auto it = map_.find(key);
-  if (it == map_.end()) return {};
-  return it->second;
+  return it == map_.end() ? nullptr : &it->second;
 }
 
 }  // namespace storage

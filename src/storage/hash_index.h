@@ -29,6 +29,10 @@ class HashIndex {
   /// All row ids with this key, ascending.
   std::vector<RowId> Find(const Value& key) const;
 
+  /// The posting list of `key` (row ids ascending) without copying it, or
+  /// null when the key is absent. Valid until the next Insert/Erase.
+  const std::vector<RowId>* Postings(const Value& key) const;
+
   bool Contains(const Value& key) const { return map_.count(key) > 0; }
 
   size_t size() const { return size_; }

@@ -306,6 +306,8 @@ TEST(CostCalibratorTest, VirtualClockObservationsAreNoOps) {
   // elapsed_micros == 0 is exactly what a SimulatedClock produces.
   cal.Observe(MakeNode("SeqScan proteins", 100, 0));
   cal.Observe(MakeNode("HashJoin [x = y]", 0, 500));  // zero rows: unusable
+  cal.Observe(MakeNode("IndexNestedLoopJoin activities AS a ON x = a.y", 100,
+                       0));
   EXPECT_EQ(cal.observations(), 0);
   EXPECT_EQ(cal.effective_updates(), 0);
   obs::CalibratedCosts defaults;
@@ -313,6 +315,7 @@ TEST(CostCalibratorTest, VirtualClockObservationsAreNoOps) {
   EXPECT_EQ(got.version, 0u);
   EXPECT_EQ(got.hash_probe_row, defaults.hash_probe_row);
   EXPECT_EQ(got.nested_loop_row, defaults.nested_loop_row);
+  EXPECT_EQ(got.index_row, defaults.index_row);
 }
 
 TEST(CostCalibratorTest, SeqScanSeedsTheUnitAndCoefficientsClamp) {
@@ -347,6 +350,36 @@ TEST(CostCalibratorTest, SeqScanSeedsTheUnitAndCoefficientsClamp) {
   EXPECT_EQ(got.seq_scan_row, defaults.seq_scan_row);
   EXPECT_EQ(got.cross_product_penalty, defaults.cross_product_penalty);
   EXPECT_EQ(got.subtree_selectivity, defaults.subtree_selectivity);
+}
+
+TEST(CostCalibratorTest, IndexJoinsCalibrateTheIndexRowCost) {
+  obs::CostCalibrator cal;
+  cal.Observe(MakeNode("SeqScan proteins AS p", 1000, 2000));  // 2us/row
+
+  // The join's own time (its probes and fetches) is 600us over 100 rows:
+  // 6us/row = 3 units, the per-fetched-row cost the planner prices the
+  // index nested-loop join with.
+  obs::ExplainNode join = MakeNode(
+      "IndexNestedLoopJoin activities AS a ON p.accession = a.accession", 100,
+      2600);
+  join.children.push_back(MakeNode("SeqScan proteins AS p", 1000, 2000));
+  cal.Observe(join);
+  obs::CalibratedCosts got = cal.snapshot();
+  EXPECT_DOUBLE_EQ(got.index_row, 3.0);
+  EXPECT_EQ(got.version, 1u);
+  EXPECT_EQ(cal.effective_updates(), 1);
+  // The hash-join coefficients it is weighed against stay put.
+  obs::CalibratedCosts defaults;
+  EXPECT_EQ(got.hash_probe_row, defaults.hash_probe_row);
+  EXPECT_EQ(got.hash_build_row, defaults.hash_build_row);
+
+  // Absurdly slow joins clamp at 4x the 1.5 default.
+  obs::ExplainNode slow = MakeNode(
+      "IndexNestedLoopJoin ligands AS l ON a.ligand_id = l.ligand_id", 10,
+      2000 + 100000);
+  slow.children.push_back(MakeNode("SeqScan proteins AS p", 1000, 2000));
+  cal.Observe(slow);
+  EXPECT_DOUBLE_EQ(cal.snapshot().index_row, 1.5 * 4.0);
 }
 
 TEST(CostCalibratorTest, EncodedScansCalibrateTheDiscount) {

@@ -268,39 +268,49 @@ TEST_F(ExecTest, NaiveAndOptimizedAgree) {
 }
 
 TEST_F(ExecTest, IndexScanChosenAndCorrect) {
+  const std::string sql =
+      "SELECT p.acc FROM proteins p WHERE SUBTREE(p.node_id, 'x') "
+      "ORDER BY p.acc";
   PlannerOptions opts = PlannerOptions::Optimized();
-  auto outcome = planner_->Run(
-      "SELECT p.acc FROM proteins p WHERE SUBTREE(p.node_id, 'x') "
-      "ORDER BY p.acc",
-      opts);
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_NE(outcome->physical_plan.find("IndexScan"), std::string::npos)
-      << outcome->physical_plan;
-  EXPECT_EQ(outcome->result.rows.size(), 2u);
+  EXPECT_EQ(Run(sql, opts).rows.size(), 2u);
+  auto explained = planner_->Run("EXPLAIN " + sql, opts);
+  ASSERT_TRUE(explained.ok());
+  EXPECT_NE(explained->physical_plan.find("IndexScan"), std::string::npos)
+      << explained->physical_plan;
   // The naive plan instead scans sequentially.
-  auto naive = planner_->Run(
-      "SELECT p.acc FROM proteins p WHERE SUBTREE(p.node_id, 'x') "
-      "ORDER BY p.acc",
-      PlannerOptions::Naive());
+  auto naive = planner_->Run("EXPLAIN " + sql, PlannerOptions::Naive());
   ASSERT_TRUE(naive.ok());
   EXPECT_EQ(naive->physical_plan.find("IndexScan"), std::string::npos);
   EXPECT_NE(naive->physical_plan.find("SeqScan"), std::string::npos);
+}
+
+TEST_F(ExecTest, PlanTextsRenderedOnlyForExplain) {
+  const std::string sql = "SELECT p.acc FROM proteins p ORDER BY p.acc";
+  auto plain = planner_->Run(sql, PlannerOptions::Optimized());
+  ASSERT_TRUE(plain.ok());
+  EXPECT_TRUE(plain->logical_plan.empty());
+  EXPECT_TRUE(plain->physical_plan.empty());
+  auto analyzed =
+      planner_->Run("EXPLAIN ANALYZE " + sql, PlannerOptions::Optimized());
+  ASSERT_TRUE(analyzed.ok());
+  EXPECT_NE(analyzed->logical_plan.find("Scan proteins"), std::string::npos);
+  EXPECT_NE(analyzed->physical_plan.find("SeqScan"), std::string::npos);
 }
 
 TEST_F(ExecTest, HashJoinVsNestedLoopSameRows) {
   PlannerOptions hash = PlannerOptions::Optimized();
   PlannerOptions nlj = PlannerOptions::Optimized();
   nlj.enable_hash_join = false;
-  const char* sql =
+  const std::string sql =
       "SELECT p.acc, a.lig FROM proteins p JOIN activities a ON "
       "p.acc = a.acc ORDER BY p.acc, a.lig";
-  auto h = planner_->Run(sql, hash);
-  auto n = planner_->Run(sql, nlj);
+  auto h = planner_->Run("EXPLAIN " + sql, hash);
+  auto n = planner_->Run("EXPLAIN " + sql, nlj);
   ASSERT_TRUE(h.ok());
   ASSERT_TRUE(n.ok());
   EXPECT_NE(h->physical_plan.find("HashJoin"), std::string::npos);
   EXPECT_NE(n->physical_plan.find("NestedLoopJoin"), std::string::npos);
-  EXPECT_EQ(h->result.rows, n->result.rows);
+  EXPECT_EQ(Run(sql, hash).rows, Run(sql, nlj).rows);
 }
 
 TEST_F(ExecTest, ResultCacheHitSkipsExecution) {

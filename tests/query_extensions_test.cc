@@ -91,7 +91,7 @@ TEST_F(ExtensionsTest, BetweenDesugarsToRange) {
 
 TEST_F(ExtensionsTest, BetweenUsesBTreeIndex) {
   auto outcome = planner_->Run(
-      "SELECT t.k FROM t WHERE t.k BETWEEN 3 AND 5",
+      "EXPLAIN SELECT t.k FROM t WHERE t.k BETWEEN 3 AND 5",
       PlannerOptions::Optimized());
   ASSERT_TRUE(outcome.ok());
   EXPECT_NE(outcome->physical_plan.find("IndexScan"), std::string::npos)
