@@ -17,7 +17,7 @@
 //     as well, so the phase total is noise-bounded around ~2x on this mix.
 //
 // Phase C (real clock): a closed-loop mixed fleet with the adaptive
-// controller enabled. The controller may only trade analytic batch shape
+// controller enabled. The controller may only trade analytic parallelism
 // for interactive latency, so the gate is the serving floor itself:
 // interactive p99 <= 2ms while analytic work keeps completing.
 
@@ -345,9 +345,9 @@ int RunAdaptiveFleet(core::DrugTree* dt, bool enforce) {
   std::printf("analytic:    %lld completed (errors %lld)\n",
               (long long)analytic_completed, (long long)errors);
   std::printf("controller:  %lld decisions, %lld down, %lld up; analytic "
-              "knobs now batch=%zu parallelism=%d\n",
+              "parallelism now %d\n",
               (long long)ctl->decisions(), (long long)ctl->steps_down(),
-              (long long)ctl->steps_up(), knobs.batch_size, knobs.parallelism);
+              (long long)ctl->steps_up(), knobs.parallelism);
   DT_CHECK(errors == 0) << "adaptive fleet saw hard errors";
 
   double p99 = interactive_ms.Percentile(99);

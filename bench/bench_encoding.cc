@@ -6,17 +6,18 @@
 // selectivities with encoded segments ON and OFF (interleaved best-of-N).
 // Reports per-column compression ratios, bytes scanned, and rows/sec.
 //
-// Like bench_vectorized_smoke this is a pass/fail smoke, not a
-// google-benchmark binary. Gates (release builds, scripts/tier1.sh):
+// This is a pass/fail smoke, not a google-benchmark binary. Gates (release
+// builds, scripts/tier1.sh):
 //   * compression ratio >= 2x on the dict and RLE columns
 //   * encoded scan-filter throughput >= 1x plain on the low-cardinality
-//     predicate (the workload direct encoded execution is supposed to win)
+//     predicates (the workload direct encoded execution is supposed to win)
 //
-// With DRUGTREE_ENCODED_TRACKED=1 it instead gates the encoded scan's
-// tracker overhead: the encoded batch query runs with and without a
-// per-query obs::MemoryTracker attached and fails if tracking costs more
-// than DRUGTREE_TRACKER_BUDGET_PCT percent (default 5). Used by
-// scripts/obs_noop_ab.sh as the encoded lane.
+// With DRUGTREE_ENCODED_TRACKED=1 it instead gates the memory tracker's
+// overhead on both scan paths: the dict-eq query runs with and without a
+// per-query obs::MemoryTracker attached, once over the encoded segments
+// and once over the plain rows (segments dropped), and fails if tracking
+// costs more than DRUGTREE_TRACKER_BUDGET_PCT percent (default 5) on
+// either. Used by scripts/obs_noop_ab.sh as the tracker lane.
 
 #include <algorithm>
 #include <chrono>
@@ -68,7 +69,6 @@ const Probe kProbes[] = {
 double RunOnce(query::Planner* planner, const char* sql, size_t* rows_out,
                obs::MemoryTracker* tracker = nullptr) {
   query::PlannerOptions opts;  // optimized defaults
-  opts.batch_size = 1024;
   query::QueryContext context;
   context.memory = tracker;
   auto start = std::chrono::steady_clock::now();
@@ -113,7 +113,7 @@ int main() {
 
   const char* tracked_env = std::getenv("DRUGTREE_ENCODED_TRACKED");
   if (tracked_env != nullptr && std::string(tracked_env) == "1") {
-    // Tracker-overhead gate on the encoded path (obs_noop_ab.sh lane).
+    // Tracker-overhead gate on both scan paths (obs_noop_ab.sh lane).
     double budget_pct = 5.0;
     if (const char* b = std::getenv("DRUGTREE_TRACKER_BUDGET_PCT")) {
       budget_pct = std::atof(b);
@@ -122,32 +122,47 @@ int main() {
     obs::MemoryTracker* session = root.GetOrCreateChild("interactive")
                                       ->GetOrCreateChild("session-1");
     const char* sql = kProbes[0].sql;
-    double plain_best = 1e300, tracked_best = 1e300;
-    size_t plain_rows = 0, tracked_rows = 0;
-    for (int r = 0; r < kRounds; ++r) {
-      plain_best = std::min(plain_best, RunOnce(&planner, sql, &plain_rows));
-      obs::MemoryTracker query_tracker("query", session);
-      tracked_best = std::min(
-          tracked_best, RunOnce(&planner, sql, &tracked_rows, &query_tracker));
+    bool ok = true;
+    for (bool encoded : {true, false}) {
+      if (encoded) {
+        if (!enc.BuildEncodedSegments().ok()) return 2;
+      } else {
+        enc.DropEncodedSegments();
+      }
+      double untracked_best = 1e300, tracked_best = 1e300;
+      size_t untracked_rows = 0, tracked_rows = 0;
+      for (int r = 0; r < kRounds; ++r) {
+        untracked_best =
+            std::min(untracked_best, RunOnce(&planner, sql, &untracked_rows));
+        obs::MemoryTracker query_tracker("query", session);
+        tracked_best = std::min(
+            tracked_best,
+            RunOnce(&planner, sql, &tracked_rows, &query_tracker));
+      }
+      if (untracked_rows != tracked_rows) {
+        std::fprintf(stderr,
+                     "tracked/untracked result mismatch: %zu vs %zu rows\n",
+                     tracked_rows, untracked_rows);
+        return 2;
+      }
+      double overhead_pct = (tracked_best / untracked_best - 1.0) * 100.0;
+      std::printf(
+          "%s tracker smoke: dict-eq scan over %d rows (%zu out)\n"
+          "  untracked: %8.3f ms\n"
+          "  tracked:   %8.3f ms  (peak %lld bytes at root)\n"
+          "  overhead: %+.1f%% (budget %.1f%%)\n",
+          encoded ? "encoded" : "plain", kRows, tracked_rows,
+          untracked_best * 1e3, tracked_best * 1e3, (long long)root.peak(),
+          overhead_pct, budget_pct);
+      if (overhead_pct > budget_pct) {
+        std::fprintf(stderr,
+                     "FAIL: %s scan tracker overhead %.1f%% over budget "
+                     "%.1f%%\n",
+                     encoded ? "encoded" : "plain", overhead_pct, budget_pct);
+        ok = false;
+      }
     }
-    if (plain_rows != tracked_rows) {
-      std::fprintf(stderr, "tracked/plain result mismatch: %zu vs %zu rows\n",
-                   tracked_rows, plain_rows);
-      return 2;
-    }
-    double overhead_pct = (tracked_best / plain_best - 1.0) * 100.0;
-    std::printf(
-        "encoded tracker smoke: dict-eq scan over %d rows (%zu out)\n"
-        "  untracked: %8.3f ms\n"
-        "  tracked:   %8.3f ms  (peak %lld bytes at root)\n"
-        "  overhead: %+.1f%% (budget %.1f%%)\n",
-        kRows, tracked_rows, plain_best * 1e3, tracked_best * 1e3,
-        (long long)root.peak(), overhead_pct, budget_pct);
-    if (overhead_pct > budget_pct) {
-      std::fprintf(stderr, "FAIL: tracker overhead %.1f%% over budget %.1f%%\n",
-                   overhead_pct, budget_pct);
-      return 1;
-    }
+    if (!ok) return 1;
     std::printf("OK\n");
     return 0;
   }

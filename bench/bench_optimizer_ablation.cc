@@ -105,15 +105,6 @@ void BM_AllOn(benchmark::State& state) {
   RunConfig(state, query::PlannerOptions::Optimized());
 }
 
-// Vectorization ablation (the row-vs-batch axis): identical fully optimized
-// plans, but driven through the legacy row-at-a-time volcano path instead of
-// the columnar batch pipeline. Compare against BM_AllOn (batch_size=1024).
-void BM_AllOnRowEngine(benchmark::State& state) {
-  query::PlannerOptions o = query::PlannerOptions::Optimized();
-  o.batch_size = 1;
-  RunConfig(state, o);
-}
-
 }  // namespace
 
 BENCHMARK(BM_AllOff)->Unit(benchmark::kMillisecond);
@@ -121,7 +112,6 @@ BENCHMARK(BM_OnlyPushdown)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_OnlyTreeRewriteAndIndex)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_OnlyJoinReorder)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AllOnNoHashJoin)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_AllOnRowEngine)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AllOn)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {

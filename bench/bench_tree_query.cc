@@ -105,15 +105,6 @@ void RunAncestorQueries(benchmark::State& state,
   }
 }
 
-// Execution batch-size sweep on the naive (full-scan) subtree filter: the
-// same plan at batch sizes 1 (row engine), 4, 64, and 1024, isolating the
-// vectorized pipeline's contribution from the plan-level optimizations.
-void BM_SubtreeQuery_BatchSize(benchmark::State& state) {
-  query::PlannerOptions o = query::PlannerOptions::Naive();
-  o.batch_size = static_cast<size_t>(state.range(1));
-  RunSubtreeQueries(state, o);
-}
-
 void BM_AncestorQuery_Naive(benchmark::State& state) {
   RunAncestorQueries(state, query::PlannerOptions::Naive());
 }
@@ -126,11 +117,6 @@ void BM_AncestorQuery_Optimized(benchmark::State& state) {
 
 BENCHMARK(BM_SubtreeQuery_Naive)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 BENCHMARK(BM_SubtreeQuery_Optimized)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
-BENCHMARK(BM_SubtreeQuery_BatchSize)
-    ->Args({4096, 1})
-    ->Args({4096, 4})
-    ->Args({4096, 64})
-    ->Args({4096, 1024});
 BENCHMARK(BM_AncestorQuery_Naive)->Arg(256)->Arg(4096);
 BENCHMARK(BM_AncestorQuery_Optimized)->Arg(256)->Arg(4096);
 

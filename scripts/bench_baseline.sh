@@ -1,13 +1,12 @@
 #!/usr/bin/env bash
-# Record the perf baseline for the E1 (tree query), E2 (optimizer ablation +
-# vectorization), E3 (federated integration), E9 (end-to-end workflow),
+# Record the perf baseline for the E1 (tree query), E2 (optimizer ablation),
+# E3 (federated integration), E9 (end-to-end workflow),
 # E10 (multi-session serving), E14 (sharded scale-out), and E15 (adaptive
 # planning) benches. Each run writes two artifacts into
 # baselines/: BENCH_<name>.json (the process metric registry snapshot via
 # --metrics-json) and BENCH_<name>.txt (the human-readable tables), so later
-# PRs can diff the perf trajectory against this one. The vectorized
-# throughput smoke's row-vs-batch speedup is recorded as text as well, and
-# the E16 telemetry timeline (bench_server --telemetry) is recorded as the
+# PRs can diff the perf trajectory against this one. The E13 encoding
+# sweep is recorded as text as well, and the E16 telemetry timeline (bench_server --telemetry) is recorded as the
 # reference artifact for scripts/perf_gate.sh. Every JSON artifact is
 # checked to exist and be non-empty; a bench that silently writes nothing
 # fails the script.
@@ -17,7 +16,7 @@
 #   BENCH_OUT_DIR  where the artifacts land (default: baselines). bench_diff
 #                  points this at a scratch dir to snapshot a fresh run.
 #   BENCH_LIST     the metrics-bearing benches to run (default: all five).
-#   BENCH_SMOKE    0 skips the vectorized throughput smoke (default: 1).
+#   BENCH_SMOKE    0 skips the encoding sweep smoke (default: 1).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,7 +32,7 @@ fi
 SMOKE="${BENCH_SMOKE:-1}"
 SMOKE_TARGET=""
 if [[ "${SMOKE}" == "1" ]]; then
-  SMOKE_TARGET="bench_vectorized_smoke bench_encoding"
+  SMOKE_TARGET="bench_encoding"
 fi
 # shellcheck disable=SC2086
 cmake --build "${BUILD_DIR}" -j "$(nproc)" \
@@ -55,9 +54,6 @@ for name in ${BENCH_LIST}; do
 done
 
 if [[ "${SMOKE}" == "1" ]]; then
-  echo "== bench_vectorized_smoke -> ${OUT_DIR}/BENCH_bench_vectorized_smoke.txt"
-  "${BUILD_DIR}/bench/bench_vectorized_smoke" \
-    | tee "${OUT_DIR}/BENCH_bench_vectorized_smoke.txt"
   # E13 encoding sweep: compression ratios are deterministic; timings vary
   # with the machine but the recorded speedups show the trajectory.
   echo "== bench_encoding -> ${OUT_DIR}/BENCH_bench_encoding.txt"

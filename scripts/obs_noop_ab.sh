@@ -9,10 +9,11 @@
 # the best-of-N per benchmark (noise is strictly additive, so min converges
 # on the true cost), then gates on the geomean of the per-benchmark ratios.
 #
-# A second gate covers the memory-tracker fast path: the vectorized smoke
-# in tracked mode (DRUGTREE_SMOKE_TRACKED=1) interleaves the same batch
-# query with and without a per-query tracker hierarchy attached and fails
-# if charging costs more than DRUGTREE_TRACKER_BUDGET_PCT percent.
+# A second gate covers the memory-tracker fast path: bench_encoding in
+# tracked mode (DRUGTREE_ENCODED_TRACKED=1) runs the same scan query with
+# and without a per-query tracker hierarchy attached, over encoded segments
+# and over plain rows, and fails if charging costs more than
+# DRUGTREE_TRACKER_BUDGET_PCT percent on either.
 #
 # Usage: scripts/obs_noop_ab.sh [instrumented-build-dir] [noop-build-dir]
 # Env:
@@ -38,7 +39,7 @@ if [[ ! -d "${OFF_DIR}" ]]; then
   cmake -B "${OFF_DIR}" -S . -DCMAKE_BUILD_TYPE=Release -DDRUGTREE_OBS_NOOP=ON
 fi
 cmake --build "${ON_DIR}" -j "$(nproc)" \
-  --target bench_tree_query bench_vectorized_smoke bench_encoding bench_server
+  --target bench_tree_query bench_encoding bench_server
 cmake --build "${OFF_DIR}" -j "$(nproc)" --target bench_tree_query
 
 SCRATCH="$(mktemp -d)"
@@ -135,8 +136,5 @@ if overhead > budget:
 print("obs_noop_ab: telemetry gate OK")
 EOF
 
-echo "== memory-tracker fast-path gate (budget +${DRUGTREE_TRACKER_BUDGET_PCT:-5}%)"
-DRUGTREE_SMOKE_TRACKED=1 "${ON_DIR}/bench/bench_vectorized_smoke"
-
-echo "== encoded-scan tracker gate (budget +${DRUGTREE_TRACKER_BUDGET_PCT:-5}%)"
+echo "== memory-tracker fast-path gate, encoded and plain scans (budget +${DRUGTREE_TRACKER_BUDGET_PCT:-5}%)"
 DRUGTREE_ENCODED_TRACKED=1 "${ON_DIR}/bench/bench_encoding"

@@ -11,11 +11,11 @@ cmake --build build -j "$(nproc)"
 
 cmake -B build-asan -S . -DDRUGTREE_SANITIZE=address
 cmake --build build-asan -j "$(nproc)" \
-  --target obs_test obs_telemetry_test query_batch_test \
+  --target obs_test obs_telemetry_test query_equiv_test \
            storage_encoding_test query_adaptive_test query_index_join_test
 ./build-asan/tests/obs_test
 ./build-asan/tests/obs_telemetry_test
-./build-asan/tests/query_batch_test
+./build-asan/tests/query_equiv_test
 ./build-asan/tests/storage_encoding_test
 ./build-asan/tests/query_adaptive_test
 ./build-asan/tests/query_index_join_test
@@ -23,7 +23,7 @@ cmake --build build-asan -j "$(nproc)" \
 # TSan smoke of the concurrency-bearing paths: the thread pool itself, the
 # multi-channel network + windowed mediator, morsel-parallel execution, the
 # multi-session serving layer (admission/scheduler/cancellation), the
-# vectorized batch engine under parallelism + mid-query cancellation, and
+# engine equivalence corpus under parallelism + mid-query cancellation, and
 # the sharded scatter-gather tier (replica failover races, per-shard
 # deadline cancellation, cross-replica handle tracking), and the adaptive
 # planning loop (shared plan cache / cost calibrator / adaptive controller
@@ -33,13 +33,13 @@ cmake --build build-asan -j "$(nproc)" \
 cmake -B build-tsan -S . -DDRUGTREE_SANITIZE=thread
 cmake --build build-tsan -j "$(nproc)" \
   --target util_thread_pool_test integration_async_test query_parallel_test \
-           server_test query_batch_test shard_test query_adaptive_test \
+           server_test query_equiv_test shard_test query_adaptive_test \
            obs_test obs_telemetry_test query_index_join_test
 ./build-tsan/tests/util_thread_pool_test
 ./build-tsan/tests/integration_async_test
 ./build-tsan/tests/query_parallel_test
 ./build-tsan/tests/server_test
-./build-tsan/tests/query_batch_test
+./build-tsan/tests/query_equiv_test
 ./build-tsan/tests/shard_test
 ./build-tsan/tests/query_adaptive_test
 ./build-tsan/tests/obs_test
@@ -57,15 +57,12 @@ scripts/statusz_check.sh build
 scripts/perf_gate.sh build
 scripts/perf_gate.sh build --selftest
 
-# Release-build throughput smokes: the columnar batch engine must never be
-# slower than the row engine on the scan-filter-project workload it targets,
-# and encoded segments must hit >=2x compression on dict/RLE-friendly
-# columns and never lose to the plain batch path on low-cardinality
-# predicates.
+# Release-build encoding smoke: encoded segments must hit >=2x compression
+# on dict/RLE-friendly columns and never lose to the plain row scan on
+# low-cardinality predicates.
 cmake -B build-rel -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-rel -j "$(nproc)" \
-  --target bench_vectorized_smoke bench_encoding bench_shard bench_adaptive
-./build-rel/bench/bench_vectorized_smoke
+  --target bench_encoding bench_shard bench_adaptive
 ./build-rel/bench/bench_encoding
 
 # Scale-out gate (E14): the 4-shard topology must deliver >= 2x the
@@ -81,7 +78,7 @@ cmake --build build-rel -j "$(nproc)" \
 
 # Tracing overhead A/B gate: the instrumented Release build (with trace
 # capture on) must stay within budget of the DRUGTREE_OBS_NOOP build. Also
-# gates the memory-tracker fast path (tracked vectorized smoke, <5%) and
+# gates the memory-tracker fast path (tracked encoded and plain scans, <5%) and
 # the continuous-telemetry sampler (DRUGTREE_TELEMETRY on/off, <5%).
 scripts/obs_noop_ab.sh build-rel build-noop
 

@@ -10,18 +10,16 @@ namespace {
 void RenderNode(const ExplainNode& node, int depth, std::string* out) {
   *out += std::string(static_cast<size_t>(depth) * 2, ' ');
   *out += node.label;
-  // bytes= only appears on operators that actually touched storage, so
-  // non-scan nodes render exactly as before.
+  // bytes= only appears on operators that actually touched storage.
   std::string bytes =
       node.bytes_scanned > 0
           ? util::StringPrintf(" bytes=%lld",
                                static_cast<long long>(node.bytes_scanned))
           : std::string();
   *out += util::StringPrintf(
-      " (rows=%lld next=%lld batches=%lld%s time=%.3fms)\n",
+      " (rows=%lld next=%lld%s time=%.3fms)\n",
       static_cast<long long>(node.rows_out),
-      static_cast<long long>(node.next_calls),
-      static_cast<long long>(node.batches), bytes.c_str(),
+      static_cast<long long>(node.next_calls), bytes.c_str(),
       static_cast<double>(node.elapsed_micros) / 1000.0);
   for (const auto& child : node.children) RenderNode(child, depth + 1, out);
 }
@@ -34,10 +32,9 @@ void NodeToJson(const ExplainNode& node, std::string* out) {
   }
   *out += util::StringPrintf(
       "{\"label\":\"%s\",\"rows_out\":%lld,\"next_calls\":%lld,"
-      "\"batches\":%lld,\"bytes_scanned\":%lld,\"elapsed_micros\":%lld",
+      "\"bytes_scanned\":%lld,\"elapsed_micros\":%lld",
       label.c_str(), static_cast<long long>(node.rows_out),
       static_cast<long long>(node.next_calls),
-      static_cast<long long>(node.batches),
       static_cast<long long>(node.bytes_scanned),
       static_cast<long long>(node.elapsed_micros));
   if (!node.children.empty()) {

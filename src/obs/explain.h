@@ -18,21 +18,19 @@ namespace obs {
 struct ExplainNode {
   std::string label;           // operator description, e.g. "HashJoin [...]"
   int64_t rows_out = 0;        // rows produced to the parent
-  int64_t next_calls = 0;      // Next()/NextBatch() invocations (one per
-                               // batch under vectorized execution)
-  int64_t batches = 0;         // batches produced (0 on pure row paths)
-  int64_t bytes_scanned = 0;   // bytes read from storage: encoded segment
-                               // bytes on the encoded scan path, decoded
-                               // batch bytes on the plain batch path
-                               // (0 on row paths and non-scan operators)
+  int64_t next_calls = 0;      // Next() invocations
+  int64_t bytes_scanned = 0;   // bytes a sequential scan read from storage:
+                               // encoded segment bytes on the encoded path,
+                               // approximate row bytes on the plain path
+                               // (0 on every other operator)
   int64_t elapsed_micros = 0;  // cumulative time inside Open()+Next(),
                                // inclusive of children (Postgres-style)
   std::vector<ExplainNode> children;
 };
 
 /// Annotated plan tree:
-///   Project [...] (rows=50 next=51 batches=1 time=0.41ms)
-///     Sort [...] (rows=50 next=51 batches=0 time=0.39ms)
+///   Project [...] (rows=50 next=51 time=0.41ms)
+///     Sort [...] (rows=50 next=51 time=0.39ms)
 ///       ...
 std::string RenderExplainTree(const ExplainNode& root);
 

@@ -57,10 +57,9 @@ std::string QueryResult::ToString(size_t max_rows) const {
 
 util::Result<QueryResult> ExecutePlan(PhysicalOperator* root,
                                       const QueryContext* context,
-                                      size_t batch_size) {
+                                      size_t /*batch_size*/) {
   DT_SPAN("query.execute");
   if (context != nullptr) root->SetQueryContext(context);
-  if (batch_size > 1) root->SetBatchSize(batch_size);
   DRUGTREE_RETURN_IF_ERROR(root->Open());
   QueryResult result;
   for (const auto& c : root->schema().columns()) {
@@ -78,20 +77,6 @@ util::Result<QueryResult> ExecutePlan(PhysicalOperator* root,
       if (t != nullptr && n > 0) t->Release(n);
     }
   } charged{tracker};
-  if (batch_size > 1) {
-    storage::RowBatch batch;
-    for (;;) {
-      DRUGTREE_ASSIGN_OR_RETURN(bool more, root->NextBatch(&batch));
-      if (!more) break;
-      if (tracker != nullptr) {
-        int64_t bytes = static_cast<int64_t>(batch.ApproxBytes());
-        DRUGTREE_RETURN_IF_ERROR(tracker->TryCharge(bytes));
-        charged.n += bytes;
-      }
-      batch.EmitRowsTo(&result.rows);
-    }
-    return result;
-  }
   storage::Row row;
   int64_t pending = 0;
   for (;;) {

@@ -28,10 +28,10 @@ struct QueryResult {
 /// Opens `root` and drains it into a QueryResult. A non-null `context`
 /// attaches deadline/cancellation enforcement to the whole operator tree:
 /// execution aborts with kCancelled at the next operator checkpoint once
-/// the deadline passes or the cancel flag is set. `batch_size` > 1 drives
-/// the plan through the vectorized NextBatch() pipeline (output is
-/// row-for-row identical); 1 — the default, so existing callers are
-/// untouched — drives the exact legacy row-at-a-time path.
+/// the deadline passes or the cancel flag is set. The third parameter is
+/// ignored: it is the batch size of the removed vectorized engine, still
+/// declared only because the perfbench harness passes it (drop it once
+/// perfbench no longer does).
 util::Result<QueryResult> ExecutePlan(PhysicalOperator* root,
                                       const QueryContext* context = nullptr,
                                       size_t batch_size = 1);

@@ -268,9 +268,7 @@ util::Result<phylo::NodeId> ResolveTreeNode(const EvalContext& ctx,
   return util::Status::InvalidArgument("tree node must be an id or a name");
 }
 
-// Applies a scalar function to already-evaluated arguments. Shared by the
-// row evaluator (args from one row) and the batch evaluator (args gathered
-// per row from child columns).
+// Applies a scalar function to already-evaluated arguments.
 util::Result<Value> ApplyFunction(const Expr& expr,
                                   const std::vector<Value>& args,
                                   const EvalContext& ctx) {
@@ -398,475 +396,6 @@ util::Result<bool> EvalPredicate(const Expr& expr, const Row& row,
                                          expr.ToString());
   }
   return v.AsBool();
-}
-
-// ------------------------------------------------------------------------
-// Vectorized (batch) evaluation.
-//
-// Expressions evaluate bottom-up into BatchCol results: either a borrowed
-// batch column (physical indexing), a computed dense column (logical
-// indexing, one slot per selected row), or a constant. Binary operators take
-// typed fast paths when both operands are homogeneously typed; everything
-// else drops to a per-row loop over the child results using the exact same
-// scalar kernels (EvalComparison/EvalArithmetic/EvalLogical/ApplyFunction)
-// as the row engine, so values, three-valued logic, and errors agree
-// cell-for-cell.
-
-namespace {
-
-using storage::ColumnVector;
-using storage::RowBatch;
-
-struct BatchCol {
-  const ColumnVector* col = nullptr;  // null => constant
-  const Value* constant = nullptr;
-  bool physical = false;  // col rows are physical batch rows (apply sel)
-  ColumnVector owned;     // storage when this node computed a column
-};
-
-// Physical index into a BatchCol's column for logical row i.
-inline size_t ColIndex(const BatchCol& c, const RowBatch& batch, size_t i) {
-  return c.physical ? batch.PhysicalIndex(i) : i;
-}
-
-inline Value BatchColValue(const BatchCol& c, const RowBatch& batch,
-                           size_t i) {
-  if (c.constant != nullptr) return *c.constant;
-  return c.col->GetValue(ColIndex(c, batch, i));
-}
-
-// Operand classification for fast-path dispatch.
-enum class SideKind {
-  kIntCol, kDoubleCol, kStringCol, kBoolCol,
-  kIntConst, kDoubleConst, kStringConst, kBoolConst, kNullConst,
-  kOther,  // mixed column, all-null column, or exotic constant
-};
-
-SideKind Classify(const BatchCol& c) {
-  if (c.constant != nullptr) {
-    switch (c.constant->type()) {
-      case ValueType::kInt64: return SideKind::kIntConst;
-      case ValueType::kDouble: return SideKind::kDoubleConst;
-      case ValueType::kString: return SideKind::kStringConst;
-      case ValueType::kBool: return SideKind::kBoolConst;
-      case ValueType::kNull: return SideKind::kNullConst;
-    }
-    return SideKind::kOther;
-  }
-  if (c.col->mixed()) return SideKind::kOther;
-  switch (c.col->type()) {
-    case ValueType::kInt64: return SideKind::kIntCol;
-    case ValueType::kDouble: return SideKind::kDoubleCol;
-    case ValueType::kString: return SideKind::kStringCol;
-    case ValueType::kBool: return SideKind::kBoolCol;
-    case ValueType::kNull: return SideKind::kOther;  // all-null column
-  }
-  return SideKind::kOther;
-}
-
-bool IsNumericSide(SideKind k) {
-  return k == SideKind::kIntCol || k == SideKind::kDoubleCol ||
-         k == SideKind::kIntConst || k == SideKind::kDoubleConst;
-}
-
-bool IsIntSide(SideKind k) {
-  return k == SideKind::kIntCol || k == SideKind::kIntConst;
-}
-
-// One numeric operand viewed uniformly: NullAt / IntAt / DoubleAt.
-struct NumSide {
-  bool is_const = false;
-  bool is_int = false;
-  int64_t ci = 0;
-  double cd = 0.0;
-  const ColumnVector* col = nullptr;
-  bool physical = false;
-
-  static NumSide Make(const BatchCol& c, SideKind k) {
-    NumSide s;
-    s.is_int = IsIntSide(k);
-    if (c.constant != nullptr) {
-      s.is_const = true;
-      if (s.is_int) {
-        s.ci = c.constant->AsInt64();
-        s.cd = static_cast<double>(s.ci);
-      } else {
-        s.cd = c.constant->AsDouble();
-      }
-    } else {
-      s.col = c.col;
-      s.physical = c.physical;
-    }
-    return s;
-  }
-  bool NullAt(size_t p) const { return !is_const && col->IsNull(p); }
-  int64_t IntAt(size_t p) const { return is_const ? ci : col->Int64At(p); }
-  double DoubleAt(size_t p) const {
-    if (is_const) return cd;
-    return is_int ? static_cast<double>(col->Int64At(p)) : col->DoubleAt(p);
-  }
-};
-
-bool CompareToBool(BinaryOp op, int c) {
-  switch (op) {
-    case BinaryOp::kEq: return c == 0;
-    case BinaryOp::kNe: return c != 0;
-    case BinaryOp::kLt: return c < 0;
-    case BinaryOp::kLe: return c <= 0;
-    case BinaryOp::kGt: return c > 0;
-    case BinaryOp::kGe: return c >= 0;
-    default: return false;
-  }
-}
-
-// Fast comparison over two numeric sides. Mirrors Value::Compare's numeric
-// rules: pure Int64/Int64 compares integrally, anything else as double.
-void CompareNumericBatch(BinaryOp op, const NumSide& l, const NumSide& r,
-                         bool both_int, const RowBatch& batch, size_t n,
-                         ColumnVector* out) {
-  for (size_t i = 0; i < n; ++i) {
-    size_t pl = l.physical ? batch.PhysicalIndex(i) : i;
-    size_t pr = r.physical ? batch.PhysicalIndex(i) : i;
-    if (l.NullAt(pl) || r.NullAt(pr)) {
-      out->AppendNull();
-      continue;
-    }
-    int c;
-    if (both_int) {
-      int64_t a = l.IntAt(pl), b = r.IntAt(pr);
-      c = a < b ? -1 : (a > b ? 1 : 0);
-    } else {
-      double a = l.DoubleAt(pl), b = r.DoubleAt(pr);
-      c = a < b ? -1 : (a > b ? 1 : 0);
-    }
-    out->AppendBool(CompareToBool(op, c));
-  }
-}
-
-// Fast comparison over string sides (column/column or column/constant).
-void CompareStringBatch(BinaryOp op, const BatchCol& l, const BatchCol& r,
-                        const RowBatch& batch, size_t n, ColumnVector* out) {
-  for (size_t i = 0; i < n; ++i) {
-    const std::string* a;
-    if (l.constant != nullptr) {
-      a = &l.constant->AsString();
-    } else {
-      size_t p = ColIndex(l, batch, i);
-      if (l.col->IsNull(p)) { out->AppendNull(); continue; }
-      a = &l.col->StringAt(p);
-    }
-    const std::string* b;
-    if (r.constant != nullptr) {
-      b = &r.constant->AsString();
-    } else {
-      size_t p = ColIndex(r, batch, i);
-      if (r.col->IsNull(p)) { out->AppendNull(); continue; }
-      b = &r.col->StringAt(p);
-    }
-    int cmp = a->compare(*b);
-    out->AppendBool(CompareToBool(op, cmp < 0 ? -1 : (cmp > 0 ? 1 : 0)));
-  }
-}
-
-// Fast arithmetic over numeric sides; replicates EvalArithmetic exactly
-// (Int64 arithmetic when both sides are Int64 and op != Div, double
-// otherwise, division-by-zero error).
-util::Status ArithmeticNumericBatch(BinaryOp op, const NumSide& l,
-                                    const NumSide& r, bool both_int,
-                                    const RowBatch& batch, size_t n,
-                                    ColumnVector* out) {
-  const bool int_result = both_int && op != BinaryOp::kDiv;
-  for (size_t i = 0; i < n; ++i) {
-    size_t pl = l.physical ? batch.PhysicalIndex(i) : i;
-    size_t pr = r.physical ? batch.PhysicalIndex(i) : i;
-    if (l.NullAt(pl) || r.NullAt(pr)) {
-      out->AppendNull();
-      continue;
-    }
-    if (int_result) {
-      int64_t a = l.IntAt(pl), b = r.IntAt(pr);
-      int64_t v = 0;
-      switch (op) {
-        case BinaryOp::kAdd: v = a + b; break;
-        case BinaryOp::kSub: v = a - b; break;
-        case BinaryOp::kMul: v = a * b; break;
-        default: break;
-      }
-      out->AppendInt64(v);
-      continue;
-    }
-    double a = l.DoubleAt(pl), b = r.DoubleAt(pr);
-    double v = 0.0;
-    switch (op) {
-      case BinaryOp::kAdd: v = a + b; break;
-      case BinaryOp::kSub: v = a - b; break;
-      case BinaryOp::kMul: v = a * b; break;
-      case BinaryOp::kDiv:
-        if (b == 0.0) return util::Status::InvalidArgument("division by zero");
-        v = a / b;
-        break;
-      default: break;
-    }
-    out->AppendDouble(v);
-  }
-  return util::Status::OK();
-}
-
-// Kleene truth value of one logical operand at a row: 0/1/2 (2 = null).
-inline int TruthAt(const BatchCol& c, int const_truth, const RowBatch& batch,
-                   size_t i) {
-  if (c.constant != nullptr) return const_truth;
-  size_t p = ColIndex(c, batch, i);
-  if (c.col->IsNull(p)) return 2;
-  return c.col->BoolAt(p) ? 1 : 0;
-}
-
-util::Status EvalNodeBatch(const Expr& expr, const RowBatch& batch,
-                           const EvalContext& ctx, BatchCol* out);
-
-// Per-row fallback for a binary node over evaluated children.
-util::Status BinaryRowLoop(const Expr& expr, const BatchCol& l,
-                           const BatchCol& r, const RowBatch& batch, size_t n,
-                           ColumnVector* out) {
-  auto eval_one = [&expr](const Value& a,
-                          const Value& b) -> util::Result<Value> {
-    switch (expr.bin_op) {
-      case BinaryOp::kAnd:
-      case BinaryOp::kOr:
-        return EvalLogical(expr.bin_op, a, b);
-      case BinaryOp::kAdd:
-      case BinaryOp::kSub:
-      case BinaryOp::kMul:
-      case BinaryOp::kDiv:
-        return EvalArithmetic(expr.bin_op, a, b);
-      default:
-        return EvalComparison(expr.bin_op, a, b);
-    }
-  };
-  for (size_t i = 0; i < n; ++i) {
-    DRUGTREE_ASSIGN_OR_RETURN(
-        Value v,
-        eval_one(BatchColValue(l, batch, i), BatchColValue(r, batch, i)));
-    out->Append(std::move(v));
-  }
-  return util::Status::OK();
-}
-
-util::Status EvalBinaryBatch(const Expr& expr, const RowBatch& batch,
-                             const EvalContext& ctx, BatchCol* out) {
-  BatchCol l, r;
-  DRUGTREE_RETURN_IF_ERROR(EvalNodeBatch(*expr.children[0], batch, ctx, &l));
-  DRUGTREE_RETURN_IF_ERROR(EvalNodeBatch(*expr.children[1], batch, ctx, &r));
-  const size_t n = batch.size();
-  out->owned.Clear();
-  out->owned.Reserve(n);
-  out->col = &out->owned;
-  SideKind lk = Classify(l), rk = Classify(r);
-  switch (expr.bin_op) {
-    case BinaryOp::kAnd:
-    case BinaryOp::kOr: {
-      // Fast path: both sides are bool columns or bool/null constants.
-      auto logical_ok = [](SideKind k) {
-        return k == SideKind::kBoolCol || k == SideKind::kBoolConst ||
-               k == SideKind::kNullConst;
-      };
-      if (logical_ok(lk) && logical_ok(rk)) {
-        auto const_truth = [](const BatchCol& c) {
-          if (c.constant == nullptr) return -1;
-          if (c.constant->is_null()) return 2;
-          return c.constant->AsBool() ? 1 : 0;
-        };
-        int lc = const_truth(l), rc = const_truth(r);
-        const bool is_and = expr.bin_op == BinaryOp::kAnd;
-        for (size_t i = 0; i < n; ++i) {
-          int a = TruthAt(l, lc, batch, i);
-          int b = TruthAt(r, rc, batch, i);
-          int t;
-          if (is_and) {
-            t = (a == 0 || b == 0) ? 0 : ((a == 2 || b == 2) ? 2 : 1);
-          } else {
-            t = (a == 1 || b == 1) ? 1 : ((a == 2 || b == 2) ? 2 : 0);
-          }
-          if (t == 2) {
-            out->owned.AppendNull();
-          } else {
-            out->owned.AppendBool(t == 1);
-          }
-        }
-        return util::Status::OK();
-      }
-      return BinaryRowLoop(expr, l, r, batch, n, &out->owned);
-    }
-    case BinaryOp::kAdd:
-    case BinaryOp::kSub:
-    case BinaryOp::kMul:
-    case BinaryOp::kDiv: {
-      if (IsNumericSide(lk) && IsNumericSide(rk)) {
-        NumSide ls = NumSide::Make(l, lk), rs = NumSide::Make(r, rk);
-        return ArithmeticNumericBatch(expr.bin_op, ls, rs,
-                                      IsIntSide(lk) && IsIntSide(rk), batch, n,
-                                      &out->owned);
-      }
-      return BinaryRowLoop(expr, l, r, batch, n, &out->owned);
-    }
-    default: {  // comparisons
-      if (IsNumericSide(lk) && IsNumericSide(rk)) {
-        NumSide ls = NumSide::Make(l, lk), rs = NumSide::Make(r, rk);
-        CompareNumericBatch(expr.bin_op, ls, rs,
-                            IsIntSide(lk) && IsIntSide(rk), batch, n,
-                            &out->owned);
-        return util::Status::OK();
-      }
-      auto string_ok = [](SideKind k) {
-        return k == SideKind::kStringCol || k == SideKind::kStringConst;
-      };
-      if (string_ok(lk) && string_ok(rk)) {
-        CompareStringBatch(expr.bin_op, l, r, batch, n, &out->owned);
-        return util::Status::OK();
-      }
-      return BinaryRowLoop(expr, l, r, batch, n, &out->owned);
-    }
-  }
-}
-
-util::Status EvalNodeBatch(const Expr& expr, const RowBatch& batch,
-                           const EvalContext& ctx, BatchCol* out) {
-  const size_t n = batch.size();
-  switch (expr.kind) {
-    case ExprKind::kLiteral:
-      out->constant = &expr.literal;
-      return util::Status::OK();
-    case ExprKind::kColumnRef: {
-      if (expr.bound_index < 0 ||
-          static_cast<size_t>(expr.bound_index) >= batch.num_columns()) {
-        return util::Status::Internal("unbound column ref: " + expr.column);
-      }
-      out->col = &batch.column(static_cast<size_t>(expr.bound_index));
-      out->physical = true;
-      return util::Status::OK();
-    }
-    case ExprKind::kBinary:
-      return EvalBinaryBatch(expr, batch, ctx, out);
-    case ExprKind::kUnary: {
-      BatchCol c;
-      DRUGTREE_RETURN_IF_ERROR(EvalNodeBatch(*expr.children[0], batch, ctx,
-                                             &c));
-      out->owned.Clear();
-      out->owned.Reserve(n);
-      out->col = &out->owned;
-      for (size_t i = 0; i < n; ++i) {
-        DRUGTREE_ASSIGN_OR_RETURN(
-            Value v, EvalUnary(expr.un_op, BatchColValue(c, batch, i)));
-        out->owned.Append(std::move(v));
-      }
-      return util::Status::OK();
-    }
-    case ExprKind::kFunction: {
-      if (expr.IsAggregate()) {
-        return util::Status::Internal(
-            "aggregate evaluated as scalar: " + expr.function);
-      }
-      std::vector<BatchCol> children(expr.children.size());
-      for (size_t c = 0; c < expr.children.size(); ++c) {
-        DRUGTREE_RETURN_IF_ERROR(
-            EvalNodeBatch(*expr.children[c], batch, ctx, &children[c]));
-      }
-      out->owned.Clear();
-      out->owned.Reserve(n);
-      out->col = &out->owned;
-      std::vector<Value> args(expr.children.size());
-      for (size_t i = 0; i < n; ++i) {
-        for (size_t c = 0; c < children.size(); ++c) {
-          args[c] = BatchColValue(children[c], batch, i);
-        }
-        DRUGTREE_ASSIGN_OR_RETURN(Value v, ApplyFunction(expr, args, ctx));
-        out->owned.Append(std::move(v));
-      }
-      return util::Status::OK();
-    }
-  }
-  return util::Status::Internal("unknown expr kind");
-}
-
-}  // namespace
-
-util::Status EvalExprBatch(const Expr& expr, const RowBatch& batch,
-                           const EvalContext& ctx, ColumnVector* out) {
-  out->Clear();
-  const size_t n = batch.size();
-  BatchCol c;
-  DRUGTREE_RETURN_IF_ERROR(EvalNodeBatch(expr, batch, ctx, &c));
-  if (c.constant != nullptr) {
-    out->Reserve(n);
-    for (size_t i = 0; i < n; ++i) out->Append(*c.constant);
-    return util::Status::OK();
-  }
-  if (c.col == &c.owned && !c.physical) {
-    *out = std::move(c.owned);  // computed dense column, already aligned
-    return util::Status::OK();
-  }
-  if (!c.physical) {
-    *out = *c.col;  // already aligned to logical rows
-    return util::Status::OK();
-  }
-  if (!batch.has_selection()) {
-    if (c.col->size() == n) {
-      *out = *c.col;  // full-width borrow: straight column copy
-      return util::Status::OK();
-    }
-    out->Reserve(n);
-    for (size_t i = 0; i < n; ++i) out->Append(c.col->GetValue(i));
-    return util::Status::OK();
-  }
-  // Selection installed: typed bulk gather of the selected physical rows.
-  out->GatherFrom(*c.col, batch.selection().data(), n);
-  return util::Status::OK();
-}
-
-util::Status EvalPredicateBatch(const Expr& expr, const RowBatch& batch,
-                                const EvalContext& ctx,
-                                std::vector<uint32_t>* sel_out) {
-  sel_out->clear();
-  const size_t n = batch.size();
-  if (n == 0) return util::Status::OK();
-  BatchCol c;
-  DRUGTREE_RETURN_IF_ERROR(EvalNodeBatch(expr, batch, ctx, &c));
-  if (c.constant != nullptr) {
-    if (c.constant->is_null()) return util::Status::OK();
-    if (c.constant->type() != ValueType::kBool) {
-      return util::Status::InvalidArgument("predicate is not boolean: " +
-                                           expr.ToString());
-    }
-    if (!c.constant->AsBool()) return util::Status::OK();
-    sel_out->reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      sel_out->push_back(static_cast<uint32_t>(batch.PhysicalIndex(i)));
-    }
-    return util::Status::OK();
-  }
-  const ColumnVector& col = *c.col;
-  if (!col.mixed() && col.type() == ValueType::kBool) {
-    sel_out->reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      size_t p = ColIndex(c, batch, i);
-      if (!col.IsNull(p) && col.BoolAt(p)) {
-        sel_out->push_back(static_cast<uint32_t>(batch.PhysicalIndex(i)));
-      }
-    }
-    return util::Status::OK();
-  }
-  for (size_t i = 0; i < n; ++i) {
-    Value v = col.GetValue(ColIndex(c, batch, i));
-    if (v.is_null()) continue;
-    if (v.type() != ValueType::kBool) {
-      return util::Status::InvalidArgument("predicate is not boolean: " +
-                                           expr.ToString());
-    }
-    if (v.AsBool()) {
-      sel_out->push_back(static_cast<uint32_t>(batch.PhysicalIndex(i)));
-    }
-  }
-  return util::Status::OK();
 }
 
 std::vector<ExprPtr> SplitConjuncts(const ExprPtr& expr) {

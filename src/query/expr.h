@@ -17,7 +17,6 @@
 
 #include "phylo/tree.h"
 #include "phylo/tree_index.h"
-#include "storage/row_batch.h"
 #include "storage/schema.h"
 #include "storage/value.h"
 #include "util/result.h"
@@ -123,30 +122,6 @@ util::Result<storage::Value> EvalExpr(const Expr& expr, const storage::Row& row,
 /// Evaluates a predicate: NULL counts as false.
 util::Result<bool> EvalPredicate(const Expr& expr, const storage::Row& row,
                                  const EvalContext& ctx);
-
-/// Vectorized evaluation: computes `expr` over every *selected* row of
-/// `batch`, appending exactly batch.size() values to `out` (cleared first)
-/// in logical row order. Result-equivalent to calling EvalExpr on RowAt(i)
-/// for each i — same values, same SQL three-valued logic, same errors —
-/// but column-wise: typed columns take branch-light fast paths (numeric and
-/// string comparisons, arithmetic, Kleene AND/OR), everything else falls
-/// back to a per-row loop over the already-evaluated child columns. The
-/// only observable difference from the row engine is error *timing*: a
-/// failing row (e.g. division by zero) surfaces when its batch is
-/// evaluated, which may be before earlier rows were consumed downstream.
-util::Status EvalExprBatch(const Expr& expr, const storage::RowBatch& batch,
-                           const EvalContext& ctx,
-                           storage::ColumnVector* out);
-
-/// Vectorized predicate: evaluates `expr` over the selected rows of `batch`
-/// and fills `sel_out` (cleared first) with the *physical* indices of rows
-/// where it is true (NULL counts as false), in ascending order — i.e. a
-/// refinement of the batch's current selection, ready for
-/// RowBatch::SetSelection.
-util::Status EvalPredicateBatch(const Expr& expr,
-                                const storage::RowBatch& batch,
-                                const EvalContext& ctx,
-                                std::vector<uint32_t>* sel_out);
 
 /// Splits a predicate into its top-level AND conjuncts (clones).
 std::vector<ExprPtr> SplitConjuncts(const ExprPtr& expr);

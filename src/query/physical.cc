@@ -96,14 +96,15 @@ storage::CompareOp FlipCompareOp(storage::CompareOp op) {
 /// only when the ENTIRE predicate is a conjunction of (column cmp literal)
 /// clauses — partial translation would change error semantics (an encoded
 /// clause could skip rows on which a residual clause would have raised,
-/// e.g. a division by zero). A null predicate translates to zero clauses.
-/// The scan schema mirrors the table's column order, so bound indices are
-/// table column indices.
-bool TranslateEncodedPredicate(const Expr* pred, const ExprPtr& pred_owner,
+/// e.g. a division by zero). A null predicate does not translate: a scan
+/// without a predicate reads the plain rows, which needs no decoding. The
+/// scan schema mirrors the table's column order, so bound indices are table
+/// column indices.
+bool TranslateEncodedPredicate(const ExprPtr& pred,
                                std::vector<storage::EncodedPredicate>* out) {
   out->clear();
-  if (pred == nullptr) return true;
-  for (const ExprPtr& clause : SplitConjuncts(pred_owner)) {
+  if (pred == nullptr) return false;
+  for (const ExprPtr& clause : SplitConjuncts(pred)) {
     if (clause->kind != ExprKind::kBinary || clause->children.size() != 2) {
       return false;
     }
@@ -165,8 +166,6 @@ std::string PhysicalOperator::ExplainString(int indent) const {
 }
 
 util::Status PhysicalOperator::Open() {
-  drain_batch_.Reset(0);
-  drain_pos_ = 0;
   if (query_context_ != nullptr) {
     DRUGTREE_RETURN_IF_ERROR(query_context_->Check());
   }
@@ -177,19 +176,6 @@ util::Status PhysicalOperator::Open() {
   return status;
 }
 
-util::Result<bool> PhysicalOperator::NextRowOrDrain(storage::Row* out) {
-  if (batch_size_ <= 1 || !HasBatchImpl()) return NextImpl(out);
-  // Batch->row drain adapter: the parent iterates rows while this operator
-  // produces vectorized batches underneath.
-  while (drain_pos_ >= drain_batch_.size()) {
-    DRUGTREE_ASSIGN_OR_RETURN(bool more, NextBatchImpl(&drain_batch_));
-    if (!more) return false;
-    drain_pos_ = 0;
-  }
-  *out = drain_batch_.RowAt(drain_pos_++);
-  return true;
-}
-
 util::Result<bool> PhysicalOperator::Next(storage::Row* out) {
   ++op_stats_.next_calls;
   if (query_context_ != nullptr &&
@@ -198,72 +184,15 @@ util::Result<bool> PhysicalOperator::Next(storage::Row* out) {
     if (!live.ok()) return live;
   }
   if (analyze_clock_ == nullptr) {
-    util::Result<bool> more = NextRowOrDrain(out);
+    util::Result<bool> more = NextImpl(out);
     if (more.ok() && *more) ++op_stats_.rows_out;
     return more;
   }
   int64_t start = analyze_clock_->NowMicros();
-  util::Result<bool> more = NextRowOrDrain(out);
+  util::Result<bool> more = NextImpl(out);
   op_stats_.elapsed_micros += analyze_clock_->NowMicros() - start;
   if (more.ok() && *more) ++op_stats_.rows_out;
   return more;
-}
-
-util::Result<bool> PhysicalOperator::NextBatch(storage::RowBatch* out) {
-  ++op_stats_.next_calls;
-  // One checkpoint per batch: cheap relative to the batch of work it gates,
-  // and it bounds cancellation latency by batch_size rows per operator.
-  if (query_context_ != nullptr) {
-    util::Status live = query_context_->Check();
-    if (!live.ok()) return live;
-  }
-  util::Result<bool> more = [&]() -> util::Result<bool> {
-    if (analyze_clock_ == nullptr) return NextBatchImpl(out);
-    int64_t start = analyze_clock_->NowMicros();
-    util::Result<bool> r = NextBatchImpl(out);
-    op_stats_.elapsed_micros += analyze_clock_->NowMicros() - start;
-    return r;
-  }();
-  if (more.ok() && *more) {
-    op_stats_.rows_out += static_cast<int64_t>(out->size());
-    ++op_stats_.batches;
-    // High-water accounting for the in-flight output batch: only growth
-    // beyond the largest batch seen so far is charged, so steady-state
-    // batches of stable size cost one ApproxBytes() walk and no tracker
-    // traffic.
-    if (query_context_ != nullptr && query_context_->memory != nullptr) {
-      int64_t bytes = static_cast<int64_t>(out->ApproxBytes());
-      if (bytes > batch_charged_bytes_) {
-        DRUGTREE_RETURN_IF_ERROR(
-            ChargeOperatorMemory(bytes - batch_charged_bytes_));
-        batch_charged_bytes_ = bytes;
-      }
-    }
-  }
-  return more;
-}
-
-util::Result<bool> PhysicalOperator::NextBatchImpl(storage::RowBatch* out) {
-  // Row->batch adapter: accumulate NextImpl() rows. Used by operators
-  // without a native batch implementation (Sort, HashAggregate,
-  // NestedLoopJoin, Distinct) so the batch driver runs any plan.
-  out->Reset(schema_.columns().size());
-  storage::Row row;
-  for (size_t i = 0; i < batch_size_; ++i) {
-    if (query_context_ != nullptr && i != 0 &&
-        (i % static_cast<size_t>(kCancelCheckInterval)) == 0) {
-      DRUGTREE_RETURN_IF_ERROR(query_context_->Check());
-    }
-    DRUGTREE_ASSIGN_OR_RETURN(bool more, NextImpl(&row));
-    if (!more) break;
-    out->AppendRow(std::move(row));
-  }
-  return out->physical_size() > 0;
-}
-
-void PhysicalOperator::SetBatchSize(size_t batch_size) {
-  batch_size_ = batch_size == 0 ? 1 : batch_size;
-  for (auto* c : explain_children_) c->SetBatchSize(batch_size);
 }
 
 void PhysicalOperator::EnableAnalyze(const util::Clock* clock) {
@@ -281,7 +210,6 @@ obs::ExplainNode PhysicalOperator::AnalyzeTree() const {
   node.label = Describe();
   node.rows_out = op_stats_.rows_out;
   node.next_calls = op_stats_.next_calls;
-  node.batches = op_stats_.batches;
   node.bytes_scanned = op_stats_.bytes_scanned;
   node.elapsed_micros = op_stats_.elapsed_micros;
   for (const auto* c : explain_children_) {
@@ -315,12 +243,12 @@ util::Status SeqScanOp::OpenImpl() {
   enc_seg_ = 0;
   enc_pos_ = 0;
   enc_matches_.clear();
-  // Encoded fast path: only on the batch driver, only when the table has a
-  // fresh encoded snapshot, and only when the whole predicate translates to
-  // (column cmp literal) conjuncts — anything else falls back to the plain
-  // paths, which are exact by construction.
-  if (batch_size() > 1 && table_->encoded() != nullptr &&
-      TranslateEncodedPredicate(predicate_.get(), predicate_, &enc_clauses_)) {
+  // Encoded fast path: only when the table has a fresh encoded snapshot and
+  // the whole predicate translates to (column cmp literal) conjuncts —
+  // anything else falls back to the plain paths, which are exact by
+  // construction.
+  if (table_->encoded() != nullptr &&
+      TranslateEncodedPredicate(predicate_, &enc_clauses_)) {
     encoded_ = table_->encoded();
     return util::Status::OK();
   }
@@ -340,7 +268,7 @@ util::Status SeqScanOp::MaterializeParallel() {
   std::vector<std::vector<storage::RowId>> hits(num_morsels);
   std::vector<util::Status> errors(num_morsels, util::Status::OK());
   std::vector<int64_t> scanned(num_morsels, 0);
-  std::vector<int64_t> evals(num_morsels, 0);
+  std::vector<int64_t> bytes(num_morsels, 0);
   const QueryContext* qctx = query_context();
   par_.pool->ParallelFor(num_morsels, [&](size_t m) {
     // Morsel-boundary cancellation point: an expired deadline stops the
@@ -357,9 +285,10 @@ util::Status SeqScanOp::MaterializeParallel() {
     for (size_t i = begin; i < end; ++i) {
       storage::RowId id = static_cast<storage::RowId>(i);
       if (table_->IsDeleted(id)) continue;
+      const Row& row = table_->row(id);
       ++scanned[m];
-      ++evals[m];
-      auto keep = EvalPredicate(*predicate_, table_->row(id), ctx_);
+      bytes[m] += ApproxRowBytes(row);
+      auto keep = EvalPredicate(*predicate_, row, ctx_);
       if (!keep.ok()) {
         errors[m] = keep.status();
         return;
@@ -372,7 +301,9 @@ util::Status SeqScanOp::MaterializeParallel() {
   }
   for (size_t m = 0; m < num_morsels; ++m) {
     stats_->rows_scanned += scanned[m];
-    stats_->predicate_evals += evals[m];
+    stats_->predicate_evals += scanned[m];
+    stats_->bytes_scanned += bytes[m];
+    AddBytesScanned(bytes[m]);
     matches_.insert(matches_.end(), hits[m].begin(), hits[m].end());
   }
   MorselCounter()->Add(static_cast<int64_t>(num_morsels));
@@ -382,6 +313,7 @@ util::Status SeqScanOp::MaterializeParallel() {
 }
 
 util::Result<bool> SeqScanOp::NextImpl(Row* out) {
+  if (encoded_ != nullptr) return NextEncoded(out);
   if (materialized_) {
     // Stats were accumulated during the parallel materialization.
     if (mcursor_ >= matches_.size()) return false;
@@ -396,8 +328,11 @@ util::Result<bool> SeqScanOp::NextImpl(Row* out) {
       DRUGTREE_RETURN_IF_ERROR(query_context()->Check());
     }
     if (table_->IsDeleted(id)) continue;
-    ++stats_->rows_scanned;
     const Row& row = table_->row(id);
+    const int64_t bytes = ApproxRowBytes(row);
+    ++stats_->rows_scanned;
+    stats_->bytes_scanned += bytes;
+    AddBytesScanned(bytes);
     if (predicate_) {
       ++stats_->predicate_evals;
       DRUGTREE_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*predicate_, row, ctx_));
@@ -409,86 +344,31 @@ util::Result<bool> SeqScanOp::NextImpl(Row* out) {
   return false;
 }
 
-util::Result<bool> SeqScanOp::NextBatchImpl(storage::RowBatch* out) {
-  const size_t cols = schema_.columns().size();
-  if (encoded_ != nullptr) return NextBatchEncoded(out);
-  if (materialized_) {
-    // Stats were accumulated during the parallel materialization; slice the
-    // surviving rows into batches (one batch per morsel at the defaults).
-    out->Reset(cols);
-    while (mcursor_ < matches_.size() && out->physical_size() < batch_size()) {
-      out->AppendRow(table_->row(matches_[mcursor_++]));
+util::Result<bool> SeqScanOp::NextEncoded(Row* out) {
+  while (enc_pos_ >= enc_matches_.size()) {
+    // Current segment drained: filter the next one. Matches are produced
+    // directly on the encoded form; only survivors are ever decoded.
+    if (enc_seg_ >= encoded_->segments.size()) return false;
+    // Segment-boundary checkpoint: a selective predicate can walk many
+    // segments per emitted row.
+    if (query_context() != nullptr) {
+      DRUGTREE_RETURN_IF_ERROR(query_context()->Check());
     }
-    if (out->physical_size() == 0) return false;
-    int64_t bytes = static_cast<int64_t>(out->ApproxBytes());
-    stats_->bytes_scanned += bytes;
-    AddBytesScanned(bytes);
-    return true;
+    const storage::EncodedSegment& seg = encoded_->segments[enc_seg_++];
+    stats_->rows_scanned += static_cast<int64_t>(seg.num_rows);
+    stats_->predicate_evals += static_cast<int64_t>(seg.num_rows);
+    stats_->bytes_scanned += static_cast<int64_t>(seg.encoded_bytes);
+    AddBytesScanned(static_cast<int64_t>(seg.encoded_bytes));
+    enc_pos_ = 0;
+    storage::FilterSegment(seg, enc_clauses_, &enc_matches_, &enc_scratch_);
   }
-  for (;;) {
-    out->Reset(cols);
-    size_t got = table_->ScanBatch(&cursor_, batch_size(), out);
-    if (got == 0) return false;  // only tombstones remained
-    stats_->rows_scanned += static_cast<int64_t>(got);
-    int64_t bytes = static_cast<int64_t>(out->ApproxBytes());
-    stats_->bytes_scanned += bytes;
-    AddBytesScanned(bytes);
-    if (predicate_) {
-      stats_->predicate_evals += static_cast<int64_t>(got);
-      std::vector<uint32_t> sel;
-      DRUGTREE_RETURN_IF_ERROR(EvalPredicateBatch(*predicate_, *out, ctx_,
-                                                  &sel));
-      if (sel.empty()) {
-        // Everything filtered out; a selective predicate can walk many
-        // batches per emitted one, so checkpoint here like the row path
-        // does per kCancelCheckRows rows.
-        if (query_context() != nullptr) {
-          DRUGTREE_RETURN_IF_ERROR(query_context()->Check());
-        }
-        continue;
-      }
-      out->SetSelection(std::move(sel));
-    }
-    return true;
+  const storage::EncodedSegment& seg = encoded_->segments[enc_seg_ - 1];
+  const size_t i = enc_matches_[enc_pos_++];
+  out->clear();
+  out->reserve(seg.columns.size());
+  for (const storage::EncodedColumn& col : seg.columns) {
+    out->push_back(col.ValueAt(i));
   }
-}
-
-util::Result<bool> SeqScanOp::NextBatchEncoded(storage::RowBatch* out) {
-  out->Reset(schema_.columns().size());
-  size_t appended = 0;
-  while (appended < batch_size()) {
-    if (enc_pos_ >= enc_matches_.size()) {
-      // Current segment drained: filter the next one. Matches are produced
-      // directly on the encoded form; only survivors are ever decoded.
-      if (enc_seg_ >= encoded_->segments.size()) break;
-      // Segment-boundary checkpoint: a selective predicate can walk many
-      // segments per emitted batch.
-      if (query_context() != nullptr) {
-        DRUGTREE_RETURN_IF_ERROR(query_context()->Check());
-      }
-      const storage::EncodedSegment& seg = encoded_->segments[enc_seg_++];
-      stats_->rows_scanned += static_cast<int64_t>(seg.num_rows);
-      if (!enc_clauses_.empty()) {
-        stats_->predicate_evals += static_cast<int64_t>(seg.num_rows);
-      }
-      stats_->bytes_scanned += static_cast<int64_t>(seg.encoded_bytes);
-      AddBytesScanned(static_cast<int64_t>(seg.encoded_bytes));
-      enc_pos_ = 0;
-      storage::FilterSegment(seg, enc_clauses_, &enc_matches_, &enc_scratch_);
-      continue;
-    }
-    const storage::EncodedSegment& seg = encoded_->segments[enc_seg_ - 1];
-    size_t take =
-        std::min(batch_size() - appended, enc_matches_.size() - enc_pos_);
-    for (size_t c = 0; c < seg.columns.size(); ++c) {
-      seg.columns[c].GatherInto(enc_matches_.data() + enc_pos_, take,
-                                &out->column(c));
-    }
-    enc_pos_ += take;
-    appended += take;
-  }
-  if (appended == 0) return false;
-  out->FinishAppendedRows();
   return true;
 }
 
@@ -550,31 +430,6 @@ util::Result<bool> IndexScanOp::NextImpl(Row* out) {
   return false;
 }
 
-util::Result<bool> IndexScanOp::NextBatchImpl(storage::RowBatch* out) {
-  const size_t cols = schema_.columns().size();
-  for (;;) {
-    out->Reset(cols);
-    size_t appended = 0;
-    while (cursor_ < matches_.size() && appended < batch_size()) {
-      storage::RowId id = matches_[cursor_++];
-      if (table_->IsDeleted(id)) continue;
-      ++stats_->rows_index_fetched;
-      out->AppendRow(table_->row(id));
-      ++appended;
-    }
-    if (appended == 0) return false;
-    if (residual_) {
-      stats_->predicate_evals += static_cast<int64_t>(appended);
-      std::vector<uint32_t> sel;
-      DRUGTREE_RETURN_IF_ERROR(EvalPredicateBatch(*residual_, *out, ctx_,
-                                                  &sel));
-      if (sel.empty()) continue;  // match set is bounded; shell checkpoints
-      out->SetSelection(std::move(sel));
-    }
-    return true;
-  }
-}
-
 std::string IndexScanOp::Describe() const {
   std::string out = "IndexScan " + table_->name() + "." + column_;
   if (bounds_.is_point) {
@@ -621,21 +476,6 @@ util::Result<bool> FilterOp::NextImpl(Row* out) {
   }
 }
 
-util::Result<bool> FilterOp::NextBatchImpl(storage::RowBatch* out) {
-  for (;;) {
-    DRUGTREE_ASSIGN_OR_RETURN(bool more, child_->NextBatch(out));
-    if (!more) return false;
-    if (!predicate_) return true;
-    stats_->predicate_evals += static_cast<int64_t>(out->size());
-    std::vector<uint32_t> sel;
-    DRUGTREE_RETURN_IF_ERROR(EvalPredicateBatch(*predicate_, *out, ctx_,
-                                                &sel));
-    if (sel.empty()) continue;  // child's NextBatch shell checkpoints
-    out->SetSelection(std::move(sel));
-    return true;
-  }
-}
-
 std::string FilterOp::Describe() const {
   return "Filter " + (predicate_ ? predicate_->ToString() : "true");
 }
@@ -656,9 +496,9 @@ util::Status ProjectOp::OpenImpl() {
     cols.push_back({o.name, ValueType::kString, true});
   }
   DRUGTREE_ASSIGN_OR_RETURN(schema_, Schema::Create(std::move(cols)));
-  // Row-path move optimization: an output that is a bare column ref may
-  // steal the child's Value instead of copying — but only if no other
-  // output expression also reads that column (SELECT p.acc, p.acc or
+  // Move optimization: an output that is a bare column ref may steal the
+  // child's Value instead of copying — but only if no other output
+  // expression also reads that column (SELECT p.acc, p.acc or
   // SELECT x, x + 1 must keep copying).
   std::vector<int> ref_counts;
   auto count_refs = [&ref_counts](const Expr& e, auto&& self) -> void {
@@ -697,18 +537,6 @@ util::Result<bool> ProjectOp::NextImpl(Row* out) {
                                                 ctx_));
     out->push_back(std::move(v));
   }
-  return true;
-}
-
-util::Result<bool> ProjectOp::NextBatchImpl(storage::RowBatch* out) {
-  DRUGTREE_ASSIGN_OR_RETURN(bool more, child_->NextBatch(&child_batch_));
-  if (!more) return false;
-  out->Reset(outputs_.size());
-  for (size_t c = 0; c < outputs_.size(); ++c) {
-    DRUGTREE_RETURN_IF_ERROR(
-        EvalExprBatch(*outputs_[c].expr, child_batch_, ctx_, &out->column(c)));
-  }
-  out->FinishAppendedRows();
   return true;
 }
 
@@ -848,7 +676,7 @@ util::Status HashJoinOp::OpenImpl() {
     DRUGTREE_RETURN_IF_ERROR(BindExpr(residual_.get(), schema_));
   }
 
-  // Split the key pairs once; both Next paths reuse these.
+  // Split the key pairs once; Next() reuses these.
   left_keys_.clear();
   right_keys_.clear();
   for (auto& [lk, rk] : key_pairs_) {
@@ -936,31 +764,7 @@ util::Status HashJoinOp::OpenImpl() {
   DRUGTREE_RETURN_IF_ERROR(ChargeOperatorMemory(table_bytes));
   have_left_ = false;
   probe_list_ = nullptr;
-  probe_batch_.Reset(0);
-  probe_key_cols_.clear();
-  probe_idx_ = 0;
   return util::Status::OK();
-}
-
-// Emits the surviving join row for right-side candidate `r` into `joined`,
-// or leaves it empty. Shared by both probe paths so match verification,
-// residual evaluation, and stats accounting stay identical.
-util::Result<bool> HashJoinOp::MatchCandidate(const Row& r, Row* joined) {
-  // Verify key equality (hash collisions).
-  std::vector<Value> rkey;
-  auto rh = KeyHash(right_keys_, r, &rkey);
-  if (!rh.ok()) return rh.status();
-  if (rkey != current_key_) return false;
-  *joined = current_left_;
-  joined->insert(joined->end(), r.begin(), r.end());
-  if (residual_) {
-    ++stats_->predicate_evals;
-    DRUGTREE_ASSIGN_OR_RETURN(bool keep,
-                              EvalPredicate(*residual_, *joined, ctx_));
-    if (!keep) return false;
-  }
-  ++stats_->rows_joined;
-  return true;
 }
 
 util::Result<bool> HashJoinOp::NextImpl(Row* out) {
@@ -981,56 +785,23 @@ util::Result<bool> HashJoinOp::NextImpl(Row* out) {
     }
     while (probe_list_ != nullptr && probe_pos_ < probe_list_->size()) {
       const Row& r = right_rows_[(*probe_list_)[probe_pos_++]];
-      Row joined;
-      DRUGTREE_ASSIGN_OR_RETURN(bool match, MatchCandidate(r, &joined));
-      if (!match) continue;
+      // Verify key equality (hash collisions).
+      std::vector<Value> rkey;
+      DRUGTREE_RETURN_IF_ERROR(KeyHash(right_keys_, r, &rkey).status());
+      if (rkey != current_key_) continue;
+      Row joined = current_left_;
+      joined.insert(joined.end(), r.begin(), r.end());
+      if (residual_) {
+        ++stats_->predicate_evals;
+        DRUGTREE_ASSIGN_OR_RETURN(bool keep,
+                                  EvalPredicate(*residual_, joined, ctx_));
+        if (!keep) continue;
+      }
+      ++stats_->rows_joined;
       *out = std::move(joined);
       return true;
     }
     have_left_ = false;
-  }
-}
-
-util::Result<bool> HashJoinOp::NextBatchImpl(storage::RowBatch* out) {
-  out->Reset(schema_.columns().size());
-  for (;;) {
-    // Drain the current probe row's match list first.
-    while (probe_list_ != nullptr && probe_pos_ < probe_list_->size()) {
-      const Row& r = right_rows_[(*probe_list_)[probe_pos_++]];
-      Row joined;
-      DRUGTREE_ASSIGN_OR_RETURN(bool match, MatchCandidate(r, &joined));
-      if (!match) continue;
-      out->AppendRow(std::move(joined));
-      if (out->physical_size() >= batch_size()) return true;
-    }
-    probe_list_ = nullptr;
-    // Advance to the next probe row, fetching (and key-evaluating) a fresh
-    // left batch when the current one is exhausted.
-    if (probe_idx_ >= probe_batch_.size()) {
-      DRUGTREE_ASSIGN_OR_RETURN(bool more, left_->NextBatch(&probe_batch_));
-      if (!more) return out->physical_size() > 0;  // flush the tail
-      probe_idx_ = 0;
-      probe_key_cols_.resize(left_keys_.size());
-      for (size_t k = 0; k < left_keys_.size(); ++k) {
-        DRUGTREE_RETURN_IF_ERROR(EvalExprBatch(*left_keys_[k], probe_batch_,
-                                               ctx_, &probe_key_cols_[k]));
-      }
-    }
-    const size_t i = probe_idx_++;
-    current_key_.clear();
-    bool has_null = false;
-    for (const auto& col : probe_key_cols_) {
-      Value v = col.GetValue(i);
-      has_null |= v.is_null();
-      current_key_.push_back(std::move(v));
-    }
-    if (has_null) continue;  // NULL keys never join
-    uint64_t h = HashKey(current_key_);
-    auto it = hash_table_.find(h);
-    if (it == hash_table_.end()) continue;
-    current_left_ = probe_batch_.RowAt(i);
-    probe_list_ = &it->second;
-    probe_pos_ = 0;
   }
 }
 
@@ -1361,16 +1132,31 @@ util::Status DistinctOp::OpenImpl() {
   DRUGTREE_RETURN_IF_ERROR(child_->Open());
   schema_ = child_->schema();
   seen_.clear();
+  pending_bytes_ = 0;
   return util::Status::OK();
 }
 
 util::Result<bool> DistinctOp::NextImpl(Row* out) {
   for (;;) {
     DRUGTREE_ASSIGN_OR_RETURN(bool more, child_->Next(out));
-    if (!more) return false;
+    if (!more) {
+      DRUGTREE_RETURN_IF_ERROR(ChargeOperatorMemory(pending_bytes_));
+      pending_bytes_ = 0;
+      return false;
+    }
     std::string key;
     storage::EncodeRow(*out, &key);
-    if (seen_.insert(std::move(key)).second) return true;
+    // Memory grows with distinct keys: charge each new key's bytes plus
+    // set-node overhead, in chunks like the other materializing operators.
+    const int64_t key_bytes =
+        static_cast<int64_t>(sizeof(std::string) + key.size()) + 32;
+    if (!seen_.insert(std::move(key)).second) continue;
+    pending_bytes_ += key_bytes;
+    if (pending_bytes_ >= kChargeChunkBytes) {
+      DRUGTREE_RETURN_IF_ERROR(ChargeOperatorMemory(pending_bytes_));
+      pending_bytes_ = 0;
+    }
+    return true;
   }
 }
 
@@ -1395,26 +1181,6 @@ util::Result<bool> LimitOp::NextImpl(Row* out) {
   DRUGTREE_ASSIGN_OR_RETURN(bool more, child_->Next(out));
   if (!more) return false;
   ++produced_;
-  return true;
-}
-
-util::Result<bool> LimitOp::NextBatchImpl(storage::RowBatch* out) {
-  if (produced_ >= limit_) return false;
-  DRUGTREE_ASSIGN_OR_RETURN(bool more, child_->NextBatch(out));
-  if (!more) return false;
-  const int64_t remaining = limit_ - produced_;
-  if (static_cast<int64_t>(out->size()) > remaining) {
-    // Truncate by selection; the overshoot rows were already computed by
-    // the child, so dropping them keeps output identical to the row path.
-    std::vector<uint32_t> sel;
-    sel.reserve(static_cast<size_t>(remaining));
-    for (int64_t i = 0; i < remaining; ++i) {
-      sel.push_back(
-          static_cast<uint32_t>(out->PhysicalIndex(static_cast<size_t>(i))));
-    }
-    out->SetSelection(std::move(sel));
-  }
-  produced_ += static_cast<int64_t>(out->size());
   return true;
 }
 

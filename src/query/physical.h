@@ -1,14 +1,10 @@
-// Physical operators (volcano iterator model with vectorized batches).
-// Each operator exposes Open()/Next(&row)/NextBatch(&batch) and its output
-// schema; ExplainString() renders the physical plan for EXPLAIN output and
-// the E2 ablation logs. Open()/Next()/NextBatch() are non-virtual shells on
-// the base class that maintain per-operator execution stats (rows_out,
-// next_calls, batches, and — under EXPLAIN ANALYZE — cumulative time);
-// operators implement OpenImpl()/NextImpl() and, for the vectorized hot
-// path, NextBatchImpl(). Adapter shims run in both directions: operators
-// without a batch implementation are batched by accumulating NextImpl()
-// rows, and batch-native operators serve row-at-a-time parents by draining
-// an internal batch — so row and batch operators compose freely in one plan.
+// Physical operators (volcano iterator model). Each operator exposes
+// Open()/Next(&row) and its output schema; ExplainString() renders the
+// physical plan for EXPLAIN output and the E2 ablation logs. Open()/Next()
+// are non-virtual shells on the base class that maintain per-operator
+// execution stats (rows_out, next_calls, and — under EXPLAIN ANALYZE —
+// cumulative time) and the cancellation checkpoints; operators implement
+// OpenImpl()/NextImpl().
 
 #ifndef DRUGTREE_QUERY_PHYSICAL_H_
 #define DRUGTREE_QUERY_PHYSICAL_H_
@@ -25,7 +21,6 @@
 #include "query/logical_plan.h"
 #include "query/parser.h"
 #include "query/query_context.h"
-#include "storage/row_batch.h"
 #include "storage/table.h"
 #include "util/clock.h"
 #include "util/result.h"
@@ -40,10 +35,10 @@ struct ExecStats {
   int64_t rows_index_fetched = 0; // rows fetched through an index
   int64_t rows_joined = 0;        // rows emitted by join operators
   int64_t predicate_evals = 0;    // per-row predicate evaluations
-  int64_t bytes_scanned = 0;      // storage bytes the scan touched: encoded
-                                  // segment bytes on the encoded path, the
-                                  // decoded batch's bytes on the plain batch
-                                  // path (0 on pure row paths)
+  int64_t bytes_scanned = 0;      // storage bytes sequential scans touched:
+                                  // encoded segment bytes on the encoded
+                                  // path, the approximate bytes of every
+                                  // live row read on the plain path
 };
 
 /// Morsel-parallel execution context threaded from the planner into
@@ -60,23 +55,15 @@ struct ParallelContext {
   bool enabled() const { return pool != nullptr && parallelism > 1; }
 };
 
-/// Per-operator execution counters, collected by the base
-/// Open()/Next()/NextBatch() shells. Row/call counts are always on; timing
-/// is only collected after EnableAnalyze() to keep the default path cheap.
-///
-/// next_calls semantics under batching: one increment per NextBatch() call
-/// — i.e. per *batch*, not per row — including the final exhausted call.
-/// In row-at-a-time mode (batch_size 1, or a batch-native operator drained
-/// by a row-consuming parent) it counts Next() calls as before, so
-/// next_calls == rows_out + 1 only holds on pure row paths.
+/// Per-operator execution counters, collected by the base Open()/Next()
+/// shells. Row/call counts are always on; timing is only collected after
+/// EnableAnalyze() to keep the default path cheap.
 struct OperatorStats {
-  int64_t rows_out = 0;        // rows handed to the parent (either mode)
-  int64_t next_calls = 0;      // Next()/NextBatch() invocations (including
-                               // the last exhausted one)
-  int64_t batches = 0;         // non-empty batches handed to the parent via
-                               // NextBatch() (0 on pure row paths)
-  int64_t elapsed_micros = 0;  // Open()+Next()+NextBatch() time, inclusive
-                               // of children (only under EnableAnalyze)
+  int64_t rows_out = 0;        // rows handed to the parent
+  int64_t next_calls = 0;      // Next() invocations (including the last
+                               // exhausted one)
+  int64_t elapsed_micros = 0;  // Open()+Next() time, inclusive of children
+                               // (only under EnableAnalyze)
   int64_t bytes_scanned = 0;   // storage bytes touched by scan operators
                                // (see ExecStats::bytes_scanned); rendered
                                // as `bytes=` by EXPLAIN ANALYZE when > 0
@@ -91,23 +78,8 @@ class PhysicalOperator {
   /// Prepares for iteration (binds expressions, builds hash tables, sorts).
   util::Status Open();
 
-  /// Produces the next row. Returns false when exhausted. When the operator
-  /// is batch-native and a batch size > 1 is configured, rows are drained
-  /// from an internal batch, so row-consuming parents still benefit from
-  /// the vectorized pipeline below them.
+  /// Produces the next row. Returns false when exhausted.
   util::Result<bool> Next(storage::Row* out);
-
-  /// Produces the next batch (up to the configured batch size). Returns
-  /// false when exhausted; a true return always carries at least one
-  /// logical row. Operators without a native batch implementation are
-  /// adapted automatically by accumulating NextImpl() rows, so the batch
-  /// driver can run any plan. Output row order is identical to Next().
-  util::Result<bool> NextBatch(storage::RowBatch* out);
-
-  /// Configures the rows-per-batch target for the whole subtree. 1 (the
-  /// default) preserves the exact legacy row-at-a-time path everywhere;
-  /// values > 1 enable the vectorized path and the drain adapter in Next().
-  void SetBatchSize(size_t batch_size);
 
   const storage::Schema& schema() const { return schema_; }
 
@@ -140,16 +112,6 @@ class PhysicalOperator {
   virtual util::Status OpenImpl() = 0;
   virtual util::Result<bool> NextImpl(storage::Row* out) = 0;
 
-  /// Batch production; the default implementation adapts NextImpl(). Batch
-  /// overrides must return true only with >= 1 logical row in `out`.
-  virtual util::Result<bool> NextBatchImpl(storage::RowBatch* out);
-
-  /// True when NextBatchImpl is a native override (drives the batch->row
-  /// drain adapter inside Next()).
-  virtual bool HasBatchImpl() const { return false; }
-
-  size_t batch_size() const { return batch_size_; }
-
   /// Cancellation checkpoint granularity for row-at-a-time loops.
   static constexpr int64_t kCancelCheckInterval = 64;
   /// Row granularity for checks inside tight operator-internal loops.
@@ -174,23 +136,14 @@ class PhysicalOperator {
   std::vector<PhysicalOperator*> explain_children_;  // borrowed, for explain
 
  private:
-  /// Row production for the Next() shell: NextImpl() on the row path, the
-  /// batch->row drain adapter when this operator is batch-native.
-  util::Result<bool> NextRowOrDrain(storage::Row* out);
-
   OperatorStats op_stats_;
   const util::Clock* analyze_clock_ = nullptr;  // non-null => timing on
   const QueryContext* query_context_ = nullptr;
-  size_t batch_size_ = 1;
-  storage::RowBatch drain_batch_;  // batch->row adapter state
-  size_t drain_pos_ = 0;
   // Memory accounting: tracker the charges went to (captured at first
   // charge so destruction releases against the right node even after the
-  // context is detached), total charged, and the high-water charge for the
-  // in-flight output batch (NextBatch shell charges deltas only).
+  // context is detached) and the total charged.
   obs::MemoryTracker* charged_tracker_ = nullptr;
   int64_t charged_bytes_ = 0;
-  int64_t batch_charged_bytes_ = 0;
 };
 
 using PhysicalPtr = std::unique_ptr<PhysicalOperator>;
@@ -202,8 +155,6 @@ class SeqScanOp : public PhysicalOperator {
             EvalContext ctx, ExecStats* stats, ParallelContext par = {});
   util::Status OpenImpl() override;
   util::Result<bool> NextImpl(storage::Row* out) override;
-  util::Result<bool> NextBatchImpl(storage::RowBatch* out) override;
-  bool HasBatchImpl() const override { return true; }
   std::string Describe() const override;
 
  private:
@@ -212,13 +163,13 @@ class SeqScanOp : public PhysicalOperator {
   /// identical to the serial cursor path.
   util::Status MaterializeParallel();
 
-  /// Batch production directly on the table's encoded snapshot: predicates
-  /// run per segment on the encoded form (dictionary code ranges, RLE runs,
-  /// frame-of-reference deltas) and only the surviving rows are decoded
-  /// into the output batch. Taken when Open() found a fresh snapshot and
-  /// the whole predicate translated to encoded clauses; row order and
-  /// results are identical to the plain path.
-  util::Result<bool> NextBatchEncoded(storage::RowBatch* out);
+  /// Row production directly on the table's encoded snapshot: the
+  /// predicate runs one segment at a time on the encoded form (dictionary
+  /// code ranges, RLE runs, frame-of-reference deltas) and only the
+  /// surviving rows are decoded. Taken when Open() found a fresh snapshot
+  /// and the whole predicate translated to at least one encoded clause;
+  /// row order and results are identical to the plain path.
+  util::Result<bool> NextEncoded(storage::Row* out);
 
   const storage::Table* table_;
   std::string alias_;
@@ -254,8 +205,6 @@ class IndexScanOp : public PhysicalOperator {
               EvalContext ctx, ExecStats* stats);
   util::Status OpenImpl() override;
   util::Result<bool> NextImpl(storage::Row* out) override;
-  util::Result<bool> NextBatchImpl(storage::RowBatch* out) override;
-  bool HasBatchImpl() const override { return true; }
   std::string Describe() const override;
 
  private:
@@ -276,8 +225,6 @@ class FilterOp : public PhysicalOperator {
            ExecStats* stats);
   util::Status OpenImpl() override;
   util::Result<bool> NextImpl(storage::Row* out) override;
-  util::Result<bool> NextBatchImpl(storage::RowBatch* out) override;
-  bool HasBatchImpl() const override { return true; }
   std::string Describe() const override;
 
  private:
@@ -293,21 +240,18 @@ class ProjectOp : public PhysicalOperator {
             EvalContext ctx);
   util::Status OpenImpl() override;
   util::Result<bool> NextImpl(storage::Row* out) override;
-  util::Result<bool> NextBatchImpl(storage::RowBatch* out) override;
-  bool HasBatchImpl() const override { return true; }
   std::string Describe() const override;
 
  private:
   PhysicalPtr child_;
   std::vector<OutputColumn> outputs_;
   EvalContext ctx_;
-  // Row path: output positions whose expression is a bare column ref that
-  // no other output references; those Values are moved out of the child row
-  // instead of re-evaluated+copied (-1 = evaluate normally). The child row
-  // buffer is a member so its capacity is reused across calls.
+  // Output positions whose expression is a bare column ref that no other
+  // output references; those Values are moved out of the child row instead
+  // of re-evaluated+copied (-1 = evaluate normally). The child row buffer
+  // is a member so its capacity is reused across calls.
   std::vector<int> move_cols_;
   storage::Row in_row_;
-  storage::RowBatch child_batch_;  // batch path input
 };
 
 /// Nested-loop join with an arbitrary (possibly null) condition; the right
@@ -341,19 +285,12 @@ class HashJoinOp : public PhysicalOperator {
              ParallelContext par = {});
   util::Status OpenImpl() override;
   util::Result<bool> NextImpl(storage::Row* out) override;
-  util::Result<bool> NextBatchImpl(storage::RowBatch* out) override;
-  bool HasBatchImpl() const override { return true; }
   std::string Describe() const override;
 
  private:
   util::Result<uint64_t> KeyHash(const std::vector<ExprPtr>& exprs,
                                  const storage::Row& row,
                                  std::vector<storage::Value>* key_out);
-
-  /// Verifies one right-side candidate against current_key_, applies the
-  /// residual, and (on a match) fills `joined` and updates the stats.
-  util::Result<bool> MatchCandidate(const storage::Row& r,
-                                    storage::Row* joined);
 
   PhysicalPtr left_, right_;
   std::vector<std::pair<ExprPtr, ExprPtr>> key_pairs_;
@@ -367,19 +304,14 @@ class HashJoinOp : public PhysicalOperator {
   // assembled serially in row order, so output is parallelism-independent.
   std::vector<storage::Row> right_rows_;
   std::unordered_map<uint64_t, std::vector<size_t>> hash_table_;
-  // Key expressions split out of key_pairs_ at Open() so neither Next path
-  // rebuilds the vectors per call.
+  // Key expressions split out of key_pairs_ at Open() so Next() does not
+  // rebuild the vectors per call.
   std::vector<ExprPtr> left_keys_, right_keys_;
   storage::Row current_left_;
   std::vector<storage::Value> current_key_;
   bool have_left_ = false;
   const std::vector<size_t>* probe_list_ = nullptr;
   size_t probe_pos_ = 0;
-  // Batch probe state: the current left batch, its evaluated key columns
-  // (logical row order), and the next logical row to probe.
-  storage::RowBatch probe_batch_;
-  std::vector<storage::ColumnVector> probe_key_cols_;
-  size_t probe_idx_ = 0;
 };
 
 /// Index nested-loop join against a base table: for each left row, the
@@ -459,7 +391,8 @@ class HashAggregateOp : public PhysicalOperator {
   size_t cursor_ = 0;
 };
 
-/// Streaming duplicate elimination (hash set over encoded rows).
+/// Streaming duplicate elimination (hash set over encoded rows). The set's
+/// growth is charged against the query's memory tracker.
 class DistinctOp : public PhysicalOperator {
  public:
   explicit DistinctOp(PhysicalPtr child);
@@ -470,6 +403,7 @@ class DistinctOp : public PhysicalOperator {
  private:
   PhysicalPtr child_;
   std::unordered_set<std::string> seen_;
+  int64_t pending_bytes_ = 0;  // set growth not yet charged
 };
 
 class LimitOp : public PhysicalOperator {
@@ -477,8 +411,6 @@ class LimitOp : public PhysicalOperator {
   LimitOp(PhysicalPtr child, int64_t limit);
   util::Status OpenImpl() override;
   util::Result<bool> NextImpl(storage::Row* out) override;
-  util::Result<bool> NextBatchImpl(storage::RowBatch* out) override;
-  bool HasBatchImpl() const override { return true; }
   std::string Describe() const override;
 
  private:

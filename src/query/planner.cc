@@ -443,9 +443,8 @@ util::Result<QueryOutcome> Planner::Run(const std::string& sql,
   }
   {
     obs::TracePhaseScope execute_phase(obs::TracePhase::kExecute);
-    DRUGTREE_ASSIGN_OR_RETURN(
-        outcome.result,
-        ExecutePlan(physical.get(), context, options.batch_size));
+    DRUGTREE_ASSIGN_OR_RETURN(outcome.result,
+                              ExecutePlan(physical.get(), context));
   }
   if (analyze) {
     obs::ExplainNode analyzed = physical->AnalyzeTree();

@@ -36,10 +36,9 @@ struct PlannerOptions {
   /// filtering, hash-join build). 1 = serial execution; results are
   /// identical at any setting.
   int parallelism = 1;
-  /// Rows per execution batch. > 1 runs plans through the vectorized
-  /// columnar pipeline (scan/filter/project/limit/hash-join probe); 1
-  /// drives the legacy row-at-a-time volcano path. Results are bit-identical
-  /// at any setting; this is the E2 vectorization ablation axis.
+  /// Selects nothing: the batch size of the removed vectorized engine,
+  /// still declared only because the perfbench harness assigns it. No code
+  /// reads it; drop it once perfbench no longer does.
   size_t batch_size = 1024;
 
   /// Everything off: the E1/E2 "naive DrugTree" baseline.

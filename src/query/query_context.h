@@ -35,11 +35,11 @@ struct QueryContext {
   /// When set, the planner enables per-operator analyze instrumentation even
   /// for plain (non-EXPLAIN) queries and publishes the rendered tree to the
   /// active obs::TraceContext, so slow-query forensics can show the plan of
-  /// an offender after the fact. Adds two clock reads per operator per batch.
+  /// an offender after the fact. Adds two clock reads per operator call.
   bool collect_analyze = false;
   /// Per-query memory tracker (a transient node parented under the server
-  /// hierarchy). Operators charge materialized state and batch buffers
-  /// against it; a hard-limit breach aborts the query with
+  /// hierarchy). Operators charge materialized state and the executor its
+  /// result buffer against it; a hard-limit breach aborts the query with
   /// kResourceExhausted at the offending allocation instead of OOMing.
   /// Null = no resource accounting (the default for unserved callers).
   obs::MemoryTracker* memory = nullptr;

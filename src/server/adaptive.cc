@@ -12,7 +12,6 @@ AdaptiveController::AdaptiveController(const AdaptiveOptions& options)
   window_.reserve(static_cast<size_t>(std::max(1, options_.window)));
   // Analytic starts wide: an unloaded server should soak every spare slot.
   // The first pressured window walks it down.
-  analytic_.batch_size = options_.max_batch;
   analytic_.parallelism = options_.max_parallelism;
 }
 
@@ -43,29 +42,17 @@ void AdaptiveController::Record(QueryClass cls, int64_t latency_micros) {
 }
 
 void AdaptiveController::StepDownLocked() {
-  bool moved = false;
   if (analytic_.parallelism > options_.min_parallelism) {
     --analytic_.parallelism;
-    moved = true;
+    ++steps_down_;
   }
-  if (analytic_.batch_size / 2 >= options_.min_batch) {
-    analytic_.batch_size /= 2;
-    moved = true;
-  }
-  if (moved) ++steps_down_;
 }
 
 void AdaptiveController::StepUpLocked() {
-  bool moved = false;
   if (analytic_.parallelism < options_.max_parallelism) {
     ++analytic_.parallelism;
-    moved = true;
+    ++steps_up_;
   }
-  if (analytic_.batch_size * 2 <= options_.max_batch) {
-    analytic_.batch_size *= 2;
-    moved = true;
-  }
-  if (moved) ++steps_up_;
 }
 
 AdaptiveKnobs AdaptiveController::knobs(QueryClass cls) const {
@@ -93,11 +80,10 @@ std::string AdaptiveController::StatszJson() const {
   return util::StringPrintf(
       "{\"enabled\":%s,\"decisions\":%lld,\"steps_down\":%lld,"
       "\"steps_up\":%lld,\"last_p99_micros\":%lld,"
-      "\"analytic\":{\"batch_size\":%zu,\"parallelism\":%d}}",
+      "\"analytic\":{\"parallelism\":%d}}",
       options_.enabled ? "true" : "false", (long long)decisions_,
       (long long)steps_down_, (long long)steps_up_,
-      (long long)last_p99_micros_, analytic_.batch_size,
-      analytic_.parallelism);
+      (long long)last_p99_micros_, analytic_.parallelism);
 }
 
 }  // namespace server

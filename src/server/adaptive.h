@@ -1,21 +1,20 @@
-// AdaptiveController: closed-loop retuning of per-class execution knobs
-// (vectorized batch size, morsel parallelism) from observed completion
-// latencies.
+// AdaptiveController: closed-loop retuning of per-class morsel parallelism
+// from observed completion latencies.
 //
 // The control signal is the interactive class's recent p99 versus its
 // latency target; the actuator is the *analytic* class's aggressiveness.
 // Analytic work starts at full width (it soaks spare slots on an idle
 // server); when interactive p99 climbs past the target, analytic
-// parallelism and batch size step down so interactive requests stop
-// queueing behind wide morsel fans; when p99 stays comfortably low for
-// several consecutive windows (hysteresis — one good window is noise),
-// analytic width steps back up.
+// parallelism steps down so interactive requests stop queueing behind wide
+// morsel fans; when p99 stays comfortably low for several consecutive
+// windows (hysteresis — one good window is noise), analytic width steps
+// back up.
 //
-// Safety: batch size and parallelism are result-invariance axes of the
-// engine (identical rows at any setting), so the controller can never
-// change answers — only latency. Decisions are count-driven (every
-// `window` interactive completions), not wall-clock-driven, so behavior
-// is deterministic under a simulated clock.
+// Safety: parallelism is a result-invariance axis of the engine (identical
+// rows at any setting), so the controller can never change answers — only
+// latency. Decisions are count-driven (every `window` interactive
+// completions), not wall-clock-driven, so behavior is deterministic under a
+// simulated clock.
 
 #ifndef DRUGTREE_SERVER_ADAPTIVE_H_
 #define DRUGTREE_SERVER_ADAPTIVE_H_
@@ -45,16 +44,13 @@ struct AdaptiveOptions {
   /// `hysteresis` consecutive ones, analytic width steps back up.
   double low_ratio = 0.5;
   int hysteresis = 2;
-  /// Bounds for the analytic knobs the controller walks between.
+  /// Bounds for the analytic parallelism the controller walks between.
   int min_parallelism = 1;
   int max_parallelism = 4;
-  size_t min_batch = 256;
-  size_t max_batch = 4096;
 };
 
-/// The two execution knobs the controller owns per class.
+/// The execution knob the controller owns per class.
 struct AdaptiveKnobs {
-  size_t batch_size = 1024;
   int parallelism = 1;
 };
 
@@ -79,7 +75,7 @@ class AdaptiveController {
   int64_t steps_up() const;
 
   /// {"enabled":..,"decisions":..,"steps_down":..,"steps_up":..,
-  ///  "last_p99_micros":..,"analytic":{"batch_size":..,"parallelism":..}}
+  ///  "last_p99_micros":..,"analytic":{"parallelism":..}}
   std::string StatszJson() const;
 
  private:

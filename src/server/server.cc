@@ -604,13 +604,10 @@ void DrugTreeServer::Execute(PendingRequest req, int slot) {
         // slow log is armed.
         context.collect_analyze =
             trace != nullptr && trace_store_.slow_threshold_micros() > 0;
-        // Adaptive knob override: batch size and parallelism are
-        // result-invariance axes, so retuning them per class changes
-        // latency, never answers.
+        // Adaptive knob override: parallelism is a result-invariance
+        // axis, so retuning it per class changes latency, never answers.
         if (adaptive_->options().enabled) {
-          AdaptiveKnobs knobs = adaptive_->knobs(cls);
-          req.request.planner.batch_size = knobs.batch_size;
-          req.request.planner.parallelism = knobs.parallelism;
+          req.request.planner.parallelism = adaptive_->knobs(cls).parallelism;
         }
         result = planners_[static_cast<size_t>(slot)]->Run(
             req.request.sql, req.request.planner, &context);

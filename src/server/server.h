@@ -127,8 +127,8 @@ struct ServerOptions {
   /// Fold observed per-operator timings (from analyzed executions) back
   /// into the optimizer's cost coefficients (see obs::CostCalibrator).
   bool enable_cost_calibration = true;
-  /// Closed-loop retuning of per-class batch size / parallelism from
-  /// interactive tail latency. Disabled by default.
+  /// Closed-loop retuning of per-class parallelism from interactive tail
+  /// latency. Disabled by default.
   AdaptiveOptions adaptive;
   /// Continuous telemetry: sampled metric history + alerting + health.
   TelemetryOptions telemetry;

@@ -350,105 +350,6 @@ Value EncodedColumn::ValueAt(size_t i) const {
   return Value::Null();
 }
 
-void EncodedColumn::GatherInto(const uint32_t* idx, size_t n,
-                               ColumnVector* out) const {
-  switch (encoding_) {
-    case ColumnEncoding::kPlain: {
-      if (plain_.mixed() || plain_.type() == ValueType::kNull) {
-        for (size_t k = 0; k < n; ++k) out->Append(plain_.GetValue(idx[k]));
-        return;
-      }
-      switch (plain_.type()) {
-        case ValueType::kBool:
-          for (size_t k = 0; k < n; ++k) {
-            if (plain_.IsNull(idx[k])) out->AppendNull();
-            else out->AppendBool(plain_.BoolAt(idx[k]));
-          }
-          return;
-        case ValueType::kInt64:
-          for (size_t k = 0; k < n; ++k) {
-            if (plain_.IsNull(idx[k])) out->AppendNull();
-            else out->AppendInt64(plain_.Int64At(idx[k]));
-          }
-          return;
-        case ValueType::kDouble:
-          for (size_t k = 0; k < n; ++k) {
-            if (plain_.IsNull(idx[k])) out->AppendNull();
-            else out->AppendDouble(plain_.DoubleAt(idx[k]));
-          }
-          return;
-        case ValueType::kString:
-          for (size_t k = 0; k < n; ++k) {
-            if (plain_.IsNull(idx[k])) out->AppendNull();
-            else out->AppendString(plain_.StringAt(idx[k]));
-          }
-          return;
-        default:
-          return;
-      }
-    }
-
-    case ColumnEncoding::kDictionary: {
-      ValueType t = dict_.empty() ? ValueType::kNull : dict_[0].type();
-      switch (t) {
-        case ValueType::kInt64:
-          for (size_t k = 0; k < n; ++k) {
-            if (IsNull(idx[k])) out->AppendNull();
-            else out->AppendInt64(dict_[codes_.Get(idx[k])].AsInt64());
-          }
-          return;
-        case ValueType::kDouble:
-          for (size_t k = 0; k < n; ++k) {
-            if (IsNull(idx[k])) out->AppendNull();
-            else out->AppendDouble(dict_[codes_.Get(idx[k])].AsDouble());
-          }
-          return;
-        case ValueType::kString:
-          for (size_t k = 0; k < n; ++k) {
-            if (IsNull(idx[k])) out->AppendNull();
-            else out->AppendString(dict_[codes_.Get(idx[k])].AsString());
-          }
-          return;
-        default:
-          for (size_t k = 0; k < n; ++k) out->Append(ValueAt(idx[k]));
-          return;
-      }
-    }
-
-    case ColumnEncoding::kRunLength: {
-      // idx is ascending, so one forward run pointer suffices.
-      size_t r = 0;
-      for (size_t k = 0; k < n; ++k) {
-        while (idx[k] >= run_starts_[r + 1]) ++r;
-        out->Append(run_values_[r]);
-      }
-      return;
-    }
-
-    case ColumnEncoding::kFrameOfReference:
-      for (size_t k = 0; k < n; ++k) {
-        if (IsNull(idx[k])) out->AppendNull();
-        else {
-          out->AppendInt64(for_base_ +
-                           static_cast<int64_t>(for_deltas_.Get(idx[k])));
-        }
-      }
-      return;
-  }
-}
-
-void EncodedColumn::DecodeInto(ColumnVector* out) const {
-  if (encoding_ == ColumnEncoding::kRunLength) {
-    for (size_t r = 0; r + 1 < run_starts_.size(); ++r) {
-      out->AppendRepeated(run_values_[r], run_starts_[r + 1] - run_starts_[r]);
-    }
-    return;
-  }
-  std::vector<uint32_t> all(size_);
-  for (size_t i = 0; i < size_; ++i) all[i] = static_cast<uint32_t>(i);
-  GatherInto(all.data(), all.size(), out);
-}
-
 void EncodedColumn::FilterCompare(CompareOp op, const Value& literal,
                                   const std::vector<uint32_t>* candidates,
                                   std::vector<uint32_t>* out) const {

@@ -11,8 +11,7 @@
 //                         search of the literal (O(log ndv) Value compares,
 //                         then pure integer compares per row).
 //   * kRunLength        — run values + run start offsets. Predicates are
-//                         evaluated once per RUN, not once per row; decode
-//                         appends a run in one representation dispatch.
+//                         evaluated once per RUN, not once per row.
 //   * kFrameOfReference — Int64 columns stored as a base plus bit-packed
 //                         unsigned deltas (nulls hold delta 0 under the null
 //                         bitmap).
@@ -20,14 +19,14 @@
 //                         keeps every segment scannable even when nothing
 //                         compresses.
 //
-// Exactness contract: every encoded kernel (ValueAt / GatherInto /
-// FilterCompare) produces bit-identical results to decoding the column into
-// a ColumnVector and running the row-at-a-time path. FilterCompare
-// implements exactly the executor's comparison semantics (null operands
-// never match; otherwise CompareOp over Value::Compare's total order,
-// including Int64/Double cross-type numeric comparison), so a scan may
-// execute conjunctions of (column cmp literal) clauses directly on the
-// encoded form without consulting the expression evaluator.
+// Exactness contract: every encoded kernel (ValueAt / FilterCompare)
+// produces bit-identical results to the plain column and the row-at-a-time
+// path. FilterCompare implements exactly the executor's comparison
+// semantics (null operands never match; otherwise CompareOp over
+// Value::Compare's total order, including Int64/Double cross-type numeric
+// comparison), so a scan may execute conjunctions of (column cmp literal)
+// clauses directly on the encoded form without consulting the expression
+// evaluator.
 
 #ifndef DRUGTREE_STORAGE_ENCODED_SEGMENT_H_
 #define DRUGTREE_STORAGE_ENCODED_SEGMENT_H_
@@ -36,7 +35,7 @@
 #include <string>
 #include <vector>
 
-#include "storage/row_batch.h"
+#include "storage/column_vector.h"
 #include "storage/schema.h"
 #include "storage/value.h"
 #include "util/result.h"
@@ -131,14 +130,6 @@ class EncodedColumn {
   bool IsNull(size_t i) const;
   /// Materializes row i (exact).
   Value ValueAt(size_t i) const;
-
-  /// Appends rows idx[0..n) (ascending local indices) to `out`. Unlike
-  /// ColumnVector::GatherFrom, `out` need not be empty, so one output batch
-  /// can span segment boundaries.
-  void GatherInto(const uint32_t* idx, size_t n, ColumnVector* out) const;
-
-  /// Appends every row to `out` (RLE decodes a run per dispatch).
-  void DecodeInto(ColumnVector* out) const;
 
   /// Appends to `out` the ascending local row indices where
   /// `row op literal` holds, restricted to `candidates` when non-null

@@ -185,20 +185,6 @@ std::vector<RowId> Table::LiveRows() const {
   return out;
 }
 
-size_t Table::ScanBatch(RowId* cursor, size_t max_rows, RowBatch* out) const {
-  size_t appended = 0;
-  size_t r = static_cast<size_t>(*cursor);
-  while (r < rows_.size() && appended < max_rows) {
-    const Row& row = rows_[r];
-    ++r;
-    if (row.empty()) continue;  // tombstone
-    out->AppendRow(row);
-    ++appended;
-  }
-  *cursor = static_cast<RowId>(r);
-  return appended;
-}
-
 util::Result<PageId> Table::SaveTo(BufferPool* pool) const {
   DRUGTREE_ASSIGN_OR_RETURN(HeapFile hf, HeapFile::Create(pool));
   for (const Row& r : rows_) {

@@ -14,7 +14,6 @@
 #include "storage/encoded_segment.h"
 #include "storage/hash_index.h"
 #include "storage/heap_file.h"
-#include "storage/row_batch.h"
 #include "storage/schema.h"
 #include "storage/statistics.h"
 #include "util/result.h"
@@ -109,8 +108,8 @@ class Table {
   static constexpr size_t kDefaultSegmentRows = 4096;
 
   /// Builds (or rebuilds) the encoded columnar snapshot of the live rows.
-  /// Scans on the vectorized path execute directly on it until the next
-  /// mutation invalidates it.
+  /// Scans whose predicate translates to encoded clauses execute directly
+  /// on it until the next mutation invalidates it.
   util::Status BuildEncodedSegments(size_t segment_rows = kDefaultSegmentRows);
 
   /// Drops the encoded snapshot; scans revert to the plain row path.
@@ -137,13 +136,6 @@ class Table {
 
   /// Live (non-deleted) row ids in insertion order.
   std::vector<RowId> LiveRows() const;
-
-  /// Columnar scan: appends up to `max_rows` live rows starting at `*cursor`
-  /// to `out` (which must already be Reset to this table's arity), advancing
-  /// `*cursor` past every row examined. Returns the number of rows appended;
-  /// 0 with `*cursor == NumRows()` signals end of table. The batch is dense
-  /// (no selection); row order matches a row-at-a-time scan exactly.
-  size_t ScanBatch(RowId* cursor, size_t max_rows, RowBatch* out) const;
 
   /// Persists all live rows into a heap file; returns the directory page so
   /// the table can be reloaded later.

@@ -4,8 +4,8 @@
 // invalidate templates, the cost calibrator seeds, clamps, and stays put on
 // a virtual clock, the adaptive controller walks analytic knobs with
 // hysteresis, and the full corpus stays bit-identical with every adaptive
-// feature armed — across batch sizes, parallelism, concurrent serving, and
-// sharded topologies.
+// feature armed — across parallelism, concurrent serving, and sharded
+// topologies.
 
 #include <gtest/gtest.h>
 
@@ -404,7 +404,6 @@ TEST(AdaptiveControllerTest, HysteresisWalksAnalyticKnobs) {
 
   // Analytic starts wide; interactive knobs are fixed.
   EXPECT_EQ(c.knobs(server::QueryClass::kAnalytic).parallelism, 4);
-  EXPECT_EQ(c.knobs(server::QueryClass::kAnalytic).batch_size, 4096u);
   EXPECT_EQ(c.knobs(server::QueryClass::kInteractive).parallelism, 1);
 
   auto feed = [&](int n, int64_t micros) {
@@ -422,7 +421,6 @@ TEST(AdaptiveControllerTest, HysteresisWalksAnalyticKnobs) {
   // Two pressured windows step analytic down twice.
   feed(4, 5000);
   EXPECT_EQ(c.knobs(server::QueryClass::kAnalytic).parallelism, 3);
-  EXPECT_EQ(c.knobs(server::QueryClass::kAnalytic).batch_size, 2048u);
   feed(4, 5000);
   EXPECT_EQ(c.knobs(server::QueryClass::kAnalytic).parallelism, 2);
   EXPECT_EQ(c.steps_down(), 2);
@@ -441,7 +439,6 @@ TEST(AdaptiveControllerTest, HysteresisWalksAnalyticKnobs) {
 
   // Interactive knobs never moved.
   EXPECT_EQ(c.knobs(server::QueryClass::kInteractive).parallelism, 1);
-  EXPECT_EQ(c.knobs(server::QueryClass::kInteractive).batch_size, 1024u);
 }
 
 TEST(AdaptiveControllerTest, DisabledControllerIgnoresRecords) {
@@ -470,19 +467,15 @@ TEST_F(AdaptiveTest, CorpusBitIdenticalWithCacheAndCalibrationArmed) {
     auto analyzed = armed.Run("EXPLAIN ANALYZE " + sql, ref_opts);
     ASSERT_TRUE(analyzed.ok()) << sql << ": " << analyzed.status();
     ExpectSameRows(reference->result, analyzed->result, "analyze " + sql);
-    for (size_t batch : {size_t{1}, size_t{1024}}) {
-      for (int par : {1, 4}) {
-        PlannerOptions opts;
-        opts.batch_size = batch;
-        opts.parallelism = par;
-        for (int round = 0; round < 2; ++round) {  // miss, then hit
-          auto got = armed.Run(sql, opts);
-          ASSERT_TRUE(got.ok()) << sql << ": " << got.status();
-          ExpectSameRows(
-              reference->result, got->result,
-              sql + util::StringPrintf(" [batch=%zu par=%d round=%d]", batch,
-                                       par, round));
-        }
+    for (int par : {1, 4}) {
+      PlannerOptions opts;
+      opts.parallelism = par;
+      for (int round = 0; round < 2; ++round) {  // miss, then hit
+        auto got = armed.Run(sql, opts);
+        ASSERT_TRUE(got.ok()) << sql << ": " << got.status();
+        ExpectSameRows(reference->result, got->result,
+                       sql + util::StringPrintf(" [par=%d round=%d]", par,
+                                                round));
       }
     }
   }

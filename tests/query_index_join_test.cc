@@ -1,8 +1,8 @@
 // Index nested-loop join tests: the cost-chosen join probes the inner base
 // table's hash index once per outer row and must agree with the naive plan
 // bit for bit — across clade sizes, inner selectivities, NULL keys,
-// tombstones, late-added activities, batch sizes, parallelism and sharded
-// topologies — while touching rows in proportion to its result, not its
+// tombstones, late-added activities, parallelism and sharded topologies —
+// while touching rows in proportion to its result, not its
 // tables. Also pins mid-probe cancellation and the exact SUBTREE
 // cardinality the join choice is priced from.
 
@@ -125,25 +125,22 @@ std::string ExplainPlan(core::DrugTree* dt, const std::string& sql) {
   return explained.ok() ? explained->physical_plan : "";
 }
 
-/// Every statement against the naive plan: batch {1, 1024} x parallelism
-/// {1, 4} on the single node, then through each sharded router.
+/// Every statement against the naive plan: parallelism {1, 4} on the single
+/// node, then through each sharded router.
 void ExpectMatchesNaive(
     core::DrugTree* dt, const std::vector<std::string>& sqls,
     const std::vector<std::unique_ptr<shard::ShardRouter>>& routers) {
   for (const std::string& sql : sqls) {
     auto naive = dt->Query(sql, PlannerOptions::Naive());
     ASSERT_TRUE(naive.ok()) << sql << ": " << naive.status();
-    for (size_t batch : {size_t{1}, size_t{1024}}) {
-      for (int parallelism : {1, 4}) {
-        PlannerOptions options = PlannerOptions::Optimized();
-        options.batch_size = batch;
-        options.parallelism = parallelism;
-        auto got = dt->Query(sql, options);
-        ASSERT_TRUE(got.ok()) << sql << ": " << got.status();
-        ExpectSameRows(naive->result, got->result,
-                       util::StringPrintf("batch=%zu par=%d %s", batch,
-                                          parallelism, sql.c_str()));
-      }
+    for (int parallelism : {1, 4}) {
+      PlannerOptions options = PlannerOptions::Optimized();
+      options.parallelism = parallelism;
+      auto got = dt->Query(sql, options);
+      ASSERT_TRUE(got.ok()) << sql << ": " << got.status();
+      ExpectSameRows(naive->result, got->result,
+                     util::StringPrintf("par=%d %s", parallelism,
+                                        sql.c_str()));
     }
     for (const auto& router : routers) {
       server::QueryRequest request;

@@ -1,7 +1,7 @@
 // Sharded serving tier tests: interval partitions cover the pre axis and
 // balance leaves, every sharded topology returns results bit-identical to
 // the single-server path across the full query corpus (including
-// boundary-straddling subtree queries) under batch and parallel execution,
+// boundary-straddling subtree queries) under naive and parallel execution,
 // the routing decision table holds, replicas fail over mid-query, per-shard
 // deadlines cancel deterministically, and the scatter-gather timeline is
 // virtual-clock deterministic across identically-built topologies.
@@ -177,14 +177,10 @@ TEST_F(ShardTest, CorpusBitIdenticalAcrossTopologies) {
 TEST_F(ShardTest, CorpusBitIdenticalAcrossExecutionModes) {
   auto router = dt_->MakeShardRouter(Topology(4, 2));
   ASSERT_TRUE(router.ok()) << router.status();
-  query::PlannerOptions naive = query::PlannerOptions::Naive();
-  naive.batch_size = 1;
-  query::PlannerOptions row_at_a_time;
-  row_at_a_time.batch_size = 1;
   query::PlannerOptions parallel;
   parallel.parallelism = 4;
-  ExpectCorpusIdentical(router->get(), naive, "naive");
-  ExpectCorpusIdentical(router->get(), row_at_a_time, "batch=1");
+  ExpectCorpusIdentical(router->get(), query::PlannerOptions::Naive(),
+                        "naive");
   ExpectCorpusIdentical(router->get(), parallel, "parallel=4");
   (*router)->Drain();
 }

@@ -22,8 +22,8 @@ const ColumnEncoding kAllEncodings[] = {
     ColumnEncoding::kRunLength, ColumnEncoding::kFrameOfReference};
 
 /// Round-trip check: encode `src` under every eligible encoding and verify
-/// ValueAt / DecodeInto / GatherInto all reproduce the source bit-exactly
-/// (type tag AND payload, via Value::operator==).
+/// ValueAt reproduces the source bit-exactly (type tag AND payload, via
+/// Value::operator==).
 void ExpectRoundTrip(const ColumnVector& src) {
   for (ColumnEncoding e : kAllEncodings) {
     if (!EncodedColumn::Eligible(src, e)) continue;
@@ -34,27 +34,6 @@ void ExpectRoundTrip(const ColumnVector& src) {
     for (size_t i = 0; i < src.size(); ++i) {
       EXPECT_EQ(enc.IsNull(i), src.IsNull(i)) << "row " << i;
       EXPECT_EQ(enc.ValueAt(i), src.GetValue(i)) << "row " << i;
-    }
-    // Bulk decode.
-    ColumnVector dec;
-    enc.DecodeInto(&dec);
-    ASSERT_EQ(dec.size(), src.size());
-    for (size_t i = 0; i < src.size(); ++i) {
-      EXPECT_EQ(dec.GetValue(i), src.GetValue(i)) << "row " << i;
-    }
-    // Strided gather (every other row), appended after a sentinel so the
-    // append-not-overwrite contract is exercised.
-    std::vector<uint32_t> idx;
-    for (size_t i = 0; i < src.size(); i += 2) {
-      idx.push_back(static_cast<uint32_t>(i));
-    }
-    ColumnVector gat;
-    gat.Append(Value::Int64(-777));  // sentinel
-    enc.GatherInto(idx.data(), idx.size(), &gat);
-    ASSERT_EQ(gat.size(), idx.size() + 1);
-    EXPECT_EQ(gat.GetValue(0), Value::Int64(-777));
-    for (size_t k = 0; k < idx.size(); ++k) {
-      EXPECT_EQ(gat.GetValue(k + 1), src.GetValue(idx[k])) << "k " << k;
     }
   }
 }
@@ -136,36 +115,36 @@ TEST(BitPackedArrayTest, BitsFor) {
 TEST(EncodedColumnTest, RoundTripInt64Patterns) {
   // Low-cardinality, runs, wide range, negatives.
   ColumnVector runs;
-  for (int i = 0; i < 500; ++i) runs.AppendInt64(i / 50);
+  for (int i = 0; i < 500; ++i) runs.Append(Value::Int64(i / 50));
   ExpectRoundTrip(runs);
 
   ColumnVector wide;
   for (int i = 0; i < 500; ++i) {
-    wide.AppendInt64((i * 2654435761LL) % 1000003 - 500000);
+    wide.Append(Value::Int64((i * 2654435761LL) % 1000003 - 500000));
   }
   ExpectRoundTrip(wide);
 
   ColumnVector extremes;
-  extremes.AppendInt64(INT64_MIN);
-  extremes.AppendInt64(INT64_MAX);
-  extremes.AppendInt64(0);
-  extremes.AppendInt64(-1);
+  extremes.Append(Value::Int64(INT64_MIN));
+  extremes.Append(Value::Int64(INT64_MAX));
+  extremes.Append(Value::Int64(0));
+  extremes.Append(Value::Int64(-1));
   ExpectRoundTrip(extremes);
 }
 
 TEST(EncodedColumnTest, RoundTripStringsAndDoublesAndBools) {
   ColumnVector strs;
   for (int i = 0; i < 300; ++i) {
-    strs.AppendString("family-" + std::to_string(i % 7));
+    strs.Append(Value::String("family-" + std::to_string(i % 7)));
   }
   ExpectRoundTrip(strs);
 
   ColumnVector dbls;
-  for (int i = 0; i < 300; ++i) dbls.AppendDouble(i * 0.25 - 30.0);
+  for (int i = 0; i < 300; ++i) dbls.Append(Value::Double(i * 0.25 - 30.0));
   ExpectRoundTrip(dbls);
 
   ColumnVector bools;
-  for (int i = 0; i < 100; ++i) bools.AppendBool(i % 3 == 0);
+  for (int i = 0; i < 100; ++i) bools.Append(Value::Bool(i % 3 == 0));
   ExpectRoundTrip(bools);
 }
 
@@ -173,7 +152,7 @@ TEST(EncodedColumnTest, RoundTripNullPatterns) {
   // Leading nulls (type fixed late), interleaved nulls, all-null.
   ColumnVector leading;
   for (int i = 0; i < 10; ++i) leading.AppendNull();
-  for (int i = 0; i < 90; ++i) leading.AppendInt64(i % 4);
+  for (int i = 0; i < 90; ++i) leading.Append(Value::Int64(i % 4));
   ExpectRoundTrip(leading);
 
   ColumnVector interleaved;
@@ -181,7 +160,7 @@ TEST(EncodedColumnTest, RoundTripNullPatterns) {
     if (i % 5 == 2) {
       interleaved.AppendNull();
     } else {
-      interleaved.AppendString(i % 2 ? "yes" : "no");
+      interleaved.Append(Value::String(i % 2 ? "yes" : "no"));
     }
   }
   ExpectRoundTrip(interleaved);
@@ -196,15 +175,15 @@ TEST(EncodedColumnTest, RoundTripEdgeShapes) {
   ExpectRoundTrip(empty);
 
   ColumnVector single;
-  single.AppendInt64(7);
+  single.Append(Value::Int64(7));
   ExpectRoundTrip(single);
 
   ColumnVector constant;
-  for (int i = 0; i < 128; ++i) constant.AppendString("same");
+  for (int i = 0; i < 128; ++i) constant.Append(Value::String("same"));
   ExpectRoundTrip(constant);
 
   ColumnVector all_distinct;
-  for (int i = 0; i < 257; ++i) all_distinct.AppendInt64(i);
+  for (int i = 0; i < 257; ++i) all_distinct.Append(Value::Int64(i));
   ExpectRoundTrip(all_distinct);
 }
 
@@ -212,8 +191,8 @@ TEST(EncodedColumnTest, MixedAndNanColumnsFallBackToPlain) {
   // Int64(2) vs Double(2.0) compare equal but are bit-different; a
   // Compare-keyed dictionary or run merge would lose the distinction.
   ColumnVector mixed;
-  mixed.AppendInt64(2);
-  mixed.AppendDouble(2.0);
+  mixed.Append(Value::Int64(2));
+  mixed.Append(Value::Double(2.0));
   EXPECT_FALSE(EncodedColumn::Eligible(mixed, ColumnEncoding::kDictionary));
   EXPECT_FALSE(EncodedColumn::Eligible(mixed, ColumnEncoding::kRunLength));
   EXPECT_FALSE(
@@ -224,8 +203,8 @@ TEST(EncodedColumnTest, MixedAndNanColumnsFallBackToPlain) {
   // NaN compares equal to everything under Value::Compare; Compare-based
   // dedup/sort would corrupt a dictionary, so NaN poisons eligibility.
   ColumnVector with_nan;
-  with_nan.AppendDouble(1.0);
-  with_nan.AppendDouble(std::nan(""));
+  with_nan.Append(Value::Double(1.0));
+  with_nan.Append(Value::Double(std::nan("")));
   EXPECT_FALSE(
       EncodedColumn::Eligible(with_nan, ColumnEncoding::kDictionary));
   EXPECT_FALSE(EncodedColumn::Eligible(with_nan, ColumnEncoding::kRunLength));
@@ -240,7 +219,7 @@ TEST(EncodedColumnTest, FilterCompareMatchesScalarReference) {
     if (i % 11 == 3) {
       ints.AppendNull();
     } else {
-      ints.AppendInt64(i % 13);
+      ints.Append(Value::Int64(i % 13));
     }
   }
   ExpectFilterExact(ints, Value::Int64(6));
@@ -253,7 +232,7 @@ TEST(EncodedColumnTest, FilterCompareMatchesScalarReference) {
 
   ColumnVector strs;
   for (int i = 0; i < 200; ++i) {
-    strs.AppendString("k" + std::to_string(i % 5));
+    strs.Append(Value::String("k" + std::to_string(i % 5)));
   }
   ExpectFilterExact(strs, Value::String("k2"));
   ExpectFilterExact(strs, Value::String("a"));   // below all
@@ -303,13 +282,13 @@ TEST(FilterSegmentTest, ConjunctionAndEmptyClauses) {
 TEST(EncodedColumnTest, ChooserPicksSensibleEncodings) {
   // Long runs -> RLE.
   ColumnVector runs;
-  for (int i = 0; i < 4096; ++i) runs.AppendInt64(i / 512);
+  for (int i = 0; i < 4096; ++i) runs.Append(Value::Int64(i / 512));
   EXPECT_EQ(EncodedColumn::ChooseEncoding(runs), ColumnEncoding::kRunLength);
 
   // Low-cardinality scattered strings -> dictionary.
   ColumnVector cats;
   for (int i = 0; i < 4096; ++i) {
-    cats.AppendString("family-" + std::to_string(i % 8));
+    cats.Append(Value::String("family-" + std::to_string(i % 8)));
   }
   EXPECT_EQ(EncodedColumn::ChooseEncoding(cats), ColumnEncoding::kDictionary);
 
@@ -317,7 +296,7 @@ TEST(EncodedColumnTest, ChooserPicksSensibleEncodings) {
   // thousands of distinct values.
   ColumnVector narrow;
   for (int i = 0; i < 4096; ++i) {
-    narrow.AppendInt64(1000000 + (i * 2654435761LL) % 4096);
+    narrow.Append(Value::Int64(1000000 + (i * 2654435761LL) % 4096));
   }
   EncodedColumn enc = EncodedColumn::Encode(narrow);
   EXPECT_EQ(enc.encoding(), ColumnEncoding::kFrameOfReference);
@@ -325,7 +304,7 @@ TEST(EncodedColumnTest, ChooserPicksSensibleEncodings) {
 
   // All-distinct doubles: nothing compresses, plain wins.
   ColumnVector dbls;
-  for (int i = 0; i < 4096; ++i) dbls.AppendDouble(i * 1.000001);
+  for (int i = 0; i < 4096; ++i) dbls.Append(Value::Double(i * 1.000001));
   EXPECT_EQ(EncodedColumn::ChooseEncoding(dbls), ColumnEncoding::kPlain);
 }
 
@@ -435,33 +414,6 @@ TEST(StatisticsTest, StatsFreshnessTracksMutations) {
   EXPECT_FALSE(t.stats_fresh());
   ASSERT_TRUE(t.Analyze().ok());
   EXPECT_TRUE(t.stats_fresh());
-}
-
-// ----------------------------------------------------------- AppendRepeated
-
-TEST(ColumnVectorTest, AppendRepeatedMatchesLoopedAppend) {
-  ColumnVector bulk, loop;
-  bulk.AppendRepeated(Value::Int64(9), 100);
-  for (int i = 0; i < 100; ++i) loop.Append(Value::Int64(9));
-  ASSERT_EQ(bulk.size(), loop.size());
-  for (size_t i = 0; i < bulk.size(); ++i) {
-    EXPECT_EQ(bulk.GetValue(i), loop.GetValue(i));
-  }
-
-  ColumnVector nulls;
-  nulls.AppendRepeated(Value::Null(), 5);
-  nulls.AppendRepeated(Value::String("x"), 3);
-  nulls.AppendRepeated(Value::Null(), 2);
-  ASSERT_EQ(nulls.size(), 10u);
-  EXPECT_TRUE(nulls.IsNull(0));
-  EXPECT_TRUE(nulls.IsNull(4));
-  EXPECT_EQ(nulls.GetValue(6), Value::String("x"));
-  EXPECT_TRUE(nulls.IsNull(9));
-
-  // Zero-count is a no-op.
-  ColumnVector zero;
-  zero.AppendRepeated(Value::Int64(1), 0);
-  EXPECT_EQ(zero.size(), 0u);
 }
 
 }  // namespace

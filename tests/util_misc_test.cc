@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cmath>
 
-#include "util/arena.h"
 #include "util/clock.h"
 #include "util/histogram.h"
 #include "util/string_util.h"
@@ -253,41 +252,6 @@ TEST(ClockTest, RealClockMonotonic) {
   int64_t a = c->NowMicros();
   int64_t b = c->NowMicros();
   EXPECT_GE(b, a);
-}
-
-TEST(ArenaTest, AllocationsDisjointAndAligned) {
-  Arena arena(1024);
-  void* a = arena.Allocate(100);
-  void* b = arena.Allocate(100);
-  EXPECT_NE(a, b);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(a) % alignof(std::max_align_t), 0u);
-  char* bytes = static_cast<char*>(a);
-  for (int i = 0; i < 100; ++i) bytes[i] = char(i);  // must not crash
-  EXPECT_GE(arena.bytes_allocated(), 200u);
-}
-
-TEST(ArenaTest, LargeAllocationGetsOwnBlock) {
-  Arena arena(256);
-  void* big = arena.Allocate(10000);
-  EXPECT_NE(big, nullptr);
-  EXPECT_GE(arena.bytes_reserved(), 10000u);
-}
-
-TEST(ArenaTest, CopyBytes) {
-  Arena arena;
-  const char* src = "hello";
-  char* copy = arena.CopyBytes(src, 5);
-  EXPECT_EQ(std::string(copy, 5), "hello");
-  EXPECT_NE(static_cast<const void*>(copy), static_cast<const void*>(src));
-}
-
-TEST(ArenaTest, ResetReclaims) {
-  Arena arena(1024);
-  arena.Allocate(100);
-  arena.Reset();
-  EXPECT_EQ(arena.bytes_allocated(), 0u);
-  void* p = arena.Allocate(10);
-  EXPECT_NE(p, nullptr);
 }
 
 TEST(ThreadPoolTest, RunsAllTasks) {
