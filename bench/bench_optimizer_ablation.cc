@@ -3,6 +3,8 @@
 //   threshold.
 // Each row of the table toggles one optimization class off, isolating its
 // contribution ("applies standards as well as uses novel mechanisms").
+// BM_PlanOnly times planning alone (parse, logical plan, optimizer and
+// physical planning) over the same statements, without executing them.
 
 #include <benchmark/benchmark.h>
 
@@ -105,6 +107,21 @@ void BM_AllOn(benchmark::State& state) {
   RunConfig(state, query::PlannerOptions::Optimized());
 }
 
+void BM_PlanOnly(benchmark::State& state) {
+  core::DrugTree* dt = GetInstance();
+  static const std::vector<std::string> queries = ScreeningQueries();
+  query::Planner planner(dt->catalog());
+  const query::PlannerOptions options = query::PlannerOptions::Optimized();
+  size_t cursor = 0;
+  for (auto _ : state) {
+    query::ExecStats stats;
+    auto physical =
+        planner.Plan(queries[cursor++ % queries.size()], options, &stats);
+    DT_CHECK(physical.ok()) << physical.status();
+    benchmark::DoNotOptimize(*physical);
+  }
+}
+
 }  // namespace
 
 BENCHMARK(BM_AllOff)->Unit(benchmark::kMillisecond);
@@ -113,6 +130,7 @@ BENCHMARK(BM_OnlyTreeRewriteAndIndex)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_OnlyJoinReorder)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AllOnNoHashJoin)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AllOn)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PlanOnly)->Unit(benchmark::kMicrosecond);
 
 int main(int argc, char** argv) {
   drugtree::bench::Banner(

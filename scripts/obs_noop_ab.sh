@@ -4,6 +4,12 @@
 # must stay within a small budget of the noop build (DRUGTREE_OBS_NOOP=ON,
 # spans compiled out) on the tree-query bench.
 #
+# Both builds pin code alignment (ALIGN_FLAGS). The probes' hot row-engine
+# functions are the same size in both builds but otherwise land at
+# different alignments, and that alone moved single benchmarks by -13% to
+# +11% between otherwise equivalent trees: the gate would measure code
+# placement, not tracing.
+#
 # Shared machines show ~10% run-to-run wall noise, so a naive single-run
 # comparison would flake. The gate interleaves A/B process runs and takes
 # the best-of-N per benchmark (noise is strictly additive, so min converges
@@ -32,12 +38,11 @@ BUDGET="${DRUGTREE_AB_BUDGET_PCT:-5}"
 REPS="${DRUGTREE_AB_REPS:-5}"
 FILTER="${DRUGTREE_AB_FILTER:-BM_SubtreeQuery_(Naive|Optimized)/1024|BM_AncestorQuery_Optimized/4096}"
 
-if [[ ! -d "${ON_DIR}" ]]; then
-  cmake -B "${ON_DIR}" -S . -DCMAKE_BUILD_TYPE=Release
-fi
-if [[ ! -d "${OFF_DIR}" ]]; then
-  cmake -B "${OFF_DIR}" -S . -DCMAKE_BUILD_TYPE=Release -DDRUGTREE_OBS_NOOP=ON
-fi
+ALIGN_FLAGS="-falign-functions=64 -falign-loops=32"
+cmake -B "${ON_DIR}" -S . -DCMAKE_BUILD_TYPE=Release \
+  -DCMAKE_CXX_FLAGS="${ALIGN_FLAGS}"
+cmake -B "${OFF_DIR}" -S . -DCMAKE_BUILD_TYPE=Release -DDRUGTREE_OBS_NOOP=ON \
+  -DCMAKE_CXX_FLAGS="${ALIGN_FLAGS}"
 cmake --build "${ON_DIR}" -j "$(nproc)" \
   --target bench_tree_query bench_encoding bench_server
 cmake --build "${OFF_DIR}" -j "$(nproc)" --target bench_tree_query

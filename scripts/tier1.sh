@@ -60,7 +60,10 @@ scripts/perf_gate.sh build --selftest
 # Release-build encoding smoke: encoded segments must hit >=2x compression
 # on dict/RLE-friendly columns and never lose to the plain row scan on
 # low-cardinality predicates.
-cmake -B build-rel -S . -DCMAKE_BUILD_TYPE=Release
+# build-rel is also the instrumented side of the tracing A/B gate below,
+# which pins code alignment on both sides; configure it the same way here.
+cmake -B build-rel -S . -DCMAKE_BUILD_TYPE=Release \
+  -DCMAKE_CXX_FLAGS="-falign-functions=64 -falign-loops=32"
 cmake --build build-rel -j "$(nproc)" \
   --target bench_encoding bench_shard bench_adaptive
 ./build-rel/bench/bench_encoding

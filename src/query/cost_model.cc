@@ -20,24 +20,41 @@ std::string Unqualified(const std::string& qualified) {
 
 }  // namespace
 
-const storage::Table* CostModel::TableFor(const std::string& alias) const {
-  auto it = alias_to_table_.find(alias);
-  if (it == alias_to_table_.end()) return nullptr;
-  auto table = catalog_->Lookup(it->second);
-  return table.ok() ? *table : nullptr;
+CostModel::CostModel(const Catalog* catalog,
+                     const std::map<std::string, std::string>& alias_to_table,
+                     const obs::CalibratedCosts* costs) {
+  if (costs != nullptr) costs_ = *costs;
+  for (const auto& [alias, name] : alias_to_table) {
+    auto table = catalog->Lookup(name);
+    if (!table.ok()) continue;
+    relations_[alias] = {*table, catalog->GetTreeBinding(name)};
+  }
+}
+
+const CostModel::Relation* CostModel::RelationFor(
+    std::string_view alias) const {
+  auto it = relations_.find(alias);
+  return it == relations_.end() ? nullptr : &it->second;
+}
+
+const storage::Table* CostModel::TableFor(std::string_view alias) const {
+  const Relation* relation = RelationFor(alias);
+  return relation == nullptr ? nullptr : relation->table;
 }
 
 const ColumnStats* CostModel::StatsFor(const std::string& qualified) const {
   size_t dot = qualified.find('.');
   if (dot == std::string::npos) return nullptr;
-  const storage::Table* table = TableFor(qualified.substr(0, dot));
+  const storage::Table* table =
+      TableFor(std::string_view(qualified).substr(0, dot));
   if (table == nullptr || table->stats() == nullptr) return nullptr;
-  auto idx = table->schema().IndexOf(qualified.substr(dot + 1));
+  auto idx =
+      table->schema().IndexOf(std::string_view(qualified).substr(dot + 1));
   if (!idx.ok()) return nullptr;
   return &table->stats()->column(*idx);
 }
 
-double CostModel::TableRows(const std::string& alias) const {
+double CostModel::TableRows(std::string_view alias) const {
   const storage::Table* table = TableFor(alias);
   if (table == nullptr) return 1000.0;
   return std::max<double>(1.0, static_cast<double>(table->NumRows()));
@@ -164,18 +181,19 @@ bool CostModel::FoldRangeBound(const Expr& conjunct,
 
 double CostModel::IntervalSelectivity(const std::string& qualified,
                                       const Interval& iv) const {
-  const std::string alias = qualified.substr(0, qualified.find('.'));
-  const std::string column = Unqualified(qualified);
+  const size_t dot = qualified.find('.');
+  const std::string_view alias = std::string_view(qualified).substr(0, dot);
   // A rewritten SUBTREE is an interval on the tree-bound pre-order column;
   // its B+-tree counts the clade's rows exactly.
-  const storage::Table* table = TableFor(alias);
-  const TreeBinding* binding =
-      table == nullptr ? nullptr : catalog_->GetTreeBinding(table->name());
-  if (binding != nullptr && binding->pre_col == column) {
-    auto rows = table->IndexRange(column, iv.lo, iv.lo_inclusive, iv.hi,
-                                  iv.hi_inclusive);
-    if (rows.ok()) {
-      return static_cast<double>(rows->size()) / TableRows(alias);
+  const Relation* relation = RelationFor(alias);
+  if (relation != nullptr && relation->binding != nullptr &&
+      std::string_view(qualified).substr(dot + 1) ==
+          relation->binding->pre_col) {
+    if (const storage::BPlusTree* index =
+            relation->table->GetBTreeIndex(relation->binding->pre_col)) {
+      const size_t rows = index->RangeCount(iv.lo, iv.lo_inclusive, iv.hi,
+                                            iv.hi_inclusive);
+      return static_cast<double>(rows) / TableRows(alias);
     }
   }
   if (const ColumnStats* stats = StatsFor(qualified)) {
@@ -212,8 +230,8 @@ double CostModel::ScanCost(const std::string& alias) const {
   return per_row * TableRows(alias);
 }
 
-double CostModel::AccessCost(const std::string& alias,
-                             const ExprPtr& pred) const {
+double CostModel::AccessCost(const std::string& alias, const ExprPtr& pred,
+                             double rows) const {
   const storage::Table* table = TableFor(alias);
   if (table != nullptr && pred) {
     for (const auto& c : SplitConjuncts(pred)) {
@@ -232,10 +250,7 @@ double CostModel::AccessCost(const std::string& alias,
                  lit->kind == ExprKind::kLiteral &&
                  table->HasIndex(Unqualified(col->column));
       }
-      if (usable) {
-        return costs_.index_probe +
-               costs_.index_row * EstimateScanRows(alias, pred);
-      }
+      if (usable) return costs_.index_probe + costs_.index_row * rows;
     }
   }
   return ScanCost(alias);
@@ -254,12 +269,11 @@ double CostModel::JoinSelectivity(const std::string& left_col,
 
 CostModel::JoinPricing CostModel::PriceJoin(
     double outer_rows, double output_rows, const std::string& inner_alias,
-    const ExprPtr& inner_pred,
+    const ExprPtr& inner_pred, double inner_rows,
     const std::vector<std::string>& inner_keys) const {
   JoinPricing price;
-  price.hash = AccessCost(inner_alias, inner_pred) +
-               costs_.hash_build_row * EstimateScanRows(inner_alias,
-                                                        inner_pred) +
+  price.hash = AccessCost(inner_alias, inner_pred, inner_rows) +
+               costs_.hash_build_row * inner_rows +
                costs_.hash_probe_row * (outer_rows + output_rows);
   const storage::Table* table = TableFor(inner_alias);
   if (table == nullptr) return price;

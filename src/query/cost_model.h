@@ -11,6 +11,7 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/cost_calibrator.h"
@@ -23,23 +24,21 @@ namespace query {
 
 /// Estimates selectivities and cardinalities. Alias-aware: expressions use
 /// qualified names ("p.family"), and the estimator is constructed with the
-/// alias -> table mapping of the current query. An optional coefficient
-/// snapshot overrides the default cost constants (null = defaults, which
-/// match the pre-calibration engine exactly).
+/// alias -> table mapping of the current query, which it resolves against
+/// the catalog once. An optional coefficient snapshot overrides the default
+/// cost constants (null = defaults, which match the pre-calibration engine
+/// exactly).
 class CostModel {
  public:
   CostModel(const Catalog* catalog,
-            std::map<std::string, std::string> alias_to_table,
-            const obs::CalibratedCosts* costs = nullptr)
-      : catalog_(catalog), alias_to_table_(std::move(alias_to_table)) {
-    if (costs != nullptr) costs_ = *costs;
-  }
+            const std::map<std::string, std::string>& alias_to_table,
+            const obs::CalibratedCosts* costs = nullptr);
 
   /// The coefficient snapshot this model prices with.
   const obs::CalibratedCosts& costs() const { return costs_; }
 
   /// Base row count of the table behind `alias`.
-  double TableRows(const std::string& alias) const;
+  double TableRows(std::string_view alias) const;
 
   /// Selectivity in [0,1] of one conjunct. Handles col-vs-literal
   /// comparisons via column statistics; unknown shapes get the coefficient
@@ -56,11 +55,12 @@ class CostModel {
   /// with the encoded discount when a fresh compressed snapshot exists.
   double ScanCost(const std::string& alias) const;
 
-  /// Estimated cost of producing the rows of `alias` under `pred` the way
-  /// physical planning does: an index scan (index_probe plus index_row per
-  /// row) when a conjunct compares an indexed column with a literal, else
-  /// ScanCost.
-  double AccessCost(const std::string& alias, const ExprPtr& pred) const;
+  /// Estimated cost of producing the `rows` (EstimateScanRows) of `alias`
+  /// under `pred` the way physical planning does: an index scan
+  /// (index_probe plus index_row per row) when a conjunct compares an
+  /// indexed column with a literal, else ScanCost.
+  double AccessCost(const std::string& alias, const ExprPtr& pred,
+                    double rows) const;
 
   /// Equi-join selectivity for `left_col = right_col`: 1/max(ndv_l, ndv_r);
   /// falls back to 0.01 when statistics are missing.
@@ -83,12 +83,13 @@ class CostModel {
   };
 
   /// Prices joining `outer_rows` estimated rows to the scan of
-  /// `inner_alias` under its pushed-down predicate `inner_pred` into
-  /// `output_rows` estimated matches, on equi-conditions whose inner sides
-  /// are the qualified `inner_keys`.
+  /// `inner_alias` under its pushed-down predicate `inner_pred` (which
+  /// yields `inner_rows`, its EstimateScanRows) into `output_rows`
+  /// estimated matches, on equi-conditions whose inner sides are the
+  /// qualified `inner_keys`.
   JoinPricing PriceJoin(double outer_rows, double output_rows,
                         const std::string& inner_alias,
-                        const ExprPtr& inner_pred,
+                        const ExprPtr& inner_pred, double inner_rows,
                         const std::vector<std::string>& inner_keys) const;
 
   /// Historical per-operator cost constants (arbitrary units ~ row touches).
@@ -116,14 +117,23 @@ class CostModel {
   double IntervalSelectivity(const std::string& qualified,
                              const Interval& interval) const;
 
+  /// A query alias resolved against the catalog.
+  struct Relation {
+    const storage::Table* table = nullptr;
+    const TreeBinding* binding = nullptr;  // null when the table has none
+  };
+
+  /// The relation behind `alias`, or null when the alias or its table is
+  /// unknown.
+  const Relation* RelationFor(std::string_view alias) const;
+
   /// The table behind `alias`, or null.
-  const storage::Table* TableFor(const std::string& alias) const;
+  const storage::Table* TableFor(std::string_view alias) const;
 
   /// Splits "alias.column"; returns the ColumnStats or null.
   const storage::ColumnStats* StatsFor(const std::string& qualified) const;
 
-  const Catalog* catalog_;
-  std::map<std::string, std::string> alias_to_table_;
+  std::map<std::string, Relation, std::less<>> relations_;
   obs::CalibratedCosts costs_;
 };
 

@@ -50,7 +50,9 @@ ExprPtr Expr::Binary(BinaryOp op, ExprPtr l, ExprPtr r) {
   auto e = std::make_shared<Expr>();
   e->kind = ExprKind::kBinary;
   e->bin_op = op;
-  e->children = {std::move(l), std::move(r)};
+  e->children.reserve(2);
+  e->children.push_back(std::move(l));
+  e->children.push_back(std::move(r));
   return e;
 }
 
@@ -58,7 +60,7 @@ ExprPtr Expr::Unary(UnaryOp op, ExprPtr operand) {
   auto e = std::make_shared<Expr>();
   e->kind = ExprKind::kUnary;
   e->un_op = op;
-  e->children = {std::move(operand)};
+  e->children.push_back(std::move(operand));
   return e;
 }
 
@@ -398,24 +400,29 @@ util::Result<bool> EvalPredicate(const Expr& expr, const Row& row,
   return v.AsBool();
 }
 
+namespace {
+
+void AppendConjuncts(const ExprPtr& expr, std::vector<ExprPtr>* out) {
+  if (expr->kind == ExprKind::kBinary && expr->bin_op == BinaryOp::kAnd) {
+    AppendConjuncts(expr->children[0], out);
+    AppendConjuncts(expr->children[1], out);
+    return;
+  }
+  out->push_back(expr);
+}
+
+}  // namespace
+
 std::vector<ExprPtr> SplitConjuncts(const ExprPtr& expr) {
   std::vector<ExprPtr> out;
-  if (!expr) return out;
-  if (expr->kind == ExprKind::kBinary && expr->bin_op == BinaryOp::kAnd) {
-    auto l = SplitConjuncts(expr->children[0]);
-    auto r = SplitConjuncts(expr->children[1]);
-    out.insert(out.end(), l.begin(), l.end());
-    out.insert(out.end(), r.begin(), r.end());
-    return out;
-  }
-  out.push_back(expr->Clone());
+  if (expr) AppendConjuncts(expr, &out);
   return out;
 }
 
 ExprPtr CombineConjuncts(const std::vector<ExprPtr>& conjuncts) {
   ExprPtr out;
   for (const auto& c : conjuncts) {
-    out = out ? Expr::Binary(BinaryOp::kAnd, out, c->Clone()) : c->Clone();
+    out = out ? Expr::Binary(BinaryOp::kAnd, std::move(out), c) : c;
   }
   return out;
 }

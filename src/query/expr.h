@@ -47,6 +47,8 @@ using ExprPtr = std::shared_ptr<Expr>;
 
 /// One expression node. A small tagged struct (rather than a class
 /// hierarchy) keeps cloning and pattern matching in the rewriter simple.
+/// Nodes in a logical plan are shared and must not be modified; binding
+/// works on a Clone() (see LogicalNode's copy rule).
 struct Expr {
   ExprKind kind;
 
@@ -123,10 +125,12 @@ util::Result<storage::Value> EvalExpr(const Expr& expr, const storage::Row& row,
 util::Result<bool> EvalPredicate(const Expr& expr, const storage::Row& row,
                                  const EvalContext& ctx);
 
-/// Splits a predicate into its top-level AND conjuncts (clones).
+/// Splits a predicate into its top-level AND conjuncts. The conjuncts are
+/// shared with `expr`, not copied.
 std::vector<ExprPtr> SplitConjuncts(const ExprPtr& expr);
 
-/// Rebuilds a conjunction from conjuncts (nullptr for the empty list).
+/// Rebuilds a conjunction from conjuncts (nullptr for the empty list). The
+/// new AND nodes share the conjuncts.
 ExprPtr CombineConjuncts(const std::vector<ExprPtr>& conjuncts);
 
 }  // namespace query

@@ -32,9 +32,20 @@ std::vector<ExprPtr> EdgesBetween(uint32_t left_mask, size_t new_rel,
   for (const auto& e : edges) {
     bool connects = (e.left_rel == new_rel && (left_mask & (1u << e.right_rel))) ||
                     (e.right_rel == new_rel && (left_mask & (1u << e.left_rel)));
-    if (connects) out.push_back(e.condition->Clone());
+    if (connects) out.push_back(e.condition);
   }
   return out;
+}
+
+// Per relation, the mask of relations an edge connects it to: relation i
+// joins a set `mask` without a cross product iff neighbors[i] & mask.
+std::vector<uint32_t> Neighbors(size_t n, const std::vector<JoinEdge>& edges) {
+  std::vector<uint32_t> neighbors(n, 0);
+  for (const auto& e : edges) {
+    neighbors[e.left_rel] |= 1u << e.right_rel;
+    neighbors[e.right_rel] |= 1u << e.left_rel;
+  }
+  return neighbors;
 }
 
 JoinOrderResult FixedOrder(const std::vector<JoinRelation>& relations,
@@ -70,13 +81,14 @@ JoinOrderResult GreedyOrder(const std::vector<JoinRelation>& relations,
   used[start] = true;
   uint32_t mask = 1u << start;
   double cost = 0.0;
+  const std::vector<uint32_t> neighbors = Neighbors(n, edges);
   for (size_t step = 1; step < n; ++step) {
     double best_rows = std::numeric_limits<double>::infinity();
     size_t best = 0;
     bool best_connected = false;
     for (size_t i = 0; i < n; ++i) {
       if (used[i]) continue;
-      bool connected = !EdgesBetween(mask, i, edges).empty();
+      bool connected = (neighbors[i] & mask) != 0;
       double rows = SetRows(mask | (1u << i), relations, edges);
       // Prefer connected relations (avoid cross products) then size.
       if ((connected && !best_connected) ||
@@ -112,18 +124,17 @@ JoinOrderResult DpOrder(const std::vector<JoinRelation>& relations,
     dp[1u << i].last = i;
     dp[1u << i].prev = 0;
   }
+  const std::vector<uint32_t> neighbors = Neighbors(n, edges);
   for (uint32_t mask = 1; mask <= full; ++mask) {
     if (dp[mask].cost == std::numeric_limits<double>::infinity()) continue;
     if (mask == full) break;
-    double mask_rows = SetRows(mask, relations, edges);
-    (void)mask_rows;
     for (size_t i = 0; i < n; ++i) {
       if (mask & (1u << i)) continue;
       uint32_t next = mask | (1u << i);
       double out_rows = SetRows(next, relations, edges);
       // Connected steps pay the per-row probe coefficient; cross products
       // pay the penalty so connected orders win ties decisively.
-      bool connected = !EdgesBetween(mask, i, edges).empty();
+      bool connected = (neighbors[i] & mask) != 0;
       double step_cost = out_rows * (connected ? costs.hash_probe_row
                                                : costs.cross_product_penalty);
       double total = dp[mask].cost + step_cost;

@@ -34,9 +34,6 @@ struct Token {
 /// reported upper-case; identifiers keep their original case.
 util::Result<std::vector<Token>> Lex(const std::string& text);
 
-/// True iff `word` (upper-case) is a reserved keyword.
-bool IsKeyword(const std::string& upper_word);
-
 }  // namespace query
 }  // namespace drugtree
 

@@ -186,21 +186,23 @@ ValueType InferType(const Expr& expr, const Schema& schema) {
 
 }  // namespace
 
-util::Status ComputeSchema(LogicalNode* node, const Catalog& catalog) {
-  for (auto& c : node->children) {
-    DRUGTREE_RETURN_IF_ERROR(ComputeSchema(c.get(), catalog));
+util::Result<Schema> ScanSchema(const storage::Table& table,
+                                const std::string& alias) {
+  std::vector<Column> cols;
+  cols.reserve(table.schema().NumColumns());
+  for (const auto& c : table.schema().columns()) {
+    std::string name;
+    name.reserve(alias.size() + 1 + c.name.size());
+    name.append(alias).append(1, '.').append(c.name);
+    cols.push_back({std::move(name), c.type, c.nullable});
   }
+  return Schema::Create(std::move(cols));
+}
+
+util::Status ComputeSchema(LogicalNode* node) {
   switch (node->kind) {
-    case LogicalKind::kScan: {
-      DRUGTREE_ASSIGN_OR_RETURN(storage::Table * t,
-                                catalog.Lookup(node->table));
-      std::vector<Column> cols;
-      for (const auto& c : t->schema().columns()) {
-        cols.push_back({node->alias + "." + c.name, c.type, c.nullable});
-      }
-      DRUGTREE_ASSIGN_OR_RETURN(node->schema, Schema::Create(std::move(cols)));
-      break;
-    }
+    case LogicalKind::kScan:
+      return util::Status::Internal("scan schemas come from ScanSchema");
     case LogicalKind::kFilter:
     case LogicalKind::kSort:
     case LogicalKind::kLimit:
@@ -208,9 +210,12 @@ util::Status ComputeSchema(LogicalNode* node, const Catalog& catalog) {
       node->schema = node->children[0]->schema;
       break;
     case LogicalKind::kJoin: {
+      const auto& left = node->children[0]->schema.columns();
+      const auto& right = node->children[1]->schema.columns();
       std::vector<Column> cols;
-      for (const auto& c : node->children[0]->schema.columns()) cols.push_back(c);
-      for (const auto& c : node->children[1]->schema.columns()) cols.push_back(c);
+      cols.reserve(left.size() + right.size());
+      cols.insert(cols.end(), left.begin(), left.end());
+      cols.insert(cols.end(), right.begin(), right.end());
       DRUGTREE_ASSIGN_OR_RETURN(node->schema, Schema::Create(std::move(cols)));
       break;
     }
@@ -238,24 +243,32 @@ util::Result<LogicalPtr> BuildLogicalPlan(const SelectStatement& stmt,
   if (stmt.tables.empty()) {
     return util::Status::InvalidArgument("query has no tables");
   }
-  // Unique aliases.
+  // Scans in textual order (unique aliases), cross-joined left-deep. Each
+  // node's schema is computed once, as it is built.
   std::set<std::string> aliases;
+  LogicalPtr plan;
   for (const auto& t : stmt.tables) {
     if (!aliases.insert(t.alias).second) {
       return util::Status::InvalidArgument("duplicate table alias: " + t.alias);
     }
-    DRUGTREE_RETURN_IF_ERROR(catalog.Lookup(t.table).status());
+    DRUGTREE_ASSIGN_OR_RETURN(storage::Table * table, catalog.Lookup(t.table));
+    LogicalPtr scan = LogicalNode::Scan(t.table, t.alias);
+    DRUGTREE_ASSIGN_OR_RETURN(scan->schema, ScanSchema(*table, t.alias));
+    if (plan == nullptr) {
+      plan = std::move(scan);
+      continue;
+    }
+    plan = LogicalNode::Join(std::move(plan), std::move(scan), nullptr);
+    DRUGTREE_RETURN_IF_ERROR(ComputeSchema(plan.get()));
   }
-
-  LogicalPtr plan = LogicalNode::Scan(stmt.tables[0].table,
-                                      stmt.tables[0].alias);
-  for (size_t i = 1; i < stmt.tables.size(); ++i) {
-    plan = LogicalNode::Join(
-        plan, LogicalNode::Scan(stmt.tables[i].table, stmt.tables[i].alias),
-        nullptr);
-  }
+  // Adds `node` on top of the plan.
+  auto push = [&plan](LogicalPtr node) -> util::Status {
+    plan = std::move(node);
+    return ComputeSchema(plan.get());
+  };
   if (stmt.where) {
-    plan = LogicalNode::Filter(plan, stmt.where->Clone());
+    DRUGTREE_RETURN_IF_ERROR(
+        push(LogicalNode::Filter(plan, stmt.where->Clone())));
   }
 
   // Figure out aggregation.
@@ -294,10 +307,10 @@ util::Result<LogicalPtr> BuildLogicalPlan(const SelectStatement& stmt,
         }
       }
     }
-    plan = LogicalNode::Aggregate(plan, std::move(groups), std::move(aggs));
+    DRUGTREE_RETURN_IF_ERROR(push(
+        LogicalNode::Aggregate(plan, std::move(groups), std::move(aggs))));
     // Project to rename group keys + aggregates to the requested aliases in
     // the requested order.
-    DRUGTREE_RETURN_IF_ERROR(ComputeSchema(plan.get(), catalog));
     std::vector<OutputColumn> projections;
     for (const auto& item : stmt.select) {
       if (item.expr->IsAggregate()) {
@@ -306,10 +319,10 @@ util::Result<LogicalPtr> BuildLogicalPlan(const SelectStatement& stmt,
         projections.push_back({Expr::Column(item.expr->ToString()), item.alias});
       }
     }
-    plan = LogicalNode::Project(plan, std::move(projections));
+    DRUGTREE_RETURN_IF_ERROR(
+        push(LogicalNode::Project(plan, std::move(projections))));
   } else {
     // Plain projection; expand stars.
-    DRUGTREE_RETURN_IF_ERROR(ComputeSchema(plan.get(), catalog));
     std::vector<OutputColumn> projections;
     for (const auto& item : stmt.select) {
       if (item.star) {
@@ -320,23 +333,23 @@ util::Result<LogicalPtr> BuildLogicalPlan(const SelectStatement& stmt,
         projections.push_back({item.expr->Clone(), item.alias});
       }
     }
-    plan = LogicalNode::Project(plan, std::move(projections));
+    DRUGTREE_RETURN_IF_ERROR(
+        push(LogicalNode::Project(plan, std::move(projections))));
   }
 
   if (stmt.distinct) {
-    plan = LogicalNode::Distinct(plan);
+    DRUGTREE_RETURN_IF_ERROR(push(LogicalNode::Distinct(plan)));
   }
   if (!stmt.order_by.empty()) {
     std::vector<OrderKey> keys;
     for (const auto& k : stmt.order_by) {
       keys.push_back({k.expr->Clone(), k.ascending});
     }
-    plan = LogicalNode::Sort(plan, std::move(keys));
+    DRUGTREE_RETURN_IF_ERROR(push(LogicalNode::Sort(plan, std::move(keys))));
   }
   if (stmt.limit) {
-    plan = LogicalNode::Limit(plan, *stmt.limit);
+    DRUGTREE_RETURN_IF_ERROR(push(LogicalNode::Limit(plan, *stmt.limit)));
   }
-  DRUGTREE_RETURN_IF_ERROR(ComputeSchema(plan.get(), catalog));
   return plan;
 }
 

@@ -36,8 +36,15 @@ struct OutputColumn {
 };
 
 /// One logical operator. Like Expr, a tagged struct for easy rewriting.
-/// `schema` (qualified column names, "alias.column") is maintained by
-/// ComputeSchema after every structural change.
+/// `schema` (qualified column names, "alias.column") is set once, when the
+/// node is built: ScanSchema for scans, ComputeSchema for the others.
+///
+/// Copy rule: a built plan is immutable. Its expressions may be shared with
+/// the parsed statement's copy, with other plans (the optimizer's output
+/// shares every expression it did not rewrite) and with plan-cache
+/// templates, and a tree may share subtrees. Physical planning is the one
+/// place that copies them, because binding writes Expr::bound_index; the
+/// plan cache's re-binding copies a template before substituting literals.
 struct LogicalNode {
   LogicalKind kind;
   std::vector<LogicalPtr> children;
@@ -89,9 +96,14 @@ struct LogicalNode {
 /// parameter values by the plan cache — without touching the original.
 LogicalPtr CloneLogicalPlan(const LogicalPtr& plan);
 
-/// Recomputes the node's (and descendants') output schemas against the
-/// catalog. Must be called after structural rewrites.
-util::Status ComputeSchema(LogicalNode* node, const Catalog& catalog);
+/// The output schema of scanning `table` under `alias`: the table's
+/// columns in table order, named "alias.column".
+util::Result<storage::Schema> ScanSchema(const storage::Table& table,
+                                         const std::string& alias);
+
+/// Sets the output schema of a non-scan node from its children's schemas,
+/// which must already be set. Nothing below the node is recomputed.
+util::Status ComputeSchema(LogicalNode* node);
 
 /// Builds the canonical logical plan for a parsed statement:
 ///   Limit(Sort(Project(Aggregate?(Filter(CrossJoin(Scans...))))))

@@ -1,5 +1,7 @@
 #include "query/parser.h"
 
+#include <string_view>
+
 #include "query/lexer.h"
 #include "util/string_util.h"
 
@@ -299,9 +301,9 @@ class Parser {
             }
           }
           if (!ConsumeOperator(")")) return Error("expected ')'");
-          return Expr::Function(name, std::move(args));
+          return Expr::Function(std::move(name), std::move(args));
         }
-        return Expr::Column(name);
+        return Expr::Column(std::move(name));
       }
       case TokenKind::kOperator:
         if (t.text == "(") {
@@ -319,30 +321,31 @@ class Parser {
 
   const Token& Peek() const { return tokens_[pos_]; }
 
-  bool PeekKeyword(const std::string& kw) const {
+  bool PeekKeyword(std::string_view kw) const {
     return Peek().kind == TokenKind::kKeyword && Peek().text == kw;
   }
-  bool PeekOperator(const std::string& op) const {
+  bool PeekOperator(std::string_view op) const {
     return Peek().kind == TokenKind::kOperator && Peek().text == op;
   }
-  bool ConsumeKeyword(const std::string& kw) {
+  bool ConsumeKeyword(std::string_view kw) {
     if (PeekKeyword(kw)) {
       ++pos_;
       return true;
     }
     return false;
   }
-  bool ConsumeOperator(const std::string& op) {
+  bool ConsumeOperator(std::string_view op) {
     if (PeekOperator(op)) {
       ++pos_;
       return true;
     }
     return false;
   }
-  util::Status ExpectKeyword(const std::string& kw) {
+  util::Status ExpectKeyword(std::string_view kw) {
     if (!ConsumeKeyword(kw)) {
       return util::Status::ParseError(util::StringPrintf(
-          "query position %zu: expected %s", Peek().position, kw.c_str()));
+          "query position %zu: expected %.*s", Peek().position,
+          static_cast<int>(kw.size()), kw.data()));
     }
     return util::Status::OK();
   }

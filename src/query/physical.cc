@@ -10,7 +10,6 @@
 namespace drugtree {
 namespace query {
 
-using storage::Column;
 using storage::Row;
 using storage::Schema;
 using storage::Table;
@@ -18,15 +17,6 @@ using storage::Value;
 using storage::ValueType;
 
 namespace {
-
-// Qualified scan schema for a base table under an alias.
-util::Result<Schema> ScanSchema(const Table& table, const std::string& alias) {
-  std::vector<Column> cols;
-  for (const auto& c : table.schema().columns()) {
-    cols.push_back({alias + "." + c.name, c.type, c.nullable});
-  }
-  return Schema::Create(std::move(cols));
-}
 
 uint64_t HashKey(const std::vector<Value>& key) {
   uint64_t h = 0x9E3779B97F4A7C15ULL;
@@ -220,17 +210,19 @@ obs::ExplainNode PhysicalOperator::AnalyzeTree() const {
 
 // ---------------------------------------------------------------- SeqScanOp
 
-SeqScanOp::SeqScanOp(const Table* table, std::string alias, ExprPtr predicate,
-                     EvalContext ctx, ExecStats* stats, ParallelContext par)
+SeqScanOp::SeqScanOp(const Table* table, std::string alias, Schema schema,
+                     ExprPtr predicate, EvalContext ctx, ExecStats* stats,
+                     ParallelContext par)
     : table_(table),
       alias_(std::move(alias)),
       predicate_(std::move(predicate)),
       ctx_(ctx),
       stats_(stats),
-      par_(par) {}
+      par_(par) {
+  schema_ = std::move(schema);
+}
 
 util::Status SeqScanOp::OpenImpl() {
-  DRUGTREE_ASSIGN_OR_RETURN(schema_, ScanSchema(*table_, alias_));
   if (predicate_) {
     DRUGTREE_RETURN_IF_ERROR(BindExpr(predicate_.get(), schema_));
   }
@@ -251,6 +243,15 @@ util::Status SeqScanOp::OpenImpl() {
       TranslateEncodedPredicate(predicate_, &enc_clauses_)) {
     encoded_ = table_->encoded();
     return util::Status::OK();
+  }
+  const storage::Schema& table_schema = table_->schema();
+  row_header_bytes_ = static_cast<int64_t>(
+      sizeof(Row) + table_schema.NumColumns() * sizeof(Value));
+  string_columns_.clear();
+  for (size_t i = 0; i < table_schema.NumColumns(); ++i) {
+    if (table_schema.column(i).type == ValueType::kString) {
+      string_columns_.push_back(i);
+    }
   }
   if (par_.enabled() && predicate_ &&
       static_cast<size_t>(table_->NumRows()) >= 2 * par_.morsel_rows) {
@@ -287,7 +288,7 @@ util::Status SeqScanOp::MaterializeParallel() {
       if (table_->IsDeleted(id)) continue;
       const Row& row = table_->row(id);
       ++scanned[m];
-      bytes[m] += ApproxRowBytes(row);
+      bytes[m] += PlainRowBytes(row);
       auto keep = EvalPredicate(*predicate_, row, ctx_);
       if (!keep.ok()) {
         errors[m] = keep.status();
@@ -329,7 +330,7 @@ util::Result<bool> SeqScanOp::NextImpl(Row* out) {
     }
     if (table_->IsDeleted(id)) continue;
     const Row& row = table_->row(id);
-    const int64_t bytes = ApproxRowBytes(row);
+    const int64_t bytes = PlainRowBytes(row);
     ++stats_->rows_scanned;
     stats_->bytes_scanned += bytes;
     AddBytesScanned(bytes);
@@ -342,6 +343,18 @@ util::Result<bool> SeqScanOp::NextImpl(Row* out) {
     return true;
   }
   return false;
+}
+
+int64_t SeqScanOp::PlainRowBytes(const Row& row) const {
+  // ApproxRowBytes(row), read off the schema: a table row has one Value per
+  // column, and only string columns hold strings (or NULL).
+  int64_t bytes = row_header_bytes_;
+  for (size_t i : string_columns_) {
+    if (!row[i].is_null()) {
+      bytes += static_cast<int64_t>(row[i].AsString().size());
+    }
+  }
+  return bytes;
 }
 
 util::Result<bool> SeqScanOp::NextEncoded(Row* out) {
@@ -384,7 +397,7 @@ std::string SeqScanOp::Describe() const {
 
 // -------------------------------------------------------------- IndexScanOp
 
-IndexScanOp::IndexScanOp(const Table* table, std::string alias,
+IndexScanOp::IndexScanOp(const Table* table, std::string alias, Schema schema,
                          std::string column, Bounds bounds, ExprPtr residual,
                          EvalContext ctx, ExecStats* stats)
     : table_(table),
@@ -393,10 +406,11 @@ IndexScanOp::IndexScanOp(const Table* table, std::string alias,
       bounds_(std::move(bounds)),
       residual_(std::move(residual)),
       ctx_(ctx),
-      stats_(stats) {}
+      stats_(stats) {
+  schema_ = std::move(schema);
+}
 
 util::Status IndexScanOp::OpenImpl() {
-  DRUGTREE_ASSIGN_OR_RETURN(schema_, ScanSchema(*table_, alias_));
   if (residual_) {
     DRUGTREE_RETURN_IF_ERROR(BindExpr(residual_.get(), schema_));
   }
@@ -483,19 +497,17 @@ std::string FilterOp::Describe() const {
 // ---------------------------------------------------------------- ProjectOp
 
 ProjectOp::ProjectOp(PhysicalPtr child, std::vector<OutputColumn> outputs,
-                     EvalContext ctx)
+                     Schema schema, EvalContext ctx)
     : child_(std::move(child)), outputs_(std::move(outputs)), ctx_(ctx) {
+  schema_ = std::move(schema);
   explain_children_ = {child_.get()};
 }
 
 util::Status ProjectOp::OpenImpl() {
   DRUGTREE_RETURN_IF_ERROR(child_->Open());
-  std::vector<Column> cols;
   for (auto& o : outputs_) {
     DRUGTREE_RETURN_IF_ERROR(BindExpr(o.expr.get(), child_->schema()));
-    cols.push_back({o.name, ValueType::kString, true});
   }
-  DRUGTREE_ASSIGN_OR_RETURN(schema_, Schema::Create(std::move(cols)));
   // Move optimization: an output that is a bare column ref may steal the
   // child's Value instead of copying — but only if no other output
   // expression also reads that column (SELECT p.acc, p.acc or
@@ -552,23 +564,20 @@ std::string ProjectOp::Describe() const {
 // --------------------------------------------------------- NestedLoopJoinOp
 
 NestedLoopJoinOp::NestedLoopJoinOp(PhysicalPtr left, PhysicalPtr right,
-                                   ExprPtr condition, EvalContext ctx,
-                                   ExecStats* stats)
+                                   Schema schema, ExprPtr condition,
+                                   EvalContext ctx, ExecStats* stats)
     : left_(std::move(left)),
       right_(std::move(right)),
       condition_(std::move(condition)),
       ctx_(ctx),
       stats_(stats) {
+  schema_ = std::move(schema);
   explain_children_ = {left_.get(), right_.get()};
 }
 
 util::Status NestedLoopJoinOp::OpenImpl() {
   DRUGTREE_RETURN_IF_ERROR(left_->Open());
   DRUGTREE_RETURN_IF_ERROR(right_->Open());
-  std::vector<Column> cols;
-  for (const auto& c : left_->schema().columns()) cols.push_back(c);
-  for (const auto& c : right_->schema().columns()) cols.push_back(c);
-  DRUGTREE_ASSIGN_OR_RETURN(schema_, Schema::Create(std::move(cols)));
   if (condition_) {
     DRUGTREE_RETURN_IF_ERROR(BindExpr(condition_.get(), schema_));
   }
@@ -633,7 +642,7 @@ std::string NestedLoopJoinOp::Describe() const {
 
 // --------------------------------------------------------------- HashJoinOp
 
-HashJoinOp::HashJoinOp(PhysicalPtr left, PhysicalPtr right,
+HashJoinOp::HashJoinOp(PhysicalPtr left, PhysicalPtr right, Schema schema,
                        std::vector<std::pair<ExprPtr, ExprPtr>> key_pairs,
                        ExprPtr residual, EvalContext ctx, ExecStats* stats,
                        ParallelContext par)
@@ -644,6 +653,7 @@ HashJoinOp::HashJoinOp(PhysicalPtr left, PhysicalPtr right,
       ctx_(ctx),
       stats_(stats),
       par_(par) {
+  schema_ = std::move(schema);
   explain_children_ = {left_.get(), right_.get()};
 }
 
@@ -661,10 +671,6 @@ util::Result<uint64_t> HashJoinOp::KeyHash(const std::vector<ExprPtr>& exprs,
 util::Status HashJoinOp::OpenImpl() {
   DRUGTREE_RETURN_IF_ERROR(left_->Open());
   DRUGTREE_RETURN_IF_ERROR(right_->Open());
-  std::vector<Column> cols;
-  for (const auto& c : left_->schema().columns()) cols.push_back(c);
-  for (const auto& c : right_->schema().columns()) cols.push_back(c);
-  DRUGTREE_ASSIGN_OR_RETURN(schema_, Schema::Create(std::move(cols)));
 
   // Bind: left keys to the left schema, right keys to the right schema,
   // residual to the joined schema.
@@ -820,17 +826,20 @@ std::string HashJoinOp::Describe() const {
 
 IndexNestedLoopJoinOp::IndexNestedLoopJoinOp(
     PhysicalPtr left, const Table* table, std::string alias,
-    std::string index_column, ExprPtr outer_key, ExprPtr inner_predicate,
-    ExprPtr residual, EvalContext ctx, ExecStats* stats)
+    Schema inner_schema, Schema schema, std::string index_column,
+    ExprPtr outer_key, ExprPtr inner_predicate, ExprPtr residual,
+    EvalContext ctx, ExecStats* stats)
     : left_(std::move(left)),
       table_(table),
       alias_(std::move(alias)),
+      inner_schema_(std::move(inner_schema)),
       index_column_(std::move(index_column)),
       outer_key_(std::move(outer_key)),
       inner_predicate_(std::move(inner_predicate)),
       residual_(std::move(residual)),
       ctx_(ctx),
       stats_(stats) {
+  schema_ = std::move(schema);
   explain_children_ = {left_.get()};
 }
 
@@ -841,13 +850,9 @@ util::Status IndexNestedLoopJoinOp::OpenImpl() {
     return util::Status::Internal("no hash index on " + table_->name() + "." +
                                   index_column_);
   }
-  DRUGTREE_ASSIGN_OR_RETURN(Schema inner, ScanSchema(*table_, alias_));
-  std::vector<Column> cols = left_->schema().columns();
-  for (const auto& c : inner.columns()) cols.push_back(c);
-  DRUGTREE_ASSIGN_OR_RETURN(schema_, Schema::Create(std::move(cols)));
   DRUGTREE_RETURN_IF_ERROR(BindExpr(outer_key_.get(), left_->schema()));
   if (inner_predicate_) {
-    DRUGTREE_RETURN_IF_ERROR(BindExpr(inner_predicate_.get(), inner));
+    DRUGTREE_RETURN_IF_ERROR(BindExpr(inner_predicate_.get(), inner_schema_));
   }
   if (residual_) {
     DRUGTREE_RETURN_IF_ERROR(BindExpr(residual_.get(), schema_));

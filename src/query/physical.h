@@ -1,5 +1,7 @@
 // Physical operators (volcano iterator model). Each operator exposes
-// Open()/Next(&row) and its output schema; ExplainString() renders the
+// Open()/Next(&row) and its output schema, which operators with a schema of
+// their own take from the logical plan when they are built (filters, sorts,
+// limits and DISTINCT pass their child's through); ExplainString() renders the
 // physical plan for EXPLAIN output and the E2 ablation logs. Open()/Next()
 // are non-virtual shells on the base class that maintain per-operator
 // execution stats (rows_out, next_calls, and — under EXPLAIN ANALYZE —
@@ -148,11 +150,13 @@ class PhysicalOperator {
 
 using PhysicalPtr = std::unique_ptr<PhysicalOperator>;
 
-/// Full-table scan with an optional residual predicate.
+/// Full-table scan with an optional residual predicate. `schema` is the
+/// table's ScanSchema under `alias`.
 class SeqScanOp : public PhysicalOperator {
  public:
-  SeqScanOp(const storage::Table* table, std::string alias, ExprPtr predicate,
-            EvalContext ctx, ExecStats* stats, ParallelContext par = {});
+  SeqScanOp(const storage::Table* table, std::string alias,
+            storage::Schema schema, ExprPtr predicate, EvalContext ctx,
+            ExecStats* stats, ParallelContext par = {});
   util::Status OpenImpl() override;
   util::Result<bool> NextImpl(storage::Row* out) override;
   std::string Describe() const override;
@@ -171,12 +175,20 @@ class SeqScanOp : public PhysicalOperator {
   /// row order and results are identical to the plain path.
   util::Result<bool> NextEncoded(storage::Row* out);
 
+  /// The approximate bytes (ExecStats::bytes_scanned) of one plain row,
+  /// reading only the values of the table's string columns.
+  int64_t PlainRowBytes(const storage::Row& row) const;
+
   const storage::Table* table_;
   std::string alias_;
   ExprPtr predicate_;
   EvalContext ctx_;
   ExecStats* stats_;
   ParallelContext par_;
+  // Plain-row byte counting, set at Open(): the table's schema fixes every
+  // row's arity, and only its string columns can hold strings.
+  int64_t row_header_bytes_ = 0;
+  std::vector<size_t> string_columns_;
   int64_t cursor_ = 0;
   bool materialized_ = false;             // parallel path taken at Open()
   std::vector<storage::RowId> matches_;   // surviving rows, in row order
@@ -201,8 +213,8 @@ class IndexScanOp : public PhysicalOperator {
   };
 
   IndexScanOp(const storage::Table* table, std::string alias,
-              std::string column, Bounds bounds, ExprPtr residual,
-              EvalContext ctx, ExecStats* stats);
+              storage::Schema schema, std::string column, Bounds bounds,
+              ExprPtr residual, EvalContext ctx, ExecStats* stats);
   util::Status OpenImpl() override;
   util::Result<bool> NextImpl(storage::Row* out) override;
   std::string Describe() const override;
@@ -237,7 +249,7 @@ class FilterOp : public PhysicalOperator {
 class ProjectOp : public PhysicalOperator {
  public:
   ProjectOp(PhysicalPtr child, std::vector<OutputColumn> outputs,
-            EvalContext ctx);
+            storage::Schema schema, EvalContext ctx);
   util::Status OpenImpl() override;
   util::Result<bool> NextImpl(storage::Row* out) override;
   std::string Describe() const override;
@@ -255,11 +267,12 @@ class ProjectOp : public PhysicalOperator {
 };
 
 /// Nested-loop join with an arbitrary (possibly null) condition; the right
-/// input is materialized once.
+/// input is materialized once. `schema` is the left columns, then the
+/// right ones.
 class NestedLoopJoinOp : public PhysicalOperator {
  public:
-  NestedLoopJoinOp(PhysicalPtr left, PhysicalPtr right, ExprPtr condition,
-                   EvalContext ctx, ExecStats* stats);
+  NestedLoopJoinOp(PhysicalPtr left, PhysicalPtr right, storage::Schema schema,
+                   ExprPtr condition, EvalContext ctx, ExecStats* stats);
   util::Status OpenImpl() override;
   util::Result<bool> NextImpl(storage::Row* out) override;
   std::string Describe() const override;
@@ -276,10 +289,11 @@ class NestedLoopJoinOp : public PhysicalOperator {
 };
 
 /// Hash join on one or more equi-key pairs, with an optional residual
-/// condition; builds on the right input, probes with the left.
+/// condition; builds on the right input, probes with the left. `schema` is
+/// the left columns, then the right ones.
 class HashJoinOp : public PhysicalOperator {
  public:
-  HashJoinOp(PhysicalPtr left, PhysicalPtr right,
+  HashJoinOp(PhysicalPtr left, PhysicalPtr right, storage::Schema schema,
              std::vector<std::pair<ExprPtr, ExprPtr>> key_pairs,
              ExprPtr residual, EvalContext ctx, ExecStats* stats,
              ParallelContext par = {});
@@ -320,11 +334,14 @@ class HashJoinOp : public PhysicalOperator {
 /// id order). Each fetched row must pass the inner scan's pushed-down
 /// predicate, and each joined row the residual (the remaining join
 /// conjuncts). NULL keys never join. Output order is the left order, then
-/// the inner rows' id order; nothing is materialized.
+/// the inner rows' id order; nothing is materialized. `inner_schema` is the
+/// table's ScanSchema under `alias`, and `schema` the left columns followed
+/// by the inner ones.
 class IndexNestedLoopJoinOp : public PhysicalOperator {
  public:
   IndexNestedLoopJoinOp(PhysicalPtr left, const storage::Table* table,
-                        std::string alias, std::string index_column,
+                        std::string alias, storage::Schema inner_schema,
+                        storage::Schema schema, std::string index_column,
                         ExprPtr outer_key, ExprPtr inner_predicate,
                         ExprPtr residual, EvalContext ctx, ExecStats* stats);
   util::Status OpenImpl() override;
@@ -335,9 +352,10 @@ class IndexNestedLoopJoinOp : public PhysicalOperator {
   PhysicalPtr left_;
   const storage::Table* table_;
   std::string alias_;
+  storage::Schema inner_schema_;
   std::string index_column_;
   ExprPtr outer_key_;        // bound to the left schema
-  ExprPtr inner_predicate_;  // bound to the inner table's scan schema
+  ExprPtr inner_predicate_;  // bound to inner_schema_
   ExprPtr residual_;         // bound to the joined schema
   EvalContext ctx_;
   ExecStats* stats_;

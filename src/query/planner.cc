@@ -77,10 +77,17 @@ std::string UnqualifiedName(const std::string& qualified) {
   return dot == std::string::npos ? qualified : qualified.substr(dot + 1);
 }
 
+/// A copy for a physical operator to bind (null stays null): logical
+/// expressions are shared, so binding must never write into them.
+ExprPtr CloneForBinding(const ExprPtr& expr) {
+  return expr ? expr->Clone() : nullptr;
+}
+
 /// Splits an index nested-loop join's condition into the outer key probed
 /// against `probe_column` (the qualified inner column), taken from the first
-/// `outer_expr = probe_column` conjunct, and the remaining conjuncts.
-/// Returns null when no conjunct has that shape.
+/// `outer_expr = probe_column` conjunct, and the remaining conjuncts (shared
+/// with `condition`). The key is a copy, ready for binding. Returns null
+/// when no conjunct has that shape.
 ExprPtr SplitProbeKey(const ExprPtr& condition,
                       const std::string& probe_column,
                       const storage::Schema& outer,
@@ -91,10 +98,10 @@ ExprPtr SplitProbeKey(const ExprPtr& condition,
         c->bin_op == BinaryOp::kEq) {
       for (size_t side = 0; side < 2; ++side) {
         const Expr& col = *c->children[side];
-        const ExprPtr& other = c->children[1 - side];
+        const Expr& other = *c->children[1 - side];
         if (col.kind == ExprKind::kColumnRef && col.column == probe_column &&
-            RefersOnly(*other, outer)) {
-          key = other;
+            RefersOnly(other, outer)) {
+          key = other.Clone();
           break;
         }
       }
@@ -122,6 +129,9 @@ ParallelContext Planner::MakeParallelContext(const PlannerOptions& options) {
   return par;
 }
 
+// Every expression handed to an operator is a copy (CloneForBinding or
+// Expr::Clone): the logical plan may be a shared plan-cache template, and
+// operators bind their expressions in place.
 util::Result<PhysicalPtr> Planner::ToPhysical(const LogicalPtr& node,
                                               const PlannerOptions& options,
                                               ExecStats* stats) {
@@ -132,9 +142,8 @@ util::Result<PhysicalPtr> Planner::ToPhysical(const LogicalPtr& node,
       DRUGTREE_ASSIGN_OR_RETURN(Table * table, catalog_->Lookup(node->table));
       if (!options.enable_index_selection || !node->scan_predicate) {
         return PhysicalPtr(std::make_unique<SeqScanOp>(
-            table, node->alias,
-            node->scan_predicate ? node->scan_predicate->Clone() : nullptr,
-            ctx, stats, par));
+            table, node->alias, node->schema,
+            CloneForBinding(node->scan_predicate), ctx, stats, par));
       }
       // Index selection: find the best access path among the conjuncts.
       auto conjuncts = SplitConjuncts(node->scan_predicate);
@@ -167,8 +176,8 @@ util::Result<PhysicalPtr> Planner::ToPhysical(const LogicalPtr& node,
           if (static_cast<int>(i) != best_eq) residual.push_back(conjuncts[i]);
         }
         return PhysicalPtr(std::make_unique<IndexScanOp>(
-            table, node->alias, UnqualifiedName(cl.column), bounds,
-            CombineConjuncts(residual), ctx, stats));
+            table, node->alias, node->schema, UnqualifiedName(cl.column),
+            bounds, CloneForBinding(CombineConjuncts(residual)), ctx, stats));
       }
       if (!best_range_col.empty()) {
         IndexScanOp::Bounds bounds;
@@ -200,11 +209,12 @@ util::Result<PhysicalPtr> Planner::ToPhysical(const LogicalPtr& node,
           residual.push_back(c);
         }
         return PhysicalPtr(std::make_unique<IndexScanOp>(
-            table, node->alias, best_range_col, bounds,
-            CombineConjuncts(residual), ctx, stats));
+            table, node->alias, node->schema, best_range_col, bounds,
+            CloneForBinding(CombineConjuncts(residual)), ctx, stats));
       }
       return PhysicalPtr(std::make_unique<SeqScanOp>(
-          table, node->alias, node->scan_predicate->Clone(), ctx, stats, par));
+          table, node->alias, node->schema, node->scan_predicate->Clone(), ctx,
+          stats, par));
     }
     case LogicalKind::kFilter: {
       DRUGTREE_ASSIGN_OR_RETURN(PhysicalPtr child,
@@ -219,8 +229,8 @@ util::Result<PhysicalPtr> Planner::ToPhysical(const LogicalPtr& node,
       for (const auto& o : node->outputs) {
         outputs.push_back({o.expr->Clone(), o.name});
       }
-      return PhysicalPtr(std::make_unique<ProjectOp>(std::move(child),
-                                                     std::move(outputs), ctx));
+      return PhysicalPtr(std::make_unique<ProjectOp>(
+          std::move(child), std::move(outputs), node->schema, ctx));
     }
     case LogicalKind::kJoin: {
       DRUGTREE_ASSIGN_OR_RETURN(PhysicalPtr left,
@@ -240,10 +250,10 @@ util::Result<PhysicalPtr> Planner::ToPhysical(const LogicalPtr& node,
         if (key != nullptr &&
             table->GetHashIndex(node->index_column) != nullptr) {
           return PhysicalPtr(std::make_unique<IndexNestedLoopJoinOp>(
-              std::move(left), table, inner.alias, node->index_column,
-              std::move(key),
-              inner.scan_predicate ? inner.scan_predicate->Clone() : nullptr,
-              CombineConjuncts(residual), ctx, stats));
+              std::move(left), table, inner.alias, inner.schema, node->schema,
+              node->index_column, std::move(key),
+              CloneForBinding(inner.scan_predicate),
+              CloneForBinding(CombineConjuncts(residual)), ctx, stats));
         }
       }
       DRUGTREE_ASSIGN_OR_RETURN(PhysicalPtr right,
@@ -270,16 +280,17 @@ util::Result<PhysicalPtr> Planner::ToPhysical(const LogicalPtr& node,
           if (!matched) residual.push_back(c);
         }
       } else if (node->join_condition) {
-        residual.push_back(node->join_condition->Clone());
+        residual.push_back(node->join_condition);
       }
       if (!key_pairs.empty()) {
         return PhysicalPtr(std::make_unique<HashJoinOp>(
-            std::move(left), std::move(right), std::move(key_pairs),
-            CombineConjuncts(residual), ctx, stats, par));
+            std::move(left), std::move(right), node->schema,
+            std::move(key_pairs), CloneForBinding(CombineConjuncts(residual)),
+            ctx, stats, par));
       }
       return PhysicalPtr(std::make_unique<NestedLoopJoinOp>(
-          std::move(left), std::move(right), CombineConjuncts(residual), ctx,
-          stats));
+          std::move(left), std::move(right), node->schema,
+          CloneForBinding(CombineConjuncts(residual)), ctx, stats));
     }
     case LogicalKind::kAggregate: {
       DRUGTREE_ASSIGN_OR_RETURN(PhysicalPtr child,

@@ -1,7 +1,7 @@
 #include "query/rules.h"
 
 #include <algorithm>
-#include <set>
+#include <string_view>
 
 #include "obs/trace.h"
 #include "query/cost_model.h"
@@ -25,28 +25,41 @@ bool IsPureLiteralTree(const Expr& e) {
   return true;
 }
 
-/// Aliases referenced by an expression ("p.family" -> "p"). Bare column
-/// names are reported under "" (treated as multi-alias, i.e. not pushable).
-std::set<std::string> ReferencedAliases(const Expr& e) {
-  std::set<std::string> out;
-  std::vector<std::string> cols;
-  e.CollectColumns(&cols);
-  for (const auto& c : cols) {
-    size_t dot = c.find('.');
-    out.insert(dot == std::string::npos ? "" : c.substr(0, dot));
+/// The alias qualifying a column name ("p.family" -> "p"); "" for a bare
+/// name.
+std::string_view AliasOf(const std::string& column) {
+  size_t dot = column.find('.');
+  return dot == std::string::npos ? std::string_view()
+                                  : std::string_view(column).substr(0, dot);
+}
+
+/// Distinct aliases referenced by an expression, as views into its column
+/// names. Bare column names are reported under "" (treated as multi-alias,
+/// i.e. not pushable).
+void CollectAliases(const Expr& e, std::vector<std::string_view>* out) {
+  if (e.kind == ExprKind::kColumnRef) {
+    std::string_view alias = AliasOf(e.column);
+    if (std::find(out->begin(), out->end(), alias) == out->end()) {
+      out->push_back(alias);
+    }
   }
-  return out;
+  for (const auto& c : e.children) CollectAliases(*c, out);
 }
 
 }  // namespace
 
 ExprPtr FoldConstants(const ExprPtr& expr, const Catalog& catalog) {
-  if (!expr) return expr;
-  auto folded = expr->Clone();
-  for (auto& c : folded->children) c = FoldConstants(c, catalog);
-  if (folded->kind == ExprKind::kLiteral ||
-      folded->kind == ExprKind::kColumnRef) {
-    return folded;
+  if (!expr || expr->kind == ExprKind::kLiteral ||
+      expr->kind == ExprKind::kColumnRef) {
+    return expr;
+  }
+  // Copy-on-write: the node is copied only when a child folded.
+  ExprPtr folded = expr;
+  for (size_t i = 0; i < expr->children.size(); ++i) {
+    ExprPtr c = FoldConstants(expr->children[i], catalog);
+    if (c == expr->children[i]) continue;
+    if (folded == expr) folded = std::make_shared<Expr>(*expr);
+    folded->children[i] = std::move(c);
   }
   if (!IsPureLiteralTree(*folded)) return folded;
   EvalContext ctx{catalog.tree(), catalog.tree_index()};
@@ -60,10 +73,15 @@ util::Result<ExprPtr> RewriteTreePredicates(
     const ExprPtr& expr, const Catalog& catalog,
     const std::map<std::string, std::string>& alias_to_table) {
   if (!expr) return expr;
-  auto out = expr->Clone();
-  for (auto& c : out->children) {
-    DRUGTREE_ASSIGN_OR_RETURN(c,
-                              RewriteTreePredicates(c, catalog, alias_to_table));
+  // Copy-on-write: the node is copied only when a child was rewritten.
+  ExprPtr out = expr;
+  for (size_t i = 0; i < expr->children.size(); ++i) {
+    DRUGTREE_ASSIGN_OR_RETURN(
+        ExprPtr c,
+        RewriteTreePredicates(expr->children[i], catalog, alias_to_table));
+    if (c == expr->children[i]) continue;
+    if (out == expr) out = std::make_shared<Expr>(*expr);
+    out->children[i] = std::move(c);
   }
   if (out->kind != ExprKind::kFunction ||
       (out->function != "SUBTREE" && out->function != "ANCESTOR_OF")) {
@@ -84,11 +102,13 @@ util::Result<ExprPtr> RewriteTreePredicates(
   size_t dot = col.column.find('.');
   if (dot == std::string::npos) return out;
   std::string alias = col.column.substr(0, dot);
-  std::string col_name = col.column.substr(dot + 1);
   auto it = alias_to_table.find(alias);
   if (it == alias_to_table.end()) return out;
   const TreeBinding* binding = catalog.GetTreeBinding(it->second);
-  if (binding == nullptr || binding->node_col != col_name) return out;
+  if (binding == nullptr ||
+      std::string_view(col.column).substr(dot + 1) != binding->node_col) {
+    return out;
+  }
 
   // Resolve the reference node at plan time.
   phylo::NodeId node = phylo::kInvalidNode;
@@ -108,7 +128,7 @@ util::Result<ExprPtr> RewriteTreePredicates(
     ExprPtr pre_col = Expr::Column(alias + "." + binding->pre_col);
     return Expr::Binary(
         BinaryOp::kAnd,
-        Expr::Binary(BinaryOp::kGe, pre_col->Clone(),
+        Expr::Binary(BinaryOp::kGe, pre_col,
                      Expr::Literal(Value::Int64(index.Pre(node)))),
         Expr::Binary(BinaryOp::kLe, pre_col,
                      Expr::Literal(Value::Int64(index.Post(node)))));
@@ -132,11 +152,14 @@ struct JoinRegion {
   std::vector<ExprPtr> conjuncts;          // all predicates in the region
 };
 
-// Collects the scans and predicates of a Filter/Join/Scan region.
+// Collects the scans and predicates of a Filter/Join/Scan region. The scans
+// are new nodes without predicates; they take over the original scans'
+// schemas.
 util::Status CollectRegion(const LogicalPtr& node, JoinRegion* region) {
   switch (node->kind) {
     case LogicalKind::kScan: {
       auto scan = LogicalNode::Scan(node->table, node->alias);
+      scan->schema = node->schema;
       if (node->scan_predicate) {
         for (auto& c : SplitConjuncts(node->scan_predicate)) {
           region->conjuncts.push_back(std::move(c));
@@ -170,24 +193,18 @@ bool IsJoinRegionNode(const LogicalNode& node) {
          node.kind == LogicalKind::kJoin;
 }
 
-// True for a conjunct of the shape colA = colB across two different aliases.
-bool IsEquiJoinCondition(const Expr& e, std::string* left_col,
-                         std::string* right_col) {
+// True for a conjunct of the shape colA = colB across two different
+// (qualified) aliases.
+bool IsEquiJoinCondition(const Expr& e) {
   if (e.kind != ExprKind::kBinary || e.bin_op != BinaryOp::kEq) return false;
   const Expr& l = *e.children[0];
   const Expr& r = *e.children[1];
   if (l.kind != ExprKind::kColumnRef || r.kind != ExprKind::kColumnRef) {
     return false;
   }
-  auto la = ReferencedAliases(l);
-  auto ra = ReferencedAliases(r);
-  if (la.size() != 1 || ra.size() != 1 || *la.begin() == *ra.begin() ||
-      la.count("") || ra.count("")) {
-    return false;
-  }
-  *left_col = l.column;
-  *right_col = r.column;
-  return true;
+  std::string_view la = AliasOf(l.column);
+  std::string_view ra = AliasOf(r.column);
+  return !la.empty() && !ra.empty() && la != ra;
 }
 
 }  // namespace
@@ -195,13 +212,12 @@ bool IsEquiJoinCondition(const Expr& e, std::string* left_col,
 util::Result<LogicalPtr> OptimizeLogicalPlan(const LogicalPtr& plan,
                                              const Catalog& catalog,
                                              const OptimizerOptions& options) {
-  // Peel the pipeline above the join region.
-  std::vector<LogicalPtr> pipeline;  // from root downwards (clones, childless)
+  // Peel the pipeline above the join region. Those nodes are copied when
+  // the plan is reassembled; their schemas do not depend on the join order.
+  std::vector<const LogicalNode*> pipeline;  // from root downwards
   LogicalPtr cursor = plan;
   while (cursor && !IsJoinRegionNode(*cursor)) {
-    auto copy = std::make_shared<LogicalNode>(*cursor);
-    copy->children.clear();
-    pipeline.push_back(copy);
+    pipeline.push_back(cursor.get());
     if (cursor->children.size() != 1) {
       return util::Status::Internal("pipeline node with != 1 child");
     }
@@ -240,21 +256,35 @@ util::Result<LogicalPtr> OptimizeLogicalPlan(const LogicalPtr& plan,
     }
   }
 
-  // Classify conjuncts.
-  std::map<std::string, std::vector<ExprPtr>> scan_preds;
-  std::vector<ExprPtr> residual;
-  struct PendingEdge {
-    std::string left_col, right_col;
-    ExprPtr condition;
+  // Classify conjuncts by the region scans they reference (by position);
+  // one referencing an alias outside the region stays residual, where
+  // binding reports it.
+  const size_t n = region.scans.size();
+  auto scan_index = [&region](std::string_view alias) {
+    size_t i = 0;
+    while (i < region.scans.size() && region.scans[i]->alias != alias) ++i;
+    return i;
   };
-  std::vector<PendingEdge> pending_edges;
+  std::vector<std::vector<ExprPtr>> scan_preds(n);
+  std::vector<ExprPtr> residual;
+  std::vector<JoinEdge> edges;
+  CostModel cost(&catalog, alias_to_table, options.costs);
+  std::vector<std::string_view> aliases;
   for (auto& c : conjuncts) {
-    auto aliases = ReferencedAliases(*c);
-    std::string lc, rc;
-    if (aliases.size() == 1 && !aliases.count("") && options.enable_pushdown) {
-      scan_preds[*aliases.begin()].push_back(std::move(c));
-    } else if (aliases.size() == 2 && IsEquiJoinCondition(*c, &lc, &rc)) {
-      pending_edges.push_back({lc, rc, std::move(c)});
+    aliases.clear();
+    CollectAliases(*c, &aliases);
+    if (aliases.size() == 1 && !aliases[0].empty() &&
+        options.enable_pushdown && scan_index(aliases[0]) < n) {
+      scan_preds[scan_index(aliases[0])].push_back(std::move(c));
+    } else if (aliases.size() == 2 && IsEquiJoinCondition(*c) &&
+               scan_index(aliases[0]) < n && scan_index(aliases[1]) < n) {
+      JoinEdge e;
+      e.left_rel = scan_index(AliasOf(c->children[0]->column));
+      e.right_rel = scan_index(AliasOf(c->children[1]->column));
+      e.selectivity = cost.JoinSelectivity(c->children[0]->column,
+                                           c->children[1]->column);
+      e.condition = std::move(c);
+      edges.push_back(std::move(e));
     } else {
       residual.push_back(std::move(c));
     }
@@ -263,31 +293,14 @@ util::Result<LogicalPtr> OptimizeLogicalPlan(const LogicalPtr& plan,
   // Attach scan predicates and estimate cardinalities. The estimates only
   // steer join order and join methods, so a lone scan skips them (an exact
   // clade count walks the clade's index entries).
-  CostModel cost(&catalog, alias_to_table, options.costs);
   std::vector<JoinRelation> relations;
-  std::map<std::string, size_t> alias_index;
-  for (auto& s : region.scans) {
-    auto it = scan_preds.find(s->alias);
-    if (it != scan_preds.end()) {
-      s->scan_predicate = CombineConjuncts(it->second);
-    }
-    alias_index[s->alias] = relations.size();
+  relations.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    LogicalNode& s = *region.scans[i];
+    s.scan_predicate = CombineConjuncts(scan_preds[i]);
     relations.push_back(
-        {s->alias, region.scans.size() > 1
-                       ? cost.EstimateScanRows(s->alias, s->scan_predicate)
-                       : 1.0});
-  }
-
-  std::vector<JoinEdge> edges;
-  for (auto& pe : pending_edges) {
-    std::string la = pe.left_col.substr(0, pe.left_col.find('.'));
-    std::string ra = pe.right_col.substr(0, pe.right_col.find('.'));
-    JoinEdge e;
-    e.left_rel = alias_index[la];
-    e.right_rel = alias_index[ra];
-    e.condition = pe.condition;
-    e.selectivity = cost.JoinSelectivity(pe.left_col, pe.right_col);
-    edges.push_back(std::move(e));
+        {s.alias, n > 1 ? cost.EstimateScanRows(s.alias, s.scan_predicate)
+                        : 1.0});
   }
 
   DRUGTREE_ASSIGN_OR_RETURN(JoinOrderResult order, [&] {
@@ -300,23 +313,27 @@ util::Result<LogicalPtr> OptimizeLogicalPlan(const LogicalPtr& plan,
   // the join method the cost model prices cheaper at the step's estimated
   // outer and output rows.
   LogicalPtr rebuilt = region.scans[order.order[0]];
+  std::vector<std::string> inner_keys;
   for (size_t step = 1; step < order.order.size(); ++step) {
     const std::vector<ExprPtr>& conditions = order.conditions[step - 1];
-    const LogicalPtr& inner = region.scans[order.order[step]];
+    const size_t inner_rel = order.order[step];
+    const LogicalPtr& inner = region.scans[inner_rel];
     rebuilt = LogicalNode::Join(rebuilt, inner, CombineConjuncts(conditions));
+    DRUGTREE_RETURN_IF_ERROR(ComputeSchema(rebuilt.get()));
     // Every step condition is an equi-edge `colA = colB`; collect its inner
     // side.
-    std::vector<std::string> inner_keys;
+    inner_keys.clear();
     for (const auto& c : conditions) {
       for (const auto& side : c->children) {
-        if (*ReferencedAliases(*side).begin() == inner->alias) {
+        if (AliasOf(side->column) == inner->alias) {
           inner_keys.push_back(side->column);
         }
       }
     }
-    CostModel::JoinPricing price =
-        cost.PriceJoin(order.rows[step - 1], order.rows[step], inner->alias,
-                       inner->scan_predicate, inner_keys);
+    CostModel::JoinPricing price = cost.PriceJoin(
+        order.rows[step - 1], order.rows[step], inner->alias,
+        inner->scan_predicate, relations[inner_rel].estimated_rows,
+        inner_keys);
     if (price.index_nested_loop < price.hash) {
       rebuilt->join_method = JoinMethod::kIndexNestedLoop;
       rebuilt->index_column = price.index_column;
@@ -324,14 +341,15 @@ util::Result<LogicalPtr> OptimizeLogicalPlan(const LogicalPtr& plan,
   }
   if (!residual.empty()) {
     rebuilt = LogicalNode::Filter(rebuilt, CombineConjuncts(residual));
+    DRUGTREE_RETURN_IF_ERROR(ComputeSchema(rebuilt.get()));
   }
 
   // Reattach the pipeline.
   for (auto it = pipeline.rbegin(); it != pipeline.rend(); ++it) {
-    (*it)->children = {rebuilt};
-    rebuilt = *it;
+    auto copy = std::make_shared<LogicalNode>(**it);
+    copy->children = {std::move(rebuilt)};
+    rebuilt = std::move(copy);
   }
-  DRUGTREE_RETURN_IF_ERROR(ComputeSchema(rebuilt.get(), catalog));
   return rebuilt;
 }
 

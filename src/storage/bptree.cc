@@ -158,10 +158,10 @@ std::vector<RowId> BPlusTree::Find(const Value& key) const {
   return RangeScan(key, true, key, true);
 }
 
-std::vector<RowId> BPlusTree::RangeScan(const Value& lo, bool lo_inclusive,
-                                        const Value& hi,
-                                        bool hi_inclusive) const {
-  std::vector<RowId> out;
+template <typename Visit>
+void BPlusTree::ForEachInRange(const Value& lo, bool lo_inclusive,
+                               const Value& hi, bool hi_inclusive,
+                               Visit&& visit) const {
   // Locate the starting leaf. A null `lo` means scan from the leftmost leaf.
   Node* leaf;
   int pos;
@@ -183,14 +183,30 @@ std::vector<RowId> BPlusTree::RangeScan(const Value& lo, bool lo_inclusive,
       }
       if (!hi.is_null()) {
         int c = e.key.Compare(hi);
-        if (c > 0 || (c == 0 && !hi_inclusive)) return out;
+        if (c > 0 || (c == 0 && !hi_inclusive)) return;
       }
-      out.push_back(e.row);
+      visit(e.row);
     }
     leaf = leaf->next;
     pos = 0;
   }
+}
+
+std::vector<RowId> BPlusTree::RangeScan(const Value& lo, bool lo_inclusive,
+                                        const Value& hi,
+                                        bool hi_inclusive) const {
+  std::vector<RowId> out;
+  ForEachInRange(lo, lo_inclusive, hi, hi_inclusive,
+                 [&out](RowId row) { out.push_back(row); });
   return out;
+}
+
+size_t BPlusTree::RangeCount(const Value& lo, bool lo_inclusive,
+                             const Value& hi, bool hi_inclusive) const {
+  size_t count = 0;
+  ForEachInRange(lo, lo_inclusive, hi, hi_inclusive,
+                 [&count](RowId) { ++count; });
+  return count;
 }
 
 int BPlusTree::Height() const {

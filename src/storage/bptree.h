@@ -47,6 +47,10 @@ class BPlusTree {
   std::vector<RowId> RangeScan(const Value& lo, bool lo_inclusive,
                                const Value& hi, bool hi_inclusive) const;
 
+  /// Number of entries RangeScan would return, without materializing them.
+  size_t RangeCount(const Value& lo, bool lo_inclusive, const Value& hi,
+                    bool hi_inclusive) const;
+
   /// Entry count.
   size_t size() const { return size_; }
 
@@ -67,6 +71,10 @@ class BPlusTree {
   static int CompareEntry(const Entry& a, const Value& key, RowId row);
 
   Node* FindLeaf(const Value& key, RowId row) const;
+  /// Calls `visit(row)` for each entry in the range, in key order.
+  template <typename Visit>
+  void ForEachInRange(const Value& lo, bool lo_inclusive, const Value& hi,
+                      bool hi_inclusive, Visit&& visit) const;
   void SplitChild(Node* parent, int index);
 
   int fanout_;

@@ -1,15 +1,13 @@
 #include "storage/schema.h"
 
-#include <unordered_set>
-
 #include "util/string_util.h"
 
 namespace drugtree {
 namespace storage {
 
 util::Result<Schema> Schema::Create(std::vector<Column> columns) {
-  std::unordered_set<std::string> names;
-  for (const auto& c : columns) {
+  for (size_t i = 0; i < columns.size(); ++i) {
+    const Column& c = columns[i];
     if (c.name.empty()) {
       return util::Status::InvalidArgument("column name must not be empty");
     }
@@ -17,8 +15,13 @@ util::Result<Schema> Schema::Create(std::vector<Column> columns) {
       return util::Status::InvalidArgument("column '" + c.name +
                                            "' cannot have type NULL");
     }
-    if (!names.insert(c.name).second) {
-      return util::Status::InvalidArgument("duplicate column name: " + c.name);
+    // Schemas are a few dozen columns wide: comparing against the earlier
+    // names beats building a hash set per call.
+    for (size_t j = 0; j < i; ++j) {
+      if (columns[j].name == c.name) {
+        return util::Status::InvalidArgument("duplicate column name: " +
+                                             c.name);
+      }
     }
   }
   Schema s;
@@ -26,11 +29,11 @@ util::Result<Schema> Schema::Create(std::vector<Column> columns) {
   return s;
 }
 
-util::Result<size_t> Schema::IndexOf(const std::string& name) const {
+util::Result<size_t> Schema::IndexOf(std::string_view name) const {
   for (size_t i = 0; i < columns_.size(); ++i) {
     if (columns_[i].name == name) return i;
   }
-  return util::Status::NotFound("no such column: " + name);
+  return util::Status::NotFound("no such column: " + std::string(name));
 }
 
 bool Schema::Has(const std::string& name) const {

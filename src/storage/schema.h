@@ -4,6 +4,7 @@
 #define DRUGTREE_STORAGE_SCHEMA_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "storage/value.h"
@@ -31,7 +32,7 @@ class Schema {
   const std::vector<Column>& columns() const { return columns_; }
 
   /// Index of a column by name, or error.
-  util::Result<size_t> IndexOf(const std::string& name) const;
+  util::Result<size_t> IndexOf(std::string_view name) const;
 
   /// True iff a column with this name exists.
   bool Has(const std::string& name) const;

@@ -11,6 +11,7 @@
 
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/drugtree.h"
@@ -223,6 +224,137 @@ TEST_F(AdaptiveTest, ConsumedLiteralsMakeTemplatesNonRebindable) {
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(again->from_plan_cache);
   ExpectSameRows(reference->result, again->result, "identical-param hit");
+}
+
+/// True iff no expression node below `expr` is bound to a column index.
+bool Unbound(const Expr* expr) {
+  if (expr == nullptr) return true;
+  if (expr->bound_index != -1) return false;
+  for (const auto& c : expr->children) {
+    if (!Unbound(c.get())) return false;
+  }
+  return true;
+}
+
+bool Unbound(const LogicalNode& node) {
+  if (!Unbound(node.scan_predicate.get()) || !Unbound(node.predicate.get()) ||
+      !Unbound(node.join_condition.get())) {
+    return false;
+  }
+  for (const auto& o : node.outputs) {
+    if (!Unbound(o.expr.get())) return false;
+  }
+  for (const auto& g : node.group_by) {
+    if (!Unbound(g.get())) return false;
+  }
+  for (const auto& k : node.order_by) {
+    if (!Unbound(k.expr.get())) return false;
+  }
+  for (const auto& c : node.children) {
+    if (!Unbound(*c)) return false;
+  }
+  return true;
+}
+
+// Physical planning binds column refs in place, so it must bind copies: a
+// cached template is shared by every planner using the cache. Threads with
+// their own planners share one cache and run statements that lower to an
+// index nested-loop join, an index scan with a residual and a hash join,
+// reusing templates verbatim and re-binding them to new literals. Every
+// result matches the naive plan, and afterwards no cached template holds a
+// bound column.
+TEST_F(AdaptiveTest, SharedTemplatesAreNeverBound) {
+  auto accessions = dt_->Query(
+      "SELECT DISTINCT a.accession FROM activities a ORDER BY a.accession "
+      "LIMIT 3");
+  ASSERT_TRUE(accessions.ok()) << accessions.status();
+  ASSERT_EQ(accessions->result.rows.size(), 3u);
+  struct Shape {
+    std::string op;  // the operator the statements lower to
+    std::vector<std::string> sqls;
+  };
+  std::vector<Shape> shapes(3);
+  shapes[0].op = "IndexNestedLoopJoin activities AS a";
+  shapes[1].op = "IndexScan activities.accession";
+  shapes[2].op = "HashJoin";
+  for (int i = 0; i < 3; ++i) {
+    shapes[0].sqls.push_back(util::StringPrintf(
+        "SELECT p.accession, a.ligand_id, a.affinity_nm FROM proteins p "
+        "JOIN activities a ON p.accession = a.accession "
+        "WHERE p.pre >= %d AND p.pre <= %d "
+        "ORDER BY p.accession, a.ligand_id, a.affinity_nm",
+        8 * i, 8 * i + 6));
+    shapes[1].sqls.push_back(util::StringPrintf(
+        "SELECT a.ligand_id, a.affinity_nm FROM activities a "
+        "WHERE a.accession = '%s' AND a.affinity_nm < %d.0 "
+        "ORDER BY a.ligand_id, a.affinity_nm",
+        accessions->result.rows[static_cast<size_t>(i)][0].AsString().c_str(),
+        2000 + 1000 * i));
+    shapes[2].sqls.push_back(util::StringPrintf(
+        "SELECT p.accession, a.ligand_id, a.affinity_nm FROM proteins p "
+        "JOIN activities a ON p.accession = a.accession "
+        "WHERE a.affinity_nm < %d.0 "
+        "ORDER BY p.accession, a.ligand_id, a.affinity_nm",
+        10 + 10 * i));
+  }
+  Planner plain(dt_->catalog());
+  std::vector<std::vector<QueryResult>> reference(shapes.size());
+  for (size_t s = 0; s < shapes.size(); ++s) {
+    size_t rows = 0;
+    for (const std::string& sql : shapes[s].sqls) {
+      auto explained = plain.Run("EXPLAIN " + sql, PlannerOptions());
+      ASSERT_TRUE(explained.ok()) << sql << ": " << explained.status();
+      EXPECT_NE(explained->physical_plan.find(shapes[s].op),
+                std::string::npos)
+          << explained->physical_plan;
+      auto naive = plain.Run(sql, PlannerOptions::Naive());
+      ASSERT_TRUE(naive.ok()) << sql << ": " << naive.status();
+      rows += naive->result.rows.size();
+      reference[s].push_back(std::move(naive->result));
+    }
+    EXPECT_GT(rows, 0u) << shapes[s].op;
+  }
+
+  PlanCache cache;
+  constexpr size_t kThreads = 4;
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Planner planner(dt_->catalog(), nullptr, &cache);
+      for (int round = 0; round < 3; ++round) {
+        for (size_t s = 0; s < shapes.size(); ++s) {
+          for (size_t i = 0; i < shapes[s].sqls.size(); ++i) {
+            const size_t v = (i + t) % shapes[s].sqls.size();
+            auto got = planner.Run(shapes[s].sqls[v], PlannerOptions());
+            EXPECT_TRUE(got.ok()) << shapes[s].sqls[v] << ": "
+                                  << got.status();
+            if (!got.ok()) continue;
+            ExpectSameRows(reference[s][v], got->result, shapes[s].sqls[v]);
+          }
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  const PlanCache::Stats stats = cache.stats();
+  EXPECT_GT(stats.rebinds, 0);
+  EXPECT_GT(stats.hits, stats.rebinds);  // verbatim reuse too
+
+  for (const Shape& shape : shapes) {
+    for (const std::string& sql : shape.sqls) {
+      auto stmt = ParseStatement(sql);
+      ASSERT_TRUE(stmt.ok()) << stmt.status();
+      NormalizedStatement norm = NormalizeStatement(&stmt->select);
+      PlanCache::Lookup lookup = cache.Get(
+          norm.fingerprint,
+          PlanCache::CaptureVersions(*dt_->catalog(), stmt->select,
+                                     obs::CalibratedCosts().version),
+          norm.params);
+      ASSERT_NE(lookup.plan, nullptr) << sql;
+      EXPECT_FALSE(lookup.rebound) << sql;
+      EXPECT_TRUE(Unbound(*lookup.plan)) << sql;
+    }
+  }
 }
 
 TEST_F(AdaptiveTest, PlanCacheInvalidationEdges) {
