@@ -4,7 +4,9 @@
 // (dict-friendly categories, RLE-friendly sorted runs, FoR-friendly narrow
 // ints, incompressible doubles) is scanned at several predicate
 // selectivities with encoded segments ON and OFF (interleaved best-of-N).
-// Reports per-column compression ratios, bytes scanned, and rows/sec.
+// Reports per-column compression ratios, bytes scanned, and rows/sec, then
+// (ungated) the table's first-build time and its rebuild time after a
+// 2-row append.
 //
 // This is a pass/fail smoke, not a google-benchmark binary. Gates (release
 // builds, scripts/tier1.sh):
@@ -83,6 +85,22 @@ double RunOnce(query::Planner* planner, const char* sql, size_t* rows_out,
   return std::chrono::duration<double>(stop - start).count();
 }
 
+/// Row i of the benchmark table.
+storage::Row EncRow(int i) {
+  return {storage::Value::String("family-" + std::to_string(i % 8)),
+          storage::Value::Int64(i / 1024),
+          storage::Value::Int64((i * 2654435761LL) % 4096),
+          storage::Value::Double(i * 1.0000001)};
+}
+
+/// Seconds one BuildEncodedSegments() call takes; exits on failure.
+double TimeBuild(storage::Table* table) {
+  auto start = std::chrono::steady_clock::now();
+  if (!table->BuildEncodedSegments().ok()) std::exit(2);
+  auto stop = std::chrono::steady_clock::now();
+  return std::chrono::duration<double>(stop - start).count();
+}
+
 }  // namespace
 
 int main() {
@@ -95,12 +113,7 @@ int main() {
   if (!schema.ok()) return 2;
   storage::Table enc("enc", *schema);
   for (int i = 0; i < kRows; ++i) {
-    auto s = enc.Insert(
-        {storage::Value::String("family-" + std::to_string(i % 8)),
-         storage::Value::Int64(i / 1024),
-         storage::Value::Int64((i * 2654435761LL) % 4096),
-         storage::Value::Double(i * 1.0000001)});
-    if (!s.ok()) return 2;
+    if (!enc.Insert(EncRow(i)).ok()) return 2;
   }
   if (!enc.Analyze().ok()) return 2;
   query::Catalog catalog;
@@ -223,6 +236,22 @@ int main() {
                  "FAIL: encoded scan slower than plain on a gated probe\n");
     return 1;
   }
+
+  // --- rebuild cost (ungated) -------------------------------------------
+  // A first build encodes every segment; a rebuild after a small append
+  // also refreshes the now stale statistics.
+  double first_best = 1e300, rebuild_best = 1e300;
+  for (int r = 0; r < kRounds; ++r) {
+    enc.DropEncodedSegments();
+    first_best = std::min(first_best, TimeBuild(&enc));
+    for (int k = 0; k < 2; ++k) {
+      if (!enc.Insert(EncRow(static_cast<int>(enc.NumRows()))).ok()) return 2;
+    }
+    rebuild_best = std::min(rebuild_best, TimeBuild(&enc));
+  }
+  std::printf("\n  rebuild: first build %.2f ms, after appending 2 rows %.2f ms "
+              "(best of %d)\n",
+              first_best * 1e3, rebuild_best * 1e3, kRounds);
   std::printf("OK\n");
   return 0;
 }

@@ -154,6 +154,8 @@ util::Status DrugTree::FinishWiring(uint64_t result_cache_bytes) {
 }
 
 util::Status DrugTree::BuildEncodedSegments() {
+  // Each table keeps a snapshot that is still fresh, so after a write only
+  // the tables it touched re-encode.
   for (const auto& [name, table] : catalog_.tables()) {
     (void)name;
     DRUGTREE_RETURN_IF_ERROR(table->BuildEncodedSegments());

@@ -84,18 +84,21 @@ class DrugTree {
                                               query::PlannerOptions());
 
   /// Applies a fresh assay measurement: appends to the activities table,
-  /// updates overlay aggregates along the leaf's root path, and bumps the
-  /// data epoch (invalidating cached results).
+  /// updates the in-memory overlay aggregates along the leaf's root path
+  /// (the mobile annotation), and bumps the data epoch (invalidating cached
+  /// results). The node_overlay rows do not change.
   util::Status AddActivity(const std::string& accession,
                            const std::string& ligand_id, double affinity_nm,
                            const std::string& assay_type = "IC50");
 
   // Storage encodings ----------------------------------------------------
 
-  /// (Re)builds compressed columnar segments for every catalog table.
-  /// Called automatically at wiring time; call again after bulk mutations
-  /// (AddActivity marks snapshots stale, which silently falls scans back to
-  /// the plain row path until the next rebuild).
+  /// (Re)builds compressed columnar segments for every catalog table whose
+  /// snapshot is missing or stale; fresh snapshots are kept, along with the
+  /// plans cached against them. Called automatically at wiring time; call
+  /// again after mutations (AddActivity marks the activities snapshot
+  /// stale, which silently falls its scans back to the plain row path
+  /// until the next rebuild).
   util::Status BuildEncodedSegments();
 
   /// Drops all encoded snapshots; scans revert to the plain paths. Benches

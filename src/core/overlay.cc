@@ -67,7 +67,7 @@ util::Result<std::unique_ptr<Overlay>> Overlay::Build(
   if (tree == nullptr || index == nullptr) {
     return util::Status::InvalidArgument("tree and index must not be null");
   }
-  auto overlay = std::unique_ptr<Overlay>(new Overlay(tree, index));
+  auto overlay = std::unique_ptr<Overlay>(new Overlay(tree));
 
   // tree_nodes relation.
   overlay->tree_nodes_ =
@@ -153,7 +153,32 @@ util::Result<std::unique_ptr<Overlay>> Overlay::Build(
     }
   }
 
-  DRUGTREE_RETURN_IF_ERROR(overlay->MaterializeOverlayTable());
+  // The node_overlay relation, materialized once from the aggregates.
+  overlay->overlay_table_ = std::make_unique<Table>("node_overlay",
+                                                    OverlayTableSchema());
+  for (size_t i = 0; i < overlay->aggregates_.size(); ++i) {
+    auto id = static_cast<NodeId>(i);
+    const NodeAggregate& agg = overlay->aggregates_[i];
+    storage::Row row = {
+        Value::Int64(id),
+        Value::Int64(index->Pre(id)),
+        Value::Int64(index->Post(id)),
+        Value::Int64(agg.activity_count),
+        agg.activity_count ? Value::Double(agg.best_affinity_nm)
+                           : Value::Null(),
+        agg.activity_count
+            ? Value::Double(std::exp(agg.sum_log_affinity /
+                                     static_cast<double>(agg.activity_count)))
+            : Value::Null(),
+    };
+    DRUGTREE_RETURN_IF_ERROR(
+        overlay->overlay_table_->Insert(std::move(row)).status());
+  }
+  DRUGTREE_RETURN_IF_ERROR(
+      overlay->overlay_table_->CreateIndex("pre", storage::IndexKind::kBTree));
+  DRUGTREE_RETURN_IF_ERROR(overlay->overlay_table_->CreateIndex(
+      "node_id", storage::IndexKind::kHash));
+  DRUGTREE_RETURN_IF_ERROR(overlay->overlay_table_->Analyze());
   return overlay;
 }
 
@@ -185,33 +210,6 @@ util::Status Overlay::ApplyActivity(const std::string& accession,
     cur = tree_->node(cur).parent;
   }
   return util::Status::OK();
-}
-
-util::Status Overlay::MaterializeOverlayTable() {
-  overlay_table_ = std::make_unique<Table>("node_overlay",
-                                           OverlayTableSchema());
-  for (size_t i = 0; i < aggregates_.size(); ++i) {
-    auto id = static_cast<NodeId>(i);
-    const NodeAggregate& agg = aggregates_[i];
-    storage::Row row = {
-        Value::Int64(id),
-        Value::Int64(index_->Pre(id)),
-        Value::Int64(index_->Post(id)),
-        Value::Int64(agg.activity_count),
-        agg.activity_count ? Value::Double(agg.best_affinity_nm)
-                           : Value::Null(),
-        agg.activity_count
-            ? Value::Double(std::exp(agg.sum_log_affinity /
-                                     static_cast<double>(agg.activity_count)))
-            : Value::Null(),
-    };
-    DRUGTREE_RETURN_IF_ERROR(overlay_table_->Insert(std::move(row)).status());
-  }
-  DRUGTREE_RETURN_IF_ERROR(
-      overlay_table_->CreateIndex("pre", storage::IndexKind::kBTree));
-  DRUGTREE_RETURN_IF_ERROR(
-      overlay_table_->CreateIndex("node_id", storage::IndexKind::kHash));
-  return overlay_table_->Analyze();
 }
 
 phylo::NodeId Overlay::NodeForAccession(const std::string& accession) const {

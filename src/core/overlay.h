@@ -37,10 +37,11 @@ storage::Schema OverlayTableSchema();
 
 class Overlay {
  public:
-  /// Builds the overlay. `tree`/`index` are borrowed and must outlive the
-  /// overlay. `proteins` and `activities` are the mediator's integrated
-  /// tables; protein accessions must match the tree's leaf names (unmatched
-  /// proteins are allowed and get node_id = NULL).
+  /// Builds the overlay. `tree` is borrowed and must outlive the overlay;
+  /// `index` is read only while building. `proteins` and `activities` are
+  /// the mediator's integrated tables; protein accessions must match the
+  /// tree's leaf names (unmatched proteins are allowed and get node_id =
+  /// NULL).
   static util::Result<std::unique_ptr<Overlay>> Build(
       const phylo::Tree* tree, const phylo::TreeIndex* index,
       const storage::Table& proteins, const storage::Table& activities);
@@ -56,7 +57,9 @@ class Overlay {
 
   /// `node_overlay(node_id, pre, post, activity_count, best_affinity_nm,
   /// geo_mean_affinity_nm)` — subtree aggregates, B+-tree on pre.
-  /// Rebuilt by MaterializeOverlayTable() after incremental updates.
+  /// Materialized once by Build(); the table lives as long as the overlay
+  /// (the catalog holds it by pointer). ApplyActivity() does not change
+  /// its rows.
   storage::Table* node_overlay() { return overlay_table_.get(); }
 
   /// Current per-node aggregates (index = NodeId).
@@ -65,23 +68,20 @@ class Overlay {
   /// Annotation vector for the mobile LOD layer: log10(activity_count + 1).
   std::vector<double> AnnotationVector() const;
 
-  /// Applies one new measurement: updates the leaf for `accession` and all
-  /// its ancestors (O(depth)), without touching the relational activities
-  /// table (the caller owns that). Fails if the accession is not on the tree.
+  /// Applies one new measurement: updates the in-memory aggregates of the
+  /// leaf for `accession` and all its ancestors (O(depth)), and with them
+  /// AnnotationVector(). Touches neither the relational activities table
+  /// (the caller owns that) nor the node_overlay rows. Fails if the
+  /// accession is not on the tree.
   util::Status ApplyActivity(const std::string& accession, double affinity_nm);
-
-  /// Rebuilds the node_overlay table from the current aggregates.
-  util::Status MaterializeOverlayTable();
 
   /// Node for a protein accession, or kInvalidNode.
   phylo::NodeId NodeForAccession(const std::string& accession) const;
 
  private:
-  Overlay(const phylo::Tree* tree, const phylo::TreeIndex* index)
-      : tree_(tree), index_(index) {}
+  explicit Overlay(const phylo::Tree* tree) : tree_(tree) {}
 
   const phylo::Tree* tree_;
-  const phylo::TreeIndex* index_;
   std::unique_ptr<storage::Table> tree_nodes_;
   std::unique_ptr<storage::Table> proteins_;
   std::unique_ptr<storage::Table> overlay_table_;

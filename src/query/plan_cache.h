@@ -26,8 +26,9 @@
 //
 // Invalidation: each template captures a version signature — the catalog
 // data epoch, each referenced table's plan_version() (mutations, Analyze
-// stats refreshes, encoded-segment builds/drops), and the cost-calibrator
-// coefficient version. Any bump makes the next lookup evict and re-plan.
+// stats refreshes, encoded-segment builds/drops; a rebuild that keeps a
+// fresh snapshot bumps nothing), and the cost-calibrator coefficient
+// version. Any bump makes the next lookup evict and re-plan.
 //
 // Thread-safe: one cache serves every planner slot of a server.
 

@@ -17,16 +17,15 @@ void ColumnVector::Clear() {
   values_.clear();
 }
 
-void ColumnVector::Reserve(size_t n) {
+void ColumnVector::Reserve(size_t n, ValueType type) {
   null_words_.reserve((n + 63) / 64);
-  switch (type_) {
+  switch (type) {
     case ValueType::kBool: bools_.reserve(n); break;
     case ValueType::kInt64: ints_.reserve(n); break;
     case ValueType::kDouble: doubles_.reserve(n); break;
     case ValueType::kString: strings_.reserve(n); break;
     case ValueType::kNull: break;
   }
-  if (mixed_) values_.reserve(n);
 }
 
 void ColumnVector::Demote() {

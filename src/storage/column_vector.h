@@ -38,7 +38,10 @@ class ColumnVector {
   bool empty() const { return size_ == 0; }
 
   void Clear();
-  void Reserve(size_t n);
+  /// Reserves room for `n` rows whose non-null values are of `type`: the
+  /// null bitmap and that type's payload (the column's own type is not
+  /// fixed until its first non-null append).
+  void Reserve(size_t n, ValueType type);
 
   /// Generic append; dispatches on the value's runtime type.
   void Append(const Value& v);
@@ -50,6 +53,7 @@ class ColumnVector {
 
   /// Typed accessors; only valid for non-null rows of a non-mixed column of
   /// the matching type.
+  bool BoolAt(size_t i) const { return bools_[i] != 0; }
   int64_t Int64At(size_t i) const { return ints_[i]; }
   double DoubleAt(size_t i) const { return doubles_[i]; }
   const std::string& StringAt(size_t i) const { return strings_[i]; }

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "util/logging.h"
 
@@ -36,52 +37,181 @@ void EmitMatches(size_t n, const std::vector<uint32_t>* candidates,
   }
 }
 
-/// Exact per-column profile driving the encoding chooser. One pass over the
-/// segment slice, so the choice never depends on (possibly stale) table
-/// statistics — TableStats only informs segment sizing upstream.
+/// ValueBytes of cell i of a typed (non-mixed) column, read in place.
+uint64_t CellBytes(const ColumnVector& src, size_t i) {
+  uint64_t b = 16;
+  if (src.type() == ValueType::kString && !src.IsNull(i)) {
+    b += src.StringAt(i).size();
+  }
+  return b;
+}
+
+/// Whether cells a and b of a typed (non-mixed) column are equal under
+/// Value::Compare (a null equals only a null; -0.0 equals 0.0), read in
+/// place.
+bool SameCell(const ColumnVector& src, size_t a, size_t b) {
+  bool null_a = src.IsNull(a), null_b = src.IsNull(b);
+  if (null_a || null_b) return null_a == null_b;
+  switch (src.type()) {
+    case ValueType::kBool: return src.BoolAt(a) == src.BoolAt(b);
+    case ValueType::kInt64: return src.Int64At(a) == src.Int64At(b);
+    case ValueType::kDouble: {
+      double x = src.DoubleAt(a), y = src.DoubleAt(b);
+      return !(x < y) && !(y < x);
+    }
+    case ValueType::kString: return src.StringAt(a) == src.StringAt(b);
+    case ValueType::kNull: return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+/// Exact per-column profile driving the encoding chooser, computed once per
+/// segment column from the slice itself, so the choice never depends on
+/// (possibly stale) table statistics. The same profile answers eligibility
+/// and hands the dictionary encoder its distinct values and each row's
+/// value id.
 struct ColumnProfile {
-  size_t rows = 0;
-  size_t nulls = 0;
   size_t runs = 0;
   uint64_t run_value_bytes = 0;    // Σ ValueBytes over run representatives
   uint64_t distinct_value_bytes = 0;
-  size_t distinct = 0;             // non-null distinct values
   bool has_int64 = false;
   int64_t min_i64 = 0, max_i64 = 0;
   bool has_nan = false;            // NaN breaks Compare-based dedup; bail
+  /// First row of each non-null distinct value, in first-seen order (its
+  /// size is the distinct count), and each row's index into it (0 for
+  /// null rows).
+  std::vector<uint32_t> first_rows;
+  std::vector<uint32_t> distinct_ids;
 };
 
+namespace {
+
+/// Fills the profile's distinct values. `key_at(i)` reads non-null cell i
+/// as a key that is equal exactly when Value::Compare says the cells are.
+template <typename Key, typename KeyAt>
+void ProfileDistinct(const ColumnVector& src, KeyAt key_at, ColumnProfile* p) {
+  std::unordered_map<Key, uint32_t> id_of;
+  for (size_t i = 0; i < src.size(); ++i) {
+    if (src.IsNull(i)) continue;
+    auto [it, inserted] = id_of.try_emplace(
+        key_at(i), static_cast<uint32_t>(p->first_rows.size()));
+    if (inserted) {
+      p->first_rows.push_back(static_cast<uint32_t>(i));
+      p->distinct_value_bytes += CellBytes(src, i);
+    }
+    p->distinct_ids[i] = it->second;
+  }
+}
+
+/// Profiles a typed column. A mixed column is eligible only for plain, so
+/// its profile stays empty.
 ColumnProfile ProfileColumn(const ColumnVector& src) {
   ColumnProfile p;
-  p.rows = src.size();
-  std::unordered_set<Value> distinct;
-  Value prev;
-  bool have_prev = false;
+  if (src.mixed()) return p;
   for (size_t i = 0; i < src.size(); ++i) {
-    Value v = src.GetValue(i);
-    if (v.type() == ValueType::kDouble && std::isnan(v.AsDouble())) {
-      p.has_nan = true;
+    if (i == 0 || !SameCell(src, i - 1, i)) {
+      ++p.runs;
+      p.run_value_bytes += CellBytes(src, i);
     }
-    if (v.is_null()) {
-      ++p.nulls;
-    } else {
-      if (distinct.insert(v).second) p.distinct_value_bytes += ValueBytes(v);
-      if (v.type() == ValueType::kInt64) {
-        int64_t x = v.AsInt64();
+  }
+  p.distinct_ids.assign(src.size(), 0);
+  switch (src.type()) {
+    case ValueType::kBool:
+      ProfileDistinct<bool>(src, [&](size_t i) { return src.BoolAt(i); }, &p);
+      break;
+    case ValueType::kInt64:
+      for (size_t i = 0; i < src.size(); ++i) {
+        if (src.IsNull(i)) continue;
+        int64_t x = src.Int64At(i);
         if (!p.has_int64 || x < p.min_i64) p.min_i64 = x;
         if (!p.has_int64 || x > p.max_i64) p.max_i64 = x;
         p.has_int64 = true;
       }
-    }
-    if (!have_prev || prev.Compare(v) != 0) {
-      ++p.runs;
-      p.run_value_bytes += ValueBytes(v);
-      prev = std::move(v);
-      have_prev = true;
+      ProfileDistinct<int64_t>(src, [&](size_t i) { return src.Int64At(i); },
+                               &p);
+      break;
+    case ValueType::kDouble:
+      for (size_t i = 0; i < src.size(); ++i) {
+        if (!src.IsNull(i) && std::isnan(src.DoubleAt(i))) p.has_nan = true;
+      }
+      ProfileDistinct<double>(
+          src,
+          [&](size_t i) {
+            double d = src.DoubleAt(i);
+            return d == 0.0 ? 0.0 : d;  // -0.0 and 0.0 are one value
+          },
+          &p);
+      break;
+    case ValueType::kString:
+      ProfileDistinct<std::string_view>(
+          src, [&](size_t i) { return std::string_view(src.StringAt(i)); },
+          &p);
+      break;
+    case ValueType::kNull:
+      break;
+  }
+  return p;
+}
+
+bool EligibleFor(const ColumnVector& src, const ColumnProfile& p,
+                 ColumnEncoding e) {
+  switch (e) {
+    case ColumnEncoding::kPlain:
+      return true;
+    case ColumnEncoding::kDictionary:
+      return !src.mixed() && !p.has_nan && !p.first_rows.empty();
+    case ColumnEncoding::kRunLength:
+      return !src.mixed() && !p.has_nan;
+    case ColumnEncoding::kFrameOfReference:
+      return !src.mixed() && src.type() == ValueType::kInt64 && p.has_int64;
+  }
+  return false;
+}
+
+ColumnEncoding ChooseFor(const ColumnVector& src, const ColumnProfile& p) {
+  if (src.mixed() || src.empty() || p.has_nan) return ColumnEncoding::kPlain;
+
+  uint64_t plain_bytes = src.ApproxBytes();
+  uint64_t bitmap_bytes = (src.size() + 63) / 64 * 8;
+
+  // Priority order doubles as the tie-break: run-length scans whole runs
+  // per predicate evaluation, dictionary compares pure integer codes,
+  // frame-of-reference still touches every row.
+  ColumnEncoding best = ColumnEncoding::kPlain;
+  uint64_t best_bytes = plain_bytes;
+
+  uint64_t rle_bytes = 64 + p.run_value_bytes +
+                       (p.runs + 1) * sizeof(uint32_t);
+  if (rle_bytes < best_bytes) {
+    best = ColumnEncoding::kRunLength;
+    best_bytes = rle_bytes;
+  }
+  size_t distinct = p.first_rows.size();
+  if (distinct >= 1) {
+    int code_bits =
+        BitPackedArray::BitsFor(static_cast<uint64_t>(distinct - 1));
+    uint64_t dict_bytes = 64 + p.distinct_value_bytes +
+                          (src.size() * static_cast<uint64_t>(code_bits)) / 8 +
+                          bitmap_bytes;
+    if (dict_bytes < best_bytes) {
+      best = ColumnEncoding::kDictionary;
+      best_bytes = dict_bytes;
     }
   }
-  p.distinct = distinct.size();
-  return p;
+  if (src.type() == ValueType::kInt64 && p.has_int64) {
+    int delta_bits = BitPackedArray::BitsFor(
+        static_cast<uint64_t>(p.max_i64) - static_cast<uint64_t>(p.min_i64));
+    uint64_t for_bytes = 64 +
+                         (src.size() * static_cast<uint64_t>(delta_bits)) / 8 +
+                         bitmap_bytes;
+    if (for_bytes < best_bytes) {
+      best = ColumnEncoding::kFrameOfReference;
+      best_bytes = for_bytes;
+    }
+  }
+  return best;
 }
 
 }  // namespace
@@ -133,77 +263,27 @@ BitPackedArray BitPackedArray::Pack(const std::vector<uint64_t>& values,
 // ------------------------------------------------------------- EncodedColumn
 
 bool EncodedColumn::Eligible(const ColumnVector& src, ColumnEncoding e) {
-  switch (e) {
-    case ColumnEncoding::kPlain:
-      return true;
-    case ColumnEncoding::kDictionary: {
-      if (src.mixed()) return false;
-      ColumnProfile p = ProfileColumn(src);
-      return !p.has_nan && p.distinct >= 1;
-    }
-    case ColumnEncoding::kRunLength: {
-      if (src.mixed()) return false;
-      return !ProfileColumn(src).has_nan;
-    }
-    case ColumnEncoding::kFrameOfReference:
-      return !src.mixed() && src.type() == ValueType::kInt64 &&
-             ProfileColumn(src).has_int64;
-  }
-  return false;
+  return EligibleFor(src, ProfileColumn(src), e);
 }
 
 ColumnEncoding EncodedColumn::ChooseEncoding(const ColumnVector& src) {
-  if (src.mixed() || src.empty()) return ColumnEncoding::kPlain;
-  ColumnProfile p = ProfileColumn(src);
-  if (p.has_nan) return ColumnEncoding::kPlain;
-
-  uint64_t plain_bytes = src.ApproxBytes();
-  uint64_t bitmap_bytes = (src.size() + 63) / 64 * 8;
-
-  // Priority order doubles as the tie-break: run-length scans whole runs
-  // per predicate evaluation, dictionary compares pure integer codes,
-  // frame-of-reference still touches every row.
-  ColumnEncoding best = ColumnEncoding::kPlain;
-  uint64_t best_bytes = plain_bytes;
-
-  uint64_t rle_bytes = 64 + p.run_value_bytes +
-                       (p.runs + 1) * sizeof(uint32_t);
-  if (rle_bytes < best_bytes) {
-    best = ColumnEncoding::kRunLength;
-    best_bytes = rle_bytes;
-  }
-  if (p.distinct >= 1) {
-    int code_bits =
-        BitPackedArray::BitsFor(static_cast<uint64_t>(p.distinct - 1));
-    uint64_t dict_bytes = 64 + p.distinct_value_bytes +
-                          (src.size() * static_cast<uint64_t>(code_bits)) / 8 +
-                          bitmap_bytes;
-    if (dict_bytes < best_bytes) {
-      best = ColumnEncoding::kDictionary;
-      best_bytes = dict_bytes;
-    }
-  }
-  if (src.type() == ValueType::kInt64 && p.has_int64) {
-    int delta_bits = BitPackedArray::BitsFor(
-        static_cast<uint64_t>(p.max_i64) - static_cast<uint64_t>(p.min_i64));
-    uint64_t for_bytes = 64 +
-                         (src.size() * static_cast<uint64_t>(delta_bits)) / 8 +
-                         bitmap_bytes;
-    if (for_bytes < best_bytes) {
-      best = ColumnEncoding::kFrameOfReference;
-      best_bytes = for_bytes;
-    }
-  }
-  return best;
+  return ChooseFor(src, ProfileColumn(src));
 }
 
 EncodedColumn EncodedColumn::Encode(const ColumnVector& src) {
-  return EncodeWith(src, ChooseEncoding(src));
+  ColumnProfile p = ProfileColumn(src);
+  return EncodeProfiled(src, p, ChooseFor(src, p));
 }
 
 EncodedColumn EncodedColumn::EncodeWith(const ColumnVector& src,
                                         ColumnEncoding e) {
-  DT_CHECK(Eligible(src, e)) << "ineligible encoding";
+  return EncodeProfiled(src, ProfileColumn(src), e);
+}
+
+EncodedColumn EncodedColumn::EncodeProfiled(const ColumnVector& src,
+                                            const ColumnProfile& p,
+                                            ColumnEncoding e) {
+  DT_CHECK(EligibleFor(src, p, e)) << "ineligible encoding";
   EncodedColumn out;
   out.encoding_ = e;
   out.size_ = src.size();
@@ -225,34 +305,38 @@ EncodedColumn EncodedColumn::EncodeWith(const ColumnVector& src,
 
     case ColumnEncoding::kDictionary: {
       build_bitmap();
-      std::unordered_set<Value> distinct;
-      for (size_t i = 0; i < src.size(); ++i) {
-        if (!src.IsNull(i)) distinct.insert(src.GetValue(i));
+      // Sort the profiled distinct values once; a row's code is the rank of
+      // its value id.
+      std::vector<Value> values;
+      values.reserve(p.first_rows.size());
+      for (uint32_t r : p.first_rows) values.push_back(src.GetValue(r));
+      std::vector<uint32_t> order(values.size());
+      std::iota(order.begin(), order.end(), 0);
+      std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+        return values[a].Compare(values[b]) < 0;
+      });
+      std::vector<uint64_t> rank(values.size());
+      out.dict_.reserve(values.size());
+      for (size_t d = 0; d < order.size(); ++d) {
+        rank[order[d]] = d;
+        out.dict_.push_back(std::move(values[order[d]]));
       }
-      out.dict_.assign(distinct.begin(), distinct.end());
-      std::sort(out.dict_.begin(), out.dict_.end(),
-                [](const Value& a, const Value& b) { return a.Compare(b) < 0; });
-      std::unordered_map<Value, uint64_t> code_of;
-      code_of.reserve(out.dict_.size());
-      for (size_t d = 0; d < out.dict_.size(); ++d) code_of[out.dict_[d]] = d;
       std::vector<uint64_t> codes(src.size(), 0);
       for (size_t i = 0; i < src.size(); ++i) {
-        if (!src.IsNull(i)) codes[i] = code_of[src.GetValue(i)];
+        if (!src.IsNull(i)) codes[i] = rank[p.distinct_ids[i]];
       }
-      int bits = BitPackedArray::BitsFor(
-          out.dict_.empty() ? 0 : out.dict_.size() - 1);
-      out.codes_ = BitPackedArray::Pack(codes, bits);
+      out.codes_ = BitPackedArray::Pack(
+          codes, BitPackedArray::BitsFor(out.dict_.size() - 1));
       break;
     }
 
     case ColumnEncoding::kRunLength: {
+      out.run_values_.reserve(p.runs);
+      out.run_starts_.reserve(p.runs + 1);
       for (size_t i = 0; i < src.size(); ++i) {
-        Value v = src.GetValue(i);
-        if (out.run_values_.empty() ||
-            out.run_values_.back().Compare(v) != 0) {
-          out.run_values_.push_back(std::move(v));
-          out.run_starts_.push_back(static_cast<uint32_t>(i));
-        }
+        if (i > 0 && SameCell(src, i - 1, i)) continue;
+        out.run_values_.push_back(src.GetValue(i));
+        out.run_starts_.push_back(static_cast<uint32_t>(i));
       }
       out.run_starts_.push_back(static_cast<uint32_t>(src.size()));
       break;
@@ -260,28 +344,18 @@ EncodedColumn EncodedColumn::EncodeWith(const ColumnVector& src,
 
     case ColumnEncoding::kFrameOfReference: {
       build_bitmap();
-      int64_t base = 0;
-      bool have_base = false;
-      for (size_t i = 0; i < src.size(); ++i) {
-        if (src.IsNull(i)) continue;
-        int64_t v = src.Int64At(i);
-        if (!have_base || v < base) base = v;
-        have_base = true;
-      }
-      out.for_base_ = base;
+      out.for_base_ = p.min_i64;
       std::vector<uint64_t> deltas(src.size(), 0);
-      uint64_t max_delta = 0;
       for (size_t i = 0; i < src.size(); ++i) {
         if (src.IsNull(i)) continue;
         // Two's-complement wraparound yields the exact unsigned distance
         // for any int64 pair with v >= base.
-        uint64_t d = static_cast<uint64_t>(src.Int64At(i)) -
-                     static_cast<uint64_t>(base);
-        deltas[i] = d;
-        if (d > max_delta) max_delta = d;
+        deltas[i] = static_cast<uint64_t>(src.Int64At(i)) -
+                    static_cast<uint64_t>(p.min_i64);
       }
-      out.for_deltas_ =
-          BitPackedArray::Pack(deltas, BitPackedArray::BitsFor(max_delta));
+      out.for_deltas_ = BitPackedArray::Pack(
+          deltas, BitPackedArray::BitsFor(static_cast<uint64_t>(p.max_i64) -
+                                          static_cast<uint64_t>(p.min_i64)));
       break;
     }
   }
@@ -344,8 +418,7 @@ Value EncodedColumn::ValueAt(size_t i) const {
     }
     case ColumnEncoding::kFrameOfReference:
       if (IsNull(i)) return Value::Null();
-      return Value::Int64(for_base_ +
-                          static_cast<int64_t>(for_deltas_.Get(i)));
+      return Value::Int64(ForValue(i));
   }
   return Value::Null();
 }
@@ -432,15 +505,14 @@ void EncodedColumn::FilterCompare(CompareOp op, const Value& literal,
         int64_t lit = literal.AsInt64();
         EmitMatches(size_, candidates, out, [&](uint32_t i) {
           if (!not_null(i)) return false;
-          int64_t v = for_base_ + static_cast<int64_t>(for_deltas_.Get(i));
+          int64_t v = ForValue(i);
           return CompareMatches(op, v < lit ? -1 : (v > lit ? 1 : 0));
         });
       } else if (literal.type() == ValueType::kDouble) {
         double lit = literal.AsDouble();
         EmitMatches(size_, candidates, out, [&](uint32_t i) {
           if (!not_null(i)) return false;
-          double v = static_cast<double>(
-              for_base_ + static_cast<int64_t>(for_deltas_.Get(i)));
+          double v = static_cast<double>(ForValue(i));
           return CompareMatches(op, v < lit ? -1 : (v > lit ? 1 : 0));
         });
       } else {
@@ -553,6 +625,7 @@ EncodedTableSnapshot BuildEncodedTableSnapshot(
     size_t segment_rows) {
   DT_CHECK(segment_rows > 0);
   EncodedTableSnapshot snap;
+  snap.segment_rows = segment_rows;
   snap.num_rows = rows.size();
   for (size_t begin = 0; begin < rows.size(); begin += segment_rows) {
     size_t end = std::min(rows.size(), begin + segment_rows);
@@ -561,8 +634,13 @@ EncodedTableSnapshot BuildEncodedTableSnapshot(
     seg.columns.reserve(num_columns);
     ColumnVector col;
     for (size_t c = 0; c < num_columns; ++c) {
+      // The first non-null cell fixes the column's type.
+      ValueType type = ValueType::kNull;
+      for (size_t r = begin; r < end && type == ValueType::kNull; ++r) {
+        type = (*rows[r])[c].type();
+      }
       col.Clear();
-      col.Reserve(seg.num_rows);
+      col.Reserve(seg.num_rows, type);
       for (size_t r = begin; r < end; ++r) col.Append((*rows[r])[c]);
       seg.columns.push_back(EncodedColumn::Encode(col));
       seg.encoded_bytes += seg.columns.back().EncodedBytes();

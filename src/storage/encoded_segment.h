@@ -103,12 +103,19 @@ class BitPackedArray {
   std::vector<uint64_t> words_;
 };
 
+/// The profile of one segment column: the figures the encoding chooser
+/// prices, eligibility, and the dictionary's distinct values
+/// (encoded_segment.cc).
+struct ColumnProfile;
+
 /// One encoded column of one segment. Immutable after Encode().
 class EncodedColumn {
  public:
   EncodedColumn() = default;
 
-  /// Encodes `src` with the cheapest eligible encoding (ChooseEncoding).
+  /// Encodes `src` with the cheapest eligible encoding (ChooseEncoding),
+  /// profiling it once for the choice, the eligibility check and the
+  /// encoding itself.
   static EncodedColumn Encode(const ColumnVector& src);
 
   /// Encodes `src` with a specific encoding; the caller must have checked
@@ -150,7 +157,17 @@ class EncodedColumn {
   size_t RunCount() const { return run_values_.size(); }
 
  private:
+  /// Encodes `src` under `e`, which must be eligible per `profile`.
+  static EncodedColumn EncodeProfiled(const ColumnVector& src,
+                                      const ColumnProfile& profile,
+                                      ColumnEncoding e);
   void FinishBytes(const ColumnVector& src);
+  /// Frame-of-reference row i, added in uint64 so an INT64_MIN base cannot
+  /// overflow.
+  int64_t ForValue(size_t i) const {
+    return static_cast<int64_t>(static_cast<uint64_t>(for_base_) +
+                                for_deltas_.Get(i));
+  }
 
   ColumnEncoding encoding_ = ColumnEncoding::kPlain;
   size_t size_ = 0;
@@ -211,9 +228,11 @@ void FilterSegment(const EncodedSegment& seg,
 /// Table::BuildEncodedSegments(); `built_version` records the table's
 /// mutation version so any later Insert/Delete invalidates the snapshot
 /// (Table::encoded() returns nullptr and scans fall back to the plain
-/// path — staleness can never change query results).
+/// path — staleness can never change query results). A rebuild at the
+/// same version and segment size keeps the snapshot.
 struct EncodedTableSnapshot {
   std::vector<EncodedSegment> segments;
+  size_t segment_rows = 0;
   size_t num_rows = 0;
   uint64_t encoded_bytes = 0;
   uint64_t plain_bytes = 0;

@@ -63,8 +63,34 @@ double ColumnStats::RangeSelectivity(const Value& lo, bool lo_inclusive,
          non_null;
 }
 
+namespace {
+
+/// Hash and equality of borrowed values, as std::hash<Value> and
+/// Value::operator== define them for owned ones.
+struct ValuePtrHash {
+  size_t operator()(const Value* v) const {
+    return static_cast<size_t>(v->Hash());
+  }
+};
+struct ValuePtrEq {
+  bool operator()(const Value* a, const Value* b) const {
+    return a->Compare(*b) == 0;
+  }
+};
+
+}  // namespace
+
 util::Result<TableStats> TableStats::Analyze(const Schema& schema,
                                              const std::vector<Row>& rows,
+                                             int histogram_buckets) {
+  std::vector<const Row*> ptrs;
+  ptrs.reserve(rows.size());
+  for (const Row& r : rows) ptrs.push_back(&r);
+  return Analyze(schema, ptrs, histogram_buckets);
+}
+
+util::Result<TableStats> TableStats::Analyze(const Schema& schema,
+                                             const std::vector<const Row*>& rows,
                                              int histogram_buckets) {
   if (histogram_buckets < 2) {
     return util::Status::InvalidArgument("histogram_buckets must be >= 2");
@@ -76,23 +102,24 @@ util::Result<TableStats> TableStats::Analyze(const Schema& schema,
   for (size_t c = 0; c < schema.NumColumns(); ++c) {
     ColumnStats& cs = stats.columns_[c];
     cs.num_rows_ = stats.num_rows_;
-    std::unordered_set<Value> distinct;
+    std::unordered_set<const Value*, ValuePtrHash, ValuePtrEq> distinct;
+    distinct.reserve(rows.size());
     std::vector<double> numeric_values;
     bool numeric_column = schema.column(c).type == ValueType::kInt64 ||
                           schema.column(c).type == ValueType::kDouble;
     const Value* prev = nullptr;
-    for (const Row& row : rows) {
-      if (c >= row.size()) {
+    for (const Row* row : rows) {
+      if (c >= row->size()) {
         return util::Status::InvalidArgument("row narrower than schema");
       }
-      const Value& v = row[c];
+      const Value& v = (*row)[c];
       if (prev == nullptr || prev->Compare(v) != 0) ++cs.num_runs_;
       prev = &v;
       if (v.is_null()) {
         ++cs.num_nulls_;
         continue;
       }
-      distinct.insert(v);
+      distinct.insert(&v);
       if (cs.min_.is_null() || v.Compare(cs.min_) < 0) cs.min_ = v;
       if (cs.max_.is_null() || v.Compare(cs.max_) > 0) cs.max_ = v;
       if (numeric_column) {

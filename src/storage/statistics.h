@@ -70,8 +70,13 @@ class TableStats {
  public:
   TableStats() = default;
 
-  /// Computes stats over `rows` conforming to `schema`.
-  /// `histogram_buckets` controls range-estimate resolution.
+  /// Computes stats over `rows` (borrowed, scan order) conforming to
+  /// `schema`, without copying them. `histogram_buckets` controls
+  /// range-estimate resolution.
+  static util::Result<TableStats> Analyze(const Schema& schema,
+                                          const std::vector<const Row*>& rows,
+                                          int histogram_buckets = 32);
+  /// The same over owned rows.
   static util::Result<TableStats> Analyze(const Schema& schema,
                                           const std::vector<Row>& rows,
                                           int histogram_buckets = 32);

@@ -121,14 +121,9 @@ util::Result<std::vector<RowId>> Table::IndexRange(
 }
 
 util::Status Table::Analyze(int histogram_buckets) {
-  std::vector<Row> live;
-  live.reserve(static_cast<size_t>(live_rows_));
-  for (const Row& r : rows_) {
-    if (!r.empty()) live.push_back(r);
-  }
-  DRUGTREE_ASSIGN_OR_RETURN(TableStats stats,
-                            TableStats::Analyze(schema_, live,
-                                                histogram_buckets));
+  DRUGTREE_ASSIGN_OR_RETURN(
+      TableStats stats,
+      TableStats::Analyze(schema_, LiveRowPointers(), histogram_buckets));
   stats_ = std::make_unique<TableStats>(std::move(stats));
   stats_version_ = version_;
   ++meta_version_;  // cost estimates derived from stats are now stale
@@ -139,6 +134,13 @@ util::Status Table::BuildEncodedSegments(size_t segment_rows) {
   if (segment_rows == 0) {
     return util::Status::InvalidArgument("segment_rows must be > 0");
   }
+  // A fresh snapshot of the same segment size is exactly what a rebuild
+  // would produce: keep it, and keep the plans priced on it. Its stats are
+  // fresh too, since no mutation followed the build that refreshed them.
+  if (const EncodedTableSnapshot* snap = encoded();
+      snap != nullptr && snap->segment_rows == segment_rows) {
+    return util::Status::OK();
+  }
   // A rebuild walks every live row anyway, so piggyback a stats refresh
   // when existing stats have gone stale (mutations since the last
   // Analyze — including tombstone-creating deletes, which previously kept
@@ -146,13 +148,8 @@ util::Status Table::BuildEncodedSegments(size_t segment_rows) {
   if (stats_ != nullptr && !stats_fresh()) {
     DRUGTREE_RETURN_IF_ERROR(Analyze());
   }
-  std::vector<const Row*> live;
-  live.reserve(static_cast<size_t>(live_rows_));
-  for (const Row& r : rows_) {
-    if (!r.empty()) live.push_back(&r);
-  }
-  auto snap = std::make_unique<EncodedTableSnapshot>(
-      BuildEncodedTableSnapshot(schema_.NumColumns(), live, segment_rows));
+  auto snap = std::make_unique<EncodedTableSnapshot>(BuildEncodedTableSnapshot(
+      schema_.NumColumns(), LiveRowPointers(), segment_rows));
   snap->built_version = version_;
   encoded_ = std::move(snap);
   ++meta_version_;  // scan access paths (and their costs) changed
@@ -174,6 +171,15 @@ uint64_t Table::ApproxScanFootprintBytes() const {
     }
   }
   return bytes;
+}
+
+std::vector<const Row*> Table::LiveRowPointers() const {
+  std::vector<const Row*> out;
+  out.reserve(static_cast<size_t>(live_rows_));
+  for (const Row& r : rows_) {
+    if (!r.empty()) out.push_back(&r);
+  }
+  return out;
 }
 
 std::vector<RowId> Table::LiveRows() const {

@@ -100,16 +100,20 @@ class Table {
   /// Monotonic counter covering everything a cached *plan* depends on:
   /// bumped by mutations (data + cardinalities change), by Analyze()
   /// (statistics the cost model read change), and by building or dropping
-  /// encoded segments (the access paths the planner priced change). The
-  /// plan cache captures it per referenced table and re-plans on any bump.
+  /// encoded segments (the access paths the planner priced change; a
+  /// rebuild that keeps a fresh snapshot changes nothing and bumps
+  /// nothing). The plan cache captures it per referenced table and
+  /// re-plans on any bump.
   uint64_t plan_version() const { return version_ + meta_version_; }
 
   /// Default rows per encoded segment.
   static constexpr size_t kDefaultSegmentRows = 4096;
 
-  /// Builds (or rebuilds) the encoded columnar snapshot of the live rows.
-  /// Scans whose predicate translates to encoded clauses execute directly
-  /// on it until the next mutation invalidates it.
+  /// Builds (or rebuilds) the encoded columnar snapshot of the live rows,
+  /// refreshing statistics that have gone stale on the way. Scans whose
+  /// predicate translates to encoded clauses execute directly on it until
+  /// the next mutation invalidates it. A snapshot that is still fresh and
+  /// was built with the same `segment_rows` is kept as is.
   util::Status BuildEncodedSegments(size_t segment_rows = kDefaultSegmentRows);
 
   /// Drops the encoded snapshot; scans revert to the plain row path.
@@ -145,6 +149,9 @@ class Table {
   util::Status LoadFrom(BufferPool* pool, PageId directory_page);
 
  private:
+  /// The live rows in insertion order, borrowed.
+  std::vector<const Row*> LiveRowPointers() const;
+
   std::string name_;
   Schema schema_;
   std::vector<Row> rows_;

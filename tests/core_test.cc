@@ -254,17 +254,54 @@ TEST_F(DrugTreeMutationTest, AddActivityUnknownAccessionFails) {
                   .IsInvalidArgument());
 }
 
-TEST_F(DrugTreeMutationTest, MaterializeOverlayReflectsUpdates) {
+TEST_F(DrugTreeMutationTest, NodeOverlayTableSurvivesUpdatesAndRebuilds) {
+  // The catalog holds node_overlay by pointer: an update plus a rebuild
+  // must leave that very table registered, and overlay queries working.
   auto leaf = dt_->tree().Leaves()[0];
   const std::string acc = dt_->tree().node(leaf).name;
   ASSERT_TRUE(dt_->AddActivity(acc, "L000003", 1.5).ok());
-  ASSERT_TRUE(dt_->overlay()->MaterializeOverlayTable().ok());
-  auto* overlay = dt_->overlay()->node_overlay();
-  auto rows = overlay->IndexLookup("node_id", Value::Int64(leaf));
-  ASSERT_TRUE(rows.ok());
-  ASSERT_EQ(rows->size(), 1u);
-  auto best_col = *overlay->schema().IndexOf("best_affinity_nm");
-  EXPECT_DOUBLE_EQ(overlay->row((*rows)[0])[best_col].AsDouble(), 1.5);
+  ASSERT_TRUE(dt_->BuildEncodedSegments().ok());
+  auto registered = dt_->catalog()->Lookup("node_overlay");
+  ASSERT_TRUE(registered.ok());
+  EXPECT_EQ(*registered, dt_->overlay()->node_overlay());
+  EXPECT_DOUBLE_EQ(
+      dt_->overlay()->aggregates()[static_cast<size_t>(leaf)].best_affinity_nm,
+      1.5);
+  auto overlay = dt_->Query(dt_->OverlayQuerySql(dt_->tree().root()));
+  ASSERT_TRUE(overlay.ok()) << overlay.status();
+  EXPECT_FALSE(overlay->result.rows.empty());
+}
+
+TEST_F(DrugTreeMutationTest, RebuildAfterWritesReencodesOnlyActivities) {
+  std::map<std::string, uint64_t> plan_versions;
+  std::map<std::string, const storage::EncodedTableSnapshot*> snapshots;
+  for (const auto& [name, table] : dt_->catalog()->tables()) {
+    ASSERT_NE(table->encoded(), nullptr) << name;
+    plan_versions[name] = table->plan_version();
+    snapshots[name] = table->encoded();
+  }
+  ASSERT_EQ(snapshots.size(), 5u);
+  const size_t activities_before = snapshots["activities"]->num_rows;
+
+  auto leaves = dt_->tree().Leaves();
+  ASSERT_TRUE(
+      dt_->AddActivity(dt_->tree().node(leaves[0]).name, "L000001", 3.0).ok());
+  ASSERT_TRUE(
+      dt_->AddActivity(dt_->tree().node(leaves[1]).name, "L000002", 4.0).ok());
+  ASSERT_TRUE(dt_->BuildEncodedSegments().ok());
+
+  for (const auto& [name, table] : dt_->catalog()->tables()) {
+    SCOPED_TRACE(name);
+    ASSERT_NE(table->encoded(), nullptr);  // every snapshot is fresh
+    if (name == "activities") {
+      EXPECT_NE(table->plan_version(), plan_versions[name]);
+      EXPECT_EQ(table->encoded()->num_rows, activities_before + 2);
+      EXPECT_TRUE(table->stats_fresh());
+    } else {
+      EXPECT_EQ(table->plan_version(), plan_versions[name]);
+      EXPECT_EQ(table->encoded(), snapshots[name]);
+    }
+  }
 }
 
 TEST(WorkloadTest, GenerationDeterministicAndWellFormed) {

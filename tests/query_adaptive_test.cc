@@ -395,17 +395,23 @@ TEST_F(AdaptiveTest, PlanCacheInvalidationEdges) {
   EXPECT_EQ(cache.stats().invalidations, 1);
   EXPECT_TRUE(run().from_plan_cache);
 
-  // Building encoded segments changes the priced access paths.
-  ASSERT_TRUE(dt->BuildEncodedSegments().ok());
+  // Dropping encoded segments changes the priced access paths.
+  dt->DropEncodedSegments();
   EXPECT_FALSE(run().from_plan_cache);
   EXPECT_EQ(cache.stats().invalidations, 2);
   EXPECT_TRUE(run().from_plan_cache);
 
-  // Dropping them changes the paths back.
-  dt->DropEncodedSegments();
+  // Building them changes the paths back.
+  ASSERT_TRUE(dt->BuildEncodedSegments().ok());
   EXPECT_FALSE(run().from_plan_cache);
   EXPECT_EQ(cache.stats().invalidations, 3);
   EXPECT_TRUE(run().from_plan_cache);
+
+  // Rebuilding snapshots that are still fresh changes nothing: the
+  // template stays.
+  ASSERT_TRUE(dt->BuildEncodedSegments().ok());
+  EXPECT_TRUE(run().from_plan_cache);
+  EXPECT_EQ(cache.stats().invalidations, 3);
 
   // An overlay mutation (row insert + epoch bump) must both evict the
   // template and surface the new row — stale template, never stale data.

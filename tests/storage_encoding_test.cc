@@ -240,6 +240,33 @@ TEST(EncodedColumnTest, FilterCompareMatchesScalarReference) {
   ExpectFilterExact(strs, Value::Int64(3));      // cross-type by type id
 }
 
+TEST(EncodedColumnTest, FrameOfReferenceSpansTheWholeInt64Range) {
+  // An INT64_MIN base with deltas up to UINT64_MAX: every decode site adds
+  // base and delta without signed overflow (UBSan is fatal on the ASan
+  // lane).
+  ColumnVector full;
+  for (int64_t v : {INT64_MIN, INT64_MIN + 1, int64_t{-1}, int64_t{0},
+                    int64_t{1}, INT64_MAX - 1, INT64_MAX}) {
+    full.Append(Value::Int64(v));
+  }
+  full.AppendNull();
+  ASSERT_TRUE(
+      EncodedColumn::Eligible(full, ColumnEncoding::kFrameOfReference));
+  EncodedColumn enc =
+      EncodedColumn::EncodeWith(full, ColumnEncoding::kFrameOfReference);
+  ASSERT_EQ(enc.encoding(), ColumnEncoding::kFrameOfReference);
+  for (size_t i = 0; i < full.size(); ++i) {
+    EXPECT_EQ(enc.ValueAt(i), full.GetValue(i)) << "row " << i;
+  }
+  // Every op, Int64 and Double literals, against the scalar reference.
+  for (const Value& literal :
+       {Value::Int64(INT64_MIN), Value::Int64(-1), Value::Int64(0),
+        Value::Int64(INT64_MAX), Value::Double(-9.3e18), Value::Double(-0.5),
+        Value::Double(0.0), Value::Double(1e19)}) {
+    ExpectFilterExact(full, literal);
+  }
+}
+
 TEST(FilterSegmentTest, ConjunctionAndEmptyClauses) {
   // Build a two-column segment through the public snapshot builder.
   std::vector<Row> rows;
@@ -368,6 +395,106 @@ TEST(TableEncodingTest, BuildExposeAndInvalidate) {
   EXPECT_EQ(t.encoded(), nullptr);
 }
 
+/// The snapshot holds exactly the table's live rows, type tags included.
+void ExpectSnapshotHoldsLiveRows(const EncodedTableSnapshot& snap,
+                                 const Table& t) {
+  std::vector<RowId> live = t.LiveRows();
+  ASSERT_EQ(snap.num_rows, live.size());
+  size_t row = 0;
+  for (const EncodedSegment& seg : snap.segments) {
+    for (size_t i = 0; i < seg.num_rows; ++i, ++row) {
+      const Row& want = t.row(live[row]);
+      for (size_t c = 0; c < seg.columns.size(); ++c) {
+        Value got = seg.columns[c].ValueAt(i);
+        EXPECT_EQ(got.type(), want[c].type()) << "row " << row << " col " << c;
+        EXPECT_EQ(got, want[c]) << "row " << row << " col " << c;
+      }
+    }
+  }
+}
+
+/// Segment-by-segment equality: encodings, bytes and every value.
+void ExpectSameSnapshot(const EncodedTableSnapshot& got,
+                        const EncodedTableSnapshot& want) {
+  ASSERT_EQ(got.num_rows, want.num_rows);
+  ASSERT_EQ(got.segments.size(), want.segments.size());
+  EXPECT_EQ(got.segment_rows, want.segment_rows);
+  EXPECT_EQ(got.encoded_bytes, want.encoded_bytes);
+  EXPECT_EQ(got.plain_bytes, want.plain_bytes);
+  for (size_t s = 0; s < got.segments.size(); ++s) {
+    const EncodedSegment& g = got.segments[s];
+    const EncodedSegment& w = want.segments[s];
+    ASSERT_EQ(g.num_rows, w.num_rows);
+    ASSERT_EQ(g.columns.size(), w.columns.size());
+    for (size_t c = 0; c < g.columns.size(); ++c) {
+      SCOPED_TRACE("segment " + std::to_string(s) + " col " +
+                   std::to_string(c));
+      EXPECT_EQ(g.columns[c].encoding(), w.columns[c].encoding());
+      EXPECT_EQ(g.columns[c].EncodedBytes(), w.columns[c].EncodedBytes());
+      EXPECT_EQ(g.columns[c].PlainBytes(), w.columns[c].PlainBytes());
+      for (size_t i = 0; i < g.num_rows; ++i) {
+        Value gv = g.columns[c].ValueAt(i), wv = w.columns[c].ValueAt(i);
+        EXPECT_EQ(gv.type(), wv.type()) << "row " << i;
+        EXPECT_EQ(gv, wv) << "row " << i;
+      }
+    }
+  }
+}
+
+TEST(TableEncodingTest, FreshRebuildKeepsTheSnapshot) {
+  Table t = MakeEncTable(1000);
+  ASSERT_TRUE(t.BuildEncodedSegments(256).ok());
+  const EncodedTableSnapshot* snap = t.encoded();
+  ASSERT_NE(snap, nullptr);
+  EXPECT_EQ(snap->segment_rows, 256u);
+  const uint64_t plan_version = t.plan_version();
+
+  // Nothing changed: same snapshot object, same plan version.
+  ASSERT_TRUE(t.BuildEncodedSegments(256).ok());
+  EXPECT_EQ(t.encoded(), snap);
+  EXPECT_EQ(t.plan_version(), plan_version);
+
+  // Another segment size is another snapshot.
+  ASSERT_TRUE(t.BuildEncodedSegments(128).ok());
+  ASSERT_NE(t.encoded(), nullptr);
+  EXPECT_EQ(t.encoded()->segment_rows, 128u);
+  EXPECT_EQ(t.encoded()->segments.size(), 8u);
+  EXPECT_NE(t.plan_version(), plan_version);
+  ExpectSnapshotHoldsLiveRows(*t.encoded(), t);
+}
+
+TEST(TableEncodingTest, RebuildAfterWritesEqualsBuildFromScratch) {
+  Table t = MakeEncTable(1000);
+  ASSERT_TRUE(t.Analyze().ok());
+  ASSERT_TRUE(t.BuildEncodedSegments(256).ok());
+  auto from_scratch = [&t] {
+    std::vector<const Row*> live;
+    for (RowId id : t.LiveRows()) live.push_back(&t.row(id));
+    return BuildEncodedTableSnapshot(t.schema().NumColumns(), live, 256);
+  };
+
+  // An insert: a new family value and a null score.
+  ASSERT_TRUE(
+      t.Insert({Value::Int64(5000), Value::String("fam9"), Value::Null()})
+          .ok());
+  EXPECT_FALSE(t.stats_fresh());
+  ASSERT_TRUE(t.BuildEncodedSegments(256).ok());
+  ASSERT_NE(t.encoded(), nullptr);
+  EXPECT_TRUE(t.stats_fresh());
+  ExpectSameSnapshot(*t.encoded(), from_scratch());
+  ExpectSnapshotHoldsLiveRows(*t.encoded(), t);
+
+  // A delete in the middle shifts every later segment by one row.
+  ASSERT_TRUE(t.Delete(300).ok());
+  EXPECT_FALSE(t.stats_fresh());
+  ASSERT_TRUE(t.BuildEncodedSegments(256).ok());
+  ASSERT_NE(t.encoded(), nullptr);
+  EXPECT_TRUE(t.stats_fresh());
+  EXPECT_EQ(t.encoded()->num_rows, 1000u);
+  ExpectSameSnapshot(*t.encoded(), from_scratch());
+  ExpectSnapshotHoldsLiveRows(*t.encoded(), t);
+}
+
 TEST(TableEncodingTest, ScanFootprintShrinksWhenEncoded) {
   Table t = MakeEncTable(2000);
   uint64_t plain = t.ApproxScanFootprintBytes();
@@ -401,6 +528,59 @@ TEST(StatisticsTest, RunCountsAndAverageRunLength) {
   EXPECT_EQ(stats->column(0).num_runs(), 4);
   EXPECT_DOUBLE_EQ(stats->column(0).avg_run_length(), 3.0);
   EXPECT_EQ(stats->column(0).num_distinct(), 3);
+}
+
+TEST(StatisticsTest, TableAnalyzeReadsLiveRowsInPlace) {
+  // The run-count fixture above, analyzed in place through a table whose
+  // tombstones must not count.
+  auto s = Schema::Create({{"v", ValueType::kInt64, true}});
+  ASSERT_TRUE(s.ok());
+  Table t("runs", *s);
+  std::vector<Row> rows;
+  for (int i = 0; i < 4; ++i) rows.push_back({Value::Int64(1)});
+  for (int i = 0; i < 4; ++i) rows.push_back({Value::Int64(2)});
+  for (int i = 0; i < 2; ++i) rows.push_back({Value::Null()});
+  for (int i = 0; i < 2; ++i) rows.push_back({Value::Int64(3)});
+  ASSERT_TRUE(t.Insert({Value::Int64(7)}).ok());
+  for (const Row& r : rows) ASSERT_TRUE(t.Insert(r).ok());
+  ASSERT_TRUE(t.Delete(0).ok());
+  ASSERT_TRUE(t.Analyze().ok());
+  const ColumnStats& v = t.stats()->column(0);
+  EXPECT_EQ(t.stats()->num_rows(), 12);
+  EXPECT_EQ(v.num_runs(), 4);
+  EXPECT_DOUBLE_EQ(v.avg_run_length(), 3.0);
+  EXPECT_EQ(v.num_distinct(), 3);
+  EXPECT_EQ(v.num_nulls(), 2);
+  EXPECT_EQ(v.min(), Value::Int64(1));
+  EXPECT_EQ(v.max(), Value::Int64(3));
+
+  // And it agrees with the owned-rows overload on every column figure.
+  Table enc = MakeEncTable(500);
+  ASSERT_TRUE(enc.Delete(10).ok());
+  ASSERT_TRUE(enc.Analyze().ok());
+  std::vector<Row> live;
+  for (RowId id : enc.LiveRows()) live.push_back(enc.row(id));
+  auto owned = TableStats::Analyze(enc.schema(), live);
+  ASSERT_TRUE(owned.ok());
+  ASSERT_EQ(enc.stats()->num_rows(), owned->num_rows());
+  for (size_t c = 0; c < enc.schema().NumColumns(); ++c) {
+    SCOPED_TRACE("col " + std::to_string(c));
+    const ColumnStats& got = enc.stats()->column(c);
+    const ColumnStats& want = owned->column(c);
+    EXPECT_EQ(got.num_nulls(), want.num_nulls());
+    EXPECT_EQ(got.num_distinct(), want.num_distinct());
+    EXPECT_EQ(got.num_runs(), want.num_runs());
+    EXPECT_EQ(got.min().type(), want.min().type());
+    EXPECT_EQ(got.min(), want.min());
+    EXPECT_EQ(got.max(), want.max());
+    for (int lo = -50; lo < 600; lo += 37) {
+      EXPECT_DOUBLE_EQ(
+          got.RangeSelectivity(Value::Int64(lo), true, Value::Int64(lo + 90),
+                               true),
+          want.RangeSelectivity(Value::Int64(lo), true, Value::Int64(lo + 90),
+                                true));
+    }
+  }
 }
 
 TEST(StatisticsTest, StatsFreshnessTracksMutations) {
