@@ -11,11 +11,12 @@ cmake --build build -j "$(nproc)"
 
 cmake -B build-asan -S . -DDRUGTREE_SANITIZE=address
 cmake --build build-asan -j "$(nproc)" \
-  --target obs_test obs_telemetry_test query_equiv_test \
+  --target obs_test obs_telemetry_test query_equiv_test query_exec_test \
            storage_encoding_test query_adaptive_test query_index_join_test
 ./build-asan/tests/obs_test
 ./build-asan/tests/obs_telemetry_test
 ./build-asan/tests/query_equiv_test
+./build-asan/tests/query_exec_test
 ./build-asan/tests/storage_encoding_test
 ./build-asan/tests/query_adaptive_test
 ./build-asan/tests/query_index_join_test

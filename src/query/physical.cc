@@ -18,12 +18,37 @@ using storage::ValueType;
 
 namespace {
 
+constexpr uint64_t kKeyHashSeed = 0x9E3779B97F4A7C15ULL;
+
+/// Folds one key value into a row-key hash that started at kKeyHashSeed.
+uint64_t HashKeyStep(uint64_t h, const Value& v) {
+  return h ^ (v.Hash() + kKeyHashSeed + (h << 6) + (h >> 2));
+}
+
 uint64_t HashKey(const std::vector<Value>& key) {
-  uint64_t h = 0x9E3779B97F4A7C15ULL;
-  for (const auto& v : key) {
-    h ^= v.Hash() + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-  }
+  uint64_t h = kKeyHashSeed;
+  for (const auto& v : key) h = HashKeyStep(h, v);
   return h;
+}
+
+/// `expr`'s value on `row`, without a temporary Result<Value>: the row's
+/// own Value for a bound column reference, else `expr` evaluated into
+/// `*scratch`. Returns null, with the error in `*status`, when evaluation
+/// fails.
+const Value* ReadOperand(const Expr& expr, const Row& row,
+                         const EvalContext& ctx, Value* scratch,
+                         util::Status* status) {
+  if (expr.kind == ExprKind::kColumnRef && expr.bound_index >= 0 &&
+      static_cast<size_t>(expr.bound_index) < row.size()) {
+    return &row[static_cast<size_t>(expr.bound_index)];
+  }
+  util::Result<Value> v = EvalExpr(expr, row, ctx);
+  if (!v.ok()) {
+    *status = v.status();
+    return nullptr;
+  }
+  *scratch = std::move(*v);
+  return scratch;
 }
 
 /// Morsel accounting for the parallel operator paths.
@@ -917,10 +942,104 @@ std::string IndexNestedLoopJoinOp::Describe() const {
   return out;
 }
 
+// ---------------------------------------------------------------- RowSorter
+
+RowSorter::RowSorter(const std::vector<OrderKey>& keys, EvalContext ctx,
+                     int64_t cap)
+    : keys_(keys), ctx_(ctx), cap_(cap) {}
+
+Row* RowSorter::next_row() {
+  if (free_slot_ == rows_.size()) {
+    rows_.emplace_back();
+    seq_.push_back(0);
+  }
+  return &rows_[free_slot_];
+}
+
+void RowSorter::Add() {
+  const uint64_t seq = added_++;
+  if (!heap_) {
+    if (cap_ < 0 || order_.size() < static_cast<size_t>(cap_)) {
+      // Keep it; keys are evaluated later, in input order, by Finish() or
+      // when the heap is built.
+      seq_[free_slot_] = seq;
+      order_.push_back(free_slot_);
+      held_bytes_ += ApproxRowBytes(rows_[free_slot_]);
+      peak_bytes_ = std::max(peak_bytes_, held_bytes_);
+      free_slot_ = rows_.size();
+      return;
+    }
+    // Row cap + 1: the kept rows become a max-heap, and the slot count is
+    // final (cap kept + this one).
+    heap_ = true;
+    key_values_.resize(rows_.size() * keys_.size());
+    for (size_t slot : order_) {
+      if (!EvaluateKeys(slot)) return;
+    }
+    std::make_heap(order_.begin(), order_.end(),
+                   [this](size_t a, size_t b) { return Less(a, b); });
+  }
+  // After a key error the input is only drained: the error is final.
+  if (!status_.ok()) return;
+  seq_[free_slot_] = seq;
+  if (!EvaluateKeys(free_slot_)) return;
+  // A row that does not order before the heap top is rejected; so is every
+  // row under a cap of 0.
+  if (order_.empty() || !Less(free_slot_, order_.front())) return;
+  held_bytes_ += ApproxRowBytes(rows_[free_slot_]) -
+                 ApproxRowBytes(rows_[order_.front()]);
+  peak_bytes_ = std::max(peak_bytes_, held_bytes_);
+  auto less = [this](size_t a, size_t b) { return Less(a, b); };
+  std::pop_heap(order_.begin(), order_.end(), less);
+  std::swap(order_.back(), free_slot_);  // the evicted slot is reused
+  std::push_heap(order_.begin(), order_.end(), less);
+}
+
+util::Status RowSorter::Finish() {
+  if (!heap_) {
+    key_values_.resize(rows_.size() * keys_.size());
+    for (size_t slot : order_) {
+      if (!EvaluateKeys(slot)) break;
+    }
+  }
+  if (!status_.ok()) return status_;
+  // Less is total, so any sort gives one order. A merge sort makes fewer
+  // (out-of-line) comparisons than std::sort, and under a NaN key, which
+  // compares equal to every value and breaks the total order, it still
+  // stays in bounds and keeps a stable sort's order.
+  std::stable_sort(order_.begin(), order_.end(),
+                   [this](size_t a, size_t b) { return Less(a, b); });
+  return util::Status::OK();
+}
+
+bool RowSorter::EvaluateKeys(size_t slot) {
+  const Row& row = rows_[slot];
+  Value* out = &key_values_[slot * keys_.size()];
+  for (size_t k = 0; k < keys_.size(); ++k) {
+    const Value* v =
+        ReadOperand(*keys_[k].expr, row, ctx_, &out[k], &status_);
+    if (v == nullptr) return false;
+    if (v != &out[k]) out[k] = *v;
+  }
+  return true;
+}
+
+bool RowSorter::Less(size_t a, size_t b) const {
+  const size_t n = keys_.size();
+  const Value* ka = &key_values_[a * n];
+  const Value* kb = &key_values_[b * n];
+  for (size_t k = 0; k < n; ++k) {
+    const int c = ka[k].Compare(kb[k]);
+    if (c != 0) return keys_[k].ascending ? c < 0 : c > 0;
+  }
+  return seq_[a] < seq_[b];
+}
+
 // ------------------------------------------------------------------- SortOp
 
-SortOp::SortOp(PhysicalPtr child, std::vector<OrderKey> keys, EvalContext ctx)
-    : child_(std::move(child)), keys_(std::move(keys)), ctx_(ctx) {
+SortOp::SortOp(PhysicalPtr child, std::vector<OrderKey> keys, EvalContext ctx,
+               int64_t cap)
+    : child_(std::move(child)), keys_(std::move(keys)), ctx_(ctx), cap_(cap) {
   explain_children_ = {child_.get()};
 }
 
@@ -930,51 +1049,31 @@ util::Status SortOp::OpenImpl() {
   for (auto& k : keys_) {
     DRUGTREE_RETURN_IF_ERROR(BindExpr(k.expr.get(), schema_));
   }
-  rows_.clear();
-  Row r;
-  int64_t pending = 0;
+  sorter_ = std::make_unique<RowSorter>(keys_, ctx_, cap_);
+  // Charge the high-water mark of the rows held, in chunks: the whole
+  // input without a cap, at most cap rows with one.
+  int64_t charged = 0;
   for (;;) {
-    DRUGTREE_ASSIGN_OR_RETURN(bool more, child_->Next(&r));
+    DRUGTREE_ASSIGN_OR_RETURN(bool more, child_->Next(sorter_->next_row()));
     if (!more) break;
-    pending += ApproxRowBytes(r);
-    rows_.push_back(std::move(r));
-    if (pending >= kChargeChunkBytes) {
-      DRUGTREE_RETURN_IF_ERROR(ChargeOperatorMemory(pending));
-      pending = 0;
+    sorter_->Add();
+    if (sorter_->peak_bytes() - charged >= kChargeChunkBytes) {
+      DRUGTREE_RETURN_IF_ERROR(
+          ChargeOperatorMemory(sorter_->peak_bytes() - charged));
+      charged = sorter_->peak_bytes();
     }
   }
-  DRUGTREE_RETURN_IF_ERROR(ChargeOperatorMemory(pending));
-  // Precompute sort keys, then sort by them.
-  std::vector<std::pair<std::vector<Value>, size_t>> keyed;
-  keyed.reserve(rows_.size());
-  for (size_t i = 0; i < rows_.size(); ++i) {
-    std::vector<Value> kv;
-    for (const auto& k : keys_) {
-      DRUGTREE_ASSIGN_OR_RETURN(Value v, EvalExpr(*k.expr, rows_[i], ctx_));
-      kv.push_back(std::move(v));
-    }
-    keyed.emplace_back(std::move(kv), i);
-  }
-  std::stable_sort(keyed.begin(), keyed.end(),
-                   [this](const auto& a, const auto& b) {
-                     for (size_t k = 0; k < keys_.size(); ++k) {
-                       int c = a.first[k].Compare(b.first[k]);
-                       if (c != 0) return keys_[k].ascending ? c < 0 : c > 0;
-                     }
-                     return false;
-                   });
-  std::vector<Row> sorted;
-  sorted.reserve(rows_.size());
-  for (const auto& [kv, idx] : keyed) sorted.push_back(std::move(rows_[idx]));
-  rows_ = std::move(sorted);
+  DRUGTREE_RETURN_IF_ERROR(
+      ChargeOperatorMemory(sorter_->peak_bytes() - charged));
+  DRUGTREE_RETURN_IF_ERROR(sorter_->Finish());
   cursor_ = 0;
   return util::Status::OK();
 }
 
 util::Result<bool> SortOp::NextImpl(Row* out) {
-  if (cursor_ >= rows_.size()) return false;
+  if (cursor_ >= sorter_->size()) return false;
   // Each sorted row is handed out exactly once; move, don't copy.
-  *out = std::move(rows_[cursor_++]);
+  *out = std::move(sorter_->row(cursor_++));
   return true;
 }
 
@@ -985,6 +1084,7 @@ std::string SortOp::Describe() const {
     out += keys_[i].expr->ToString();
     if (!keys_[i].ascending) out += " DESC";
   }
+  if (cap_ >= 0) out += util::StringPrintf(" [top %lld]", (long long)cap_);
   return out;
 }
 
@@ -1007,13 +1107,29 @@ util::Status HashAggregateOp::OpenImpl() {
   for (auto& g : group_by_) {
     DRUGTREE_RETURN_IF_ERROR(BindExpr(g.get(), child_->schema()));
   }
+  functions_.clear();
   for (auto& a : aggregates_) {
     // Bind the aggregate's argument (if any) against the child schema.
     for (auto& arg : a.expr->children) {
       DRUGTREE_RETURN_IF_ERROR(BindExpr(arg.get(), child_->schema()));
     }
+    const std::string& f = a.expr->function;
+    functions_.push_back(f == "COUNT" ? AggFn::kCount
+                         : f == "SUM" ? AggFn::kSum
+                         : f == "AVG" ? AggFn::kAvg
+                         : f == "MIN" ? AggFn::kMin
+                         : f == "MAX" ? AggFn::kMax
+                                      : AggFn::kUnknown);
   }
-  // Accumulate.
+  // Group-by values and aggregate arguments are read in place when they
+  // are bare column references, else evaluated into reused scratch Values.
+  // A group's key is copied out of the input row only when it starts the
+  // group.
+  const size_t num_keys = group_by_.size();
+  std::vector<const Value*> key(num_keys);
+  std::vector<Value> key_scratch(num_keys);
+  Value arg_scratch;
+  util::Status status;
   std::unordered_map<uint64_t, std::vector<size_t>> key_to_groups;
   groups_.clear();
   Row in;
@@ -1021,17 +1137,20 @@ util::Status HashAggregateOp::OpenImpl() {
   for (;;) {
     DRUGTREE_ASSIGN_OR_RETURN(bool more, child_->Next(&in));
     if (!more) break;
-    Row key;
-    for (const auto& g : group_by_) {
-      DRUGTREE_ASSIGN_OR_RETURN(Value v, EvalExpr(*g, in, ctx_));
-      key.push_back(std::move(v));
+    uint64_t h = kKeyHashSeed;
+    for (size_t g = 0; g < num_keys; ++g) {
+      key[g] = ReadOperand(*group_by_[g], in, ctx_, &key_scratch[g], &status);
+      if (key[g] == nullptr) return status;
+      h = HashKeyStep(h, *key[g]);
     }
-    uint64_t h = HashKey(key);
     size_t group_idx = SIZE_MAX;
     auto it = key_to_groups.find(h);
     if (it != key_to_groups.end()) {
       for (size_t gi : it->second) {
-        if (groups_[gi].first == key) {
+        const Row& group_key = groups_[gi].first;
+        size_t g = 0;
+        while (g < num_keys && group_key[g] == *key[g]) ++g;
+        if (g == num_keys) {
           group_idx = gi;
           break;
         }
@@ -1039,16 +1158,19 @@ util::Status HashAggregateOp::OpenImpl() {
     }
     if (group_idx == SIZE_MAX) {
       group_idx = groups_.size();
+      Row group_key;
+      group_key.reserve(num_keys);
+      for (const Value* v : key) group_key.push_back(*v);
       // Memory grows with group cardinality, not input rows: charge per
       // new group (key bytes + aggregate states + index-entry overhead).
-      pending += ApproxRowBytes(key) +
+      pending += ApproxRowBytes(group_key) +
                  static_cast<int64_t>(aggregates_.size() * sizeof(AggState)) +
                  48;
       if (pending >= kChargeChunkBytes) {
         DRUGTREE_RETURN_IF_ERROR(ChargeOperatorMemory(pending));
         pending = 0;
       }
-      groups_.emplace_back(key,
+      groups_.emplace_back(std::move(group_key),
                            std::vector<AggState>(aggregates_.size()));
       key_to_groups[h].push_back(group_idx);
     }
@@ -1058,17 +1180,30 @@ util::Status HashAggregateOp::OpenImpl() {
       ++st.count;
       const Expr& agg = *aggregates_[a].expr;
       if (agg.children.empty()) continue;  // COUNT(*)
-      DRUGTREE_ASSIGN_OR_RETURN(Value v, EvalExpr(*agg.children[0], in, ctx_));
-      if (v.is_null()) continue;
+      const Value* v =
+          ReadOperand(*agg.children[0], in, ctx_, &arg_scratch, &status);
+      if (v == nullptr) return status;
+      if (v->is_null()) continue;
       ++st.non_null;
-      if (v.type() == ValueType::kInt64) {
-        st.sum += static_cast<double>(v.AsInt64());
-      } else if (v.type() == ValueType::kDouble) {
-        st.sum += v.AsDouble();
-        st.sum_is_int = false;
+      switch (functions_[a]) {
+        case AggFn::kSum:
+        case AggFn::kAvg:
+          if (v->type() == ValueType::kInt64) {
+            st.sum += static_cast<double>(v->AsInt64());
+          } else if (v->type() == ValueType::kDouble) {
+            st.sum += v->AsDouble();
+            st.sum_is_int = false;
+          }
+          break;
+        case AggFn::kMin:
+          if (st.min.is_null() || v->Compare(st.min) < 0) st.min = *v;
+          break;
+        case AggFn::kMax:
+          if (st.max.is_null() || v->Compare(st.max) > 0) st.max = *v;
+          break;
+        default:
+          break;
       }
-      if (st.min.is_null() || v.Compare(st.min) < 0) st.min = v;
-      if (st.max.is_null() || v.Compare(st.max) > 0) st.max = v;
     }
   }
   DRUGTREE_RETURN_IF_ERROR(ChargeOperatorMemory(pending));
@@ -1088,28 +1223,34 @@ util::Result<bool> HashAggregateOp::NextImpl(Row* out) {
   for (size_t a = 0; a < aggregates_.size(); ++a) {
     const Expr& agg = *aggregates_[a].expr;
     const AggState& st = states[a];
-    if (agg.function == "COUNT") {
-      out->push_back(Value::Int64(agg.children.empty() ? st.count
-                                                       : st.non_null));
-    } else if (agg.function == "SUM") {
-      if (st.non_null == 0) {
-        out->push_back(Value::Null());
-      } else if (st.sum_is_int) {
-        out->push_back(Value::Int64(static_cast<int64_t>(st.sum)));
-      } else {
-        out->push_back(Value::Double(st.sum));
-      }
-    } else if (agg.function == "AVG") {
-      out->push_back(st.non_null == 0
-                         ? Value::Null()
-                         : Value::Double(st.sum /
-                                         static_cast<double>(st.non_null)));
-    } else if (agg.function == "MIN") {
-      out->push_back(st.min);
-    } else if (agg.function == "MAX") {
-      out->push_back(st.max);
-    } else {
-      return util::Status::Unimplemented("aggregate " + agg.function);
+    switch (functions_[a]) {
+      case AggFn::kCount:
+        out->push_back(Value::Int64(agg.children.empty() ? st.count
+                                                         : st.non_null));
+        break;
+      case AggFn::kSum:
+        if (st.non_null == 0) {
+          out->push_back(Value::Null());
+        } else if (st.sum_is_int) {
+          out->push_back(Value::Int64(static_cast<int64_t>(st.sum)));
+        } else {
+          out->push_back(Value::Double(st.sum));
+        }
+        break;
+      case AggFn::kAvg:
+        out->push_back(st.non_null == 0
+                           ? Value::Null()
+                           : Value::Double(st.sum /
+                                           static_cast<double>(st.non_null)));
+        break;
+      case AggFn::kMin:
+        out->push_back(st.min);
+        break;
+      case AggFn::kMax:
+        out->push_back(st.max);
+        break;
+      case AggFn::kUnknown:
+        return util::Status::Unimplemented("aggregate " + agg.function);
     }
   }
   return true;

@@ -366,10 +366,75 @@ class IndexNestedLoopJoinOp : public PhysicalOperator {
   int64_t fetched_ = 0;  // posting entries walked (cancellation cadence)
 };
 
-/// Full sort (materializing).
+/// The one ordering rule of ORDER BY, shared by SortOp and the shard merge.
+/// Rows compare by their keys (Value::Compare, each key in its direction),
+/// then by input sequence. That order is total, so the output equals a
+/// stable sort of the input. Under a row cap k (ORDER BY ... LIMIT k) at
+/// most k rows are kept: rows are appended until k are kept, the next one
+/// turns them into a max-heap, and from then on a row is kept only if it
+/// orders before the heap top, which it replaces. The kept rows are the
+/// stable sort's first k.
+///
+/// Each row's keys are evaluated once into one flat buffer (slot x key); a
+/// bare column reference is copied straight from the row. Every input
+/// row's keys are evaluated, in input order, and the first failing one is
+/// reported by Finish(), after the caller has drained its input: an input
+/// error still wins over a key error, as in a sort that materializes first.
+class RowSorter {
+ public:
+  /// `keys` are bound to the rows' schema and outlive the sorter. A
+  /// negative `cap` keeps every row.
+  RowSorter(const std::vector<OrderKey>& keys, EvalContext ctx, int64_t cap);
+
+  /// The buffer the next input row is read into; Add() takes it. A rejected
+  /// row leaves its buffer (and capacity) to the next one.
+  storage::Row* next_row();
+
+  /// Takes the row written into next_row().
+  void Add();
+
+  /// The high-water mark of the bytes held by kept rows (their approximate
+  /// resident size; key slots are not counted). Without a cap every row is
+  /// kept, so this is the input's size.
+  int64_t peak_bytes() const { return peak_bytes_; }
+
+  /// Evaluates the keys not evaluated yet and orders the kept rows. Returns
+  /// the first key error in input order.
+  util::Status Finish();
+
+  /// The kept rows in order, once Finish() succeeded; callers may move
+  /// them out.
+  size_t size() const { return order_.size(); }
+  storage::Row& row(size_t i) { return rows_[order_[i]]; }
+
+ private:
+  /// Evaluates `slot`'s keys into its key slots; false (and status_ set)
+  /// on an error.
+  bool EvaluateKeys(size_t slot);
+  bool Less(size_t a, size_t b) const;
+
+  const std::vector<OrderKey>& keys_;
+  EvalContext ctx_;
+  int64_t cap_;
+  std::vector<storage::Row> rows_;          // slots
+  std::vector<storage::Value> key_values_;  // slot * keys_.size() + key
+  std::vector<uint64_t> seq_;               // per slot: input sequence
+  std::vector<size_t> order_;  // kept slots; a max-heap while heap_ is set
+  size_t free_slot_ = 0;       // the slot next_row() hands out
+  uint64_t added_ = 0;
+  bool heap_ = false;
+  int64_t held_bytes_ = 0;
+  int64_t peak_bytes_ = 0;
+  util::Status status_;
+};
+
+/// Sort (materializing). With a row cap (a LIMIT folded into the sort) it
+/// holds at most that many rows and charges memory for those only.
 class SortOp : public PhysicalOperator {
  public:
-  SortOp(PhysicalPtr child, std::vector<OrderKey> keys, EvalContext ctx);
+  /// A negative `cap` sorts every row.
+  SortOp(PhysicalPtr child, std::vector<OrderKey> keys, EvalContext ctx,
+         int64_t cap = -1);
   util::Status OpenImpl() override;
   util::Result<bool> NextImpl(storage::Row* out) override;
   std::string Describe() const override;
@@ -378,7 +443,8 @@ class SortOp : public PhysicalOperator {
   PhysicalPtr child_;
   std::vector<OrderKey> keys_;
   EvalContext ctx_;
-  std::vector<storage::Row> rows_;
+  int64_t cap_;
+  std::unique_ptr<RowSorter> sorter_;
   size_t cursor_ = 0;
 };
 
@@ -398,13 +464,15 @@ class HashAggregateOp : public PhysicalOperator {
     int64_t non_null = 0;       // non-null inputs (for COUNT(x))
     double sum = 0.0;
     bool sum_is_int = true;
-    storage::Value min, max;
+    storage::Value min, max;    // MIN / MAX only
   };
+  enum class AggFn { kCount, kSum, kAvg, kMin, kMax, kUnknown };
 
   PhysicalPtr child_;
   std::vector<ExprPtr> group_by_;
   std::vector<OutputColumn> aggregates_;
   EvalContext ctx_;
+  std::vector<AggFn> functions_;  // per aggregate, resolved at Open()
   std::vector<std::pair<storage::Row, std::vector<AggState>>> groups_;
   size_t cursor_ = 0;
 };

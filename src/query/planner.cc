@@ -305,21 +305,31 @@ util::Result<PhysicalPtr> Planner::ToPhysical(const LogicalPtr& node,
           std::move(child), std::move(groups), std::move(aggs), node->schema,
           ctx));
     }
-    case LogicalKind::kSort: {
+    case LogicalKind::kSort:
+    case LogicalKind::kLimit: {
+      // A Limit directly over a Sort lowers to one SortOp that keeps only
+      // the first `limit` rows (Top-N); any other Limit streams through
+      // LimitOp.
+      const LogicalNode* sort = node.get();
+      int64_t cap = -1;
+      if (node->kind == LogicalKind::kLimit) {
+        if (node->children[0]->kind != LogicalKind::kSort) {
+          DRUGTREE_ASSIGN_OR_RETURN(
+              PhysicalPtr child, ToPhysical(node->children[0], options, stats));
+          return PhysicalPtr(
+              std::make_unique<LimitOp>(std::move(child), node->limit));
+        }
+        sort = node->children[0].get();
+        cap = node->limit;
+      }
       DRUGTREE_ASSIGN_OR_RETURN(PhysicalPtr child,
-                                ToPhysical(node->children[0], options, stats));
+                                ToPhysical(sort->children[0], options, stats));
       std::vector<OrderKey> keys;
-      for (const auto& k : node->order_by) {
+      for (const auto& k : sort->order_by) {
         keys.push_back({k.expr->Clone(), k.ascending});
       }
-      return PhysicalPtr(
-          std::make_unique<SortOp>(std::move(child), std::move(keys), ctx));
-    }
-    case LogicalKind::kLimit: {
-      DRUGTREE_ASSIGN_OR_RETURN(PhysicalPtr child,
-                                ToPhysical(node->children[0], options, stats));
-      return PhysicalPtr(std::make_unique<LimitOp>(std::move(child),
-                                                   node->limit));
+      return PhysicalPtr(std::make_unique<SortOp>(std::move(child),
+                                                  std::move(keys), ctx, cap));
     }
     case LogicalKind::kDistinct: {
       DRUGTREE_ASSIGN_OR_RETURN(PhysicalPtr child,

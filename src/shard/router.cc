@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "query/expr.h"
+#include "query/physical.h"
 #include "storage/schema.h"
 #include "storage/value.h"
 #include "util/string_util.h"
@@ -719,6 +720,7 @@ util::Result<query::QueryResult> MergePartials(
     for (auto& row : p.rows) merged.rows.push_back(std::move(row));
   }
 
+  const int64_t cap = select.limit.has_value() ? *select.limit : -1;
   if (!select.order_by.empty()) {
     std::vector<storage::Column> columns;
     columns.reserve(merged.columns.size());
@@ -727,50 +729,28 @@ util::Result<query::QueryResult> MergePartials(
     }
     DRUGTREE_ASSIGN_OR_RETURN(storage::Schema schema,
                               storage::Schema::Create(std::move(columns)));
-    struct Key {
-      bool ascending;
-      query::ExprPtr expr;
-    };
-    std::vector<Key> keys;
+    std::vector<query::OrderKey> keys;
     keys.reserve(select.order_by.size());
     for (const auto& k : select.order_by) {
       auto bound = k.expr->Clone();
       DRUGTREE_RETURN_IF_ERROR(query::BindExpr(bound.get(), schema));
-      keys.push_back({k.ascending, std::move(bound)});
+      keys.push_back({std::move(bound), k.ascending});
     }
-    query::EvalContext ctx{tree, index};
-    std::vector<std::pair<storage::Row, storage::Row>> decorated;
-    decorated.reserve(merged.rows.size());
+    // SortOp's ordering rule, so the merged order matches a single server's
+    // sort of the same rows (stable over the concat order, which itself
+    // preserves per-shard insertion order).
+    query::RowSorter sorter(keys, query::EvalContext{tree, index}, cap);
     for (auto& row : merged.rows) {
-      storage::Row key_values;
-      key_values.reserve(keys.size());
-      for (const auto& k : keys) {
-        DRUGTREE_ASSIGN_OR_RETURN(storage::Value v,
-                                  query::EvalExpr(*k.expr, row, ctx));
-        key_values.push_back(std::move(v));
-      }
-      decorated.emplace_back(std::move(key_values), std::move(row));
+      *sorter.next_row() = std::move(row);
+      sorter.Add();
     }
-    // SortOp's exact comparator, so the merged order matches a single
-    // server's sort of the same rows (stable over the concat order, which
-    // itself preserves per-shard insertion order).
-    std::stable_sort(
-        decorated.begin(), decorated.end(),
-        [&keys](const std::pair<storage::Row, storage::Row>& a,
-                const std::pair<storage::Row, storage::Row>& b) {
-          for (size_t k = 0; k < keys.size(); ++k) {
-            int c = a.first[k].Compare(b.first[k]);
-            if (c != 0) return keys[k].ascending ? c < 0 : c > 0;
-          }
-          return false;
-        });
+    DRUGTREE_RETURN_IF_ERROR(sorter.Finish());
     merged.rows.clear();
-    for (auto& d : decorated) merged.rows.push_back(std::move(d.second));
-  }
-
-  if (select.limit.has_value() && *select.limit >= 0 &&
-      merged.rows.size() > static_cast<size_t>(*select.limit)) {
-    merged.rows.resize(static_cast<size_t>(*select.limit));
+    for (size_t i = 0; i < sorter.size(); ++i) {
+      merged.rows.push_back(std::move(sorter.row(i)));
+    }
+  } else if (cap >= 0 && merged.rows.size() > static_cast<size_t>(cap)) {
+    merged.rows.resize(static_cast<size_t>(cap));
   }
   return merged;
 }

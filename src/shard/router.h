@@ -254,9 +254,9 @@ class ShardRouter {
 };
 
 /// Merges scatter partials into one exact result: concatenates the per-shard
-/// rows in shard order, stable-sorts by the statement's ORDER BY keys with
-/// the same comparator the single-server SortOp uses, and applies LIMIT.
-/// Exposed for tests.
+/// rows in shard order, then orders them by the statement's ORDER BY keys
+/// and applies LIMIT through the RowSorter the single-server SortOp uses
+/// (without ORDER BY, LIMIT truncates the concatenation). Exposed for tests.
 util::Result<query::QueryResult> MergePartials(
     std::vector<query::QueryResult> partials,
     const query::SelectStatement& select, const phylo::Tree* tree,

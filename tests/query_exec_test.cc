@@ -4,7 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cmath>
+#include <optional>
+#include <thread>
 
+#include "obs/resource_tracker.h"
 #include "phylo/newick.h"
 #include "query/planner.h"
 #include "util/rng.h"
@@ -370,6 +376,289 @@ TEST_F(ExecTest, ResultToStringRenders) {
   std::string text = r.ToString();
   EXPECT_NE(text.find("p.acc"), std::string::npos);
   EXPECT_NE(text.find("a"), std::string::npos);
+}
+
+// ------------------------------------------------------------------ sorting
+
+/// `vals`: ids 0..n-1 with tied and NULL ints (k), a zero double at id 40
+/// (v), tied strings (s) and NULL strings (g).
+std::unique_ptr<Table> MakeVals(int n) {
+  auto schema = Schema::Create({{"id", ValueType::kInt64, false},
+                                {"k", ValueType::kInt64, true},
+                                {"v", ValueType::kDouble, false},
+                                {"s", ValueType::kString, false},
+                                {"g", ValueType::kString, true}});
+  auto table = std::make_unique<Table>("vals", *schema);
+  for (int i = 0; i < n; ++i) {
+    EXPECT_TRUE(table
+                    ->Insert({Value::Int64(i),
+                              i % 5 == 2 ? Value::Null() : Value::Int64(i % 7),
+                              Value::Double(i * 0.25 - 10.0),
+                              Value::String("s" + std::to_string(i % 4)),
+                              i % 3 == 0 ? Value::Null()
+                                         : Value::String(i % 2 ? "odd" : "even")})
+                    .ok());
+  }
+  EXPECT_TRUE(table->Analyze().ok());
+  return table;
+}
+
+class SortExecTest : public ExecTest {
+ protected:
+  void SetUp() override {
+    ExecTest::SetUp();
+    vals_ = MakeVals(200);
+    ASSERT_TRUE(catalog_.Register(vals_.get()).ok());
+  }
+
+  std::unique_ptr<Table> vals_;
+};
+
+TEST_F(SortExecTest, UnboundedSortEqualsStableSortOfItsInput) {
+  // The statement without ORDER BY yields the sort's input in its input
+  // order; stable-sorting it by Value::Compare must give the sorted
+  // statement's rows, ties in input order.
+  struct Case {
+    const char* order_by;
+    std::vector<std::pair<size_t, bool>> keys;  // output column, ascending
+  };
+  const std::string select = "SELECT t.k, t.s, t.v, t.g, t.id FROM vals t";
+  for (const Case& c : std::initializer_list<Case>{
+           {"t.k", {{0, true}}},
+           {"t.k DESC", {{0, false}}},
+           {"t.s, t.k DESC", {{1, true}, {0, false}}},
+           {"t.g DESC, t.s, t.v", {{3, false}, {1, true}, {2, true}}},
+       }) {
+    for (const PlannerOptions& opts :
+         {PlannerOptions::Optimized(), PlannerOptions::Naive()}) {
+      QueryResult expected = Run(select, opts);
+      std::stable_sort(expected.rows.begin(), expected.rows.end(),
+                       [&c](const Row& a, const Row& b) {
+                         for (const auto& [col, ascending] : c.keys) {
+                           const int cmp = a[col].Compare(b[col]);
+                           if (cmp != 0) return ascending ? cmp < 0 : cmp > 0;
+                         }
+                         return false;
+                       });
+      EXPECT_EQ(Run(select + " ORDER BY " + c.order_by, opts).rows,
+                expected.rows)
+          << c.order_by;
+    }
+  }
+}
+
+TEST_F(SortExecTest, NanKeysSortLikeAStableSortAndStayInBounds) {
+  // NaN compares equal to every value, so the keys are not totally
+  // ordered. The full sort still matches a stable sort of its input, and
+  // the Top-N path stays in bounds (this test runs under ASan).
+  auto schema = Schema::Create({{"id", ValueType::kInt64, false},
+                                {"x", ValueType::kDouble, false}});
+  Table nans("nans", *schema);
+  for (int i = 0; i < 300; ++i) {
+    const double x = i % 3 == 1 ? std::nan("") : (i * 37 % 101) * 1.0;
+    ASSERT_TRUE(nans.Insert({Value::Int64(i), Value::Double(x)}).ok());
+  }
+  ASSERT_TRUE(catalog_.Register(&nans).ok());
+  const std::string select = "SELECT n.id, n.x FROM nans n";
+  QueryResult expected = Run(select);
+  std::stable_sort(expected.rows.begin(), expected.rows.end(),
+                   [](const Row& a, const Row& b) {
+                     return a[1].Compare(b[1]) < 0;
+                   });
+  const QueryResult sorted = Run(select + " ORDER BY n.x");
+  ASSERT_EQ(sorted.rows.size(), expected.rows.size());
+  for (size_t i = 0; i < sorted.rows.size(); ++i) {
+    EXPECT_EQ(sorted.rows[i][0].AsInt64(), expected.rows[i][0].AsInt64())
+        << "row " << i;
+  }
+  EXPECT_EQ(Run(select + " ORDER BY n.x DESC LIMIT 7").rows.size(), 7u);
+}
+
+TEST_F(SortExecTest, FailingKeyFailsTheStatementUnderAnyLimit) {
+  // v is 0.0 at id 40, so the key fails there. Every row's key is
+  // evaluated, under any LIMIT, LIMIT 0 included.
+  const std::string sql = "SELECT t.id, t.v FROM vals t ORDER BY 1.0 / t.v";
+  auto full = planner_->Run(sql, PlannerOptions::Optimized());
+  ASSERT_FALSE(full.ok());
+  EXPECT_EQ(full.status().ToString(), "InvalidArgument: division by zero");
+  for (const char* limit : {" LIMIT 0", " LIMIT 1", " LIMIT 5"}) {
+    for (const PlannerOptions& opts :
+         {PlannerOptions::Optimized(), PlannerOptions::Naive()}) {
+      auto got = planner_->Run(sql + limit, opts);
+      ASSERT_FALSE(got.ok()) << limit;
+      EXPECT_EQ(got.status().ToString(), full.status().ToString()) << limit;
+    }
+  }
+}
+
+TEST_F(SortExecTest, InputErrorWinsOverKeyError) {
+  // The key fails on every row (NOT of an integer) and the input fails at
+  // id 50. A sort reports its input's error first, bounded or not.
+  const std::string sql =
+      "SELECT t.id FROM vals t WHERE 10 / (t.id - 50) > -1000 "
+      "ORDER BY NOT t.id";
+  for (const char* limit : {"", " LIMIT 0", " LIMIT 1", " LIMIT 5"}) {
+    for (const PlannerOptions& opts :
+         {PlannerOptions::Optimized(), PlannerOptions::Naive()}) {
+      auto got = planner_->Run(sql + limit, opts);
+      ASSERT_FALSE(got.ok()) << limit;
+      EXPECT_EQ(got.status().ToString(), "InvalidArgument: division by zero")
+          << limit;
+    }
+  }
+  // Without the failing input, the key's own error surfaces.
+  auto key_only = planner_->Run("SELECT t.id FROM vals t ORDER BY NOT t.id "
+                                "LIMIT 1",
+                                PlannerOptions::Optimized());
+  ASSERT_FALSE(key_only.ok());
+  EXPECT_EQ(key_only.status().ToString(), "InvalidArgument: NOT of non-boolean");
+}
+
+TEST_F(ExecTest, CancellationStopsTopNMidDrain) {
+  // The pattern of CancellationMidQuery, under ORDER BY ... LIMIT: the
+  // bounded sort drains a cubic cross join far too large to finish before
+  // the flag flips, and must stop with kCancelled.
+  auto schema = Schema::Create({{"k", ValueType::kInt64, false}});
+  Table big("big", *schema);
+  for (int i = 0; i < 400; ++i) {
+    ASSERT_TRUE(big.Insert({Value::Int64(i)}).ok());
+  }
+  ASSERT_TRUE(big.Analyze().ok());
+  ASSERT_TRUE(catalog_.Register(&big).ok());
+
+  std::atomic<bool> cancel{false};
+  QueryContext ctx;
+  ctx.cancel = &cancel;
+  std::thread canceller([&cancel] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    cancel.store(true);
+  });
+  auto outcome = planner_->Run(
+      "SELECT b1.k, b2.k, b3.k FROM big b1, big b2, big b3 "
+      "WHERE b1.k < b2.k AND b2.k < b3.k ORDER BY b3.k DESC, b1.k LIMIT 5",
+      PlannerOptions(), &ctx);
+  canceller.join();
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_TRUE(outcome.status().IsCancelled()) << outcome.status();
+}
+
+TEST_F(ExecTest, TopNChargesOnlyTheRowsItKeeps) {
+  // Sorting the whole table breaches a 48 KiB per-query limit; keeping 5
+  // rows charges at most those 5 rows' bytes (plus the key slots) and
+  // returns the full sort's first 5 rows.
+  auto schema = Schema::Create({{"id", ValueType::kInt64, false},
+                                {"payload", ValueType::kString, false}});
+  Table wide("wide", *schema);
+  const std::string filler(120, 'x');
+  for (int i = 0; i < 4000; ++i) {
+    ASSERT_TRUE(wide.Insert({Value::Int64(i),
+                             Value::String(filler + std::to_string(i % 997))})
+                    .ok());
+  }
+  ASSERT_TRUE(wide.Analyze().ok());
+  ASSERT_TRUE(catalog_.Register(&wide).ok());
+  const std::string sql =
+      "SELECT w.id, w.payload FROM wide w ORDER BY w.payload DESC";
+  const int64_t max_row_bytes = static_cast<int64_t>(
+      sizeof(Row) + 2 * sizeof(Value) + filler.size() + 3);
+
+  obs::MemoryTracker full_tracker("query", nullptr, 0, 48 * 1024);
+  QueryContext full_ctx;
+  full_ctx.memory = &full_tracker;
+  auto full = planner_->Run(sql, PlannerOptions(), &full_ctx);
+  ASSERT_FALSE(full.ok());
+  EXPECT_TRUE(full.status().IsResourceExhausted()) << full.status();
+
+  // The plan is driven directly, so the tracker sees the sort's charge
+  // alone (the executor would add the result buffer's).
+  ExecStats stats;
+  auto top = planner_->Plan(sql + " LIMIT 5", PlannerOptions(), &stats);
+  ASSERT_TRUE(top.ok()) << top.status();
+  EXPECT_EQ((*top)->Describe().rfind("Sort w.payload DESC [top 5]", 0), 0u)
+      << (*top)->Describe();
+  obs::MemoryTracker tracker("query", nullptr, 0, 48 * 1024);
+  QueryContext ctx;
+  ctx.memory = &tracker;
+  (*top)->SetQueryContext(&ctx);
+  ASSERT_TRUE((*top)->Open().ok());
+  std::vector<Row> rows;
+  Row row;
+  for (;;) {
+    auto more = (*top)->Next(&row);
+    ASSERT_TRUE(more.ok()) << more.status();
+    if (!*more) break;
+    rows.push_back(row);
+  }
+  EXPECT_GT(tracker.peak(), 0);
+  EXPECT_LE(tracker.peak(),
+            5 * max_row_bytes + static_cast<int64_t>(6 * sizeof(Value)));
+
+  QueryResult unlimited = Run(sql);
+  ASSERT_EQ(rows.size(), 5u);
+  for (size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(rows[i], unlimited.rows[i]) << "row " << i;
+  }
+}
+
+TEST_F(ExecTest, AggregatesOverStringsAndNullOnlyGroups) {
+  // MIN/MAX over strings, a group whose arguments are all NULL, and
+  // computed arguments; groups come out in order of first appearance.
+  auto schema = Schema::Create({{"grp", ValueType::kString, false},
+                                {"name", ValueType::kString, true},
+                                {"x", ValueType::kInt64, true},
+                                {"y", ValueType::kDouble, true}});
+  Table agg("agg", *schema);
+  struct In {
+    const char* grp;
+    const char* name;
+    std::optional<int64_t> x;
+    std::optional<double> y;
+  };
+  for (const In& in : std::initializer_list<In>{
+           {"a", "pear", 3, 1.5},
+           {"b", nullptr, std::nullopt, std::nullopt},
+           {"a", "apple", 7, std::nullopt},
+           {"c", "fig", std::nullopt, 2.0},
+           {"b", nullptr, std::nullopt, std::nullopt},
+           {"a", "zucchini", -2, 0.5},
+           {"c", "banana", 4, std::nullopt},
+       }) {
+    ASSERT_TRUE(agg.Insert({Value::String(in.grp),
+                            in.name ? Value::String(in.name) : Value::Null(),
+                            in.x ? Value::Int64(*in.x) : Value::Null(),
+                            in.y ? Value::Double(*in.y) : Value::Null()})
+                    .ok());
+  }
+  ASSERT_TRUE(catalog_.Register(&agg).ok());
+  const QueryResult r = Run(
+      "SELECT t.grp, COUNT(*) AS n, COUNT(t.name) AS nn, MIN(t.name) AS lo, "
+      "MAX(t.name) AS hi, SUM(t.x) AS sx, SUM(t.x * 2) AS sx2, "
+      "AVG(t.y) AS ay, MIN(t.x) AS mx, MAX(t.y) AS my FROM agg t "
+      "GROUP BY t.grp");
+  const Value null = Value::Null();
+  const std::vector<Row> expected = {
+      {Value::String("a"), Value::Int64(3), Value::Int64(3),
+       Value::String("apple"), Value::String("zucchini"), Value::Int64(8),
+       Value::Int64(16), Value::Double(1.0), Value::Int64(-2),
+       Value::Double(1.5)},
+      {Value::String("b"), Value::Int64(2), Value::Int64(0), null, null, null,
+       null, null, null, null},
+      {Value::String("c"), Value::Int64(2), Value::Int64(2),
+       Value::String("banana"), Value::String("fig"), Value::Int64(4),
+       Value::Int64(8), Value::Double(2.0), Value::Int64(4),
+       Value::Double(2.0)},
+  };
+  ASSERT_EQ(r.rows.size(), expected.size());
+  for (size_t g = 0; g < expected.size(); ++g) {
+    ASSERT_EQ(r.rows[g].size(), expected[g].size());
+    for (size_t c = 0; c < expected[g].size(); ++c) {
+      EXPECT_EQ(r.rows[g][c].type(), expected[g][c].type())
+          << "group " << g << " column " << c;
+      EXPECT_EQ(r.rows[g][c], expected[g][c])
+          << "group " << g << " column " << c << ": "
+          << r.rows[g][c].ToString();
+    }
+  }
 }
 
 // Property: for randomized single-table range predicates, index-backed plans
