@@ -103,6 +103,12 @@ void BM_AllOnNoHashJoin(benchmark::State& state) {
   RunConfig(state, o);
 }
 
+void BM_AllOnNoPruning(benchmark::State& state) {
+  query::PlannerOptions o = query::PlannerOptions::Optimized();
+  o.optimizer.enable_projection_pruning = false;
+  RunConfig(state, o);
+}
+
 void BM_AllOn(benchmark::State& state) {
   RunConfig(state, query::PlannerOptions::Optimized());
 }
@@ -129,6 +135,7 @@ BENCHMARK(BM_OnlyPushdown)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_OnlyTreeRewriteAndIndex)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_OnlyJoinReorder)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AllOnNoHashJoin)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AllOnNoPruning)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AllOn)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PlanOnly)->Unit(benchmark::kMicrosecond);
 

@@ -12,7 +12,8 @@ cmake --build build -j "$(nproc)"
 cmake -B build-asan -S . -DDRUGTREE_SANITIZE=address
 cmake --build build-asan -j "$(nproc)" \
   --target obs_test obs_telemetry_test query_equiv_test query_exec_test \
-           storage_encoding_test query_adaptive_test query_index_join_test
+           storage_encoding_test query_adaptive_test query_index_join_test \
+           query_plan_test core_test
 ./build-asan/tests/obs_test
 ./build-asan/tests/obs_telemetry_test
 ./build-asan/tests/query_equiv_test
@@ -20,6 +21,11 @@ cmake --build build-asan -j "$(nproc)" \
 ./build-asan/tests/storage_encoding_test
 ./build-asan/tests/query_adaptive_test
 ./build-asan/tests/query_index_join_test
+# Pruned rows are index arithmetic: an off-by-one is an out-of-bounds Value
+# read that only the sanitizer reliably catches. core_test runs the workload
+# statements on a real instance under both plans.
+./build-asan/tests/query_plan_test
+./build-asan/tests/core_test
 
 # TSan smoke of the concurrency-bearing paths: the thread pool itself, the
 # multi-channel network + windowed mediator, morsel-parallel execution, the

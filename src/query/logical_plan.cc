@@ -1,5 +1,6 @@
 #include "query/logical_plan.h"
 
+#include <numeric>
 #include <set>
 
 #include "util/string_util.h"
@@ -87,6 +88,7 @@ std::string LogicalNode::ToString(int indent) const {
       out += "Scan " + table;
       if (alias != table) out += " AS " + alias;
       if (scan_predicate) out += " [pred: " + scan_predicate->ToString() + "]";
+      out += ColumnListLabel(*full_schema, columns);
       break;
     case LogicalKind::kFilter:
       out += "Filter " + (predicate ? predicate->ToString() : "true");
@@ -186,6 +188,17 @@ ValueType InferType(const Expr& expr, const Schema& schema) {
 
 }  // namespace
 
+std::string ColumnListLabel(const Schema& full,
+                            const std::vector<size_t>& columns) {
+  if (columns.size() == full.NumColumns()) return "";
+  std::string out = " [columns:";
+  for (size_t i = 0; i < columns.size(); ++i) {
+    out += i ? ", " : " ";
+    out += full.column(columns[i]).name;
+  }
+  return out + "]";
+}
+
 util::Result<Schema> ScanSchema(const storage::Table& table,
                                 const std::string& alias) {
   std::vector<Column> cols;
@@ -254,6 +267,9 @@ util::Result<LogicalPtr> BuildLogicalPlan(const SelectStatement& stmt,
     DRUGTREE_ASSIGN_OR_RETURN(storage::Table * table, catalog.Lookup(t.table));
     LogicalPtr scan = LogicalNode::Scan(t.table, t.alias);
     DRUGTREE_ASSIGN_OR_RETURN(scan->schema, ScanSchema(*table, t.alias));
+    scan->full_schema = std::make_shared<const Schema>(scan->schema);
+    scan->columns.resize(scan->schema.NumColumns());
+    std::iota(scan->columns.begin(), scan->columns.end(), size_t{0});
     if (plan == nullptr) {
       plan = std::move(scan);
       continue;

@@ -37,7 +37,8 @@ struct OutputColumn {
 
 /// One logical operator. Like Expr, a tagged struct for easy rewriting.
 /// `schema` (qualified column names, "alias.column") is set once, when the
-/// node is built: ScanSchema for scans, ComputeSchema for the others.
+/// node is built: for scans, the ScanSchema columns listed in `columns`;
+/// ComputeSchema for the others.
 ///
 /// Copy rule: a built plan is immutable. Its expressions may be shared with
 /// the parsed statement's copy, with other plans (the optimizer's output
@@ -54,6 +55,13 @@ struct LogicalNode {
   std::string table;
   std::string alias;
   ExprPtr scan_predicate;  // pushed-down conjunction, may be null
+  /// The table's full ScanSchema. The pushed-down predicate binds to it,
+  /// because it runs on whole table rows. Shared, never modified.
+  std::shared_ptr<const storage::Schema> full_schema;
+  /// The table columns the scan emits, in table order; `schema` names
+  /// them. BuildLogicalPlan lists every column, and projection pruning
+  /// (rules.h) drops the ones nothing above the scan reads.
+  std::vector<size_t> columns;
 
   // kFilter
   ExprPtr predicate;
@@ -100,6 +108,12 @@ LogicalPtr CloneLogicalPlan(const LogicalPtr& plan);
 /// columns in table order, named "alias.column".
 util::Result<storage::Schema> ScanSchema(const storage::Table& table,
                                          const std::string& alias);
+
+/// The " [columns: a.x, a.y]" part of a pruned scan's EXPLAIN line: the
+/// names of the `columns` listed out of `full`, in order. Empty when the
+/// list holds every column, so unpruned lines read as before pruning.
+std::string ColumnListLabel(const storage::Schema& full,
+                            const std::vector<size_t>& columns);
 
 /// Sets the output schema of a non-scan node from its children's schemas,
 /// which must already be set. Nothing below the node is recomputed.

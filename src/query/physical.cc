@@ -25,12 +25,6 @@ uint64_t HashKeyStep(uint64_t h, const Value& v) {
   return h ^ (v.Hash() + kKeyHashSeed + (h << 6) + (h >> 2));
 }
 
-uint64_t HashKey(const std::vector<Value>& key) {
-  uint64_t h = kKeyHashSeed;
-  for (const auto& v : key) h = HashKeyStep(h, v);
-  return h;
-}
-
 /// `expr`'s value on `row`, without a temporary Result<Value>: the row's
 /// own Value for a bound column reference, else `expr` evaluated into
 /// `*scratch`. Returns null, with the error in `*status`, when evaluation
@@ -49,6 +43,45 @@ const Value* ReadOperand(const Expr& expr, const Row& row,
   }
   *scratch = std::move(*v);
   return scratch;
+}
+
+/// Reads a join key in place: `key[k]` points at `exprs[k]`'s value on
+/// `row` (see ReadOperand; `scratch[k]` holds a computed one). Returns the
+/// key's hash.
+util::Result<uint64_t> ReadKey(const std::vector<ExprPtr>& exprs,
+                               const Row& row, const EvalContext& ctx,
+                               Value* scratch, const Value** key) {
+  uint64_t h = kKeyHashSeed;
+  util::Status status;
+  for (size_t k = 0; k < exprs.size(); ++k) {
+    key[k] = ReadOperand(*exprs[k], row, ctx, &scratch[k], &status);
+    if (key[k] == nullptr) return status;
+    h = HashKeyStep(h, *key[k]);
+  }
+  return h;
+}
+
+bool AnyNull(const Value* const* key, size_t n) {
+  for (size_t k = 0; k < n; ++k) {
+    if (key[k]->is_null()) return true;
+  }
+  return false;
+}
+
+/// Resizes *out to end after `at` + |columns| Values and copies the
+/// `columns` of `row` there, in order. Copy-assignment reuses the string
+/// buffers of the Values *out already holds.
+void CopyColumns(const Row& row, const std::vector<size_t>& columns,
+                 size_t at, Row* out) {
+  out->resize(at + columns.size());
+  for (size_t c : columns) (*out)[at++] = row[c];
+}
+
+/// Writes `left` followed by `right` into *out.
+void ConcatRows(const Row& left, const Row& right, Row* out) {
+  out->resize(left.size() + right.size());
+  std::copy(right.begin(), right.end(),
+            std::copy(left.begin(), left.end(), out->begin()));
 }
 
 /// Morsel accounting for the parallel operator paths.
@@ -235,21 +268,24 @@ obs::ExplainNode PhysicalOperator::AnalyzeTree() const {
 
 // ---------------------------------------------------------------- SeqScanOp
 
-SeqScanOp::SeqScanOp(const Table* table, std::string alias, Schema schema,
-                     ExprPtr predicate, EvalContext ctx, ExecStats* stats,
-                     ParallelContext par)
+SeqScanOp::SeqScanOp(const Table* table, std::string alias,
+                     std::shared_ptr<const Schema> full_schema,
+                     std::vector<size_t> columns, ExprPtr predicate,
+                     EvalContext ctx, ExecStats* stats, ParallelContext par)
     : table_(table),
       alias_(std::move(alias)),
+      full_schema_(std::move(full_schema)),
+      columns_(std::move(columns)),
       predicate_(std::move(predicate)),
       ctx_(ctx),
       stats_(stats),
       par_(par) {
-  schema_ = std::move(schema);
+  schema_ = full_schema_->Select(columns_);
 }
 
 util::Status SeqScanOp::OpenImpl() {
   if (predicate_) {
-    DRUGTREE_RETURN_IF_ERROR(BindExpr(predicate_.get(), schema_));
+    DRUGTREE_RETURN_IF_ERROR(BindExpr(predicate_.get(), *full_schema_));
   }
   cursor_ = 0;
   mcursor_ = 0;
@@ -267,6 +303,13 @@ util::Status SeqScanOp::OpenImpl() {
   if (table_->encoded() != nullptr &&
       TranslateEncodedPredicate(predicate_, &enc_clauses_)) {
     encoded_ = table_->encoded();
+    enc_read_ = columns_;
+    for (const storage::EncodedPredicate& clause : enc_clauses_) {
+      enc_read_.push_back(clause.column);
+    }
+    std::sort(enc_read_.begin(), enc_read_.end());
+    enc_read_.erase(std::unique(enc_read_.begin(), enc_read_.end()),
+                    enc_read_.end());
     return util::Status::OK();
   }
   const storage::Schema& table_schema = table_->schema();
@@ -343,7 +386,7 @@ util::Result<bool> SeqScanOp::NextImpl(Row* out) {
   if (materialized_) {
     // Stats were accumulated during the parallel materialization.
     if (mcursor_ >= matches_.size()) return false;
-    *out = table_->row(matches_[mcursor_++]);
+    CopyColumns(table_->row(matches_[mcursor_++]), columns_, 0, out);
     return true;
   }
   while (cursor_ < table_->NumRows()) {
@@ -364,7 +407,7 @@ util::Result<bool> SeqScanOp::NextImpl(Row* out) {
       DRUGTREE_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*predicate_, row, ctx_));
       if (!keep) continue;
     }
-    *out = row;
+    CopyColumns(row, columns_, 0, out);
     return true;
   }
   return false;
@@ -393,19 +436,22 @@ util::Result<bool> SeqScanOp::NextEncoded(Row* out) {
       DRUGTREE_RETURN_IF_ERROR(query_context()->Check());
     }
     const storage::EncodedSegment& seg = encoded_->segments[enc_seg_++];
+    int64_t bytes = 0;
+    for (size_t c : enc_read_) {
+      bytes += static_cast<int64_t>(seg.columns[c].EncodedBytes());
+    }
     stats_->rows_scanned += static_cast<int64_t>(seg.num_rows);
     stats_->predicate_evals += static_cast<int64_t>(seg.num_rows);
-    stats_->bytes_scanned += static_cast<int64_t>(seg.encoded_bytes);
-    AddBytesScanned(static_cast<int64_t>(seg.encoded_bytes));
+    stats_->bytes_scanned += bytes;
+    AddBytesScanned(bytes);
     enc_pos_ = 0;
     storage::FilterSegment(seg, enc_clauses_, &enc_matches_, &enc_scratch_);
   }
   const storage::EncodedSegment& seg = encoded_->segments[enc_seg_ - 1];
   const size_t i = enc_matches_[enc_pos_++];
-  out->clear();
-  out->reserve(seg.columns.size());
-  for (const storage::EncodedColumn& col : seg.columns) {
-    out->push_back(col.ValueAt(i));
+  out->resize(columns_.size());
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    (*out)[c] = seg.columns[columns_[c]].ValueAt(i);
   }
   return true;
 }
@@ -414,6 +460,7 @@ std::string SeqScanOp::Describe() const {
   std::string out = "SeqScan " + table_->name();
   if (alias_ != table_->name()) out += " AS " + alias_;
   if (predicate_) out += " [filter: " + predicate_->ToString() + "]";
+  out += ColumnListLabel(*full_schema_, columns_);
   if (const storage::EncodedTableSnapshot* snap = table_->encoded()) {
     out += " [encoded: " + snap->Summary(table_->schema()) + "]";
   }
@@ -422,22 +469,26 @@ std::string SeqScanOp::Describe() const {
 
 // -------------------------------------------------------------- IndexScanOp
 
-IndexScanOp::IndexScanOp(const Table* table, std::string alias, Schema schema,
-                         std::string column, Bounds bounds, ExprPtr residual,
-                         EvalContext ctx, ExecStats* stats)
+IndexScanOp::IndexScanOp(const Table* table, std::string alias,
+                         std::shared_ptr<const Schema> full_schema,
+                         std::vector<size_t> columns, std::string column,
+                         Bounds bounds, ExprPtr residual, EvalContext ctx,
+                         ExecStats* stats)
     : table_(table),
       alias_(std::move(alias)),
+      full_schema_(std::move(full_schema)),
+      columns_(std::move(columns)),
       column_(std::move(column)),
       bounds_(std::move(bounds)),
       residual_(std::move(residual)),
       ctx_(ctx),
       stats_(stats) {
-  schema_ = std::move(schema);
+  schema_ = full_schema_->Select(columns_);
 }
 
 util::Status IndexScanOp::OpenImpl() {
   if (residual_) {
-    DRUGTREE_RETURN_IF_ERROR(BindExpr(residual_.get(), schema_));
+    DRUGTREE_RETURN_IF_ERROR(BindExpr(residual_.get(), *full_schema_));
   }
   if (bounds_.is_point) {
     DRUGTREE_ASSIGN_OR_RETURN(matches_,
@@ -463,7 +514,7 @@ util::Result<bool> IndexScanOp::NextImpl(Row* out) {
       DRUGTREE_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*residual_, row, ctx_));
       if (!keep) continue;
     }
-    *out = row;
+    CopyColumns(row, columns_, 0, out);
     return true;
   }
   return false;
@@ -481,6 +532,7 @@ std::string IndexScanOp::Describe() const {
         bounds_.hi_inclusive ? ']' : ')');
   }
   if (residual_) out += " [residual: " + residual_->ToString() + "]";
+  out += ColumnListLabel(*full_schema_, columns_);
   return out;
 }
 
@@ -643,17 +695,14 @@ util::Result<bool> NestedLoopJoinOp::NextImpl(Row* out) {
           right_cursor_ != 0) {
         DRUGTREE_RETURN_IF_ERROR(query_context()->Check());
       }
-      const Row& r = right_rows_[right_cursor_++];
-      Row joined = current_left_;
-      joined.insert(joined.end(), r.begin(), r.end());
+      ConcatRows(current_left_, right_rows_[right_cursor_++], out);
       if (condition_) {
         ++stats_->predicate_evals;
         DRUGTREE_ASSIGN_OR_RETURN(bool keep,
-                                  EvalPredicate(*condition_, joined, ctx_));
+                                  EvalPredicate(*condition_, *out, ctx_));
         if (!keep) continue;
       }
       ++stats_->rows_joined;
-      *out = std::move(joined);
       return true;
     }
     have_left_ = false;
@@ -682,17 +731,6 @@ HashJoinOp::HashJoinOp(PhysicalPtr left, PhysicalPtr right, Schema schema,
   explain_children_ = {left_.get(), right_.get()};
 }
 
-util::Result<uint64_t> HashJoinOp::KeyHash(const std::vector<ExprPtr>& exprs,
-                                           const Row& row,
-                                           std::vector<Value>* key_out) {
-  key_out->clear();
-  for (const auto& e : exprs) {
-    DRUGTREE_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, row, ctx_));
-    key_out->push_back(std::move(v));
-  }
-  return HashKey(*key_out);
-}
-
 util::Status HashJoinOp::OpenImpl() {
   DRUGTREE_RETURN_IF_ERROR(left_->Open());
   DRUGTREE_RETURN_IF_ERROR(right_->Open());
@@ -714,6 +752,9 @@ util::Status HashJoinOp::OpenImpl() {
     left_keys_.push_back(lk);
     right_keys_.push_back(rk);
   }
+  const size_t num_keys = key_pairs_.size();
+  current_key_.assign(num_keys, nullptr);
+  key_scratch_.assign(num_keys, Value());
 
   // Build phase on the right input: materialize, hash the keys (in morsels
   // when a pool is available), then index hash -> row positions in row
@@ -752,18 +793,19 @@ util::Status HashJoinOp::OpenImpl() {
           return;
         }
       }
-      std::vector<Value> key;
+      std::vector<Value> scratch(num_keys);
+      std::vector<const Value*> key(num_keys);
       const size_t begin = m * morsel;
       const size_t end = std::min(n, begin + morsel);
       for (size_t i = begin; i < end; ++i) {
-        auto h = KeyHash(right_keys_, right_rows_[i], &key);
+        auto h = ReadKey(right_keys_, right_rows_[i], ctx_, scratch.data(),
+                         key.data());
         if (!h.ok()) {
           errors[m] = h.status();
           return;
         }
-        bool has_null = false;
-        for (const auto& v : key) has_null |= v.is_null();
-        valid[i] = has_null ? 0 : 1;  // NULL keys never join
+        // NULL keys never join.
+        valid[i] = AnyNull(key.data(), num_keys) ? 0 : 1;
         hashes[i] = *h;
       }
     });
@@ -773,14 +815,13 @@ util::Status HashJoinOp::OpenImpl() {
     MorselCounter()->Add(static_cast<int64_t>(num_morsels));
     ParallelRowsCounter()->Add(static_cast<int64_t>(n));
   } else {
-    std::vector<Value> key;
+    // The probe's key buffers are free until the first Next().
     for (size_t i = 0; i < n; ++i) {
-      DRUGTREE_ASSIGN_OR_RETURN(uint64_t h,
-                                KeyHash(right_keys_, right_rows_[i], &key));
-      bool has_null = false;
-      for (const auto& v : key) has_null |= v.is_null();
-      valid[i] = has_null ? 0 : 1;  // NULL keys never join
-      hashes[i] = h;
+      DRUGTREE_ASSIGN_OR_RETURN(
+          hashes[i], ReadKey(right_keys_, right_rows_[i], ctx_,
+                             key_scratch_.data(), current_key_.data()));
+      // NULL keys never join.
+      valid[i] = AnyNull(current_key_.data(), num_keys) ? 0 : 1;
     }
   }
   for (size_t i = 0; i < n; ++i) {
@@ -803,12 +844,10 @@ util::Result<bool> HashJoinOp::NextImpl(Row* out) {
     if (!have_left_) {
       DRUGTREE_ASSIGN_OR_RETURN(bool more, left_->Next(&current_left_));
       if (!more) return false;
-      DRUGTREE_ASSIGN_OR_RETURN(uint64_t h,
-                                KeyHash(left_keys_, current_left_,
-                                        &current_key_));
-      bool has_null = false;
-      for (const auto& v : current_key_) has_null |= v.is_null();
-      if (has_null) continue;
+      DRUGTREE_ASSIGN_OR_RETURN(
+          uint64_t h, ReadKey(left_keys_, current_left_, ctx_,
+                              key_scratch_.data(), current_key_.data()));
+      if (AnyNull(current_key_.data(), current_key_.size())) continue;
       auto it = hash_table_.find(h);
       probe_list_ = it == hash_table_.end() ? nullptr : &it->second;
       probe_pos_ = 0;
@@ -816,20 +855,25 @@ util::Result<bool> HashJoinOp::NextImpl(Row* out) {
     }
     while (probe_list_ != nullptr && probe_pos_ < probe_list_->size()) {
       const Row& r = right_rows_[(*probe_list_)[probe_pos_++]];
-      // Verify key equality (hash collisions).
-      std::vector<Value> rkey;
-      DRUGTREE_RETURN_IF_ERROR(KeyHash(right_keys_, r, &rkey).status());
-      if (rkey != current_key_) continue;
-      Row joined = current_left_;
-      joined.insert(joined.end(), r.begin(), r.end());
+      // Verify key equality (hash collisions) in place. The build phase
+      // already read every build key without error.
+      bool equal = true;
+      util::Status status;
+      for (size_t k = 0; equal && k < right_keys_.size(); ++k) {
+        const Value* v =
+            ReadOperand(*right_keys_[k], r, ctx_, &probe_scratch_, &status);
+        if (v == nullptr) return status;
+        equal = *v == *current_key_[k];
+      }
+      if (!equal) continue;
+      ConcatRows(current_left_, r, out);
       if (residual_) {
         ++stats_->predicate_evals;
         DRUGTREE_ASSIGN_OR_RETURN(bool keep,
-                                  EvalPredicate(*residual_, joined, ctx_));
+                                  EvalPredicate(*residual_, *out, ctx_));
         if (!keep) continue;
       }
       ++stats_->rows_joined;
-      *out = std::move(joined);
       return true;
     }
     have_left_ = false;
@@ -851,13 +895,15 @@ std::string HashJoinOp::Describe() const {
 
 IndexNestedLoopJoinOp::IndexNestedLoopJoinOp(
     PhysicalPtr left, const Table* table, std::string alias,
-    Schema inner_schema, Schema schema, std::string index_column,
-    ExprPtr outer_key, ExprPtr inner_predicate, ExprPtr residual,
-    EvalContext ctx, ExecStats* stats)
+    std::shared_ptr<const Schema> inner_schema,
+    std::vector<size_t> inner_columns, Schema schema,
+    std::string index_column, ExprPtr outer_key, ExprPtr inner_predicate,
+    ExprPtr residual, EvalContext ctx, ExecStats* stats)
     : left_(std::move(left)),
       table_(table),
       alias_(std::move(alias)),
       inner_schema_(std::move(inner_schema)),
+      inner_columns_(std::move(inner_columns)),
       index_column_(std::move(index_column)),
       outer_key_(std::move(outer_key)),
       inner_predicate_(std::move(inner_predicate)),
@@ -877,7 +923,7 @@ util::Status IndexNestedLoopJoinOp::OpenImpl() {
   }
   DRUGTREE_RETURN_IF_ERROR(BindExpr(outer_key_.get(), left_->schema()));
   if (inner_predicate_) {
-    DRUGTREE_RETURN_IF_ERROR(BindExpr(inner_predicate_.get(), inner_schema_));
+    DRUGTREE_RETURN_IF_ERROR(BindExpr(inner_predicate_.get(), *inner_schema_));
   }
   if (residual_) {
     DRUGTREE_RETURN_IF_ERROR(BindExpr(residual_.get(), schema_));
@@ -906,18 +952,15 @@ util::Result<bool> IndexNestedLoopJoinOp::NextImpl(Row* out) {
                                   EvalPredicate(*inner_predicate_, r, ctx_));
         if (!keep) continue;
       }
-      Row joined;
-      joined.reserve(current_left_.size() + r.size());
-      joined.insert(joined.end(), current_left_.begin(), current_left_.end());
-      joined.insert(joined.end(), r.begin(), r.end());
+      CopyColumns(r, inner_columns_, current_left_.size(), out);
+      std::copy(current_left_.begin(), current_left_.end(), out->begin());
       if (residual_) {
         ++stats_->predicate_evals;
         DRUGTREE_ASSIGN_OR_RETURN(bool keep,
-                                  EvalPredicate(*residual_, joined, ctx_));
+                                  EvalPredicate(*residual_, *out, ctx_));
         if (!keep) continue;
       }
       ++stats_->rows_joined;
-      *out = std::move(joined);
       return true;
     }
     DRUGTREE_ASSIGN_OR_RETURN(bool more, left_->Next(&current_left_));
@@ -939,6 +982,7 @@ std::string IndexNestedLoopJoinOp::Describe() const {
     out += " [filter: " + inner_predicate_->ToString() + "]";
   }
   if (residual_) out += " [residual: " + residual_->ToString() + "]";
+  out += ColumnListLabel(*inner_schema_, inner_columns_);
   return out;
 }
 

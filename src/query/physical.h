@@ -38,9 +38,11 @@ struct ExecStats {
   int64_t rows_joined = 0;        // rows emitted by join operators
   int64_t predicate_evals = 0;    // per-row predicate evaluations
   int64_t bytes_scanned = 0;      // storage bytes sequential scans touched:
-                                  // encoded segment bytes on the encoded
+                                  // on the encoded path, the encoded bytes
+                                  // of the columns a scan filters on or
+                                  // decodes, per segment; on the plain
                                   // path, the approximate bytes of every
-                                  // live row read on the plain path
+                                  // live (whole) row read
 };
 
 /// Morsel-parallel execution context threaded from the planner into
@@ -150,12 +152,16 @@ class PhysicalOperator {
 
 using PhysicalPtr = std::unique_ptr<PhysicalOperator>;
 
-/// Full-table scan with an optional residual predicate. `schema` is the
-/// table's ScanSchema under `alias`.
+/// Full-table scan with an optional predicate. `full_schema` is the
+/// table's ScanSchema under `alias`: the predicate binds to it and runs on
+/// whole table rows. Each row emitted holds the table `columns` listed, in
+/// that order (every column for an unpruned scan), and the scan's schema
+/// names them.
 class SeqScanOp : public PhysicalOperator {
  public:
   SeqScanOp(const storage::Table* table, std::string alias,
-            storage::Schema schema, ExprPtr predicate, EvalContext ctx,
+            std::shared_ptr<const storage::Schema> full_schema,
+            std::vector<size_t> columns, ExprPtr predicate, EvalContext ctx,
             ExecStats* stats, ParallelContext par = {});
   util::Status OpenImpl() override;
   util::Result<bool> NextImpl(storage::Row* out) override;
@@ -169,10 +175,10 @@ class SeqScanOp : public PhysicalOperator {
 
   /// Row production directly on the table's encoded snapshot: the
   /// predicate runs one segment at a time on the encoded form (dictionary
-  /// code ranges, RLE runs, frame-of-reference deltas) and only the
-  /// surviving rows are decoded. Taken when Open() found a fresh snapshot
-  /// and the whole predicate translated to at least one encoded clause;
-  /// row order and results are identical to the plain path.
+  /// code ranges, RLE runs, frame-of-reference deltas) and only the listed
+  /// columns of the surviving rows are decoded. Taken when Open() found a
+  /// fresh snapshot and the whole predicate translated to at least one
+  /// encoded clause; row order and results are identical to the plain path.
   util::Result<bool> NextEncoded(storage::Row* out);
 
   /// The approximate bytes (ExecStats::bytes_scanned) of one plain row,
@@ -181,6 +187,8 @@ class SeqScanOp : public PhysicalOperator {
 
   const storage::Table* table_;
   std::string alias_;
+  std::shared_ptr<const storage::Schema> full_schema_;
+  std::vector<size_t> columns_;
   ExprPtr predicate_;
   EvalContext ctx_;
   ExecStats* stats_;
@@ -196,13 +204,16 @@ class SeqScanOp : public PhysicalOperator {
   // Encoded-scan state (null snapshot => plain path).
   const storage::EncodedTableSnapshot* encoded_ = nullptr;
   std::vector<storage::EncodedPredicate> enc_clauses_;
+  std::vector<size_t> enc_read_;          // columns filtered on or decoded
   size_t enc_seg_ = 0;                    // next segment to filter
   std::vector<uint32_t> enc_matches_;     // survivors of segment enc_seg_-1
   std::vector<uint32_t> enc_scratch_;
   size_t enc_pos_ = 0;                    // next survivor to emit
 };
 
-/// Index access path: equality (hash or B+-tree) or range (B+-tree).
+/// Index access path: equality (hash or B+-tree) or range (B+-tree). Like
+/// SeqScanOp, the residual binds to `full_schema` and runs on whole table
+/// rows, and each row emitted holds the listed `columns`.
 class IndexScanOp : public PhysicalOperator {
  public:
   struct Bounds {
@@ -213,7 +224,8 @@ class IndexScanOp : public PhysicalOperator {
   };
 
   IndexScanOp(const storage::Table* table, std::string alias,
-              storage::Schema schema, std::string column, Bounds bounds,
+              std::shared_ptr<const storage::Schema> full_schema,
+              std::vector<size_t> columns, std::string column, Bounds bounds,
               ExprPtr residual, EvalContext ctx, ExecStats* stats);
   util::Status OpenImpl() override;
   util::Result<bool> NextImpl(storage::Row* out) override;
@@ -222,6 +234,8 @@ class IndexScanOp : public PhysicalOperator {
  private:
   const storage::Table* table_;
   std::string alias_;
+  std::shared_ptr<const storage::Schema> full_schema_;
+  std::vector<size_t> columns_;
   std::string column_;
   Bounds bounds_;
   ExprPtr residual_;
@@ -302,10 +316,6 @@ class HashJoinOp : public PhysicalOperator {
   std::string Describe() const override;
 
  private:
-  util::Result<uint64_t> KeyHash(const std::vector<ExprPtr>& exprs,
-                                 const storage::Row& row,
-                                 std::vector<storage::Value>* key_out);
-
   PhysicalPtr left_, right_;
   std::vector<std::pair<ExprPtr, ExprPtr>> key_pairs_;
   ExprPtr residual_;
@@ -322,7 +332,13 @@ class HashJoinOp : public PhysicalOperator {
   // rebuild the vectors per call.
   std::vector<ExprPtr> left_keys_, right_keys_;
   storage::Row current_left_;
-  std::vector<storage::Value> current_key_;
+  // The current left row's key, read in place: each entry points into
+  // current_left_, or into key_scratch_ for a computed key. A build row's
+  // key is compared in place too (a computed one through probe_scratch_),
+  // so probing allocates nothing.
+  std::vector<const storage::Value*> current_key_;
+  std::vector<storage::Value> key_scratch_;
+  storage::Value probe_scratch_;
   bool have_left_ = false;
   const std::vector<size_t>* probe_list_ = nullptr;
   size_t probe_pos_ = 0;
@@ -335,12 +351,15 @@ class HashJoinOp : public PhysicalOperator {
 /// predicate, and each joined row the residual (the remaining join
 /// conjuncts). NULL keys never join. Output order is the left order, then
 /// the inner rows' id order; nothing is materialized. `inner_schema` is the
-/// table's ScanSchema under `alias`, and `schema` the left columns followed
-/// by the inner ones.
+/// table's full ScanSchema under `alias`, which the inner predicate binds
+/// to (it runs on whole fetched rows); a joined row holds the left row
+/// followed by the `inner_columns` listed, and `schema` names them.
 class IndexNestedLoopJoinOp : public PhysicalOperator {
  public:
   IndexNestedLoopJoinOp(PhysicalPtr left, const storage::Table* table,
-                        std::string alias, storage::Schema inner_schema,
+                        std::string alias,
+                        std::shared_ptr<const storage::Schema> inner_schema,
+                        std::vector<size_t> inner_columns,
                         storage::Schema schema, std::string index_column,
                         ExprPtr outer_key, ExprPtr inner_predicate,
                         ExprPtr residual, EvalContext ctx, ExecStats* stats);
@@ -352,10 +371,11 @@ class IndexNestedLoopJoinOp : public PhysicalOperator {
   PhysicalPtr left_;
   const storage::Table* table_;
   std::string alias_;
-  storage::Schema inner_schema_;
+  std::shared_ptr<const storage::Schema> inner_schema_;
+  std::vector<size_t> inner_columns_;
   std::string index_column_;
   ExprPtr outer_key_;        // bound to the left schema
-  ExprPtr inner_predicate_;  // bound to inner_schema_
+  ExprPtr inner_predicate_;  // bound to *inner_schema_
   ExprPtr residual_;         // bound to the joined schema
   EvalContext ctx_;
   ExecStats* stats_;

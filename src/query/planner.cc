@@ -142,7 +142,7 @@ util::Result<PhysicalPtr> Planner::ToPhysical(const LogicalPtr& node,
       DRUGTREE_ASSIGN_OR_RETURN(Table * table, catalog_->Lookup(node->table));
       if (!options.enable_index_selection || !node->scan_predicate) {
         return PhysicalPtr(std::make_unique<SeqScanOp>(
-            table, node->alias, node->schema,
+            table, node->alias, node->full_schema, node->columns,
             CloneForBinding(node->scan_predicate), ctx, stats, par));
       }
       // Index selection: find the best access path among the conjuncts.
@@ -176,8 +176,9 @@ util::Result<PhysicalPtr> Planner::ToPhysical(const LogicalPtr& node,
           if (static_cast<int>(i) != best_eq) residual.push_back(conjuncts[i]);
         }
         return PhysicalPtr(std::make_unique<IndexScanOp>(
-            table, node->alias, node->schema, UnqualifiedName(cl.column),
-            bounds, CloneForBinding(CombineConjuncts(residual)), ctx, stats));
+            table, node->alias, node->full_schema, node->columns,
+            UnqualifiedName(cl.column), bounds,
+            CloneForBinding(CombineConjuncts(residual)), ctx, stats));
       }
       if (!best_range_col.empty()) {
         IndexScanOp::Bounds bounds;
@@ -209,12 +210,13 @@ util::Result<PhysicalPtr> Planner::ToPhysical(const LogicalPtr& node,
           residual.push_back(c);
         }
         return PhysicalPtr(std::make_unique<IndexScanOp>(
-            table, node->alias, node->schema, best_range_col, bounds,
+            table, node->alias, node->full_schema, node->columns,
+            best_range_col, bounds,
             CloneForBinding(CombineConjuncts(residual)), ctx, stats));
       }
       return PhysicalPtr(std::make_unique<SeqScanOp>(
-          table, node->alias, node->schema, node->scan_predicate->Clone(), ctx,
-          stats, par));
+          table, node->alias, node->full_schema, node->columns,
+          node->scan_predicate->Clone(), ctx, stats, par));
     }
     case LogicalKind::kFilter: {
       DRUGTREE_ASSIGN_OR_RETURN(PhysicalPtr child,
@@ -250,8 +252,8 @@ util::Result<PhysicalPtr> Planner::ToPhysical(const LogicalPtr& node,
         if (key != nullptr &&
             table->GetHashIndex(node->index_column) != nullptr) {
           return PhysicalPtr(std::make_unique<IndexNestedLoopJoinOp>(
-              std::move(left), table, inner.alias, inner.schema, node->schema,
-              node->index_column, std::move(key),
+              std::move(left), table, inner.alias, inner.full_schema,
+              inner.columns, node->schema, node->index_column, std::move(key),
               CloneForBinding(inner.scan_predicate),
               CloneForBinding(CombineConjuncts(residual)), ctx, stats));
         }

@@ -1,7 +1,9 @@
 // Planner: the query engine's front door. Parses, optimizes, physically
 // plans, and executes statements, with every optimization independently
 // toggleable (the E1/E2 ablation axes) and an optional semantic result
-// cache in front of the whole pipeline.
+// cache in front of the whole pipeline. Physical planning lowers each
+// logical scan's column list (projection pruning, rules.h) into the scan
+// and index-join operators, which copy only the listed columns.
 
 #ifndef DRUGTREE_QUERY_PLANNER_H_
 #define DRUGTREE_QUERY_PLANNER_H_
@@ -41,7 +43,8 @@ struct PlannerOptions {
   /// reads it; drop it once perfbench no longer does.
   size_t batch_size = 1024;
 
-  /// Everything off: the E1/E2 "naive DrugTree" baseline.
+  /// Everything off: the E1/E2 "naive DrugTree" baseline, and the
+  /// unpruned reference every optimization is checked against.
   static PlannerOptions Naive() {
     PlannerOptions o;
     o.optimizer = OptimizerOptions::AllOff();

@@ -153,13 +153,14 @@ struct JoinRegion {
 };
 
 // Collects the scans and predicates of a Filter/Join/Scan region. The scans
-// are new nodes without predicates; they take over the original scans'
-// schemas.
+// are new nodes without predicates or schemas; they take over the original
+// scans' column lists.
 util::Status CollectRegion(const LogicalPtr& node, JoinRegion* region) {
   switch (node->kind) {
     case LogicalKind::kScan: {
       auto scan = LogicalNode::Scan(node->table, node->alias);
-      scan->schema = node->schema;
+      scan->full_schema = node->full_schema;
+      scan->columns = node->columns;
       if (node->scan_predicate) {
         for (auto& c : SplitConjuncts(node->scan_predicate)) {
           region->conjuncts.push_back(std::move(c));
@@ -186,6 +187,41 @@ util::Status CollectRegion(const LogicalPtr& node, JoinRegion* region) {
     default:
       return util::Status::Internal("unexpected node kind in join region");
   }
+}
+
+/// Distinct column names referenced by an expression, as views into it.
+void CollectColumnNames(const Expr& e, std::vector<std::string_view>* out) {
+  if (e.kind == ExprKind::kColumnRef &&
+      std::find(out->begin(), out->end(), e.column) == out->end()) {
+    out->push_back(e.column);
+  }
+  for (const auto& c : e.children) CollectColumnNames(*c, out);
+}
+
+/// Collects the columns the pipeline reads from the join region's rows:
+/// those of the Project or Aggregate that BuildLogicalPlan puts directly
+/// above the region. False for any other node: it sees whole rows.
+bool CollectPipelineReads(const std::vector<const LogicalNode*>& pipeline,
+                          std::vector<std::string_view>* out) {
+  if (pipeline.empty()) return false;
+  const LogicalNode& node = *pipeline.back();
+  if (node.kind != LogicalKind::kProject &&
+      node.kind != LogicalKind::kAggregate) {
+    return false;
+  }
+  for (const auto& g : node.group_by) CollectColumnNames(*g, out);
+  for (const auto& o : node.outputs) CollectColumnNames(*o.expr, out);
+  return true;
+}
+
+/// True iff the column reference `ref` may resolve to the scan column
+/// `qualified` ("alias.column"): ResolveColumn's exact or bare-suffix
+/// match. Keeping every such column keeps resolution, ambiguity errors
+/// included, as it is over unpruned rows.
+bool MayResolveTo(std::string_view ref, std::string_view qualified) {
+  return qualified == ref ||
+         (qualified.size() > ref.size() && qualified.ends_with(ref) &&
+          qualified[qualified.size() - ref.size() - 1] == '.');
 }
 
 bool IsJoinRegionNode(const LogicalNode& node) {
@@ -308,6 +344,32 @@ util::Result<LogicalPtr> OptimizeLogicalPlan(const LogicalPtr& plan,
     return ChooseJoinOrder(relations, edges, options.enable_join_reorder,
                            cost.costs());
   }());
+
+  // Projection pruning: each scan keeps only the columns read above it, by
+  // the pipeline, the residual filter or a join condition. Join keys stay,
+  // so joins concatenate and bind as they do over whole rows; pushed-down
+  // predicates bind to the full table row and are not counted. Each scan's
+  // schema is built once, here, from its list.
+  std::vector<std::string_view> reads;
+  if (options.enable_projection_pruning &&
+      CollectPipelineReads(pipeline, &reads)) {
+    for (const auto& r : residual) CollectColumnNames(*r, &reads);
+    for (const auto& step : order.conditions) {
+      for (const auto& c : step) CollectColumnNames(*c, &reads);
+    }
+    for (const auto& scan : region.scans) {
+      const storage::Schema& full = *scan->full_schema;
+      std::erase_if(scan->columns, [&](size_t c) {
+        return std::none_of(reads.begin(), reads.end(),
+                            [&](std::string_view ref) {
+                              return MayResolveTo(ref, full.column(c).name);
+                            });
+      });
+    }
+  }
+  for (const auto& scan : region.scans) {
+    scan->schema = scan->full_schema->Select(scan->columns);
+  }
 
   // Rebuild the join tree left-deep in the chosen order. Each step records
   // the join method the cost model prices cheaper at the step's estimated

@@ -1,6 +1,7 @@
 // The rule-based logical optimizer: constant folding, tree-predicate
 // rewriting (SUBTREE/ANCESTOR_OF -> pre-order interval comparisons),
-// predicate pushdown, and cost-based join reordering. Each rule can be
+// predicate pushdown, cost-based join reordering, and projection pruning
+// (each scan lists only the columns read above it). Each rule can be
 // toggled independently — experiment E2's ablation axis.
 
 #ifndef DRUGTREE_QUERY_RULES_H_
@@ -23,13 +24,17 @@ struct OptimizerOptions {
   bool enable_tree_rewrite = true;
   bool enable_pushdown = true;
   bool enable_join_reorder = true;
+  /// Each scan emits only the columns that the pipeline above the join
+  /// region, the residual filter or a join condition reads; off, every
+  /// scan emits every column (the unpruned reference of Naive()).
+  bool enable_projection_pruning = true;
   /// Borrowed calibrated cost coefficients for the CostModel / join
   /// ordering. Null = the built-in defaults (bit-identical to the
   /// pre-calibration planner). The planner stamps a fresh snapshot per run.
   const obs::CalibratedCosts* costs = nullptr;
 
   static OptimizerOptions AllOff() {
-    return {false, false, false, false, nullptr};
+    return {false, false, false, false, false, nullptr};
   }
   static OptimizerOptions AllOn() { return {}; }
 };
@@ -48,7 +53,9 @@ util::Result<ExprPtr> RewriteTreePredicates(
     const std::map<std::string, std::string>& alias_to_table);
 
 /// Runs the full logical optimization pipeline and returns the rewritten
-/// plan (schemas recomputed). The input plan is not modified.
+/// plan. The join region is rebuilt, with its scans' column lists and
+/// schemas (each built once); the nodes above it keep theirs. The input
+/// plan is not modified.
 util::Result<LogicalPtr> OptimizeLogicalPlan(const LogicalPtr& plan,
                                              const Catalog& catalog,
                                              const OptimizerOptions& options);

@@ -43,6 +43,13 @@ bool Schema::Has(const std::string& name) const {
   return false;
 }
 
+Schema Schema::Select(const std::vector<size_t>& indices) const {
+  Schema s;
+  s.columns_.reserve(indices.size());
+  for (size_t i : indices) s.columns_.push_back(columns_[i]);
+  return s;
+}
+
 util::Status Schema::CheckRow(const Row& row) const {
   if (row.size() != columns_.size()) {
     return util::Status::InvalidArgument(util::StringPrintf(

@@ -37,6 +37,10 @@ class Schema {
   /// True iff a column with this name exists.
   bool Has(const std::string& name) const;
 
+  /// The schema of the columns at `indices`, in that order. The indices
+  /// must be in range and distinct, so the names stay unique.
+  Schema Select(const std::vector<size_t>& indices) const;
+
   /// Checks that `row` conforms: arity, per-column type (NULL allowed when
   /// nullable; Int64 is accepted where Double is declared).
   util::Status CheckRow(const Row& row) const;

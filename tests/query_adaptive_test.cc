@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "clades.h"
 #include "core/drugtree.h"
 #include "obs/cost_calibrator.h"
 #include "obs/explain.h"
@@ -190,6 +191,49 @@ TEST_F(AdaptiveTest, PlanCacheHitsAndRebindsWithIdenticalResults) {
   ASSERT_TRUE(fresh_explained.ok());
   EXPECT_EQ(fresh_explained->physical_plan.rfind("plan: cached", 0),
             std::string::npos);
+
+  // A pruned join template re-bound to a clade interval at the root, a mid
+  // clade and a leaf: each re-bound plan equals a fresh plan of the same
+  // statement, in EXPLAIN text (column lists included) and in result.
+  const Clades clades = PickClades(*dt_);
+  phylo::NodeId leaf = clades.leaf_parent;
+  while (!dt_->tree().node(leaf).IsLeaf()) {
+    leaf = dt_->tree().node(leaf).children.front();
+  }
+  auto clade_sql = [](phylo::NodeId node) {
+    const phylo::TreeIndex& index = dt_->tree_index();
+    return util::StringPrintf(
+        "SELECT p.accession, a.affinity_nm FROM proteins p "
+        "JOIN activities a ON p.accession = a.accession "
+        "WHERE p.pre >= %d AND p.pre <= %d "
+        "ORDER BY a.affinity_nm, p.accession",
+        static_cast<int>(index.Pre(node)), static_cast<int>(index.Post(node)));
+  };
+  auto installed = cached.Run(clade_sql(clades.leaf_parent), opts);
+  ASSERT_TRUE(installed.ok()) << installed.status();
+  EXPECT_FALSE(installed->from_plan_cache);
+  for (phylo::NodeId node : {clades.root, clades.mid, leaf}) {
+    const std::string sql = clade_sql(node);
+    const int64_t rebinds = cache.stats().rebinds;
+    auto bound = cached.Run(sql, opts);
+    ASSERT_TRUE(bound.ok()) << sql << ": " << bound.status();
+    EXPECT_TRUE(bound->from_plan_cache) << sql;
+    EXPECT_EQ(cache.stats().rebinds, rebinds + 1) << sql;
+    auto fresh = plain.Run(sql, opts);
+    ASSERT_TRUE(fresh.ok()) << sql << ": " << fresh.status();
+    ExpectSameRows(fresh->result, bound->result, "rebound " + sql);
+    EXPECT_FALSE(bound->result.rows.empty()) << sql;
+
+    auto bound_plan = cached.Run("EXPLAIN " + sql, opts);
+    auto fresh_plan = plain.Run("EXPLAIN " + sql, opts);
+    ASSERT_TRUE(bound_plan.ok() && fresh_plan.ok()) << sql;
+    ASSERT_EQ(bound_plan->physical_plan.rfind("plan: cached\n", 0), 0u);
+    EXPECT_EQ(bound_plan->physical_plan.substr(13), fresh_plan->physical_plan)
+        << sql;
+    EXPECT_EQ(bound_plan->logical_plan, fresh_plan->logical_plan) << sql;
+    EXPECT_NE(bound_plan->physical_plan.find("[columns: "), std::string::npos)
+        << bound_plan->physical_plan;
+  }
 }
 
 TEST_F(AdaptiveTest, ConsumedLiteralsMakeTemplatesNonRebindable) {

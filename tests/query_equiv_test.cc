@@ -264,6 +264,22 @@ const char* kCorpus[] = {
     "SELECT p.acc, TREE_DEPTH(p.node_id) AS d FROM proteins p ORDER BY p.acc",
     "SELECT p.acc FROM proteins p WHERE SUBTREE(p.node_id, 'x') "
     "AND p.family = 'famA'",
+    // Projection pruning: SELECT * keeps every column; a column read only
+    // by a residual filter, an aggregate argument or a joined table's
+    // pushed-down predicate; one column selected twice; a scan that emits
+    // no columns; a tree scalar over a join.
+    "SELECT * FROM proteins p JOIN activities a ON p.acc = a.acc",
+    "SELECT p.acc, a.lig FROM proteins p JOIN activities a "
+    "ON p.acc = a.acc WHERE a.aff > p.pre * 20.0",
+    "SELECT a.lig, AVG(p.pre) AS depth FROM proteins p JOIN activities a "
+    "ON p.acc = a.acc GROUP BY a.lig ORDER BY a.lig",
+    "SELECT a.lig, a.aff FROM activities a JOIN proteins p "
+    "ON a.acc = p.acc WHERE p.family = 'famA'",
+    "SELECT p.acc, p.acc AS again, a.aff FROM proteins p "
+    "JOIN activities a ON p.acc = a.acc",
+    "SELECT COUNT(*) AS n FROM nums n WHERE n.k > 3",
+    "SELECT p.acc, a.lig, TREE_DEPTH(p.node_id) AS d FROM proteins p "
+    "JOIN activities a ON p.acc = a.acc",
 };
 
 TEST_F(EquivTest, CorpusMatchesNaiveAcrossPlansParallelismAndEncoding) {
@@ -473,6 +489,67 @@ TEST_F(EquivTest, ExplainAnalyzeReportsEncodedScan) {
   EXPECT_GT(plain->stats.bytes_scanned, 0);
 }
 
+TEST_F(EquivTest, EncodedScanDecodesAndCountsOnlyItsColumns) {
+  // A 2-column statement filtering on one of its columns: the pruned scan
+  // decodes n.k and n.s and nothing else, and counts exactly those two
+  // columns' encoded bytes in every segment.
+  ASSERT_TRUE(nums_->BuildEncodedSegments(16).ok());
+  int64_t expected = 0;
+  for (const storage::EncodedSegment& seg : nums_->encoded()->segments) {
+    expected += static_cast<int64_t>(seg.columns[0].EncodedBytes() +
+                                     seg.columns[2].EncodedBytes());
+  }
+  ASSERT_LT(expected,
+            static_cast<int64_t>(nums_->encoded()->encoded_bytes));
+  const char* sql = "SELECT n.k, n.s FROM nums n WHERE n.k > 3";
+  auto analyzed = planner_->Run(std::string("EXPLAIN ANALYZE ") + sql,
+                                PlannerOptions());
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status();
+  EXPECT_EQ(analyzed->stats.bytes_scanned, expected);
+  EXPECT_NE(analyzed->analyzed_plan.find(
+                "SeqScan nums AS n [filter: (n.k > 3)] [columns: n.k, n.s] "
+                "[encoded: "),
+            std::string::npos)
+      << analyzed->analyzed_plan;
+  EXPECT_NE(analyzed->analyzed_plan.find(
+                "bytes=" + std::to_string(expected) + " "),
+            std::string::npos)
+      << analyzed->analyzed_plan;
+
+  // The operator itself: each row holds the two listed columns of a live
+  // row that passes the filter, in table order.
+  ExecStats stats;
+  SeqScanOp scan(nums_.get(), "n",
+                 std::make_shared<const Schema>(*ScanSchema(*nums_, "n")),
+                 {0, 2},
+                 Expr::Binary(BinaryOp::kGt, Expr::Column("n.k"),
+                              Expr::Literal(Value::Int64(3))),
+                 EvalContext{}, &stats);
+  ASSERT_EQ(scan.schema().NumColumns(), 2u);
+  EXPECT_EQ(scan.schema().column(1).name, "n.s");
+  ASSERT_TRUE(scan.Open().ok());
+  std::vector<Row> expected_rows;
+  for (storage::RowId id = 0; id < nums_->NumRows(); ++id) {
+    if (nums_->IsDeleted(id)) continue;
+    const Row& row = nums_->row(id);
+    if (!row[0].is_null() && row[0].AsInt64() > 3) {
+      expected_rows.push_back({row[0], row[2]});
+    }
+  }
+  Row row;
+  size_t emitted = 0;
+  for (;;) {
+    auto more = scan.Next(&row);
+    ASSERT_TRUE(more.ok()) << more.status();
+    if (!*more) break;
+    ASSERT_LT(emitted, expected_rows.size());
+    EXPECT_EQ(row, expected_rows[emitted]) << "row " << emitted;
+    ++emitted;
+  }
+  EXPECT_EQ(emitted, expected_rows.size());
+  EXPECT_EQ(stats.bytes_scanned, expected);
+}
+
 TEST_F(EquivTest, PlainScanBytesAreRowHeadersPlusStrings) {
   // A plain scan's bytes_scanned is, per live row, the Row header with one
   // Value per column plus the bytes of the row's non-NULL strings. 3000
@@ -561,7 +638,8 @@ TEST_F(EquivTest, DistinctChargesItsSetAgainstTheHardLimit) {
   }
   ExecStats stats;
   DistinctOp distinct(std::make_unique<SeqScanOp>(
-      &wide, "w", *ScanSchema(wide, "w"), nullptr, EvalContext{}, &stats));
+      &wide, "w", std::make_shared<const Schema>(*ScanSchema(wide, "w")),
+      std::vector<size_t>{0}, nullptr, EvalContext{}, &stats));
   obs::MemoryTracker tracker("query", nullptr, 0, 48 * 1024);
   QueryContext ctx;
   ctx.memory = &tracker;
@@ -630,6 +708,34 @@ TEST_F(EquivTest, UnknownAliasFailsUnderEveryPlan) {
   }
 }
 
+TEST_F(EquivTest, BareColumnNamesResolveAsOverWholeRows) {
+  // Pruning keeps every scan column a bare name could resolve to, so a bare
+  // name that is ambiguous across the joined tables still fails, and an
+  // unambiguous one still reads the same column.
+  const char* ambiguous =
+      "SELECT v FROM nums n1 JOIN nums n2 ON n1.k = n2.k";
+  const char* unique =
+      "SELECT lig, family FROM proteins p JOIN activities a "
+      "ON p.acc = a.acc WHERE aff < 100.0";
+  QueryResult reference;
+  for (bool optimized : {false, true}) {
+    PlannerOptions opts =
+        optimized ? PlannerOptions::Optimized() : PlannerOptions::Naive();
+    auto failed = planner_->Run(ambiguous, opts);
+    ASSERT_FALSE(failed.ok()) << (optimized ? "[opt]" : "[naive]");
+    EXPECT_TRUE(failed.status().IsInvalidArgument()) << failed.status();
+    auto got = planner_->Run(unique, opts);
+    ASSERT_TRUE(got.ok()) << got.status();
+    if (!optimized) {
+      reference = Canonical(std::move(got->result), unique);
+      EXPECT_FALSE(reference.rows.empty());
+    } else {
+      ExpectIdentical(reference, Canonical(std::move(got->result), unique),
+                      unique);
+    }
+  }
+}
+
 // ------------------------------------------------------------- cancellation
 
 TEST_F(EquivTest, MidScanCancellationStopsScan) {
@@ -642,7 +748,9 @@ TEST_F(EquivTest, MidScanCancellationStopsScan) {
     ASSERT_TRUE(big.Insert({Value::Int64(i)}).ok());
   }
   ExecStats stats;
-  SeqScanOp scan(&big, "b", *ScanSchema(big, "b"), nullptr, {}, &stats);
+  SeqScanOp scan(&big, "b",
+                 std::make_shared<const Schema>(*ScanSchema(big, "b")), {0},
+                 nullptr, {}, &stats);
   std::atomic<bool> cancel{false};
   QueryContext ctx;
   ctx.cancel = &cancel;

@@ -313,17 +313,21 @@ TEST(IndexJoinCancelTest, DeadlineExpiringMidProbeCancels) {
   ASSERT_TRUE(inner.CreateIndex("k", storage::IndexKind::kHash).ok());
 
   ExecStats stats;
-  const Schema outer_schema = *ScanSchema(outer, "o");
-  const Schema inner_schema = *ScanSchema(inner, "i");
-  std::vector<storage::Column> joined = outer_schema.columns();
-  joined.insert(joined.end(), inner_schema.columns().begin(),
-                inner_schema.columns().end());
+  const auto outer_schema =
+      std::make_shared<const Schema>(*ScanSchema(outer, "o"));
+  const auto inner_schema =
+      std::make_shared<const Schema>(*ScanSchema(inner, "i"));
+  std::vector<storage::Column> joined = outer_schema->columns();
+  joined.insert(joined.end(), inner_schema->columns().begin(),
+                inner_schema->columns().end());
   // The inner predicate rejects every fetched row, so one Next() call walks
   // the whole 5000-row posting list unless a checkpoint stops it.
   IndexNestedLoopJoinOp join(
-      std::make_unique<SeqScanOp>(&outer, "o", outer_schema, nullptr,
+      std::make_unique<SeqScanOp>(&outer, "o", outer_schema,
+                                  std::vector<size_t>{0, 1}, nullptr,
                                   EvalContext{}, &stats),
-      &inner, "i", inner_schema, *Schema::Create(std::move(joined)), "k",
+      &inner, "i", inner_schema, {0, 1}, *Schema::Create(std::move(joined)),
+      "k",
       Expr::Column("o.k"),
       Expr::Binary(BinaryOp::kLt, Expr::Column("i.w"),
                    Expr::Literal(Value::Int64(0))),

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <sstream>
+
 #include "phylo/newick.h"
 #include "query/logical_plan.h"
 #include "query/parser.h"
+#include "query/planner.h"
 #include "query/rules.h"
 
 namespace drugtree {
@@ -235,6 +240,122 @@ TEST_F(PlanTest, SchemaPropagatesThroughJoin) {
   EXPECT_EQ(plan->schema.NumColumns(), 2u);
   EXPECT_EQ(plan->schema.column(0).name, "p.acc");
   EXPECT_EQ(plan->schema.column(1).name, "a.aff");
+}
+
+/// Visits every node of a plan, parents first.
+void ForEachNode(const LogicalPtr& node,
+                 const std::function<void(const LogicalNode&)>& visit) {
+  visit(*node);
+  for (const auto& c : node->children) ForEachNode(c, visit);
+}
+
+TEST_F(PlanTest, PruningListsOnlyTheColumnsReadAbove) {
+  auto plan = Optimize(
+      "SELECT p.acc, l.mw FROM proteins p, activities a, ligands l "
+      "WHERE p.acc = a.acc AND a.lig = l.lig AND p.family = 'fam' "
+      "AND a.aff < p.pre * 2.0");
+  std::map<std::string, std::vector<std::string>> emitted;
+  ForEachNode(plan, [&emitted](const LogicalNode& n) {
+    if (n.kind != LogicalKind::kScan) return;
+    ASSERT_EQ(n.schema.NumColumns(), n.columns.size());
+    for (size_t i = 0; i < n.columns.size(); ++i) {
+      // Each listed column is named by the schema, in table order.
+      EXPECT_EQ(n.schema.column(i).name,
+                n.full_schema->column(n.columns[i]).name);
+      if (i) EXPECT_LT(n.columns[i - 1], n.columns[i]);
+      emitted[n.alias].push_back(n.schema.column(i).name);
+    }
+  });
+  // p.family is read only by its pushed-down predicate; p.pre and a.aff by
+  // the residual filter; the join keys stay.
+  EXPECT_EQ(emitted["p"], (std::vector<std::string>{"p.acc", "p.pre"}));
+  EXPECT_EQ(emitted["a"],
+            (std::vector<std::string>{"a.acc", "a.lig", "a.aff"}));
+  EXPECT_EQ(emitted["l"], (std::vector<std::string>{"l.lig", "l.mw"}));
+}
+
+TEST_F(PlanTest, PruningOffKeepsFullSchemas) {
+  OptimizerOptions opts;
+  opts.enable_projection_pruning = false;
+  for (const char* sql :
+       {"SELECT p.acc FROM proteins p, activities a, ligands l "
+        "WHERE p.acc = a.acc AND a.lig = l.lig AND l.mw > 100.0",
+        "SELECT COUNT(*) AS n FROM proteins p WHERE p.pre > 1",
+        "SELECT p.family, MAX(a.aff) AS m FROM proteins p "
+        "JOIN activities a ON p.acc = a.acc GROUP BY p.family"}) {
+    auto plan = Optimize(sql, opts);
+    ForEachNode(plan, [sql](const LogicalNode& n) {
+      if (n.kind == LogicalKind::kScan) {
+        EXPECT_EQ(n.columns.size(), n.full_schema->NumColumns()) << sql;
+        EXPECT_EQ(n.schema.columns().size(), n.full_schema->NumColumns())
+            << sql;
+      } else if (n.kind == LogicalKind::kJoin) {
+        EXPECT_EQ(n.schema.NumColumns(),
+                  n.children[0]->schema.NumColumns() +
+                      n.children[1]->schema.NumColumns())
+            << sql;
+      }
+    });
+    // The pruned plan of the same statement is narrower.
+    bool narrower = false;
+    ForEachNode(Optimize(sql), [&narrower](const LogicalNode& n) {
+      if (n.kind == LogicalKind::kScan) {
+        narrower |= n.columns.size() < n.full_schema->NumColumns();
+      }
+    });
+    EXPECT_TRUE(narrower) << sql;
+    EXPECT_EQ(plan->ToString().find("[columns:"), std::string::npos) << sql;
+  }
+}
+
+TEST_F(PlanTest, PruningKeepsOperatorLabelsAndEncodedMarkers) {
+  // The perfbench ledger and CostCalibrator::Classify key operators by the
+  // first word of their EXPLAIN line, and encoded scans by " [encoded: ".
+  // Pruning only appends a column list: the same plan with and without it
+  // has the same operators, line for line, and the same markers.
+  ASSERT_TRUE(proteins_->CreateIndex("acc", IndexKind::kHash).ok());
+  ASSERT_TRUE(proteins_->CreateIndex("pre", IndexKind::kBTree).ok());
+  ASSERT_TRUE(proteins_->BuildEncodedSegments(2).ok());
+  ASSERT_TRUE(activities_->BuildEncodedSegments(2).ok());
+  ASSERT_TRUE(ligands_->BuildEncodedSegments(2).ok());
+  Planner planner(&catalog_);
+  PlannerOptions unpruned;
+  unpruned.optimizer.enable_projection_pruning = false;
+  size_t encoded_lines = 0;
+  size_t pruned_lines = 0;
+  for (const char* sql :
+       {"SELECT a.lig FROM activities a WHERE a.aff < 50.0",
+        "SELECT p.family, COUNT(*) AS n FROM proteins p "
+        "JOIN activities a ON p.acc = a.acc GROUP BY p.family",
+        "SELECT a.lig, p.family FROM activities a JOIN proteins p "
+        "ON a.acc = p.acc WHERE p.family = 'fam'",
+        "SELECT p.acc, l.mw FROM proteins p, activities a, ligands l "
+        "WHERE p.acc = a.acc AND a.lig = l.lig AND p.pre >= 1 "
+        "ORDER BY l.mw LIMIT 3",
+        "SELECT * FROM proteins p JOIN activities a ON p.acc = a.acc"}) {
+    auto pruned = planner.Run(std::string("EXPLAIN ") + sql,
+                              PlannerOptions());
+    auto full = planner.Run(std::string("EXPLAIN ") + sql, unpruned);
+    ASSERT_TRUE(pruned.ok()) << sql << ": " << pruned.status();
+    ASSERT_TRUE(full.ok()) << sql << ": " << full.status();
+    std::istringstream pruned_lines_in(pruned->physical_plan);
+    std::istringstream full_lines_in(full->physical_plan);
+    std::string a, b;
+    while (std::getline(full_lines_in, b)) {
+      ASSERT_TRUE(std::getline(pruned_lines_in, a)) << sql;
+      const size_t start = b.find_first_not_of(' ');
+      EXPECT_EQ(a.substr(0, a.find(' ', start)),
+                b.substr(0, b.find(' ', start)))
+          << sql;
+      const bool encoded = b.find(" [encoded: ") != std::string::npos;
+      EXPECT_EQ(a.find(" [encoded: ") != std::string::npos, encoded) << a;
+      encoded_lines += encoded;
+      pruned_lines += a.find(" [columns:") != std::string::npos;
+    }
+    EXPECT_FALSE(std::getline(pruned_lines_in, a)) << sql;
+  }
+  EXPECT_GT(encoded_lines, 0u);
+  EXPECT_GT(pruned_lines, 0u);
 }
 
 TEST_F(PlanTest, ExplainRendersTree) {
