@@ -57,11 +57,11 @@ std::unique_ptr<core::DrugTree> MakeInstance(util::SimulatedClock* clock) {
   return std::move(*built);
 }
 
-/// The serving mix: a handful of hot overlay nodes (identical-statement
-/// reuse: templates are non-rebindable after the tree-predicate rewrite,
-/// so only exact repeats hit) plus parameterized analytic scans (literal
-/// variants re-bind one template). Skew is the whole point — mobile
-/// sessions hammer the same subtrees.
+/// The serving mix: a handful of hot overlay nodes (one template: the
+/// tree-predicate rewrite keeps the node a parameter, so every node after
+/// the first re-binds it) plus parameterized analytic joins (literal
+/// variants re-bind one template per cardinality class). Skew is the whole
+/// point — mobile sessions hammer the same subtrees.
 struct Workload {
   std::vector<std::string> overlay;  // hot overlay statements, reused
   std::vector<std::string> analytic; // literal variants of two shapes

@@ -146,7 +146,9 @@ util::Status DrugTree::FinishWiring(uint64_t result_cache_bytes) {
       catalog_.BindTree("node_overlay", {"node_id", "pre", "post"}));
 
   result_cache_ = std::make_unique<query::ResultCache>(result_cache_bytes);
-  planner_ = std::make_unique<query::Planner>(&catalog_, result_cache_.get());
+  plan_cache_ = std::make_unique<query::PlanCache>();
+  planner_ = std::make_unique<query::Planner>(&catalog_, result_cache_.get(),
+                                              plan_cache_.get());
   // Compress the now-immutable base tables; scans run directly on the
   // encoded form until the next mutation marks a snapshot stale.
   DRUGTREE_RETURN_IF_ERROR(BuildEncodedSegments());

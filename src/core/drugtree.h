@@ -75,7 +75,8 @@ class DrugTree {
 
   // Query API -----------------------------------------------------------
 
-  /// Runs one SQL statement. Registered tables: proteins, ligands,
+  /// Runs one SQL statement, reusing this instance's cached plans (see
+  /// plan_cache()). Registered tables: proteins, ligands,
   /// activities, tree_nodes, node_overlay. Tree predicates:
   /// SUBTREE(node_col, 'leaf-or-node-name'|node_id),
   /// ANCESTOR_OF(node_col, ...), TREE_DEPTH(node_col), TREE_DIST(a, b).
@@ -175,6 +176,9 @@ class DrugTree {
   Overlay* overlay() { return overlay_.get(); }
   query::Catalog* catalog() { return &catalog_; }
   query::ResultCache* result_cache() { return result_cache_.get(); }
+  /// The plan cache of Query and of the sessions MakeSession wires to this
+  /// instance's planner (a server has its own).
+  query::PlanCache* plan_cache() { return plan_cache_.get(); }
   integration::SemanticCache* semantic_cache() { return semantic_cache_.get(); }
   integration::SimulatedNetwork* source_network() { return network_.get(); }
   integration::ProteinSource* protein_source() { return protein_source_.get(); }
@@ -220,6 +224,7 @@ class DrugTree {
 
   query::Catalog catalog_;
   std::unique_ptr<query::ResultCache> result_cache_;
+  std::unique_ptr<query::PlanCache> plan_cache_;
   std::unique_ptr<query::Planner> planner_;
 };
 

@@ -72,9 +72,26 @@ ExprPtr Expr::Function(std::string name, std::vector<ExprPtr> args) {
   return e;
 }
 
-ExprPtr Expr::Clone() const {
+Value ParamBindings::ValueFor(const Expr& literal) const {
+  const auto ordinal = static_cast<size_t>(literal.param_index);
+  if (literal.param_role == ParamRole::kValue) {
+    return ordinal < values.size() ? values[ordinal] : literal.literal;
+  }
+  for (const Interval& iv : intervals) {
+    if (iv.ordinal == literal.param_index) {
+      return Value::Int64(literal.param_role == ParamRole::kPre ? iv.pre
+                                                                : iv.post);
+    }
+  }
+  return literal.literal;
+}
+
+ExprPtr Expr::Clone(const ParamBindings* bindings) const {
   auto e = std::make_shared<Expr>(*this);
-  for (auto& c : e->children) c = c->Clone();
+  if (bindings != nullptr && kind == ExprKind::kLiteral && param_index >= 0) {
+    e->literal = bindings->ValueFor(*this);
+  }
+  for (auto& c : e->children) c = c->Clone(bindings);
   return e;
 }
 

@@ -11,7 +11,9 @@
 #ifndef DRUGTREE_QUERY_EXPR_H_
 #define DRUGTREE_QUERY_EXPR_H_
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,6 +47,28 @@ const char* BinaryOpName(BinaryOp op);
 struct Expr;
 using ExprPtr = std::shared_ptr<Expr>;
 
+/// What a tagged literal (Expr::param_index >= 0) stands for.
+enum class ParamRole : uint8_t {
+  kValue,  // the statement's literal itself
+  kPre,    // the pre-order number of the tree node the literal names
+  kPost,   // that node's post-order number
+};
+
+/// The values one statement binds into a plan made for other literals:
+/// its literals by ordinal, and the pre-order interval of each literal
+/// that a rewritten tree predicate reads as a node (BindParams, rules.h).
+struct ParamBindings {
+  std::span<const storage::Value> values;  // borrowed
+  struct Interval {
+    int ordinal;
+    int64_t pre, post;
+  };
+  std::vector<Interval> intervals;
+
+  /// The value `literal` (tagged) takes under these bindings.
+  storage::Value ValueFor(const Expr& literal) const;
+};
+
 /// One expression node. A small tagged struct (rather than a class
 /// hierarchy) keeps cloning and pattern matching in the rewriter simple.
 /// Nodes in a logical plan are shared and must not be modified; binding
@@ -55,11 +79,13 @@ struct Expr {
   // kLiteral
   storage::Value literal;
   /// Positional parameter ordinal assigned by NormalizeStatement (-1 =
-  /// untagged). Clone preserves it; literals synthesized by the optimizer
-  /// (constant folding, tree-predicate rewriting) are untagged, which is how
-  /// the plan cache detects that a literal was consumed at plan time and the
-  /// template cannot be re-bound to new parameter values.
+  /// untagged). Clone preserves it. The tree-predicate rewrite tags the
+  /// interval bounds it synthesizes with the node literal's ordinal and the
+  /// bound's role; constant folding leaves its results untagged, which is
+  /// how the plan cache detects that a literal was consumed at plan time
+  /// and the template cannot be re-bound to new parameter values.
   int param_index = -1;
+  ParamRole param_role = ParamRole::kValue;
 
   // kColumnRef: "alias.column" or bare "column" as written; `bound_index`
   // is filled by binding against an execution schema (-1 = unbound).
@@ -83,8 +109,9 @@ struct Expr {
   static ExprPtr Unary(UnaryOp op, ExprPtr operand);
   static ExprPtr Function(std::string name, std::vector<ExprPtr> args);
 
-  /// Deep copy.
-  ExprPtr Clone() const;
+  /// Deep copy. With `bindings`, every tagged literal takes its value
+  /// under them (re-binding a plan-cache template).
+  ExprPtr Clone(const ParamBindings* bindings = nullptr) const;
 
   /// Display form, parenthesized.
   std::string ToString() const;

@@ -80,30 +80,35 @@ LogicalPtr LogicalNode::Distinct(LogicalPtr child) {
   return n;
 }
 
-std::string LogicalNode::ToString(int indent) const {
+std::string LogicalNode::ToString(int indent,
+                                  const ParamBindings* bindings) const {
+  auto render = [bindings](const ExprPtr& e) {
+    return bindings != nullptr ? e->Clone(bindings)->ToString()
+                               : e->ToString();
+  };
   std::string pad(static_cast<size_t>(indent) * 2, ' ');
   std::string out = pad;
   switch (kind) {
     case LogicalKind::kScan:
       out += "Scan " + table;
       if (alias != table) out += " AS " + alias;
-      if (scan_predicate) out += " [pred: " + scan_predicate->ToString() + "]";
+      if (scan_predicate) out += " [pred: " + render(scan_predicate) + "]";
       out += ColumnListLabel(*full_schema, columns);
       break;
     case LogicalKind::kFilter:
-      out += "Filter " + (predicate ? predicate->ToString() : "true");
+      out += "Filter " + (predicate ? render(predicate) : "true");
       break;
     case LogicalKind::kProject: {
       out += "Project ";
       for (size_t i = 0; i < outputs.size(); ++i) {
         if (i) out += ", ";
-        out += outputs[i].expr->ToString() + " AS " + outputs[i].name;
+        out += render(outputs[i].expr) + " AS " + outputs[i].name;
       }
       break;
     }
     case LogicalKind::kJoin:
       out += "Join";
-      if (join_condition) out += " ON " + join_condition->ToString();
+      if (join_condition) out += " ON " + render(join_condition);
       else out += " (cross)";
       if (join_method == JoinMethod::kIndexNestedLoop) {
         out += " [index nested-loop: " + children[1]->alias + "." +
@@ -116,13 +121,13 @@ std::string LogicalNode::ToString(int indent) const {
         out += " GROUP BY ";
         for (size_t i = 0; i < group_by.size(); ++i) {
           if (i) out += ", ";
-          out += group_by[i]->ToString();
+          out += render(group_by[i]);
         }
       }
       out += " [";
       for (size_t i = 0; i < outputs.size(); ++i) {
         if (i) out += ", ";
-        out += outputs[i].expr->ToString();
+        out += render(outputs[i].expr);
       }
       out += "]";
       break;
@@ -131,7 +136,7 @@ std::string LogicalNode::ToString(int indent) const {
       out += "Sort ";
       for (size_t i = 0; i < order_by.size(); ++i) {
         if (i) out += ", ";
-        out += order_by[i].expr->ToString();
+        out += render(order_by[i].expr);
         if (!order_by[i].ascending) out += " DESC";
       }
       break;
@@ -144,8 +149,20 @@ std::string LogicalNode::ToString(int indent) const {
       break;
   }
   out += "\n";
-  for (const auto& c : children) out += c->ToString(indent + 1);
+  for (const auto& c : children) out += c->ToString(indent + 1, bindings);
   return out;
+}
+
+void ForEachExpr(const LogicalNode& plan,
+                 const std::function<void(const Expr&)>& fn) {
+  for (const Expr* e : {plan.scan_predicate.get(), plan.predicate.get(),
+                        plan.join_condition.get()}) {
+    if (e != nullptr) fn(*e);
+  }
+  for (const auto& o : plan.outputs) fn(*o.expr);
+  for (const auto& g : plan.group_by) fn(*g);
+  for (const auto& k : plan.order_by) fn(*k.expr);
+  for (const auto& c : plan.children) ForEachExpr(*c, fn);
 }
 
 namespace {
@@ -367,19 +384,6 @@ util::Result<LogicalPtr> BuildLogicalPlan(const SelectStatement& stmt,
     DRUGTREE_RETURN_IF_ERROR(push(LogicalNode::Limit(plan, *stmt.limit)));
   }
   return plan;
-}
-
-LogicalPtr CloneLogicalPlan(const LogicalPtr& plan) {
-  if (!plan) return nullptr;
-  auto out = std::make_shared<LogicalNode>(*plan);
-  if (out->scan_predicate) out->scan_predicate = out->scan_predicate->Clone();
-  if (out->predicate) out->predicate = out->predicate->Clone();
-  if (out->join_condition) out->join_condition = out->join_condition->Clone();
-  for (auto& o : out->outputs) o.expr = o.expr->Clone();
-  for (auto& g : out->group_by) g = g->Clone();
-  for (auto& k : out->order_by) k.expr = k.expr->Clone();
-  for (auto& c : out->children) c = CloneLogicalPlan(c);
-  return out;
 }
 
 }  // namespace query

@@ -3,6 +3,7 @@
 #ifndef DRUGTREE_QUERY_LOGICAL_PLAN_H_
 #define DRUGTREE_QUERY_LOGICAL_PLAN_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -44,8 +45,8 @@ struct OutputColumn {
 /// the parsed statement's copy, with other plans (the optimizer's output
 /// shares every expression it did not rewrite) and with plan-cache
 /// templates, and a tree may share subtrees. Physical planning is the one
-/// place that copies them, because binding writes Expr::bound_index; the
-/// plan cache's re-binding copies a template before substituting literals.
+/// place that copies them, because binding writes Expr::bound_index; a
+/// plan-cache hit substitutes its statement's literals in those copies.
 struct LogicalNode {
   LogicalKind kind;
   std::vector<LogicalPtr> children;
@@ -95,14 +96,16 @@ struct LogicalNode {
   static LogicalPtr Limit(LogicalPtr child, int64_t n);
   static LogicalPtr Distinct(LogicalPtr child);
 
-  /// Indented multi-line plan rendering (EXPLAIN output).
-  std::string ToString(int indent = 0) const;
+  /// Indented multi-line plan rendering (EXPLAIN output). With `bindings`,
+  /// literals render as bound to them.
+  std::string ToString(int indent = 0,
+                       const ParamBindings* bindings = nullptr) const;
 };
 
-/// Deep copy of a plan: every node and every expression is cloned (schemas
-/// are value-copied), so the result can be rewritten — e.g. re-bound to new
-/// parameter values by the plan cache — without touching the original.
-LogicalPtr CloneLogicalPlan(const LogicalPtr& plan);
+/// Calls `fn` on each expression root of every node of `plan`: scan
+/// predicates, filters, join conditions, outputs, group and sort keys.
+void ForEachExpr(const LogicalNode& plan,
+                 const std::function<void(const Expr&)>& fn);
 
 /// The output schema of scanning `table` under `alias`: the table's
 /// columns in table order, named "alias.column".

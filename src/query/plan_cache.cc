@@ -1,6 +1,6 @@
 #include "query/plan_cache.h"
 
-#include <set>
+#include <algorithm>
 
 #include "util/string_util.h"
 
@@ -8,58 +8,23 @@ namespace drugtree {
 namespace query {
 namespace {
 
-void CollectOrdinals(const Expr* expr, std::set<int>* out) {
-  if (expr == nullptr) return;
-  if (expr->kind == ExprKind::kLiteral && expr->param_index >= 0) {
-    out->insert(expr->param_index);
+void CollectOrdinals(const Expr& expr, std::vector<bool>* present) {
+  if (expr.kind == ExprKind::kLiteral && expr.param_index >= 0 &&
+      static_cast<size_t>(expr.param_index) < present->size()) {
+    (*present)[static_cast<size_t>(expr.param_index)] = true;
   }
-  for (const auto& c : expr->children) CollectOrdinals(c.get(), out);
+  for (const auto& c : expr.children) CollectOrdinals(*c, present);
 }
 
-void CollectOrdinals(const LogicalPtr& node, std::set<int>* out) {
-  if (node == nullptr) return;
-  CollectOrdinals(node->scan_predicate.get(), out);
-  CollectOrdinals(node->predicate.get(), out);
-  CollectOrdinals(node->join_condition.get(), out);
-  for (const auto& o : node->outputs) CollectOrdinals(o.expr.get(), out);
-  for (const auto& g : node->group_by) CollectOrdinals(g.get(), out);
-  for (const auto& k : node->order_by) CollectOrdinals(k.expr.get(), out);
-  for (const auto& c : node->children) CollectOrdinals(c, out);
-}
-
-/// True iff every ordinal 0..n-1 survived optimization verbatim. A missing
-/// ordinal means a rewrite consumed that literal while planning (folded it,
-/// baked it into interval bounds, or dropped its conjunct), so the template
-/// only reproduces correct results for its own parameter values.
-bool ComputeRebindable(const LogicalPtr& plan, size_t num_params) {
-  std::set<int> present;
-  CollectOrdinals(plan, &present);
-  if (present.size() != num_params) return false;
-  for (size_t i = 0; i < num_params; ++i) {
-    if (present.count(static_cast<int>(i)) == 0) return false;
-  }
-  return true;
-}
-
-void SubstituteParams(Expr* expr, const std::vector<storage::Value>& params) {
-  if (expr == nullptr) return;
-  if (expr->kind == ExprKind::kLiteral && expr->param_index >= 0 &&
-      static_cast<size_t>(expr->param_index) < params.size()) {
-    expr->literal = params[static_cast<size_t>(expr->param_index)];
-  }
-  for (const auto& c : expr->children) SubstituteParams(c.get(), params);
-}
-
-void SubstituteParams(const LogicalPtr& node,
-                      const std::vector<storage::Value>& params) {
-  if (node == nullptr) return;
-  SubstituteParams(node->scan_predicate.get(), params);
-  SubstituteParams(node->predicate.get(), params);
-  SubstituteParams(node->join_condition.get(), params);
-  for (const auto& o : node->outputs) SubstituteParams(o.expr.get(), params);
-  for (const auto& g : node->group_by) SubstituteParams(g.get(), params);
-  for (const auto& k : node->order_by) SubstituteParams(k.expr.get(), params);
-  for (const auto& c : node->children) SubstituteParams(c, params);
+/// True iff every ordinal 0..n-1 survived optimization. A missing ordinal
+/// means a rewrite consumed that literal while planning (folded it or
+/// dropped its conjunct), so the template only reproduces correct results
+/// for its own parameter values.
+bool ComputeRebindable(const LogicalNode& plan, size_t num_params) {
+  std::vector<bool> present(num_params, false);
+  ForEachExpr(plan,
+              [&present](const Expr& e) { CollectOrdinals(e, &present); });
+  return std::all_of(present.begin(), present.end(), [](bool p) { return p; });
 }
 
 bool SameValue(const storage::Value& a, const storage::Value& b) {
@@ -71,7 +36,29 @@ bool SameValue(const storage::Value& a, const storage::Value& b) {
   return a.Compare(b) == 0;
 }
 
+bool SameParams(const std::vector<storage::Value>& a,
+                const std::vector<storage::Value>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(), SameValue);
+}
+
+bool SameTypes(const std::vector<storage::Value>& a,
+               const std::vector<storage::Value>& b) {
+  return std::equal(
+      a.begin(), a.end(), b.begin(), b.end(),
+      [](const storage::Value& x, const storage::Value& y) {
+        return x.type() == y.type();
+      });
+}
+
 }  // namespace
+
+uint8_t PlanCache::RuleFlags(const OptimizerOptions& options) {
+  return static_cast<uint8_t>(options.enable_constant_folding << 0 |
+                              options.enable_tree_rewrite << 1 |
+                              options.enable_pushdown << 2 |
+                              options.enable_join_reorder << 3 |
+                              options.enable_projection_pruning << 4);
+}
 
 PlanCache::VersionSignature PlanCache::CaptureVersions(
     const Catalog& catalog, const SelectStatement& stmt,
@@ -88,27 +75,14 @@ PlanCache::VersionSignature PlanCache::CaptureVersions(
   return sig;
 }
 
-namespace {
-
-bool SameParams(const std::vector<storage::Value>& a,
-                const std::vector<storage::Value>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (!SameValue(a[i], b[i])) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-PlanCache::Lookup PlanCache::Get(const std::string& fingerprint,
-                                 const VersionSignature& current,
-                                 const std::vector<storage::Value>& params) {
+util::Result<PlanCache::Lookup> PlanCache::Get(
+    const Key& key, const VersionSignature& current,
+    const std::vector<storage::Value>& params, const Classifier* classify) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(fingerprint);
+  auto it = entries_.find(key);
   if (it == entries_.end()) {
     ++stats_.misses;
-    return {};
+    return Lookup{};
   }
   Entry& entry = it->second;
   if (!(entry.versions == current)) {
@@ -116,75 +90,87 @@ PlanCache::Lookup PlanCache::Get(const std::string& fingerprint,
     entries_.erase(it);
     ++stats_.invalidations;
     ++stats_.misses;
-    return {};
+    return Lookup{};
   }
-  // Exact parameter vector: reuse that variant's plan verbatim.
-  for (auto v = entry.variants.begin(); v != entry.variants.end(); ++v) {
-    if (!SameParams(v->params, params)) continue;
-    entry.variants.splice(entry.variants.begin(), entry.variants, v);
-    TouchLocked(entry, fingerprint);
-    ++stats_.hits;
-    return {entry.variants.front().plan, false};
-  }
-  // No exact variant: re-bind any re-bindable one (they are structural
-  // clones of each other, so the first with matching arity + literal types
-  // is as good as any), and memoize the bound clone so the next execution
-  // with these literals skips the clone + substitution too.
-  for (const Template& tmpl : entry.variants) {
-    bool can_rebind = tmpl.rebindable && tmpl.params.size() == params.size();
-    for (size_t i = 0; can_rebind && i < params.size(); ++i) {
-      can_rebind = tmpl.params[i].type() == params[i].type();
+  std::vector<int> classes;
+  if (classify != nullptr) {
+    util::Result<std::vector<int>> c = (*classify)(*entry.variants[0].plan);
+    if (!c.ok()) {
+      ++stats_.misses;
+      return c.status();
     }
-    if (!can_rebind) continue;
-    LogicalPtr bound = CloneLogicalPlan(tmpl.plan);
-    SubstituteParams(bound, params);
-    entry.variants.push_front(Template{bound, params, /*rebindable=*/true});
-    TrimVariantsLocked(entry);
-    TouchLocked(entry, fingerprint);
-    ++stats_.hits;
-    ++stats_.rebinds;
-    return {std::move(bound), true};
+    classes = *std::move(c);
   }
-  // Structural match only: every resident variant consumed a literal at
-  // plan time (or the types changed). Reusing one could return wrong
-  // results, so re-plan.
+  auto v = std::find_if(
+      entry.variants.begin(), entry.variants.end(),
+      [&classes](const Template& t) { return t.classes == classes; });
+  if (v != entry.variants.end()) {
+    const bool rebound = !SameParams(v->params, params);
+    if (!rebound || (v->rebindable && SameTypes(v->params, params))) {
+      lru_.splice(lru_.begin(), lru_, entry.lru_it);
+      ++stats_.hits;
+      if (rebound) ++stats_.rebinds;
+      return Lookup{v->plan, rebound};
+    }
+  }
+  // No variant for this class, or it consumed a literal (or the literal
+  // types changed): reusing it could return wrong results, so re-plan.
   ++stats_.misses;
-  return {};
+  return Lookup{};
 }
 
-void PlanCache::Install(const std::string& fingerprint, LogicalPtr plan,
+void PlanCache::Install(const Key& key, LogicalPtr plan,
                         std::vector<storage::Value> params,
-                        VersionSignature versions) {
+                        VersionSignature versions,
+                        const Classifier* classify) {
   Template tmpl;
-  tmpl.rebindable = ComputeRebindable(plan, params.size());
+  tmpl.rebindable = ComputeRebindable(*plan, params.size());
   tmpl.plan = std::move(plan);
   tmpl.params = std::move(params);
 
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(fingerprint);
-  if (it != entries_.end()) {
-    Entry& entry = it->second;
-    if (!(entry.versions == versions)) {
-      // The entry went stale between this planner's Get and Install (or a
-      // concurrent slot raced a catalog bump): start the variant list over
-      // under the fresh signature.
-      entry.variants.clear();
-      entry.versions = std::move(versions);
-    }
-    entry.variants.push_front(std::move(tmpl));
-    TrimVariantsLocked(entry);
-    TouchLocked(entry, fingerprint);
-  } else {
-    lru_.push_front(fingerprint);
+  auto it = entries_.find(key);
+  const bool fresh = it != entries_.end() && it->second.versions == versions;
+  if (classify != nullptr) {
+    // Classify the way Get will: through the entry's first template, so a
+    // template that consumed a literal still lands where lookups find it.
+    util::Result<std::vector<int>> classes =
+        (*classify)(fresh ? *it->second.variants[0].plan : *tmpl.plan);
+    if (!classes.ok()) return;
+    tmpl.classes = *std::move(classes);
+  }
+  if (it != entries_.end() && !fresh) {
+    // The entry went stale between this planner's Get and Install (or a
+    // concurrent slot raced a catalog bump): start its variants over under
+    // the fresh signature.
+    it->second.variants.clear();
+    it->second.versions = std::move(versions);
+  }
+  if (it == entries_.end()) {
+    lru_.push_front(key);
     Entry entry;
     entry.versions = std::move(versions);
-    entry.variants.push_front(std::move(tmpl));
     entry.lru_it = lru_.begin();
-    entries_.emplace(fingerprint, std::move(entry));
+    it = entries_.emplace(key, std::move(entry)).first;
     while (entries_.size() > capacity_) {
       entries_.erase(lru_.back());
       lru_.pop_back();
     }
+  } else {
+    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+  }
+  std::vector<Template>& variants = it->second.variants;
+  auto v = std::find_if(
+      variants.begin(), variants.end(),
+      [&tmpl](const Template& t) { return t.classes == tmpl.classes; });
+  if (v != variants.end()) {
+    *v = std::move(tmpl);
+  } else {
+    if (variants.size() == kMaxVariantsPerEntry) {
+      variants.erase(variants.begin());
+      ++stats_.variant_evictions;
+    }
+    variants.push_back(std::move(tmpl));
   }
   ++stats_.installs;
 }
@@ -217,19 +203,6 @@ std::string PlanCache::StatszJson() const {
       (long long)stats_.rebinds, (long long)stats_.misses,
       (long long)stats_.invalidations, (long long)stats_.installs,
       (long long)stats_.variant_evictions);
-}
-
-void PlanCache::TouchLocked(Entry& entry, const std::string& fingerprint) {
-  lru_.erase(entry.lru_it);
-  lru_.push_front(fingerprint);
-  entry.lru_it = lru_.begin();
-}
-
-void PlanCache::TrimVariantsLocked(Entry& entry) {
-  while (entry.variants.size() > kMaxVariantsPerEntry) {
-    entry.variants.pop_back();
-    ++stats_.variant_evictions;
-  }
 }
 
 }  // namespace query

@@ -1,41 +1,46 @@
-// Parameterized plan cache (Hyrise-style): literals are normalized out of
-// the parsed statement (query/normalize.h), the optimized logical plan is
-// stored as a template keyed by the structural fingerprint, and later
-// executions of the same shape re-bind the stored plan to their literal
-// values instead of re-running the optimizer.
+// Parametric plan cache (Hyrise-style): literals are normalized out of the
+// parsed statement (query/normalize.h), the optimized logical plan is
+// stored as a shared, read-only template keyed by the structural
+// fingerprint and the optimizer's rule flags, and later executions of the
+// same shape reuse the template with their own literals instead of
+// re-running the optimizer. Physical planning substitutes the literals
+// while it copies each expression it lowers (Planner::ToPhysical), so a
+// hit never copies or modifies the template.
 //
 // Soundness of re-binding: NormalizeStatement tags every literal with a
-// positional ordinal that survives Clone(). Rewrites that *consume* a
-// literal at plan time (tree-predicate rewriting resolves the node name
-// into interval constants; constant folding collapses literal-only trees;
-// TRUE-conjunct elimination drops them) synthesize fresh, untagged
-// literals — so a template is re-bindable only when every ordinal appears
-// verbatim in the optimized plan. Templates that consumed a literal are
-// still cached, but a lookup with different parameter values re-plans from
-// scratch: a stale or unusable template can cost a re-plan, never a wrong
-// result. (Re-bound plans keep the template's join order — the classic
-// parametric-plan tradeoff: always correct, possibly suboptimal for
-// outlier literals.)
+// positional ordinal that survives Clone(). The tree-predicate rewrite
+// keeps SUBTREE/ANCESTOR_OF node literals as parameters: each interval
+// bound it synthesizes carries the node literal's ordinal and its role
+// (pre or post), and binding re-resolves the node (rules.h BindParams).
+// Rewrites that *consume* a literal (constant folding collapses
+// literal-only trees; TRUE-conjunct elimination drops them) leave untagged
+// literals, so a template is re-bindable only when every ordinal appears in
+// the optimized plan. A template that consumed a literal is reused only for
+// identical parameter values: a stale or unusable template can cost a
+// re-plan, never a wrong result.
 //
-// Each fingerprint holds a small MRU list of parameter variants, so hot
-// non-rebindable statements (a mobile session cycling a handful of subtree
-// overlays, whose node literals are consumed by the tree-predicate rewrite)
-// all stay resident instead of evicting one another, and a successful
-// re-bind is memoized as a variant — the clone + substitution is paid once
-// per literal vector, not per execution.
+// Parametric variants: a statement over one table has one template, since
+// no plan choice depends on its literals. A multi-scan statement's join
+// order and join methods follow each scan's estimated rows, so its
+// templates are keyed by each scan's cardinality class ceil(log2 rows)
+// under the statement's literals (rules.h CardinalityClasses): one template
+// per class vector, so a leaf clade and the root keep their own join plans.
 //
-// Invalidation: each template captures a version signature — the catalog
+// Invalidation: each entry captures a version signature — the catalog
 // data epoch, each referenced table's plan_version() (mutations, Analyze
-// stats refreshes, encoded-segment builds/drops; a rebuild that keeps a
-// fresh snapshot bumps nothing), and the cost-calibrator coefficient
-// version. Any bump makes the next lookup evict and re-plan.
+// stats refreshes, index creation, encoded-segment builds/drops; a rebuild
+// that keeps a fresh snapshot bumps nothing), and the cost-calibrator
+// coefficient version. Any bump makes the next lookup evict and re-plan.
 //
-// Thread-safe: one cache serves every planner slot of a server.
+// Thread-safe: one cache serves every planner slot of a server, and each
+// DrugTree instance has its own for its direct queries.
 
 #ifndef DRUGTREE_QUERY_PLAN_CACHE_H_
 #define DRUGTREE_QUERY_PLAN_CACHE_H_
 
+#include <compare>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -47,13 +52,27 @@
 #include "query/catalog.h"
 #include "query/logical_plan.h"
 #include "query/parser.h"
+#include "query/rules.h"
 #include "storage/value.h"
+#include "util/result.h"
 
 namespace drugtree {
 namespace query {
 
 class PlanCache {
  public:
+  /// A template family: one statement shape planned under one set of
+  /// optimizer rules (a naive and an optimized plan never share entries).
+  struct Key {
+    std::string fingerprint;  // NormalizedStatement::fingerprint
+    uint8_t rules = 0;        // RuleFlags(options)
+
+    auto operator<=>(const Key&) const = default;
+  };
+
+  /// The five rule flags of `options`, one bit each.
+  static uint8_t RuleFlags(const OptimizerOptions& options);
+
   /// Everything a cached plan's validity depends on.
   struct VersionSignature {
     uint64_t catalog_epoch = 0;
@@ -73,39 +92,47 @@ class PlanCache {
                                           const SelectStatement& stmt,
                                           uint64_t cost_version);
 
+  /// A multi-scan statement's variant key, computed from any template of
+  /// its entry (they share their scans and pushed-down predicates) under
+  /// the statement's literals: CardinalityClasses.
+  using Classifier =
+      std::function<util::Result<std::vector<int>>(const LogicalNode&)>;
+
   struct Stats {
-    int64_t hits = 0;           // template reused (verbatim or re-bound)
-    int64_t rebinds = 0;        // subset of hits: parameters substituted
+    int64_t hits = 0;           // template reused
+    int64_t rebinds = 0;        // subset of hits: planned for other literals
     int64_t misses = 0;         // no template / unusable template
     int64_t invalidations = 0;  // evicted on a version-signature mismatch
     int64_t installs = 0;
-    int64_t variant_evictions = 0;  // per-fingerprint MRU list overflowed
+    int64_t variant_evictions = 0;  // an entry's class list overflowed
   };
 
   struct Lookup {
-    LogicalPtr plan;      // null = miss: plan from scratch, then Install
-    bool rebound = false;
+    /// Null = miss: plan from scratch, then Install. Shared and read-only:
+    /// bind it to the statement's literals while lowering it.
+    LogicalPtr plan;
+    bool rebound = false;  // planned for other literals
   };
 
   explicit PlanCache(size_t capacity_entries = 256)
       : capacity_(capacity_entries > 0 ? capacity_entries : 1) {}
 
-  /// Looks up `fingerprint`. A stored entry whose signature differs from
-  /// `current` is evicted wholesale (invalidation) — the caller re-plans.
-  /// On a match: a variant with identical parameters is reused directly
-  /// (the returned plan is shared and must be treated as read-only —
-  /// physical planning clones every expression it lifts); otherwise a
-  /// re-bindable variant is deep-cloned, substituted, and memoized as a new
-  /// variant; with neither, the lookup counts as a miss.
-  Lookup Get(const std::string& fingerprint, const VersionSignature& current,
-             const std::vector<storage::Value>& params);
+  /// Looks up `key`. A stored entry whose signature differs from `current`
+  /// is evicted wholesale (invalidation) — the caller re-plans. On a match,
+  /// `classify` (null for a single-table statement) picks the variant; it
+  /// is reused when it was planned for `params` or is re-bindable to them
+  /// (same arity and literal types), and the lookup misses otherwise. An
+  /// error of `classify` (an unknown tree node) is returned.
+  util::Result<Lookup> Get(const Key& key, const VersionSignature& current,
+                           const std::vector<storage::Value>& params,
+                           const Classifier* classify);
 
-  /// Installs a variant for `fingerprint` (replacing the whole entry when
-  /// its signature is stale). `plan` is the freshly optimized logical plan
-  /// with ordinal tags intact; `params` are the literal values it was
-  /// planned with.
-  void Install(const std::string& fingerprint, LogicalPtr plan,
-               std::vector<storage::Value> params, VersionSignature versions);
+  /// Installs `plan`, freshly optimized for `params` with its ordinal tags
+  /// intact, as the variant of its class (replacing the whole entry when
+  /// its signature is stale).
+  void Install(const Key& key, LogicalPtr plan,
+               std::vector<storage::Value> params, VersionSignature versions,
+               const Classifier* classify);
 
   void Clear();
   size_t size() const;
@@ -116,30 +143,28 @@ class PlanCache {
   std::string StatszJson() const;
 
  private:
-  /// Bound on the per-fingerprint variant list: enough for a mobile
-  /// session's working set of hot subtree nodes, small enough that the
-  /// exact-parameter scan stays a handful of Value compares.
-  static constexpr size_t kMaxVariantsPerEntry = 8;
+  /// Bound on an entry's class variants. One per clade size class covers
+  /// a two-way join over this engine's trees; a wider join whose scans
+  /// each vary drops its oldest class first.
+  static constexpr size_t kMaxVariantsPerEntry = 16;
 
   struct Template {
+    std::vector<int> classes;  // empty for a single-table statement
     LogicalPtr plan;
     std::vector<storage::Value> params;
     bool rebindable = false;
   };
 
   struct Entry {
-    VersionSignature versions;     // shared: any bump evicts every variant
-    std::list<Template> variants;  // front = most recently used
-    std::list<std::string>::iterator lru_it;
+    VersionSignature versions;       // shared: any bump evicts every variant
+    std::vector<Template> variants;  // oldest first, one per class
+    std::list<Key>::iterator lru_it;
   };
-
-  void TouchLocked(Entry& entry, const std::string& fingerprint);
-  void TrimVariantsLocked(Entry& entry);
 
   mutable std::mutex mu_;
   size_t capacity_;
-  std::list<std::string> lru_;  // front = most recent
-  std::map<std::string, Entry> entries_;
+  std::list<Key> lru_;  // front = most recent
+  std::map<Key, Entry> entries_;
   Stats stats_;
 };
 

@@ -1,6 +1,7 @@
 #include "query/planner.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -78,19 +79,21 @@ std::string UnqualifiedName(const std::string& qualified) {
 }
 
 /// A copy for a physical operator to bind (null stays null): logical
-/// expressions are shared, so binding must never write into them.
-ExprPtr CloneForBinding(const ExprPtr& expr) {
-  return expr ? expr->Clone() : nullptr;
+/// expressions are shared, so binding must never write into them. With
+/// `params`, the copy carries the statement's literals.
+ExprPtr CloneForBinding(const ExprPtr& expr, const ParamBindings* params) {
+  return expr ? expr->Clone(params) : nullptr;
 }
 
 /// Splits an index nested-loop join's condition into the outer key probed
 /// against `probe_column` (the qualified inner column), taken from the first
 /// `outer_expr = probe_column` conjunct, and the remaining conjuncts (shared
-/// with `condition`). The key is a copy, ready for binding. Returns null
-/// when no conjunct has that shape.
+/// with `condition`). The key is a copy bound to `params`, ready for
+/// binding. Returns null when no conjunct has that shape.
 ExprPtr SplitProbeKey(const ExprPtr& condition,
                       const std::string& probe_column,
                       const storage::Schema& outer,
+                      const ParamBindings* params,
                       std::vector<ExprPtr>* residual) {
   ExprPtr key;
   for (auto& c : SplitConjuncts(condition)) {
@@ -101,7 +104,7 @@ ExprPtr SplitProbeKey(const ExprPtr& condition,
         const Expr& other = *c->children[1 - side];
         if (col.kind == ExprKind::kColumnRef && col.column == probe_column &&
             RefersOnly(other, outer)) {
-          key = other.Clone();
+          key = other.Clone(params);
           break;
         }
       }
@@ -130,23 +133,28 @@ ParallelContext Planner::MakeParallelContext(const PlannerOptions& options) {
 }
 
 // Every expression handed to an operator is a copy (CloneForBinding or
-// Expr::Clone): the logical plan may be a shared plan-cache template, and
+// Expr::Clone), bound to `params` when the plan was made for other
+// literals: the logical plan may be a shared plan-cache template, and
 // operators bind their expressions in place.
 util::Result<PhysicalPtr> Planner::ToPhysical(const LogicalPtr& node,
                                               const PlannerOptions& options,
-                                              ExecStats* stats) {
+                                              ExecStats* stats,
+                                              const ParamBindings* params) {
   EvalContext ctx{catalog_->tree(), catalog_->tree_index()};
   ParallelContext par = MakeParallelContext(options);
   switch (node->kind) {
     case LogicalKind::kScan: {
       DRUGTREE_ASSIGN_OR_RETURN(Table * table, catalog_->Lookup(node->table));
-      if (!options.enable_index_selection || !node->scan_predicate) {
+      // The scan's own copy: index selection reads its literals, and the
+      // operator binds its pieces.
+      ExprPtr predicate = CloneForBinding(node->scan_predicate, params);
+      if (!options.enable_index_selection || !predicate) {
         return PhysicalPtr(std::make_unique<SeqScanOp>(
             table, node->alias, node->full_schema, node->columns,
-            CloneForBinding(node->scan_predicate), ctx, stats, par));
+            std::move(predicate), ctx, stats, par));
       }
       // Index selection: find the best access path among the conjuncts.
-      auto conjuncts = SplitConjuncts(node->scan_predicate);
+      auto conjuncts = SplitConjuncts(predicate);
       // Candidate 1: equality on an indexed column.
       int best_eq = -1;
       // Candidate 2: range bounds on an indexed (B+-tree) column; collect
@@ -177,8 +185,8 @@ util::Result<PhysicalPtr> Planner::ToPhysical(const LogicalPtr& node,
         }
         return PhysicalPtr(std::make_unique<IndexScanOp>(
             table, node->alias, node->full_schema, node->columns,
-            UnqualifiedName(cl.column), bounds,
-            CloneForBinding(CombineConjuncts(residual)), ctx, stats));
+            UnqualifiedName(cl.column), bounds, CombineConjuncts(residual),
+            ctx, stats));
       }
       if (!best_range_col.empty()) {
         IndexScanOp::Bounds bounds;
@@ -211,32 +219,34 @@ util::Result<PhysicalPtr> Planner::ToPhysical(const LogicalPtr& node,
         }
         return PhysicalPtr(std::make_unique<IndexScanOp>(
             table, node->alias, node->full_schema, node->columns,
-            best_range_col, bounds,
-            CloneForBinding(CombineConjuncts(residual)), ctx, stats));
+            best_range_col, bounds, CombineConjuncts(residual), ctx, stats));
       }
       return PhysicalPtr(std::make_unique<SeqScanOp>(
           table, node->alias, node->full_schema, node->columns,
-          node->scan_predicate->Clone(), ctx, stats, par));
+          std::move(predicate), ctx, stats, par));
     }
     case LogicalKind::kFilter: {
-      DRUGTREE_ASSIGN_OR_RETURN(PhysicalPtr child,
-                                ToPhysical(node->children[0], options, stats));
+      DRUGTREE_ASSIGN_OR_RETURN(
+          PhysicalPtr child,
+          ToPhysical(node->children[0], options, stats, params));
       return PhysicalPtr(std::make_unique<FilterOp>(
-          std::move(child), node->predicate->Clone(), ctx, stats));
+          std::move(child), node->predicate->Clone(params), ctx, stats));
     }
     case LogicalKind::kProject: {
-      DRUGTREE_ASSIGN_OR_RETURN(PhysicalPtr child,
-                                ToPhysical(node->children[0], options, stats));
+      DRUGTREE_ASSIGN_OR_RETURN(
+          PhysicalPtr child,
+          ToPhysical(node->children[0], options, stats, params));
       std::vector<OutputColumn> outputs;
       for (const auto& o : node->outputs) {
-        outputs.push_back({o.expr->Clone(), o.name});
+        outputs.push_back({o.expr->Clone(params), o.name});
       }
       return PhysicalPtr(std::make_unique<ProjectOp>(
           std::move(child), std::move(outputs), node->schema, ctx));
     }
     case LogicalKind::kJoin: {
-      DRUGTREE_ASSIGN_OR_RETURN(PhysicalPtr left,
-                                ToPhysical(node->children[0], options, stats));
+      DRUGTREE_ASSIGN_OR_RETURN(
+          PhysicalPtr left,
+          ToPhysical(node->children[0], options, stats, params));
       // The optimizer's cost choice, lowered only when index access paths
       // are enabled. The inner scan is not lowered: its table is probed
       // once per outer row, and its pushed-down predicate filters the
@@ -248,18 +258,21 @@ util::Result<PhysicalPtr> Planner::ToPhysical(const LogicalPtr& node,
         std::vector<ExprPtr> residual;
         ExprPtr key = SplitProbeKey(node->join_condition,
                                     inner.alias + "." + node->index_column,
-                                    node->children[0]->schema, &residual);
+                                    node->children[0]->schema, params,
+                                    &residual);
         if (key != nullptr &&
             table->GetHashIndex(node->index_column) != nullptr) {
           return PhysicalPtr(std::make_unique<IndexNestedLoopJoinOp>(
               std::move(left), table, inner.alias, inner.full_schema,
               inner.columns, node->schema, node->index_column, std::move(key),
-              CloneForBinding(inner.scan_predicate),
-              CloneForBinding(CombineConjuncts(residual)), ctx, stats));
+              CloneForBinding(inner.scan_predicate, params),
+              CloneForBinding(CombineConjuncts(residual), params), ctx,
+              stats));
         }
       }
-      DRUGTREE_ASSIGN_OR_RETURN(PhysicalPtr right,
-                                ToPhysical(node->children[1], options, stats));
+      DRUGTREE_ASSIGN_OR_RETURN(
+          PhysicalPtr right,
+          ToPhysical(node->children[1], options, stats, params));
       // Split the condition into equi pairs and residual.
       std::vector<std::pair<ExprPtr, ExprPtr>> key_pairs;
       std::vector<ExprPtr> residual;
@@ -272,10 +285,10 @@ util::Result<PhysicalPtr> Planner::ToPhysical(const LogicalPtr& node,
             ExprPtr a = c->children[0];
             ExprPtr b = c->children[1];
             if (RefersOnly(*a, ls) && RefersOnly(*b, rs)) {
-              key_pairs.emplace_back(a->Clone(), b->Clone());
+              key_pairs.emplace_back(a->Clone(params), b->Clone(params));
               matched = true;
             } else if (RefersOnly(*b, ls) && RefersOnly(*a, rs)) {
-              key_pairs.emplace_back(b->Clone(), a->Clone());
+              key_pairs.emplace_back(b->Clone(params), a->Clone(params));
               matched = true;
             }
           }
@@ -287,21 +300,23 @@ util::Result<PhysicalPtr> Planner::ToPhysical(const LogicalPtr& node,
       if (!key_pairs.empty()) {
         return PhysicalPtr(std::make_unique<HashJoinOp>(
             std::move(left), std::move(right), node->schema,
-            std::move(key_pairs), CloneForBinding(CombineConjuncts(residual)),
-            ctx, stats, par));
+            std::move(key_pairs),
+            CloneForBinding(CombineConjuncts(residual), params), ctx, stats,
+            par));
       }
       return PhysicalPtr(std::make_unique<NestedLoopJoinOp>(
           std::move(left), std::move(right), node->schema,
-          CloneForBinding(CombineConjuncts(residual)), ctx, stats));
+          CloneForBinding(CombineConjuncts(residual), params), ctx, stats));
     }
     case LogicalKind::kAggregate: {
-      DRUGTREE_ASSIGN_OR_RETURN(PhysicalPtr child,
-                                ToPhysical(node->children[0], options, stats));
+      DRUGTREE_ASSIGN_OR_RETURN(
+          PhysicalPtr child,
+          ToPhysical(node->children[0], options, stats, params));
       std::vector<ExprPtr> groups;
-      for (const auto& g : node->group_by) groups.push_back(g->Clone());
+      for (const auto& g : node->group_by) groups.push_back(g->Clone(params));
       std::vector<OutputColumn> aggs;
       for (const auto& a : node->outputs) {
-        aggs.push_back({a.expr->Clone(), a.name});
+        aggs.push_back({a.expr->Clone(params), a.name});
       }
       return PhysicalPtr(std::make_unique<HashAggregateOp>(
           std::move(child), std::move(groups), std::move(aggs), node->schema,
@@ -317,25 +332,28 @@ util::Result<PhysicalPtr> Planner::ToPhysical(const LogicalPtr& node,
       if (node->kind == LogicalKind::kLimit) {
         if (node->children[0]->kind != LogicalKind::kSort) {
           DRUGTREE_ASSIGN_OR_RETURN(
-              PhysicalPtr child, ToPhysical(node->children[0], options, stats));
+              PhysicalPtr child,
+              ToPhysical(node->children[0], options, stats, params));
           return PhysicalPtr(
               std::make_unique<LimitOp>(std::move(child), node->limit));
         }
         sort = node->children[0].get();
         cap = node->limit;
       }
-      DRUGTREE_ASSIGN_OR_RETURN(PhysicalPtr child,
-                                ToPhysical(sort->children[0], options, stats));
+      DRUGTREE_ASSIGN_OR_RETURN(
+          PhysicalPtr child,
+          ToPhysical(sort->children[0], options, stats, params));
       std::vector<OrderKey> keys;
       for (const auto& k : sort->order_by) {
-        keys.push_back({k.expr->Clone(), k.ascending});
+        keys.push_back({k.expr->Clone(params), k.ascending});
       }
       return PhysicalPtr(std::make_unique<SortOp>(std::move(child),
                                                   std::move(keys), ctx, cap));
     }
     case LogicalKind::kDistinct: {
-      DRUGTREE_ASSIGN_OR_RETURN(PhysicalPtr child,
-                                ToPhysical(node->children[0], options, stats));
+      DRUGTREE_ASSIGN_OR_RETURN(
+          PhysicalPtr child,
+          ToPhysical(node->children[0], options, stats, params));
       return PhysicalPtr(std::make_unique<DistinctOp>(std::move(child)));
     }
   }
@@ -405,15 +423,34 @@ util::Result<QueryOutcome> Planner::Run(const std::string& sql,
   }
   QueryOutcome outcome;
   PlanCache::VersionSignature versions;
+  PlanCache::Key key;
+  // A multi-table statement's variant is chosen by its scans' cardinality
+  // classes under its literals.
+  PlanCache::Classifier classify;
+  if (stmt.select.tables.size() > 1) {
+    classify = [this, &norm, &optimizer](const LogicalNode& plan) {
+      return CardinalityClasses(plan, norm.params, *catalog_,
+                                optimizer.costs);
+    };
+  }
+  const PlanCache::Classifier* classifier = classify ? &classify : nullptr;
   LogicalPtr optimized;
+  // Set when `optimized` was planned for other literals: this statement's.
+  std::optional<ParamBindings> params;
   if (plan_cache_ != nullptr) {
     obs::TracePhaseScope plan_phase(obs::TracePhase::kPlan);
     DT_SPAN("query.plan.cache");
     versions = PlanCache::CaptureVersions(*catalog_, stmt.select,
                                           costs.version);
-    PlanCache::Lookup lookup =
-        plan_cache_->Get(norm.fingerprint, versions, norm.params);
+    key = {std::move(norm.fingerprint), PlanCache::RuleFlags(optimizer)};
+    DRUGTREE_ASSIGN_OR_RETURN(
+        PlanCache::Lookup lookup,
+        plan_cache_->Get(key, versions, norm.params, classifier));
     if (lookup.plan != nullptr) {
+      if (lookup.rebound) {
+        DRUGTREE_ASSIGN_OR_RETURN(
+            params, BindParams(*lookup.plan, norm.params, *catalog_));
+      }
       optimized = std::move(lookup.plan);
       outcome.from_plan_cache = true;
     }
@@ -432,18 +469,19 @@ util::Result<QueryOutcome> Planner::Run(const std::string& sql,
       return OptimizeLogicalPlan(*logical, *catalog_, optimizer);
     }());
     if (plan_cache_ != nullptr) {
-      plan_cache_->Install(norm.fingerprint, optimized, norm.params, versions);
+      plan_cache_->Install(key, optimized, norm.params, versions, classifier);
     }
   }
+  const ParamBindings* bindings = params ? &*params : nullptr;
   DRUGTREE_ASSIGN_OR_RETURN(PhysicalPtr physical, [&] {
     obs::TracePhaseScope plan_phase(obs::TracePhase::kPlan);
     DT_SPAN("query.plan.physical");
-    return ToPhysical(optimized, options, &outcome.stats);
+    return ToPhysical(optimized, options, &outcome.stats, bindings);
   }());
   // Plan texts are rendered for EXPLAIN [ANALYZE] only; other statements
   // leave them empty.
   if (stmt.explain != ExplainMode::kNone) {
-    outcome.logical_plan = optimized->ToString();
+    outcome.logical_plan = optimized->ToString(0, bindings);
     outcome.physical_plan = physical->ExplainString();
     if (outcome.from_plan_cache) {
       // Mirror the shard router's "route: ..." convention so EXPLAIN shows

@@ -108,9 +108,12 @@ class Planner {
                                  ExecStats* stats);
 
  private:
+  /// Lowers `node`, substituting `params` (null: the plan's own literals)
+  /// into the expression copies the operators bind.
   util::Result<PhysicalPtr> ToPhysical(const LogicalPtr& node,
                                        const PlannerOptions& options,
-                                       ExecStats* stats);
+                                       ExecStats* stats,
+                                       const ParamBindings* params = nullptr);
 
   /// The parallel context for one planning pass; lazily creates (and, on a
   /// parallelism change, resizes) the planner-owned worker pool.

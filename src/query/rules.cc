@@ -1,6 +1,7 @@
 #include "query/rules.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string_view>
 
 #include "obs/trace.h"
@@ -69,6 +70,25 @@ ExprPtr FoldConstants(const ExprPtr& expr, const Catalog& catalog) {
   return Expr::Literal(std::move(value).ValueUnsafe());
 }
 
+util::Result<TreeInterval> ResolveTreeInterval(const Catalog& catalog,
+                                               const Value& node) {
+  const phylo::Tree* tree = catalog.tree();
+  phylo::NodeId id = phylo::kInvalidNode;
+  if (tree != nullptr && catalog.tree_index() != nullptr) {
+    if (node.type() == ValueType::kString) {
+      id = tree->FindByName(node.AsString());
+    } else if (node.type() == ValueType::kInt64 &&
+               tree->Contains(static_cast<phylo::NodeId>(node.AsInt64()))) {
+      id = static_cast<phylo::NodeId>(node.AsInt64());
+    }
+  }
+  if (id == phylo::kInvalidNode) {
+    return util::Status::NotFound("tree node not found: " + node.ToString());
+  }
+  return TreeInterval{catalog.tree_index()->Pre(id),
+                      catalog.tree_index()->Post(id)};
+}
+
 util::Result<ExprPtr> RewriteTreePredicates(
     const ExprPtr& expr, const Catalog& catalog,
     const std::map<std::string, std::string>& alias_to_table) {
@@ -110,39 +130,34 @@ util::Result<ExprPtr> RewriteTreePredicates(
     return out;
   }
 
-  // Resolve the reference node at plan time.
-  phylo::NodeId node = phylo::kInvalidNode;
-  if (node_arg.literal.type() == ValueType::kString) {
-    node = catalog.tree()->FindByName(node_arg.literal.AsString());
-  } else if (node_arg.literal.type() == ValueType::kInt64) {
-    auto id = static_cast<phylo::NodeId>(node_arg.literal.AsInt64());
-    if (catalog.tree()->Contains(id)) node = id;
-  }
-  if (node == phylo::kInvalidNode) {
-    return util::Status::NotFound("tree node not found: " +
-                                  node_arg.literal.ToString());
-  }
-  const phylo::TreeIndex& index = *catalog.tree_index();
+  DRUGTREE_ASSIGN_OR_RETURN(TreeInterval node,
+                            ResolveTreeInterval(catalog, node_arg.literal));
+  // A bound stands for the node literal: re-binding re-resolves it.
+  auto bound = [&node_arg](ParamRole role, int64_t value) {
+    ExprPtr literal = Expr::Literal(Value::Int64(value));
+    if (node_arg.param_index >= 0) {
+      literal->param_index = node_arg.param_index;
+      literal->param_role = role;
+    }
+    return literal;
+  };
+  ExprPtr pre_col = Expr::Column(alias + "." + binding->pre_col);
   if (out->function == "SUBTREE") {
     // pre(node) <= row.pre <= post(node).
-    ExprPtr pre_col = Expr::Column(alias + "." + binding->pre_col);
     return Expr::Binary(
         BinaryOp::kAnd,
-        Expr::Binary(BinaryOp::kGe, pre_col,
-                     Expr::Literal(Value::Int64(index.Pre(node)))),
+        Expr::Binary(BinaryOp::kGe, pre_col, bound(ParamRole::kPre, node.pre)),
         Expr::Binary(BinaryOp::kLe, pre_col,
-                     Expr::Literal(Value::Int64(index.Post(node)))));
+                     bound(ParamRole::kPost, node.post)));
   }
   // ANCESTOR_OF needs the row's post column.
   if (binding->post_col.empty()) return out;
-  ExprPtr pre_col = Expr::Column(alias + "." + binding->pre_col);
   ExprPtr post_col = Expr::Column(alias + "." + binding->post_col);
   return Expr::Binary(
       BinaryOp::kAnd,
-      Expr::Binary(BinaryOp::kLe, pre_col,
-                   Expr::Literal(Value::Int64(index.Pre(node)))),
+      Expr::Binary(BinaryOp::kLe, pre_col, bound(ParamRole::kPre, node.pre)),
       Expr::Binary(BinaryOp::kGe, post_col,
-                   Expr::Literal(Value::Int64(index.Pre(node)))));
+                   bound(ParamRole::kPre, node.pre)));
 }
 
 namespace {
@@ -413,6 +428,73 @@ util::Result<LogicalPtr> OptimizeLogicalPlan(const LogicalPtr& plan,
     rebuilt = std::move(copy);
   }
   return rebuilt;
+}
+
+namespace {
+
+/// Appends the ordinal of every literal below `e` that stands for a tree
+/// node's interval bound, once each.
+void CollectNodeOrdinals(const Expr& e, std::vector<int>* out) {
+  if (e.kind == ExprKind::kLiteral && e.param_index >= 0 &&
+      e.param_role != ParamRole::kValue &&
+      std::find(out->begin(), out->end(), e.param_index) == out->end()) {
+    out->push_back(e.param_index);
+  }
+  for (const auto& c : e.children) CollectNodeOrdinals(*c, out);
+}
+
+void CollectScans(const LogicalNode& node,
+                  std::vector<const LogicalNode*>* out) {
+  if (node.kind == LogicalKind::kScan) out->push_back(&node);
+  for (const auto& c : node.children) CollectScans(*c, out);
+}
+
+}  // namespace
+
+util::Result<ParamBindings> BindParams(const LogicalNode& plan,
+                                       std::span<const Value> params,
+                                       const Catalog& catalog) {
+  ParamBindings bindings;
+  bindings.values = params;
+  std::vector<int> ordinals;
+  ForEachExpr(plan, [&ordinals](const Expr& e) {
+    CollectNodeOrdinals(e, &ordinals);
+  });
+  for (int ordinal : ordinals) {
+    if (static_cast<size_t>(ordinal) >= params.size()) {
+      return util::Status::InvalidArgument("plan parameter out of range");
+    }
+    DRUGTREE_ASSIGN_OR_RETURN(
+        TreeInterval node,
+        ResolveTreeInterval(catalog, params[static_cast<size_t>(ordinal)]));
+    bindings.intervals.push_back({ordinal, node.pre, node.post});
+  }
+  return bindings;
+}
+
+util::Result<std::vector<int>> CardinalityClasses(
+    const LogicalNode& plan, std::span<const Value> params,
+    const Catalog& catalog, const obs::CalibratedCosts* costs) {
+  std::vector<const LogicalNode*> scans;
+  CollectScans(plan, &scans);
+  std::sort(scans.begin(), scans.end(),
+            [](const LogicalNode* a, const LogicalNode* b) {
+              return a->alias < b->alias;
+            });
+  DRUGTREE_ASSIGN_OR_RETURN(ParamBindings bindings,
+                            BindParams(plan, params, catalog));
+  std::map<std::string, std::string> alias_to_table;
+  for (const LogicalNode* s : scans) alias_to_table[s->alias] = s->table;
+  CostModel cost(&catalog, alias_to_table, costs);
+  std::vector<int> classes;
+  classes.reserve(scans.size());
+  for (const LogicalNode* s : scans) {
+    ExprPtr pred =
+        s->scan_predicate ? s->scan_predicate->Clone(&bindings) : nullptr;
+    classes.push_back(static_cast<int>(
+        std::ceil(std::log2(cost.EstimateScanRows(s->alias, pred)))));
+  }
+  return classes;
 }
 
 }  // namespace query

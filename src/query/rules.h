@@ -8,7 +8,9 @@
 #define DRUGTREE_QUERY_RULES_H_
 
 #include <map>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "obs/cost_calibrator.h"
 #include "query/catalog.h"
@@ -43,11 +45,24 @@ struct OptimizerOptions {
 /// evaluation error the original subtree is kept.
 ExprPtr FoldConstants(const ExprPtr& expr, const Catalog& catalog);
 
+/// The pre-order interval [pre, post] of the tree node that `node` names,
+/// by id or by name. Tree-predicate rewriting and plan-cache re-binding
+/// both resolve nodes here, so an unknown node is the same NotFound in
+/// either.
+struct TreeInterval {
+  int64_t pre = 0;
+  int64_t post = 0;
+};
+util::Result<TreeInterval> ResolveTreeInterval(const Catalog& catalog,
+                                               const storage::Value& node);
+
 /// Rewrites SUBTREE(col, lit) / ANCESTOR_OF(col, lit) calls into pre-order
 /// interval comparisons wherever the referenced table has a TreeBinding and
-/// the node argument resolves. `alias_to_table` maps query aliases to
-/// catalog table names. Unrewritable calls are kept (the executor can still
-/// evaluate them per row).
+/// the node argument resolves. Each interval bound is a literal tagged with
+/// the node literal's ordinal and the bound it stands for (ParamRole), so a
+/// cached plan re-binds to another node. `alias_to_table` maps query
+/// aliases to catalog table names. Unrewritable calls are kept (the
+/// executor can still evaluate them per row).
 util::Result<ExprPtr> RewriteTreePredicates(
     const ExprPtr& expr, const Catalog& catalog,
     const std::map<std::string, std::string>& alias_to_table);
@@ -59,6 +74,23 @@ util::Result<ExprPtr> RewriteTreePredicates(
 util::Result<LogicalPtr> OptimizeLogicalPlan(const LogicalPtr& plan,
                                              const Catalog& catalog,
                                              const OptimizerOptions& options);
+
+/// Binds `params`, a statement's literals by ordinal, for running `plan`,
+/// which was optimized for other literals of the same statement shape:
+/// resolves the interval of every literal that a rewritten tree predicate
+/// of `plan` reads as a node. The bindings borrow `params`.
+util::Result<ParamBindings> BindParams(const LogicalNode& plan,
+                                       std::span<const storage::Value> params,
+                                       const Catalog& catalog);
+
+/// The cardinality class ceil(log2 rows) of each scan of `plan` under
+/// `params`, in alias order. The rows are CostModel::EstimateScanRows over
+/// the scan's bound pushed-down predicate (an exact count for a clade),
+/// which is what join order and join methods are chosen from, so the plan
+/// cache keeps one multi-scan plan per class vector.
+util::Result<std::vector<int>> CardinalityClasses(
+    const LogicalNode& plan, std::span<const storage::Value> params,
+    const Catalog& catalog, const obs::CalibratedCosts* costs);
 
 }  // namespace query
 }  // namespace drugtree

@@ -86,6 +86,7 @@ util::Status Table::CreateIndex(const std::string& column, IndexKind kind) {
     }
     hash_indexes_[column] = std::move(index);
   }
+  ++meta_version_;  // a new access path: plans priced without it are stale
   return util::Status::OK();
 }
 

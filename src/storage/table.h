@@ -99,8 +99,9 @@ class Table {
 
   /// Monotonic counter covering everything a cached *plan* depends on:
   /// bumped by mutations (data + cardinalities change), by Analyze()
-  /// (statistics the cost model read change), and by building or dropping
-  /// encoded segments (the access paths the planner priced change; a
+  /// (statistics the cost model read change), and by creating an index or
+  /// building or dropping encoded segments (the access paths the planner
+  /// priced change; a
   /// rebuild that keeps a fresh snapshot changes nothing and bumps
   /// nothing). The plan cache captures it per referenced table and
   /// re-plans on any bump.
@@ -162,7 +163,8 @@ class Table {
   std::unique_ptr<EncodedTableSnapshot> encoded_;
   uint64_t version_ = 0;
   uint64_t stats_version_ = 0;
-  /// Non-mutation plan dependencies: Analyze + encoded build/drop bumps.
+  /// Non-mutation plan dependencies: Analyze, CreateIndex and encoded
+  /// build/drop bumps.
   uint64_t meta_version_ = 0;
 };
 

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -16,6 +17,7 @@
 
 #include "clades.h"
 #include "core/drugtree.h"
+#include "core/workload.h"
 #include "obs/cost_calibrator.h"
 #include "obs/explain.h"
 #include "query/normalize.h"
@@ -23,6 +25,7 @@
 #include "query/plan_cache.h"
 #include "query/planner.h"
 #include "query/result_cache.h"
+#include "query/rules.h"
 #include "server/adaptive.h"
 #include "server/server.h"
 #include "shard/router.h"
@@ -192,28 +195,30 @@ TEST_F(AdaptiveTest, PlanCacheHitsAndRebindsWithIdenticalResults) {
   EXPECT_EQ(fresh_explained->physical_plan.rfind("plan: cached", 0),
             std::string::npos);
 
-  // A pruned join template re-bound to a clade interval at the root, a mid
-  // clade and a leaf: each re-bound plan equals a fresh plan of the same
-  // statement, in EXPLAIN text (column lists included) and in result.
+  // A pruned join template re-bound within a clade's cardinality class at
+  // the root, a mid clade and a leaf: each clade's statement first plans
+  // (or re-binds) with one inner bound, then re-binds with another that
+  // keeps the same rows, and the re-bound plan equals a fresh plan of the
+  // same statement, in EXPLAIN text (column lists included) and in result.
   const Clades clades = PickClades(*dt_);
   phylo::NodeId leaf = clades.leaf_parent;
   while (!dt_->tree().node(leaf).IsLeaf()) {
     leaf = dt_->tree().node(leaf).children.front();
   }
-  auto clade_sql = [](phylo::NodeId node) {
+  auto clade_sql = [](phylo::NodeId node, double max_affinity) {
     const phylo::TreeIndex& index = dt_->tree_index();
     return util::StringPrintf(
         "SELECT p.accession, a.affinity_nm FROM proteins p "
         "JOIN activities a ON p.accession = a.accession "
-        "WHERE p.pre >= %d AND p.pre <= %d "
+        "WHERE p.pre >= %d AND p.pre <= %d AND a.affinity_nm < %.1f "
         "ORDER BY a.affinity_nm, p.accession",
-        static_cast<int>(index.Pre(node)), static_cast<int>(index.Post(node)));
+        static_cast<int>(index.Pre(node)), static_cast<int>(index.Post(node)),
+        max_affinity);
   };
-  auto installed = cached.Run(clade_sql(clades.leaf_parent), opts);
-  ASSERT_TRUE(installed.ok()) << installed.status();
-  EXPECT_FALSE(installed->from_plan_cache);
   for (phylo::NodeId node : {clades.root, clades.mid, leaf}) {
-    const std::string sql = clade_sql(node);
+    auto installed = cached.Run(clade_sql(node, 1e9), opts);
+    ASSERT_TRUE(installed.ok()) << installed.status();
+    const std::string sql = clade_sql(node, 2e9);
     const int64_t rebinds = cache.stats().rebinds;
     auto bound = cached.Run(sql, opts);
     ASSERT_TRUE(bound.ok()) << sql << ": " << bound.status();
@@ -236,38 +241,259 @@ TEST_F(AdaptiveTest, PlanCacheHitsAndRebindsWithIdenticalResults) {
   }
 }
 
-TEST_F(AdaptiveTest, ConsumedLiteralsMakeTemplatesNonRebindable) {
-  // The tree-predicate rewrite resolves SUBTREE's node literal into
-  // interval constants at plan time, so the overlay template must NOT be
-  // re-bound to a different node — the cache re-plans instead.
+// A naive plan and an optimized plan of one statement are different
+// templates: whichever runs second on a shared cache plans as a cacheless
+// planner does.
+TEST_F(AdaptiveTest, PlanCacheKeysOnOptimizerRules) {
+  const Clades clades = PickClades(*dt_);
+  const std::string sql =
+      "EXPLAIN " + core::MakeQuerySql(core::QueryKind::kScreeningJoin,
+                                      clades.root, dt_->tree(),
+                                      core::WorkloadParams());
+  Planner plain(dt_->catalog());
+  for (bool naive_first : {true, false}) {
+    PlanCache cache;
+    Planner cached(dt_->catalog(), nullptr, &cache);
+    for (bool naive : {naive_first, !naive_first}) {
+      const PlannerOptions opts =
+          naive ? PlannerOptions::Naive() : PlannerOptions::Optimized();
+      auto got = cached.Run(sql, opts);
+      auto want = plain.Run(sql, opts);
+      ASSERT_TRUE(got.ok() && want.ok()) << sql;
+      EXPECT_FALSE(got->from_plan_cache) << (naive ? "naive" : "optimized");
+      EXPECT_EQ(got->logical_plan, want->logical_plan);
+      EXPECT_EQ(got->physical_plan, want->physical_plan);
+    }
+    EXPECT_EQ(cache.stats().installs, 2);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Re-binding: tree predicates stay parameters through optimization.
+
+// On the benchmark's small instance, the served overlay, the workload
+// overlay, the subtree-proteins and the screening-join statements at every
+// internal node, and the ancestor path at every leaf, run through one cache
+// in pre-order. Each statement re-binds a template made for another node
+// (or plans the first of its shape and class), and its plan equals a
+// cacheless planner's in EXPLAIN, logical and physical, and its rows equal
+// the naive plan's.
+TEST_F(AdaptiveTest, ReboundPlansEqualFreshPlansAtEveryNode) {
+  util::SimulatedClock clock;
+  core::BuildOptions bo;
+  bo.seed = 42;
+  bo.num_families = 6;
+  bo.taxa_per_family = 24;
+  bo.num_ligands = 300;
+  bo.activities_per_protein = 6.0;
+  auto built = core::DrugTree::Build(bo, &clock);
+  ASSERT_TRUE(built.ok()) << built.status();
+  core::DrugTree& dt = **built;
+  const phylo::Tree& tree = dt.tree();
+
+  PlanCache cache;
+  Planner cached(dt.catalog(), nullptr, &cache);
+  Planner fresh(dt.catalog());
+  const PlannerOptions opts;
+  // The naive reference hashes the three-way join instead of walking its
+  // cross product; its join order and unpushed predicates stay naive.
+  PlannerOptions reference = PlannerOptions::Naive();
+  reference.enable_hash_join = true;
+
+  struct Shape {
+    std::function<std::string(phylo::NodeId)> sql;
+    bool at_leaves = false;
+    int misses = 0;
+  };
+  auto workload = [&tree](core::QueryKind kind) {
+    return [&tree, kind](phylo::NodeId node) {
+      return core::MakeQuerySql(kind, node, tree, core::WorkloadParams());
+    };
+  };
+  std::vector<Shape> shapes = {
+      {[&dt](phylo::NodeId node) { return dt.OverlayQuerySql(node); }},
+      {workload(core::QueryKind::kSubtreeOverlay)},
+      {workload(core::QueryKind::kSubtreeProteins)},
+      {workload(core::QueryKind::kScreeningJoin)},
+      {workload(core::QueryKind::kAncestorPath), /*at_leaves=*/true},
+  };
+  int statements = 0;
+  for (Shape& shape : shapes) {
+    tree.PreOrder([&](phylo::NodeId node) {
+      if (tree.node(node).IsLeaf() != shape.at_leaves) return;
+      ++statements;
+      const std::string sql = shape.sql(node);
+      auto explained = cached.Run("EXPLAIN " + sql, opts);
+      auto want = fresh.Run("EXPLAIN " + sql, opts);
+      ASSERT_TRUE(explained.ok() && want.ok()) << sql;
+      std::string physical = explained->physical_plan;
+      if (explained->from_plan_cache) {
+        ASSERT_EQ(physical.rfind("plan: cached\n", 0), 0u) << physical;
+        physical.erase(0, 13);
+      } else {
+        ++shape.misses;
+      }
+      EXPECT_EQ(physical, want->physical_plan) << sql;
+      EXPECT_EQ(explained->logical_plan, want->logical_plan) << sql;
+
+      auto got = cached.Run(sql, opts);
+      auto naive = fresh.Run(sql, reference);
+      ASSERT_TRUE(got.ok() && naive.ok()) << sql;
+      EXPECT_TRUE(got->from_plan_cache) << sql;
+      ExpectSameRows(naive->result, got->result, sql);
+    });
+  }
+  const auto leaves = static_cast<int>(tree.Leaves().size());
+  EXPECT_EQ(statements, 4 * (static_cast<int>(tree.NumNodes()) - leaves) +
+                            leaves);
+  // A single-table shape has one template. The screening join has one per
+  // class of its clade's protein count (1..144 rows: classes 0..8); its
+  // other two scans each keep one class.
+  for (size_t i = 0; i < shapes.size(); ++i) {
+    if (i == 3) {
+      EXPECT_GE(shapes[i].misses, 2);
+      EXPECT_LE(shapes[i].misses, 9);
+    } else {
+      EXPECT_EQ(shapes[i].misses, 1) << "shape " << i;
+    }
+  }
+  EXPECT_GT(cache.stats().rebinds, statements);
+}
+
+// Constant folding consumes both literals of 10.0 * 5.0, so the template
+// holds only for its own parameter values: another product re-plans.
+TEST_F(AdaptiveTest, FoldedLiteralsMakeTemplatesNonRebindable) {
   PlanCache cache;
   Planner cached(dt_->catalog(), nullptr, &cache);
   Planner plain(dt_->catalog());
   PlannerOptions opts;
-  phylo::NodeId root = dt_->tree().root();
-  phylo::NodeId inner = dt_->tree().node(root).children.front();
-  const std::string q_root = dt_->OverlayQuerySql(root);
-  const std::string q_inner = dt_->OverlayQuerySql(inner);
-  ASSERT_NE(q_root, q_inner);
+  auto sql = [](double factor) {
+    return util::StringPrintf(
+        "SELECT a.accession, a.affinity_nm FROM activities a "
+        "WHERE a.affinity_nm < 10.0 * %.1f "
+        "ORDER BY a.affinity_nm, a.accession",
+        factor);
+  };
 
-  auto first = cached.Run(q_root, opts);
+  auto first = cached.Run(sql(5.0), opts);
   ASSERT_TRUE(first.ok()) << first.status();
   EXPECT_FALSE(first->from_plan_cache);
 
-  // Same shape, different node: a structural hit the cache must refuse.
-  auto other = cached.Run(q_inner, opts);
-  ASSERT_TRUE(other.ok());
+  // Same shape, other literals: a structural hit the cache must refuse.
+  auto other = cached.Run(sql(50.0), opts);
+  ASSERT_TRUE(other.ok()) << other.status();
   EXPECT_FALSE(other->from_plan_cache);
   EXPECT_EQ(cache.stats().rebinds, 0);
-  auto reference = plain.Run(q_inner, opts);
+  auto reference = plain.Run(sql(50.0), opts);
   ASSERT_TRUE(reference.ok());
   ExpectSameRows(reference->result, other->result, "non-rebindable re-plan");
+  EXPECT_GT(other->result.rows.size(), first->result.rows.size());
 
   // Identical parameters still reuse the (now reinstalled) template.
-  auto again = cached.Run(q_inner, opts);
+  auto again = cached.Run(sql(50.0), opts);
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(again->from_plan_cache);
+  EXPECT_EQ(cache.stats().rebinds, 0);
   ExpectSameRows(reference->result, again->result, "identical-param hit");
+}
+
+// An unknown SUBTREE node fails as a cacheless planner fails it: on a miss
+// (the tree rewrite resolves it) and on a re-bind (binding resolves it, or
+// classifying the screening join's scans does), and the template stays.
+TEST_F(AdaptiveTest, UnknownTreeNodeFailsAlikeOnMissAndRebind) {
+  PlanCache cache;
+  Planner cached(dt_->catalog(), nullptr, &cache);
+  Planner plain(dt_->catalog());
+  PlannerOptions opts;
+  const phylo::NodeId root = dt_->tree().root();
+  const auto unknown = static_cast<phylo::NodeId>(dt_->tree().NumNodes() + 7);
+  const std::vector<std::function<std::string(phylo::NodeId)>> makers = {
+      [](phylo::NodeId node) { return dt_->OverlayQuerySql(node); },
+      [](phylo::NodeId node) {
+        return core::MakeQuerySql(core::QueryKind::kScreeningJoin, node,
+                                  dt_->tree(), core::WorkloadParams());
+      },
+  };
+  for (const auto& make : makers) {
+    const std::string bad = make(unknown);
+    auto want = plain.Run(bad, opts);
+    ASSERT_FALSE(want.ok()) << bad;
+    EXPECT_TRUE(want.status().IsNotFound()) << want.status();
+
+    auto miss = cached.Run(bad, opts);
+    ASSERT_FALSE(miss.ok()) << bad;
+    EXPECT_EQ(miss.status().ToString(), want.status().ToString());
+
+    ASSERT_TRUE(cached.Run(make(root), opts).ok());
+    auto rebind = cached.Run(bad, opts);
+    ASSERT_FALSE(rebind.ok()) << bad;
+    EXPECT_EQ(rebind.status().ToString(), want.status().ToString());
+
+    auto again = cached.Run(make(root), opts);
+    ASSERT_TRUE(again.ok()) << again.status();
+    EXPECT_TRUE(again->from_plan_cache);
+  }
+}
+
+/// The cardinality classes of `sql`'s freshly optimized plan.
+std::vector<int> ClassesOf(const std::string& sql, const Catalog& catalog) {
+  auto stmt = ParseQuery(sql);
+  EXPECT_TRUE(stmt.ok()) << stmt.status();
+  NormalizedStatement norm = NormalizeStatement(&*stmt);
+  auto logical = BuildLogicalPlan(*stmt, catalog);
+  EXPECT_TRUE(logical.ok()) << logical.status();
+  auto optimized = OptimizeLogicalPlan(*logical, catalog, OptimizerOptions());
+  EXPECT_TRUE(optimized.ok()) << optimized.status();
+  auto classes = CardinalityClasses(**optimized, norm.params, catalog, nullptr);
+  EXPECT_TRUE(classes.ok()) << classes.status();
+  return *classes;
+}
+
+// A screening join planned at a leaf clade is not re-bound at the root,
+// whose protein scan falls in another cardinality class; another clade of
+// the leaf clade's class re-binds it.
+TEST_F(AdaptiveTest, LeafCladeTemplateIsNotReboundAtRoot) {
+  const Clades clades = PickClades(*dt_);
+  auto sql = [](phylo::NodeId node) {
+    return core::MakeQuerySql(core::QueryKind::kScreeningJoin, node,
+                              dt_->tree(), core::WorkloadParams());
+  };
+  const std::vector<int> leaf_classes =
+      ClassesOf(sql(clades.leaf_parent), *dt_->catalog());
+  ASSERT_NE(leaf_classes, ClassesOf(sql(clades.root), *dt_->catalog()));
+  phylo::NodeId sibling = phylo::kInvalidNode;
+  dt_->tree().PreOrder([&](phylo::NodeId node) {
+    if (sibling == phylo::kInvalidNode && node != clades.leaf_parent &&
+        !dt_->tree().node(node).IsLeaf() &&
+        ClassesOf(sql(node), *dt_->catalog()) == leaf_classes) {
+      sibling = node;
+    }
+  });
+  ASSERT_NE(sibling, phylo::kInvalidNode);
+
+  PlanCache cache;
+  Planner cached(dt_->catalog(), nullptr, &cache);
+  Planner plain(dt_->catalog());
+  PlannerOptions opts;
+  auto leaf = cached.Run(sql(clades.leaf_parent), opts);
+  ASSERT_TRUE(leaf.ok()) << leaf.status();
+  EXPECT_FALSE(leaf->from_plan_cache);
+
+  auto root = cached.Run(sql(clades.root), opts);
+  ASSERT_TRUE(root.ok()) << root.status();
+  EXPECT_FALSE(root->from_plan_cache);
+  EXPECT_EQ(cache.stats().rebinds, 0);
+  auto root_fresh = plain.Run(sql(clades.root), opts);
+  ASSERT_TRUE(root_fresh.ok());
+  ExpectSameRows(root_fresh->result, root->result, "root re-plan");
+
+  auto other = cached.Run(sql(sibling), opts);
+  ASSERT_TRUE(other.ok()) << other.status();
+  EXPECT_TRUE(other->from_plan_cache);
+  EXPECT_EQ(cache.stats().rebinds, 1);
+  auto other_fresh = plain.Run(sql(sibling), opts);
+  ASSERT_TRUE(other_fresh.ok());
+  ExpectSameRows(other_fresh->result, other->result, "same-class re-bind");
 }
 
 /// True iff no expression node below `expr` is bound to a column index.
@@ -281,23 +507,9 @@ bool Unbound(const Expr* expr) {
 }
 
 bool Unbound(const LogicalNode& node) {
-  if (!Unbound(node.scan_predicate.get()) || !Unbound(node.predicate.get()) ||
-      !Unbound(node.join_condition.get())) {
-    return false;
-  }
-  for (const auto& o : node.outputs) {
-    if (!Unbound(o.expr.get())) return false;
-  }
-  for (const auto& g : node.group_by) {
-    if (!Unbound(g.get())) return false;
-  }
-  for (const auto& k : node.order_by) {
-    if (!Unbound(k.expr.get())) return false;
-  }
-  for (const auto& c : node.children) {
-    if (!Unbound(*c)) return false;
-  }
-  return true;
+  bool unbound = true;
+  ForEachExpr(node, [&unbound](const Expr& e) { unbound &= Unbound(&e); });
+  return unbound;
 }
 
 // Physical planning binds column refs in place, so it must bind copies: a
@@ -389,14 +601,18 @@ TEST_F(AdaptiveTest, SharedTemplatesAreNeverBound) {
       auto stmt = ParseStatement(sql);
       ASSERT_TRUE(stmt.ok()) << stmt.status();
       NormalizedStatement norm = NormalizeStatement(&stmt->select);
-      PlanCache::Lookup lookup = cache.Get(
-          norm.fingerprint,
+      const PlanCache::Classifier classify = [&](const LogicalNode& plan) {
+        return CardinalityClasses(plan, norm.params, *dt_->catalog(),
+                                  nullptr);
+      };
+      auto lookup = cache.Get(
+          {norm.fingerprint, PlanCache::RuleFlags(OptimizerOptions())},
           PlanCache::CaptureVersions(*dt_->catalog(), stmt->select,
                                      obs::CalibratedCosts().version),
-          norm.params);
-      ASSERT_NE(lookup.plan, nullptr) << sql;
-      EXPECT_FALSE(lookup.rebound) << sql;
-      EXPECT_TRUE(Unbound(*lookup.plan)) << sql;
+          norm.params, stmt->select.tables.size() > 1 ? &classify : nullptr);
+      ASSERT_TRUE(lookup.ok()) << lookup.status();
+      ASSERT_NE(lookup->plan, nullptr) << sql;
+      EXPECT_TRUE(Unbound(*lookup->plan)) << sql;
     }
   }
 }
@@ -470,6 +686,14 @@ TEST_F(AdaptiveTest, PlanCacheInvalidationEdges) {
   EXPECT_FALSE(after.from_plan_cache);
   EXPECT_EQ(cache.stats().invalidations, 4);
   EXPECT_EQ(after.result.rows[0][0].AsInt64(), count0 + 1);
+  EXPECT_TRUE(run().from_plan_cache);
+
+  // A new index is an access path the cached plan was priced without.
+  ASSERT_TRUE(
+      (*activities)->CreateIndex("ligand_id", storage::IndexKind::kHash).ok());
+  EXPECT_FALSE(run().from_plan_cache);
+  EXPECT_EQ(cache.stats().invalidations, 5);
+  EXPECT_TRUE(run().from_plan_cache);
 }
 
 // ---------------------------------------------------------------------------
