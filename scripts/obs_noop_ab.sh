@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
-# DRUGTREE_OBS_NOOP A/B overhead gate: the fully-instrumented Release build
-# (spans compiled in, trace capture enabled via DRUGTREE_TRACE_CAPTURE=1)
-# must stay within a small budget of the noop build (DRUGTREE_OBS_NOOP=ON,
-# spans compiled out) on the tree-query bench.
+# DRUGTREE_OBS_NOOP A/B overhead gate: the instrumented Release build (spans
+# compiled in) must stay within a small budget of the noop build
+# (DRUGTREE_OBS_NOOP=ON, spans compiled out) on the tree-query bench.
 #
 # Both builds pin code alignment (ALIGN_FLAGS). The probes' hot row-engine
 # functions are the same size in both builds but otherwise land at
@@ -52,7 +51,7 @@ trap 'rm -rf "${SCRATCH}"' EXIT
 
 echo "== obs noop A/B gate: ${REPS} interleaved reps, budget +${BUDGET}%"
 for i in $(seq 1 "${REPS}"); do
-  DRUGTREE_TRACE_CAPTURE=1 "${ON_DIR}/bench/bench_tree_query" \
+  "${ON_DIR}/bench/bench_tree_query" \
     --benchmark_filter="${FILTER}" \
     --benchmark_out="${SCRATCH}/on_${i}.json" \
     --benchmark_out_format=json >/dev/null 2>&1

@@ -86,8 +86,8 @@ cmake --build build-rel -j "$(nproc)" \
 # must hold the interactive p99 inside the 2ms budget under analytic load.
 ./build-rel/bench/bench_adaptive --gate
 
-# Tracing overhead A/B gate: the instrumented Release build (with trace
-# capture on) must stay within budget of the DRUGTREE_OBS_NOOP build. Also
+# Tracing overhead A/B gate: the instrumented Release build (spans compiled
+# in) must stay within budget of the DRUGTREE_OBS_NOOP build. Also
 # gates the memory-tracker fast path (tracked encoded and plain scans, <5%) and
 # the continuous-telemetry sampler (DRUGTREE_TELEMETRY on/off, <5%).
 scripts/obs_noop_ab.sh build-rel build-noop

@@ -24,41 +24,11 @@ void RenderNode(const ExplainNode& node, int depth, std::string* out) {
   for (const auto& child : node.children) RenderNode(child, depth + 1, out);
 }
 
-void NodeToJson(const ExplainNode& node, std::string* out) {
-  std::string label;
-  for (char c : node.label) {
-    if (c == '"' || c == '\\') label += '\\';
-    label += c;
-  }
-  *out += util::StringPrintf(
-      "{\"label\":\"%s\",\"rows_out\":%lld,\"next_calls\":%lld,"
-      "\"bytes_scanned\":%lld,\"elapsed_micros\":%lld",
-      label.c_str(), static_cast<long long>(node.rows_out),
-      static_cast<long long>(node.next_calls),
-      static_cast<long long>(node.bytes_scanned),
-      static_cast<long long>(node.elapsed_micros));
-  if (!node.children.empty()) {
-    *out += ",\"children\":[";
-    for (size_t i = 0; i < node.children.size(); ++i) {
-      if (i > 0) *out += ",";
-      NodeToJson(node.children[i], out);
-    }
-    *out += "]";
-  }
-  *out += "}";
-}
-
 }  // namespace
 
 std::string RenderExplainTree(const ExplainNode& root) {
   std::string out;
   RenderNode(root, 0, &out);
-  return out;
-}
-
-std::string ExplainTreeToJson(const ExplainNode& root) {
-  std::string out;
-  NodeToJson(root, &out);
   return out;
 }
 

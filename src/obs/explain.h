@@ -1,8 +1,8 @@
 // EXPLAIN ANALYZE rendering. The query engine collects per-operator
 // execution stats (rows_out, Next() calls, cumulative time) during a run and
 // converts its operator tree into this module's neutral ExplainNode tree;
-// obs renders it as an annotated plan (text or JSON) without depending on
-// the query layer — so the dependency arrow stays query -> obs.
+// obs renders it as an annotated text plan without depending on the query
+// layer — so the dependency arrow stays query -> obs.
 
 #ifndef DRUGTREE_OBS_EXPLAIN_H_
 #define DRUGTREE_OBS_EXPLAIN_H_
@@ -33,9 +33,6 @@ struct ExplainNode {
 ///     Sort [...] (rows=50 next=51 time=0.39ms)
 ///       ...
 std::string RenderExplainTree(const ExplainNode& root);
-
-/// Nested-object JSON rendering of the same tree.
-std::string ExplainTreeToJson(const ExplainNode& root);
 
 }  // namespace obs
 }  // namespace drugtree

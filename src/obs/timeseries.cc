@@ -56,17 +56,6 @@ std::vector<TimePoint> TimeSeriesStore::Points(const std::string& series) const 
   return OrderedLocked(it->second);
 }
 
-std::vector<std::string> TimeSeriesStore::SeriesNames() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> out;
-  out.reserve(series_.size());
-  for (const auto& [name, ring] : series_) {
-    (void)ring;
-    out.push_back(name);
-  }
-  return out;
-}
-
 bool TimeSeriesStore::Latest(const std::string& series, TimePoint* out) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = series_.find(series);

@@ -66,9 +66,6 @@ class TimeSeriesStore {
   /// The retained points, oldest first. Empty when the series is unknown.
   std::vector<TimePoint> Points(const std::string& series) const;
 
-  /// Every series name, sorted.
-  std::vector<std::string> SeriesNames() const;
-
   /// Latest retained point; false when the series is absent or empty.
   bool Latest(const std::string& series, TimePoint* out) const;
 

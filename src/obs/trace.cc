@@ -1,90 +1,19 @@
 #include "obs/trace.h"
 
-#include <algorithm>
-#include <cstdlib>
-#include <cstring>
-
-#include "obs/trace_context.h"
-#include "util/string_util.h"
+#include <string>
 
 namespace drugtree {
 namespace obs {
 
-namespace {
-
-/// Per-thread open-span state. Spans nest per thread; a span opened on a
-/// worker thread starts its own root rather than racing the main thread's.
-struct ThreadState {
-  std::unique_ptr<Span> open_root;  // owns the root while it is open
-  std::vector<Span*> stack;         // innermost open span last
-};
-
-ThreadState& Tls() {
-  static thread_local ThreadState state;
-  return state;
-}
-
-void RenderSpan(const Span& span, int depth, int64_t root_micros,
-                std::string* out) {
-  double share = root_micros > 0
-                     ? 100.0 * static_cast<double>(span.DurationMicros()) /
-                           static_cast<double>(root_micros)
-                     : 100.0;
-  *out += std::string(static_cast<size_t>(depth) * 2, ' ');
-  *out += util::StringPrintf(
-      "%s  %.3fms (self %.3fms, %.1f%%)\n", span.name.c_str(),
-      static_cast<double>(span.DurationMicros()) / 1000.0,
-      static_cast<double>(span.SelfMicros()) / 1000.0, share);
-  for (const auto& child : span.children) {
-    RenderSpan(*child, depth + 1, root_micros, out);
-  }
-}
-
-void SpanToJson(const Span& span, std::string* out) {
-  *out += util::StringPrintf(
-      "{\"name\":\"%s\",\"start_micros\":%lld,\"duration_micros\":%lld,"
-      "\"self_micros\":%lld",
-      span.name.c_str(), static_cast<long long>(span.start_micros),
-      static_cast<long long>(span.DurationMicros()),
-      static_cast<long long>(span.SelfMicros()));
-  if (!span.children.empty()) {
-    *out += ",\"children\":[";
-    for (size_t i = 0; i < span.children.size(); ++i) {
-      if (i > 0) *out += ",";
-      SpanToJson(*span.children[i], out);
-    }
-    *out += "]";
-  }
-  *out += "}";
-}
-
-}  // namespace
-
-SpanSite::SpanSite(const char* name) : name_(name) {
+SpanSite::SpanSite(const char* name) {
   MetricRegistry* registry = MetricRegistry::Default();
   const std::string base = std::string("span.") + name;
   total_micros_ = registry->GetCounter(base + ".total_micros");
   count_ = registry->GetCounter(base + ".count");
 }
 
-int64_t Span::SelfMicros() const {
-  int64_t self = DurationMicros();
-  for (const auto& child : children) self -= child->DurationMicros();
-  return std::max<int64_t>(0, self);
-}
-
 Tracer* Tracer::Default() {
-  static Tracer* tracer = [] {
-    Tracer* t = new Tracer();
-    // Opt into trace-tree capture from the environment so overhead A/B runs
-    // (tier1.sh's DRUGTREE_OBS_NOOP gate) can exercise the capture path in
-    // unmodified bench binaries.
-    const char* env = std::getenv("DRUGTREE_TRACE_CAPTURE");
-    if (env != nullptr && std::strcmp(env, "0") != 0 && env[0] != '\0') {
-      t->set_capture(true);
-    }
-    return t;
-  }();
+  static Tracer* tracer = new Tracer();
   return tracer;
 }
 
@@ -95,109 +24,6 @@ void Tracer::set_clock(const util::Clock* clock) {
 const util::Clock* Tracer::clock() const {
   const util::Clock* c = clock_.load(std::memory_order_relaxed);
   return c != nullptr ? c : util::RealClock::Instance();
-}
-
-Span* Tracer::BeginSpan(const std::string& name) {
-  if (!capturing()) return nullptr;
-  ThreadState& tls = Tls();
-  auto span = std::make_unique<Span>();
-  span->name = name;
-  span->start_micros = clock()->NowMicros();
-  Span* raw = span.get();
-  if (tls.stack.empty()) {
-    tls.open_root = std::move(span);
-  } else {
-    tls.stack.back()->children.push_back(std::move(span));
-  }
-  tls.stack.push_back(raw);
-  return raw;
-}
-
-void Tracer::EndSpan(Span* span) { CloseSpan(span, nullptr); }
-
-void Tracer::EndSpan(Span* span, const SpanSite& site) {
-  CloseSpan(span, &site);
-}
-
-void Tracer::CloseSpan(Span* span, const SpanSite* site) {
-  if (span == nullptr) return;
-  ThreadState& tls = Tls();
-  span->end_micros = clock()->NowMicros();
-  // RAII discipline means `span` is the innermost open span; tolerate (and
-  // close) any deeper spans left open by early returns.
-  while (!tls.stack.empty()) {
-    Span* top = tls.stack.back();
-    tls.stack.pop_back();
-    if (top != span && top->end_micros == 0) top->end_micros = span->end_micros;
-    if (top == span) break;
-  }
-  if (site != nullptr) {
-    site->total_micros()->Add(span->DurationMicros());
-    site->count()->Increment();
-  } else {
-    ExportSpanMetrics(*span);
-  }
-  if (tls.stack.empty() && tls.open_root != nullptr &&
-      tls.open_root.get() == span) {
-    // Per-query capture: a thread executing under a TraceContext hands its
-    // completed root to that context, so concurrent server slots never
-    // clobber each other. The process-global "last trace" keeps serving the
-    // legacy single-threaded benches/tests on untraced threads.
-    if (TraceContext* context = TraceContext::Current()) {
-      context->AdoptRootSpan(std::move(tls.open_root));
-    } else {
-      std::lock_guard<std::mutex> lock(mu_);
-      last_trace_ = std::move(tls.open_root);
-    }
-  }
-}
-
-void Tracer::ExportSpanMetrics(const Span& span) {
-  std::pair<Counter*, Counter*> counters;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = span_metrics_.find(span.name);
-    if (it == span_metrics_.end()) {
-      MetricRegistry* registry = MetricRegistry::Default();
-      it = span_metrics_
-               .emplace(span.name,
-                        std::make_pair(
-                            registry->GetCounter("span." + span.name +
-                                                 ".total_micros"),
-                            registry->GetCounter("span." + span.name +
-                                                 ".count")))
-               .first;
-    }
-    counters = it->second;
-  }
-  counters.first->Add(span.DurationMicros());
-  counters.second->Increment();
-}
-
-const Span* Tracer::last_trace() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return last_trace_.get();
-}
-
-std::string Tracer::RenderLastTrace() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (last_trace_ == nullptr) return "(no trace)\n";
-  std::string out;
-  RenderSpan(*last_trace_, 0, last_trace_->DurationMicros(), &out);
-  return out;
-}
-
-std::string Tracer::LastTraceJson() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (last_trace_ == nullptr) return "null";
-  std::string out;
-  SpanToJson(*last_trace_, &out);
-  return out;
-}
-
-void Tracer::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  last_trace_.reset();
 }
 
 }  // namespace obs

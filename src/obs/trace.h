@@ -1,12 +1,12 @@
-// Scoped span tracing for per-query / per-interaction attribution.
+// Scoped span timing for per-phase attribution.
 //
 // Spans are stamped off a util::Clock, so a benchmark driving a
 // SimulatedClock gets *exact* attribution of simulated time (network waits,
-// render budgets) while interactive runs measure wall time. Nested spans on
-// one thread form a tree; a completed root span is retained as the "last
-// trace" for rendering, and every span's duration is mirrored into the
-// metrics registry as span.<name>.total_micros / span.<name>.count so bench
-// snapshots carry per-phase totals without keeping the trees around.
+// render budgets) while interactive runs measure wall time. Every span adds
+// its duration to the metrics registry as span.<name>.total_micros and
+// span.<name>.count, so bench snapshots carry per-phase totals; a span nested
+// in another adds its own full duration to its own pair. Per-request
+// timelines come from obs::TraceContext (trace_context.h).
 //
 // Usage — instrument a scope with the macro (compiled out entirely under
 // -DDRUGTREE_OBS_NOOP for overhead A/B builds):
@@ -17,17 +17,12 @@
 //   }
 //
 //   obs::Tracer::Default()->set_clock(&simulated_clock);  // in benches
-//   std::cout << obs::Tracer::Default()->RenderLastTrace();
 
 #ifndef DRUGTREE_OBS_TRACE_H_
 #define DRUGTREE_OBS_TRACE_H_
 
+#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "obs/metrics.h"
 #include "util/clock.h"
@@ -35,35 +30,18 @@
 namespace drugtree {
 namespace obs {
 
-/// One timed scope. Children are the spans opened (and closed) while this
-/// one was the innermost open span on its thread.
-struct Span {
-  std::string name;
-  int64_t start_micros = 0;
-  int64_t end_micros = 0;
-  std::vector<std::unique_ptr<Span>> children;
-
-  int64_t DurationMicros() const { return end_micros - start_micros; }
-
-  /// Duration minus the children's durations (time attributable to this
-  /// span's own work).
-  int64_t SelfMicros() const;
-};
-
-/// Per-call-site span identity: the name plus its pre-resolved registry
-/// counters. DT_SPAN declares one function-local static per site, so closing
-/// a span bumps two counters directly instead of taking the tracer mutex and
-/// hashing the name into the registry on every call.
+/// Per-call-site span counters, resolved in the registry once. DT_SPAN
+/// declares one function-local static per site, so closing a span bumps two
+/// counters directly instead of hashing the name into the registry on every
+/// call.
 class SpanSite {
  public:
   explicit SpanSite(const char* name);
 
-  const char* name() const { return name_; }
   Counter* total_micros() const { return total_micros_; }
   Counter* count() const { return count_; }
 
  private:
-  const char* name_;
   Counter* total_micros_;
   Counter* count_;
 };
@@ -79,108 +57,31 @@ class Tracer {
   void set_clock(const util::Clock* clock);
   const util::Clock* clock() const;
 
-  /// Runtime kill switch: when disabled, Begin/EndSpan are no-ops.
-  void set_enabled(bool enabled) { enabled_ = enabled; }
-  bool enabled() const { return enabled_; }
-
-  /// Trace-tree capture. Off by default: DT_SPAN still mirrors durations
-  /// into the registry (two clock reads + two relaxed adds), but no span
-  /// tree is built or retained. Turn on to get last_trace()/RenderLastTrace
-  /// flames at the cost of one small allocation per span.
-  void set_capture(bool capture) { capture_ = capture; }
-  bool capturing() const {
-    return capture_.load(std::memory_order_relaxed) &&
-           enabled_.load(std::memory_order_relaxed);
-  }
-
-  /// Opens a span nested under the thread's innermost open span (or as a
-  /// new root). Returns null when disabled or not capturing.
-  Span* BeginSpan(const std::string& name);
-
-  /// Closes a span opened by BeginSpan. A completed *root* span is adopted
-  /// by the thread's installed obs::TraceContext when one is present
-  /// (per-query capture — concurrent server slots each keep their own
-  /// tree); otherwise it replaces the process-global retained last trace
-  /// (the legacy single-threaded API). Every closed span feeds the metrics
-  /// registry either way.
-  void EndSpan(Span* span);
-
-  /// Fast-path close for DT_SPAN: the site carries pre-resolved counters, so
-  /// no tracer-mutex/name-hash work happens on the way out.
-  void EndSpan(Span* span, const SpanSite& site);
-
-  /// The most recently completed root span tree (null before any trace).
-  /// Valid until the next root span completes or Clear() is called.
-  const Span* last_trace() const;
-
-  /// Indented text flame of the last trace: micros, self-micros, and the
-  /// share of the root.
-  std::string RenderLastTrace() const;
-
-  /// JSON rendering of the last trace (nested objects).
-  std::string LastTraceJson() const;
-
-  /// Drops the retained trace (metrics already exported are untouched).
-  void Clear();
-
  private:
-  void CloseSpan(Span* span, const SpanSite* site);
-  void ExportSpanMetrics(const Span& span);
-
   std::atomic<const util::Clock*> clock_{nullptr};  // null -> RealClock
-  std::atomic<bool> enabled_{true};
-  std::atomic<bool> capture_{false};
-
-  mutable std::mutex mu_;
-  std::unique_ptr<Span> last_trace_;
-  // (total_micros, count) counter pair per span name, resolved once.
-  std::unordered_map<std::string, std::pair<Counter*, Counter*>> span_metrics_;
 };
 
-/// RAII wrapper: opens on construction, closes on scope exit.
+/// RAII span: stamps its start on construction and adds the elapsed time
+/// and one count to its site's counters on scope exit.
 class ScopedSpan {
  public:
-  ScopedSpan(Tracer* tracer, const char* name)
+  ScopedSpan(const Tracer* tracer, const SpanSite& site)
       : tracer_(tracer),
-        span_(tracer != nullptr ? tracer->BeginSpan(name) : nullptr) {}
-
-  /// DT_SPAN's constructor: uses the call site's cached counters. When the
-  /// tracer is not capturing trees, this is the allocation-free fast path —
-  /// just a start stamp here and two counter bumps on scope exit.
-  ScopedSpan(Tracer* tracer, const SpanSite& site)
-      : tracer_(tracer), site_(&site) {
-    if (tracer == nullptr || !tracer->enabled()) return;
-    if (tracer->capturing()) {
-      span_ = tracer->BeginSpan(site.name());
-    } else {
-      start_micros_ = tracer->clock()->NowMicros();
-    }
-  }
+        site_(site),
+        start_micros_(tracer->clock()->NowMicros()) {}
 
   ~ScopedSpan() {
-    if (span_ != nullptr) {
-      if (site_ != nullptr) {
-        tracer_->EndSpan(span_, *site_);
-      } else {
-        tracer_->EndSpan(span_);
-      }
-      return;
-    }
-    if (start_micros_ >= 0 && site_ != nullptr) {
-      site_->total_micros()->Add(tracer_->clock()->NowMicros() -
-                                 start_micros_);
-      site_->count()->Increment();
-    }
+    site_.total_micros()->Add(tracer_->clock()->NowMicros() - start_micros_);
+    site_.count()->Increment();
   }
 
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
  private:
-  Tracer* tracer_;
-  const SpanSite* site_ = nullptr;
-  Span* span_ = nullptr;
-  int64_t start_micros_ = -1;
+  const Tracer* tracer_;
+  const SpanSite& site_;
+  int64_t start_micros_;
 };
 
 }  // namespace obs

@@ -141,11 +141,6 @@ void TraceContext::set_cpu_micros(int64_t micros) {
   record_.cpu_micros = micros;
 }
 
-void TraceContext::AdoptRootSpan(std::unique_ptr<Span> root) {
-  std::lock_guard<std::mutex> lock(mu_);
-  record_.root_span = std::shared_ptr<Span>(std::move(root));
-}
-
 int64_t TraceContext::PhaseMicros(TracePhase phase) const {
   std::lock_guard<std::mutex> lock(mu_);
   return record_.phase_micros[static_cast<size_t>(phase)];

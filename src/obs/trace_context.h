@@ -23,12 +23,10 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
-#include "obs/trace.h"
 #include "util/clock.h"
 
 namespace drugtree {
@@ -104,9 +102,6 @@ struct TraceRecord {
   /// EXPLAIN ANALYZE of the executed plan; only captured when the owner ran
   /// with analyze collection on (the slow-query forensics path).
   std::string analyzed_plan;
-  /// Captured span tree (shared so records stay copyable); null unless the
-  /// tracer was capturing while this context was installed.
-  std::shared_ptr<Span> root_span;
 
   int64_t TotalMicros() const { return end_micros - begin_micros; }
   int64_t PhaseMicros(TracePhase phase) const {
@@ -171,11 +166,6 @@ class TraceContext {
   /// Resource accounting stamped by the serving layer at completion.
   void set_peak_memory_bytes(int64_t bytes);
   void set_cpu_micros(int64_t micros);
-
-  /// Adopts a completed root span tree (called by Tracer when a root span
-  /// closes while this context is installed — the per-query fix for the
-  /// process-global last-trace clobber).
-  void AdoptRootSpan(std::unique_ptr<Span> root);
 
   /// Total micros attributed to `phase` so far.
   int64_t PhaseMicros(TracePhase phase) const;

@@ -75,53 +75,58 @@ PlanCache::VersionSignature PlanCache::CaptureVersions(
   return sig;
 }
 
-util::Result<PlanCache::Lookup> PlanCache::Get(
-    const Key& key, const VersionSignature& current,
-    const std::vector<storage::Value>& params, const Classifier* classify) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    ++stats_.misses;
-    return Lookup{};
-  }
-  Entry& entry = it->second;
-  if (!(entry.versions == current)) {
-    lru_.erase(entry.lru_it);
-    entries_.erase(it);
-    ++stats_.invalidations;
-    ++stats_.misses;
-    return Lookup{};
-  }
+util::Result<PlanCache::Lookup> PlanCache::Choose(
+    const Entry& entry, const std::vector<storage::Value>& params,
+    const Binder& bind, const Classifier* classify) {
+  std::optional<ParamBindings> bindings;
   std::vector<int> classes;
   if (classify != nullptr) {
-    util::Result<std::vector<int>> c = (*classify)(*entry.variants[0].plan);
-    if (!c.ok()) {
-      ++stats_.misses;
-      return c.status();
-    }
-    classes = *std::move(c);
+    const LogicalNode& first = *entry.variants[0].plan;
+    DRUGTREE_ASSIGN_OR_RETURN(bindings, bind(first));
+    classes = (*classify)(first, *bindings);
   }
   auto v = std::find_if(
       entry.variants.begin(), entry.variants.end(),
       [&classes](const Template& t) { return t.classes == classes; });
-  if (v != entry.variants.end()) {
-    const bool rebound = !SameParams(v->params, params);
-    if (!rebound || (v->rebindable && SameTypes(v->params, params))) {
-      lru_.splice(lru_.begin(), lru_, entry.lru_it);
-      ++stats_.hits;
-      if (rebound) ++stats_.rebinds;
-      return Lookup{v->plan, rebound};
-    }
+  if (v == entry.variants.end()) return Lookup{};
+  if (SameParams(v->params, params)) return Lookup{v->plan, std::nullopt};
+  // The template consumed a literal (or the literal types changed):
+  // reusing it could return wrong results, so re-plan.
+  if (!v->rebindable || !SameTypes(v->params, params)) return Lookup{};
+  if (!bindings) {
+    DRUGTREE_ASSIGN_OR_RETURN(bindings, bind(*v->plan));
   }
-  // No variant for this class, or it consumed a literal (or the literal
-  // types changed): reusing it could return wrong results, so re-plan.
-  ++stats_.misses;
-  return Lookup{};
+  return Lookup{v->plan, std::move(bindings)};
+}
+
+util::Result<PlanCache::Lookup> PlanCache::Get(
+    const Key& key, const VersionSignature& current,
+    const std::vector<storage::Value>& params, const Binder& bind,
+    const Classifier* classify) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = entries_.find(key);
+  if (it != entries_.end() && !(it->second.versions == current)) {
+    lru_.erase(it->second.lru_it);
+    entries_.erase(it);
+    it = entries_.end();
+    ++stats_.invalidations;
+  }
+  util::Result<Lookup> lookup =
+      it == entries_.end() ? Lookup{}
+                           : Choose(it->second, params, bind, classify);
+  if (!lookup.ok() || lookup->plan == nullptr) {
+    ++stats_.misses;
+    return lookup;
+  }
+  lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+  ++stats_.hits;
+  if (lookup->bindings) ++stats_.rebinds;
+  return lookup;
 }
 
 void PlanCache::Install(const Key& key, LogicalPtr plan,
                         std::vector<storage::Value> params,
-                        VersionSignature versions,
+                        VersionSignature versions, const Binder& bind,
                         const Classifier* classify) {
   Template tmpl;
   tmpl.rebindable = ComputeRebindable(*plan, params.size());
@@ -134,10 +139,11 @@ void PlanCache::Install(const Key& key, LogicalPtr plan,
   if (classify != nullptr) {
     // Classify the way Get will: through the entry's first template, so a
     // template that consumed a literal still lands where lookups find it.
-    util::Result<std::vector<int>> classes =
-        (*classify)(fresh ? *it->second.variants[0].plan : *tmpl.plan);
-    if (!classes.ok()) return;
-    tmpl.classes = *std::move(classes);
+    const LogicalNode& first =
+        fresh ? *it->second.variants[0].plan : *tmpl.plan;
+    util::Result<ParamBindings> bindings = bind(first);
+    if (!bindings.ok()) return;
+    tmpl.classes = (*classify)(first, *bindings);
   }
   if (it != entries_.end() && !fresh) {
     // The entry went stale between this planner's Get and Install (or a

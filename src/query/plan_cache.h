@@ -45,6 +45,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -92,11 +93,18 @@ class PlanCache {
                                           const SelectStatement& stmt,
                                           uint64_t cost_version);
 
+  /// Binds the statement's literals for running a template of its entry
+  /// (BindParams). Every template of an entry reads the same node literals,
+  /// so one binding serves them all. An error (an unknown tree node) fails
+  /// the lookup.
+  using Binder =
+      std::function<util::Result<ParamBindings>(const LogicalNode&)>;
+
   /// A multi-scan statement's variant key, computed from any template of
   /// its entry (they share their scans and pushed-down predicates) under
-  /// the statement's literals: CardinalityClasses.
-  using Classifier =
-      std::function<util::Result<std::vector<int>>(const LogicalNode&)>;
+  /// the statement's bound literals: CardinalityClasses.
+  using Classifier = std::function<std::vector<int>(const LogicalNode&,
+                                                    const ParamBindings&)>;
 
   struct Stats {
     int64_t hits = 0;           // template reused
@@ -109,9 +117,11 @@ class PlanCache {
 
   struct Lookup {
     /// Null = miss: plan from scratch, then Install. Shared and read-only:
-    /// bind it to the statement's literals while lowering it.
+    /// lower it with `bindings`.
     LogicalPtr plan;
-    bool rebound = false;  // planned for other literals
+    /// Set when `plan` was planned for other literals: the statement's own,
+    /// bound for it.
+    std::optional<ParamBindings> bindings;
   };
 
   explicit PlanCache(size_t capacity_entries = 256)
@@ -119,20 +129,21 @@ class PlanCache {
 
   /// Looks up `key`. A stored entry whose signature differs from `current`
   /// is evicted wholesale (invalidation) — the caller re-plans. On a match,
-  /// `classify` (null for a single-table statement) picks the variant; it
-  /// is reused when it was planned for `params` or is re-bindable to them
-  /// (same arity and literal types), and the lookup misses otherwise. An
-  /// error of `classify` (an unknown tree node) is returned.
+  /// `classify` (null for a single-table statement) picks the variant under
+  /// `bind`'s bindings; it is reused when it was planned for `params` or is
+  /// re-bindable to them (same arity and literal types), and the lookup
+  /// misses otherwise. A binding error (an unknown tree node) counts as a
+  /// miss and is returned.
   util::Result<Lookup> Get(const Key& key, const VersionSignature& current,
                            const std::vector<storage::Value>& params,
-                           const Classifier* classify);
+                           const Binder& bind, const Classifier* classify);
 
   /// Installs `plan`, freshly optimized for `params` with its ordinal tags
   /// intact, as the variant of its class (replacing the whole entry when
   /// its signature is stale).
   void Install(const Key& key, LogicalPtr plan,
                std::vector<storage::Value> params, VersionSignature versions,
-               const Classifier* classify);
+               const Binder& bind, const Classifier* classify);
 
   void Clear();
   size_t size() const;
@@ -160,6 +171,12 @@ class PlanCache {
     std::vector<Template> variants;  // oldest first, one per class
     std::list<Key>::iterator lru_it;
   };
+
+  /// The variant of `entry` that `params` may reuse; a null plan when none.
+  static util::Result<Lookup> Choose(const Entry& entry,
+                                     const std::vector<storage::Value>& params,
+                                     const Binder& bind,
+                                     const Classifier* classify);
 
   mutable std::mutex mu_;
   size_t capacity_;

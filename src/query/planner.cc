@@ -424,13 +424,17 @@ util::Result<QueryOutcome> Planner::Run(const std::string& sql,
   QueryOutcome outcome;
   PlanCache::VersionSignature versions;
   PlanCache::Key key;
-  // A multi-table statement's variant is chosen by its scans' cardinality
-  // classes under its literals.
+  // A cached template re-resolves this statement's tree nodes; a
+  // multi-table statement's variant is chosen by its scans' cardinality
+  // classes under those bindings.
+  const PlanCache::Binder bind = [this, &norm](const LogicalNode& plan) {
+    return BindParams(plan, norm.params, *catalog_);
+  };
   PlanCache::Classifier classify;
   if (stmt.select.tables.size() > 1) {
-    classify = [this, &norm, &optimizer](const LogicalNode& plan) {
-      return CardinalityClasses(plan, norm.params, *catalog_,
-                                optimizer.costs);
+    classify = [this, &optimizer](const LogicalNode& plan,
+                                  const ParamBindings& bindings) {
+      return CardinalityClasses(plan, bindings, *catalog_, optimizer.costs);
     };
   }
   const PlanCache::Classifier* classifier = classify ? &classify : nullptr;
@@ -445,13 +449,10 @@ util::Result<QueryOutcome> Planner::Run(const std::string& sql,
     key = {std::move(norm.fingerprint), PlanCache::RuleFlags(optimizer)};
     DRUGTREE_ASSIGN_OR_RETURN(
         PlanCache::Lookup lookup,
-        plan_cache_->Get(key, versions, norm.params, classifier));
+        plan_cache_->Get(key, versions, norm.params, bind, classifier));
     if (lookup.plan != nullptr) {
-      if (lookup.rebound) {
-        DRUGTREE_ASSIGN_OR_RETURN(
-            params, BindParams(*lookup.plan, norm.params, *catalog_));
-      }
       optimized = std::move(lookup.plan);
+      params = std::move(lookup.bindings);
       outcome.from_plan_cache = true;
     }
     if (trace != nullptr) {
@@ -469,7 +470,8 @@ util::Result<QueryOutcome> Planner::Run(const std::string& sql,
       return OptimizeLogicalPlan(*logical, *catalog_, optimizer);
     }());
     if (plan_cache_ != nullptr) {
-      plan_cache_->Install(key, optimized, norm.params, versions, classifier);
+      plan_cache_->Install(key, optimized, norm.params, versions, bind,
+                           classifier);
     }
   }
   const ParamBindings* bindings = params ? &*params : nullptr;

@@ -472,17 +472,16 @@ util::Result<ParamBindings> BindParams(const LogicalNode& plan,
   return bindings;
 }
 
-util::Result<std::vector<int>> CardinalityClasses(
-    const LogicalNode& plan, std::span<const Value> params,
-    const Catalog& catalog, const obs::CalibratedCosts* costs) {
+std::vector<int> CardinalityClasses(const LogicalNode& plan,
+                                    const ParamBindings& bindings,
+                                    const Catalog& catalog,
+                                    const obs::CalibratedCosts* costs) {
   std::vector<const LogicalNode*> scans;
   CollectScans(plan, &scans);
   std::sort(scans.begin(), scans.end(),
             [](const LogicalNode* a, const LogicalNode* b) {
               return a->alias < b->alias;
             });
-  DRUGTREE_ASSIGN_OR_RETURN(ParamBindings bindings,
-                            BindParams(plan, params, catalog));
   std::map<std::string, std::string> alias_to_table;
   for (const LogicalNode* s : scans) alias_to_table[s->alias] = s->table;
   CostModel cost(&catalog, alias_to_table, costs);

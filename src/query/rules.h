@@ -84,13 +84,15 @@ util::Result<ParamBindings> BindParams(const LogicalNode& plan,
                                        const Catalog& catalog);
 
 /// The cardinality class ceil(log2 rows) of each scan of `plan` under
-/// `params`, in alias order. The rows are CostModel::EstimateScanRows over
-/// the scan's bound pushed-down predicate (an exact count for a clade),
-/// which is what join order and join methods are chosen from, so the plan
-/// cache keeps one multi-scan plan per class vector.
-util::Result<std::vector<int>> CardinalityClasses(
-    const LogicalNode& plan, std::span<const storage::Value> params,
-    const Catalog& catalog, const obs::CalibratedCosts* costs);
+/// `bindings` (BindParams of `plan`), in alias order. The rows are
+/// CostModel::EstimateScanRows over the scan's bound pushed-down predicate
+/// (an exact count for a clade), which is what join order and join methods
+/// are chosen from, so the plan cache keeps one multi-scan plan per class
+/// vector.
+std::vector<int> CardinalityClasses(const LogicalNode& plan,
+                                    const ParamBindings& bindings,
+                                    const Catalog& catalog,
+                                    const obs::CalibratedCosts* costs);
 
 }  // namespace query
 }  // namespace drugtree

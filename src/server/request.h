@@ -65,9 +65,9 @@ struct PendingRequest {
   int64_t enqueue_micros = 0;
   uint64_t seq = 0;  // admission order; the final dispatch tiebreak
   std::shared_ptr<ResponseState> response;
-  /// Per-request trace carried through the pipeline (null when the server
-  /// runs with tracing disabled). Shared: the submit thread and the
-  /// executing worker both annotate it; TraceContext is internally locked.
+  /// Per-request trace carried through the pipeline. Shared: the submit
+  /// thread and the executing worker both annotate it; TraceContext is
+  /// internally locked.
   std::shared_ptr<obs::TraceContext> trace;
 };
 

@@ -120,7 +120,7 @@ DrugTreeServer::DrugTreeServer(query::Catalog* catalog, util::Clock* clock,
   // Plan cache / calibrator / adaptive controller are always constructed
   // (Statusz shows an all-zero block when a feature is off) but only wired
   // into the planners when enabled.
-  plan_cache_ = std::make_unique<query::PlanCache>(options_.plan_cache_entries);
+  plan_cache_ = std::make_unique<query::PlanCache>();
   calibrator_ = std::make_unique<obs::CostCalibrator>();
   adaptive_ = std::make_unique<AdaptiveController>(options_.adaptive);
   int slots = std::max(1, options_.scheduler.total_slots);
@@ -200,62 +200,57 @@ DrugTreeServer::DrugTreeServer(query::Catalog* catalog, util::Clock* clock,
 
     alerts_ = std::make_unique<obs::AlertEngine>(timeline_.get(), clock_);
     int64_t interval = options_.telemetry.sample_interval_micros;
-    if (options_.telemetry.default_rules) {
-      obs::AlertRule rule;
-      rule.name = "memory_pressure";
-      rule.kind = obs::AlertKind::kThreshold;
-      rule.series = "memory.pressure_pct";
-      rule.threshold = 100.0;
-      rule.subsystem = "memory";
-      alerts_->AddRule(rule);
+    obs::AlertRule rule;
+    rule.name = "memory_pressure";
+    rule.kind = obs::AlertKind::kThreshold;
+    rule.series = "memory.pressure_pct";
+    rule.threshold = 100.0;
+    rule.subsystem = "memory";
+    alerts_->AddRule(rule);
 
-      rule = obs::AlertRule();
-      rule.name = "interactive_burn";
-      rule.kind = obs::AlertKind::kBurnRate;
-      rule.series = "slo.interactive.burn_rate";
-      rule.threshold = 1.0;
-      rule.short_window_micros = 2 * interval;
-      rule.long_window_micros = 8 * interval;
-      rule.subsystem = "serving";
-      rule.severity = obs::AlertSeverity::kCritical;
-      alerts_->AddRule(rule);
+    rule = obs::AlertRule();
+    rule.name = "interactive_burn";
+    rule.kind = obs::AlertKind::kBurnRate;
+    rule.series = "slo.interactive.burn_rate";
+    rule.threshold = 1.0;
+    rule.short_window_micros = 2 * interval;
+    rule.long_window_micros = 8 * interval;
+    rule.subsystem = "serving";
+    rule.severity = obs::AlertSeverity::kCritical;
+    alerts_->AddRule(rule);
 
-      rule.name = "analytic_burn";
-      rule.series = "slo.analytic.burn_rate";
-      rule.severity = obs::AlertSeverity::kWarning;
-      alerts_->AddRule(rule);
+    rule.name = "analytic_burn";
+    rule.series = "slo.analytic.burn_rate";
+    rule.severity = obs::AlertSeverity::kWarning;
+    alerts_->AddRule(rule);
 
-      rule = obs::AlertRule();
-      rule.name = "interactive_queue_growth";
-      rule.kind = obs::AlertKind::kRateOfChange;
-      rule.series = "server.admission.queue_depth{class=interactive}";
-      rule.threshold = 50.0;  // sustained +50 queued requests per second
-      rule.for_micros = 2 * interval;
-      rule.subsystem = "admission";
-      alerts_->AddRule(rule);
+    rule = obs::AlertRule();
+    rule.name = "interactive_queue_growth";
+    rule.kind = obs::AlertKind::kRateOfChange;
+    rule.series = "server.admission.queue_depth{class=interactive}";
+    rule.threshold = 50.0;  // sustained +50 queued requests per second
+    rule.for_micros = 2 * interval;
+    rule.subsystem = "admission";
+    alerts_->AddRule(rule);
 
-      rule = obs::AlertRule();
-      rule.name = "plan_cache_collapse";
-      rule.kind = obs::AlertKind::kRateOfChange;
-      rule.series = "plan_cache.hit_rate_pct";
-      rule.threshold = -10.0;  // hit rate falling >10 pct-points per second
-      rule.fire_above = false;
-      rule.for_micros = 2 * interval;
-      rule.subsystem = "plan_cache";
-      alerts_->AddRule(rule);
+    rule = obs::AlertRule();
+    rule.name = "plan_cache_collapse";
+    rule.kind = obs::AlertKind::kRateOfChange;
+    rule.series = "plan_cache.hit_rate_pct";
+    rule.threshold = -10.0;  // hit rate falling >10 pct-points per second
+    rule.fire_above = false;
+    rule.for_micros = 2 * interval;
+    rule.subsystem = "plan_cache";
+    alerts_->AddRule(rule);
 
-      rule = obs::AlertRule();
-      rule.name = "scheduler_saturated";
-      rule.kind = obs::AlertKind::kThreshold;
-      rule.series = "scheduler.starved_depth";
-      rule.threshold = 0.5;  // any queued work while zero slots free
-      rule.for_micros = 4 * interval;
-      rule.subsystem = "scheduler";
-      alerts_->AddRule(rule);
-    }
-    for (const obs::AlertRule& extra : options_.telemetry.extra_rules) {
-      alerts_->AddRule(extra);
-    }
+    rule = obs::AlertRule();
+    rule.name = "scheduler_saturated";
+    rule.kind = obs::AlertKind::kThreshold;
+    rule.series = "scheduler.starved_depth";
+    rule.threshold = 0.5;  // any queued work while zero slots free
+    rule.for_micros = 4 * interval;
+    rule.subsystem = "scheduler";
+    alerts_->AddRule(rule);
   }
   pool_ = std::make_unique<util::ThreadPool>(
       std::max(1, options_.worker_threads));
@@ -273,17 +268,13 @@ ResponseHandle DrugTreeServer::SubmitAsync(QueryRequest request) {
   pending.response = std::make_shared<ResponseState>();
   ResponseHandle handle(pending.response);
   QueryClass cls = pending.request.query_class;
-  std::shared_ptr<obs::TraceContext> trace;
-  int64_t submit_micros = 0;
-  if (options_.enable_tracing) {
-    submit_micros = clock_->NowMicros();
-    trace = std::make_shared<obs::TraceContext>(
-        next_trace_id_.fetch_add(1, std::memory_order_relaxed), clock_);
-    trace->set_session_id(pending.request.session_id);
-    trace->set_query_class(QueryClassName(cls));
-    trace->set_sql(pending.request.sql);
-    pending.trace = trace;
-  }
+  const int64_t submit_micros = clock_->NowMicros();
+  auto trace = std::make_shared<obs::TraceContext>(
+      next_trace_id_.fetch_add(1, std::memory_order_relaxed), clock_);
+  trace->set_session_id(pending.request.session_id);
+  trace->set_query_class(QueryClassName(cls));
+  trace->set_sql(pending.request.sql);
+  pending.trace = trace;
   util::Status admitted;
   bool memory_shed = false;
   {
@@ -304,13 +295,11 @@ ResponseHandle DrugTreeServer::SubmitAsync(QueryRequest request) {
     } else {
       admitted = admission_.Admit(&pending);
       if (admitted.ok()) {
-        if (trace != nullptr) {
-          // Admission stamps enqueue_micros under mu_; [submit, enqueue] is
-          // the admission-control work. Tag it before DispatchLocked can
-          // hand the request to a worker.
-          trace->AddPhaseInterval(obs::TracePhase::kAdmit, submit_micros,
-                                  pending.enqueue_micros);
-        }
+        // Admission stamps enqueue_micros under mu_; [submit, enqueue] is
+        // the admission-control work. Tag it before DispatchLocked can hand
+        // the request to a worker.
+        trace->AddPhaseInterval(obs::TracePhase::kAdmit, submit_micros,
+                                pending.enqueue_micros);
         counters_[static_cast<size_t>(cls)].admitted++;
         DispatchLocked();
       } else {
@@ -322,12 +311,10 @@ ResponseHandle DrugTreeServer::SubmitAsync(QueryRequest request) {
     // A shed request is an instantly-failed one from the SLO's viewpoint.
     slo_[static_cast<size_t>(cls)]->Record(/*latency_micros=*/0,
                                            /*ok=*/false);
-    if (trace != nullptr) {
-      trace->AddPhaseInterval(obs::TracePhase::kAdmit, submit_micros,
-                              clock_->NowMicros());
-      trace_store_.Record(
-          trace->Finish(memory_shed ? "shed_memory" : "shed", /*ok=*/false));
-    }
+    trace->AddPhaseInterval(obs::TracePhase::kAdmit, submit_micros,
+                            clock_->NowMicros());
+    trace_store_.Record(
+        trace->Finish(memory_shed ? "shed_memory" : "shed", /*ok=*/false));
     // Tick before Complete() publishes: a serialized virtual-clock client is
     // still blocked in Wait, so the sample lands at a deterministic point.
     TelemetryTick();
@@ -569,16 +556,14 @@ void DrugTreeServer::Execute(PendingRequest req, int slot) {
   int64_t cpu_micros = 0;
   {
     obs::ScopedTraceContext installed(trace.get());
-    // Inner scope: the server.execute root span closes (and is adopted by
-    // the installed context) before Finish() freezes the record below.
+    // Inner scope: the server.execute span ends before the record is filed
+    // below.
     {
       DT_SPAN("server.execute");
       int64_t now = clock_->NowMicros();
-      if (trace != nullptr) {
-        trace->set_lane(util::StringPrintf("slot-%d", slot));
-        trace->AddPhaseInterval(obs::TracePhase::kQueueWait,
-                                req.enqueue_micros, now);
-      }
+      trace->set_lane(util::StringPrintf("slot-%d", slot));
+      trace->AddPhaseInterval(obs::TracePhase::kQueueWait, req.enqueue_micros,
+                              now);
 
       int64_t cpu_start = obs::ThreadCpuMicros();
       bool already_dead = deadline > 0 && now > deadline;
@@ -602,8 +587,7 @@ void DrugTreeServer::Execute(PendingRequest req, int slot) {
         // Slow-query forensics wants the offender's analyzed plan, and we
         // only know a query was slow after it ran — so collect whenever the
         // slow log is armed.
-        context.collect_analyze =
-            trace != nullptr && trace_store_.slow_threshold_micros() > 0;
+        context.collect_analyze = trace_store_.slow_threshold_micros() > 0;
         // Adaptive knob override: parallelism is a result-invariance
         // axis, so retuning it per class changes latency, never answers.
         if (adaptive_->options().enabled) {
@@ -641,23 +625,21 @@ void DrugTreeServer::Execute(PendingRequest req, int slot) {
         }
       }
     }
-    if (trace != nullptr) {
-      // Serialize = the result-packaging epilogue. Stamp and file the
-      // record strictly *before* Complete publishes the result: the waiter
-      // may advance a simulated clock the instant it wakes, and a stamp
-      // taken after that would make timelines nondeterministic.
-      trace->AddPhaseInterval(obs::TracePhase::kSerialize, end,
-                              clock_->NowMicros());
-      trace->set_peak_memory_bytes(query_tracker.peak());
-      trace->set_cpu_micros(cpu_micros);
-      std::string status = result.ok() ? "ok"
-                           : result.status().IsResourceExhausted()
-                               ? "resource_exhausted"
-                           : result.status().IsCancelled()
-                               ? (deadline_missed ? "deadline" : "cancelled")
-                               : result.status().ToString();
-      trace_store_.Record(trace->Finish(std::move(status), result.ok()));
-    }
+    // Serialize = the result-packaging epilogue. Stamp and file the record
+    // strictly *before* Complete publishes the result: the waiter may
+    // advance a simulated clock the instant it wakes, and a stamp taken
+    // after that would make timelines nondeterministic.
+    trace->AddPhaseInterval(obs::TracePhase::kSerialize, end,
+                            clock_->NowMicros());
+    trace->set_peak_memory_bytes(query_tracker.peak());
+    trace->set_cpu_micros(cpu_micros);
+    std::string status = result.ok() ? "ok"
+                         : result.status().IsResourceExhausted()
+                             ? "resource_exhausted"
+                         : result.status().IsCancelled()
+                             ? (deadline_missed ? "deadline" : "cancelled")
+                             : result.status().ToString();
+    trace_store_.Record(trace->Finish(std::move(status), result.ok()));
   }
   // Same contract as the trace record above: sample before the waiter can
   // wake and advance a simulated clock, so timelines stay bit-deterministic.

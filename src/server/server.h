@@ -58,11 +58,6 @@ struct TelemetryOptions {
   int64_t sample_interval_micros = 250'000;
   /// Retained points per series (ring; oldest evicted).
   size_t timeline_points = 240;
-  /// Install the built-in rule set (memory pressure, per-class SLO burn
-  /// rate, queue growth, plan-cache collapse, scheduler saturation).
-  bool default_rules = true;
-  /// Additional rules appended after the defaults.
-  std::vector<obs::AlertRule> extra_rules;
 };
 
 struct ServerOptions {
@@ -74,10 +69,6 @@ struct ServerOptions {
   /// Server-owned semantic result cache shared by every worker (requests
   /// opt in via PlannerOptions::use_result_cache). 0 disables it.
   uint64_t result_cache_bytes = 16 * 1024 * 1024;
-  /// Per-request tracing: every request carries an obs::TraceContext whose
-  /// finished record lands in the server's TraceStore. Cheap (a handful of
-  /// clock reads per request); turn off only for overhead A/B runs.
-  bool enable_tracing = true;
   /// Retained completed traces (ring buffer; oldest overwritten).
   size_t trace_store_capacity = 4096;
   /// Slow-query threshold in micros; > 0 turns on the slow-query log (full
@@ -123,7 +114,6 @@ struct ServerOptions {
   /// Invalidation is version-driven, so the cache stays correct across
   /// catalog mutations, Analyze, and encoded-segment builds/drops.
   bool enable_plan_cache = true;
-  size_t plan_cache_entries = 256;
   /// Fold observed per-operator timings (from analyzed executions) back
   /// into the optimizer's cost coefficients (see obs::CostCalibrator).
   bool enable_cost_calibration = true;

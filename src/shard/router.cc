@@ -503,17 +503,14 @@ util::Result<query::QueryOutcome> ShardRouter::Submit(
   // divert traffic away from would otherwise never sample again, so its
   // burn-rate window could not roll over and the alert would stick firing.
   TickTelemetry();
-  std::unique_ptr<obs::TraceContext> trace;
-  if (options_.enable_tracing) {
-    trace = std::make_unique<obs::TraceContext>(
-        next_trace_id_.fetch_add(1, std::memory_order_relaxed), clock_);
-    trace->set_session_id(request.session_id);
-    trace->set_query_class(server::QueryClassName(request.query_class));
-    trace->set_lane("router");
-    trace->set_sql(request.sql);
-  }
+  obs::TraceContext trace(
+      next_trace_id_.fetch_add(1, std::memory_order_relaxed), clock_);
+  trace.set_session_id(request.session_id);
+  trace.set_query_class(server::QueryClassName(request.query_class));
+  trace.set_lane("router");
+  trace.set_sql(request.sql);
 
-  if (trace) trace->BeginPhase(obs::TracePhase::kRoute);
+  trace.BeginPhase(obs::TracePhase::kRoute);
   auto parsed = query::ParseStatement(request.sql);
   RouteDecision decision;
   bool explain = false;
@@ -524,7 +521,7 @@ util::Result<query::QueryOutcome> ShardRouter::Submit(
     explain = parsed->explain != query::ExplainMode::kNone;
     decision = RouteSelect(parsed->select);
   }
-  if (trace) trace->EndPhase(obs::TracePhase::kRoute);
+  trace.EndPhase(obs::TracePhase::kRoute);
 
   decision_counters_[static_cast<int>(decision.kind)]->Increment();
   {
@@ -544,7 +541,7 @@ util::Result<query::QueryOutcome> ShardRouter::Submit(
     // statement would get.
     out = coordinator_->Submit(std::move(request));
   } else {
-    out = ScatterGather(decision, request, parsed->select, trace.get());
+    out = ScatterGather(decision, request, parsed->select, &trace);
   }
 
   if (out.ok()) {
@@ -555,9 +552,7 @@ util::Result<query::QueryOutcome> ShardRouter::Submit(
     std::lock_guard<std::mutex> lock(counters_mu_);
     ++route_counters_.failed;
   }
-  if (trace) {
-    trace_store_->Record(trace->Finish(StatusLabel(out.status()), out.ok()));
-  }
+  trace_store_->Record(trace.Finish(StatusLabel(out.status()), out.ok()));
   return out;
 }
 
@@ -567,10 +562,10 @@ util::Result<query::QueryOutcome> ShardRouter::ScatterGather(
   // Install the router trace so hop fetch events and blocked time attribute
   // to this request.
   obs::ScopedTraceContext install(trace);
-  if (trace) trace->BeginPhase(obs::TracePhase::kGather);
-  auto finish = [&trace](util::Result<query::QueryOutcome> r)
+  trace->BeginPhase(obs::TracePhase::kGather);
+  auto finish = [trace](util::Result<query::QueryOutcome> r)
       -> util::Result<query::QueryOutcome> {
-    if (trace != nullptr) trace->EndPhase(obs::TracePhase::kGather);
+    trace->EndPhase(obs::TracePhase::kGather);
     return r;
   };
 
@@ -677,7 +672,7 @@ util::Result<query::QueryOutcome> ShardRouter::ScatterGather(
     outcomes.push_back(std::move(res).ValueUnsafe());
   }
   if (!first_error.ok()) return finish(std::move(first_error));
-  if (trace) trace->EndPhase(obs::TracePhase::kGather);
+  trace->EndPhase(obs::TracePhase::kGather);
 
   // 3. Merge (identity for a single shard).
   obs::TracePhaseScope serialize(obs::TracePhase::kSerialize);

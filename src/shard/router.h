@@ -92,8 +92,7 @@ struct RouterOptions {
   integration::NetworkParams hop;
   /// Request-hop payload (the serialized sub-request).
   uint64_t hop_request_bytes = 256;
-  /// Router-side tracing (kRoute/kGather phases + hop fetch events).
-  bool enable_tracing = true;
+  /// Retained router-side traces (kRoute/kGather phases + hop fetch events).
   size_t trace_store_capacity = 4096;
 };
 

@@ -1,4 +1,4 @@
-// Observability layer tests: metric registry semantics, span nesting with
+// Observability layer tests: metric registry semantics, span counters with
 // simulated-clock attribution, and EXPLAIN / EXPLAIN ANALYZE through the
 // full parse -> plan -> execute pipeline.
 
@@ -154,95 +154,36 @@ TEST(MetricRegistryTest, GaugeSetRacesSnapshotWithoutTearing) {
 }
 
 // ---------------------------------------------------------------------------
-// Span tracing
+// Span counters
 // ---------------------------------------------------------------------------
 
-TEST(TracerTest, NestedSpansWithSimulatedClockAttribution) {
+TEST(TracerTest, NestedSiteSpansEachAddTheirFullDuration) {
+  // DT_SPAN's path: every span adds its whole duration and one count to its
+  // site's counters, stamped off the tracer clock, so an enclosing span's
+  // total includes the spans nested in it.
   util::SimulatedClock clock;
   Tracer* tracer = Tracer::Default();
   tracer->set_clock(&clock);
-  tracer->set_capture(true);
-  tracer->Clear();
-
-  {
-    obs::ScopedSpan outer(tracer, "test.outer");
-    clock.AdvanceMicros(100);
-    {
-      obs::ScopedSpan inner(tracer, "test.inner");
-      clock.AdvanceMicros(250);
-    }
-    clock.AdvanceMicros(50);
-  }
-  tracer->set_clock(nullptr);
-  tracer->set_capture(false);
-
-  const obs::Span* root = tracer->last_trace();
-  ASSERT_NE(root, nullptr);
-  EXPECT_EQ(root->name, "test.outer");
-  EXPECT_EQ(root->DurationMicros(), 400);
-  EXPECT_EQ(root->SelfMicros(), 150);
-  ASSERT_EQ(root->children.size(), 1u);
-  EXPECT_EQ(root->children[0]->name, "test.inner");
-  EXPECT_EQ(root->children[0]->DurationMicros(), 250);
-
-  std::string rendered = tracer->RenderLastTrace();
-  EXPECT_NE(rendered.find("test.outer"), std::string::npos);
-  EXPECT_NE(rendered.find("test.inner"), std::string::npos);
-  std::string json = tracer->LastTraceJson();
-  EXPECT_NE(json.find("\"name\":\"test.inner\""), std::string::npos);
-}
-
-TEST(TracerTest, SpansMirrorIntoRegistry) {
-  util::SimulatedClock clock;
-  Tracer* tracer = Tracer::Default();
-  tracer->set_clock(&clock);
-  tracer->set_capture(true);
   MetricRegistry::Default()->ResetAll();
 
-  for (int i = 0; i < 3; ++i) {
-    obs::ScopedSpan span(tracer, "test.mirrored");
-    clock.AdvanceMicros(10);
-  }
-  tracer->set_clock(nullptr);
-  tracer->set_capture(false);
-
-  auto snapshot = MetricRegistry::Default()->Snapshot();
-  EXPECT_EQ(snapshot.Value("span.test.mirrored.count"), 3);
-  EXPECT_EQ(snapshot.Value("span.test.mirrored.total_micros"), 30);
-}
-
-TEST(TracerTest, SiteSpansMirrorWithoutCapture) {
-  // DT_SPAN's default path: capture off means no span tree is built, but the
-  // per-site counters still accumulate off the tracer clock.
-  util::SimulatedClock clock;
-  Tracer* tracer = Tracer::Default();
-  tracer->set_clock(&clock);
-  tracer->Clear();
-  MetricRegistry::Default()->ResetAll();
-  ASSERT_FALSE(tracer->capturing());
-
-  static const obs::SpanSite site("test.nocapture");
+  static const obs::SpanSite outer_site("test.outer");
+  static const obs::SpanSite inner_site("test.inner");
   for (int i = 0; i < 4; ++i) {
-    obs::ScopedSpan span(tracer, site);
-    clock.AdvanceMicros(25);
+    obs::ScopedSpan outer(tracer, outer_site);
+    clock.AdvanceMicros(5);
+    {
+      obs::ScopedSpan inner(tracer, inner_site);
+      clock.AdvanceMicros(15);
+    }
+    clock.AdvanceMicros(5);
   }
   tracer->set_clock(nullptr);
 
   auto snapshot = MetricRegistry::Default()->Snapshot();
-  EXPECT_EQ(snapshot.Value("span.test.nocapture.count"), 4);
-  EXPECT_EQ(snapshot.Value("span.test.nocapture.total_micros"), 100);
-  EXPECT_EQ(tracer->last_trace(), nullptr);
-}
-
-TEST(TracerTest, DisabledTracerIsInert) {
-  Tracer* tracer = Tracer::Default();
-  tracer->Clear();
-  tracer->set_enabled(false);
-  {
-    obs::ScopedSpan span(tracer, "test.disabled");
-  }
-  tracer->set_enabled(true);
-  EXPECT_EQ(tracer->last_trace(), nullptr);
+  EXPECT_EQ(snapshot.Value("span.test.outer.count"), 4);
+  EXPECT_EQ(snapshot.Value("span.test.outer.total_micros"), 100);
+  EXPECT_EQ(snapshot.Value("span.test.inner.count"), 4);
+  EXPECT_EQ(snapshot.Value("span.test.inner.total_micros"), 60);
 }
 
 // ---------------------------------------------------------------------------

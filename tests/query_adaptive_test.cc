@@ -425,9 +425,15 @@ TEST_F(AdaptiveTest, UnknownTreeNodeFailsAlikeOnMissAndRebind) {
     EXPECT_EQ(miss.status().ToString(), want.status().ToString());
 
     ASSERT_TRUE(cached.Run(make(root), opts).ok());
+    // A re-bind whose binding fails is a miss, not a hit.
+    const PlanCache::Stats before = cache.stats();
     auto rebind = cached.Run(bad, opts);
     ASSERT_FALSE(rebind.ok()) << bad;
     EXPECT_EQ(rebind.status().ToString(), want.status().ToString());
+    const PlanCache::Stats after = cache.stats();
+    EXPECT_EQ(after.hits, before.hits) << bad;
+    EXPECT_EQ(after.rebinds, before.rebinds) << bad;
+    EXPECT_EQ(after.misses, before.misses + 1) << bad;
 
     auto again = cached.Run(make(root), opts);
     ASSERT_TRUE(again.ok()) << again.status();
@@ -444,9 +450,9 @@ std::vector<int> ClassesOf(const std::string& sql, const Catalog& catalog) {
   EXPECT_TRUE(logical.ok()) << logical.status();
   auto optimized = OptimizeLogicalPlan(*logical, catalog, OptimizerOptions());
   EXPECT_TRUE(optimized.ok()) << optimized.status();
-  auto classes = CardinalityClasses(**optimized, norm.params, catalog, nullptr);
-  EXPECT_TRUE(classes.ok()) << classes.status();
-  return *classes;
+  auto bindings = BindParams(**optimized, norm.params, catalog);
+  EXPECT_TRUE(bindings.ok()) << bindings.status();
+  return CardinalityClasses(**optimized, *bindings, catalog, nullptr);
 }
 
 // A screening join planned at a leaf clade is not re-bound at the root,
@@ -601,15 +607,20 @@ TEST_F(AdaptiveTest, SharedTemplatesAreNeverBound) {
       auto stmt = ParseStatement(sql);
       ASSERT_TRUE(stmt.ok()) << stmt.status();
       NormalizedStatement norm = NormalizeStatement(&stmt->select);
-      const PlanCache::Classifier classify = [&](const LogicalNode& plan) {
-        return CardinalityClasses(plan, norm.params, *dt_->catalog(),
-                                  nullptr);
+      const PlanCache::Binder bind = [&](const LogicalNode& plan) {
+        return BindParams(plan, norm.params, *dt_->catalog());
       };
+      const PlanCache::Classifier classify =
+          [&](const LogicalNode& plan, const ParamBindings& bindings) {
+            return CardinalityClasses(plan, bindings, *dt_->catalog(),
+                                      nullptr);
+          };
       auto lookup = cache.Get(
           {norm.fingerprint, PlanCache::RuleFlags(OptimizerOptions())},
           PlanCache::CaptureVersions(*dt_->catalog(), stmt->select,
                                      obs::CalibratedCosts().version),
-          norm.params, stmt->select.tables.size() > 1 ? &classify : nullptr);
+          norm.params, bind,
+          stmt->select.tables.size() > 1 ? &classify : nullptr);
       ASSERT_TRUE(lookup.ok()) << lookup.status();
       ASSERT_NE(lookup->plan, nullptr) << sql;
       EXPECT_TRUE(Unbound(*lookup->plan)) << sql;
