@@ -239,7 +239,9 @@ int main() {
 
   // --- rebuild cost (ungated) -------------------------------------------
   // A first build encodes every segment; a rebuild after a small append
-  // also refreshes the now stale statistics.
+  // folds the rows into the stale statistics and the open segment. The
+  // first round's fold also builds the table's fold state (about an
+  // Analyze), which the best of the rounds leaves out.
   double first_best = 1e300, rebuild_best = 1e300;
   for (int r = 0; r < kRounds; ++r) {
     enc.DropEncodedSegments();

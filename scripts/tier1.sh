@@ -13,12 +13,15 @@ cmake -B build-asan -S . -DDRUGTREE_SANITIZE=address
 cmake --build build-asan -j "$(nproc)" \
   --target obs_test obs_telemetry_test query_equiv_test query_exec_test \
            storage_encoding_test query_adaptive_test query_index_join_test \
-           query_plan_test core_test
+           query_plan_test core_test storage_table_test
 ./build-asan/tests/obs_test
 ./build-asan/tests/obs_telemetry_test
 ./build-asan/tests/query_equiv_test
 ./build-asan/tests/query_exec_test
 ./build-asan/tests/storage_encoding_test
+# Folding appended rows keeps pointers into table rows until a Delete
+# drops them; a missed drop is a use-after-free only the sanitizer sees.
+./build-asan/tests/storage_table_test
 ./build-asan/tests/query_adaptive_test
 ./build-asan/tests/query_index_join_test
 # Pruned rows are index arithmetic: an off-by-one is an out-of-bounds Value

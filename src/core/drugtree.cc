@@ -279,6 +279,8 @@ util::Status DrugTree::AddActivity(const std::string& accession,
                                    const std::string& ligand_id,
                                    double affinity_nm,
                                    const std::string& assay_type) {
+  // Validate before inserting, so a rejected write changes nothing.
+  DRUGTREE_RETURN_IF_ERROR(overlay_->ValidateActivity(accession, affinity_nm));
   storage::Row row = {Value::String(accession), Value::String(ligand_id),
                       Value::Double(affinity_nm), Value::String(assay_type),
                       Value::String("live")};

@@ -190,16 +190,21 @@ std::vector<double> Overlay::AnnotationVector() const {
   return out;
 }
 
-util::Status Overlay::ApplyActivity(const std::string& accession,
-                                    double affinity_nm) {
-  auto it = accession_to_node_.find(accession);
-  if (it == accession_to_node_.end()) {
+util::Status Overlay::ValidateActivity(const std::string& accession,
+                                       double affinity_nm) const {
+  if (NodeForAccession(accession) == phylo::kInvalidNode) {
     return util::Status::NotFound("accession not on the tree: " + accession);
   }
-  if (affinity_nm <= 0.0) {
+  if (!(affinity_nm > 0.0)) {
     return util::Status::InvalidArgument("affinity must be positive");
   }
-  for (NodeId cur = it->second;;) {
+  return util::Status::OK();
+}
+
+util::Status Overlay::ApplyActivity(const std::string& accession,
+                                    double affinity_nm) {
+  DRUGTREE_RETURN_IF_ERROR(ValidateActivity(accession, affinity_nm));
+  for (NodeId cur = NodeForAccession(accession);;) {
     NodeAggregate& agg = aggregates_[static_cast<size_t>(cur)];
     ++agg.activity_count;
     agg.sum_log_affinity += std::log(affinity_nm);

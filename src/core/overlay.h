@@ -71,9 +71,14 @@ class Overlay {
   /// Applies one new measurement: updates the in-memory aggregates of the
   /// leaf for `accession` and all its ancestors (O(depth)), and with them
   /// AnnotationVector(). Touches neither the relational activities table
-  /// (the caller owns that) nor the node_overlay rows. Fails if the
-  /// accession is not on the tree.
+  /// (the caller owns that) nor the node_overlay rows. Fails, changing
+  /// nothing, where ValidateActivity does.
   util::Status ApplyActivity(const std::string& accession, double affinity_nm);
+
+  /// NotFound if the accession is not on the tree, InvalidArgument unless
+  /// the affinity is positive (NaN is not).
+  util::Status ValidateActivity(const std::string& accession,
+                                double affinity_nm) const;
 
   /// Node for a protein accession, or kInvalidNode.
   phylo::NodeId NodeForAccession(const std::string& accession) const;

@@ -117,16 +117,32 @@ Value ColumnVector::GetValue(size_t i) const {
 }
 
 uint64_t ColumnVector::ApproxBytes() const {
-  uint64_t bytes = sizeof(ColumnVector) + null_words_.size() * 8;
-  bytes += bools_.size();
-  bytes += ints_.size() * 8;
-  bytes += doubles_.size() * 8;
-  for (const auto& s : strings_) bytes += sizeof(std::string) + s.size();
+  uint64_t string_bytes = 0;
+  for (const auto& s : strings_) string_bytes += s.size();
   for (const auto& v : values_) {
-    bytes += 16;
-    if (v.type() == ValueType::kString) bytes += v.AsString().size();
+    if (v.type() == ValueType::kString) string_bytes += v.AsString().size();
   }
-  return bytes;
+  return ApproxBytesOf(size_, type_, mixed_, string_bytes);
+}
+
+uint64_t ColumnVector::ApproxBytesOf(size_t n, ValueType type, bool mixed,
+                                     uint64_t string_bytes) {
+  // Payload slots per row: every row has one once the column is typed
+  // (nulls hold placeholders), a 16-byte Value when mixed, none while it
+  // is all null.
+  uint64_t slot = 0;
+  if (mixed) {
+    slot = 16;
+  } else {
+    switch (type) {
+      case ValueType::kBool: slot = 1; break;
+      case ValueType::kInt64: slot = 8; break;
+      case ValueType::kDouble: slot = 8; break;
+      case ValueType::kString: slot = sizeof(std::string); break;
+      case ValueType::kNull: break;
+    }
+  }
+  return sizeof(ColumnVector) + (n + 63) / 64 * 8 + n * slot + string_bytes;
 }
 
 }  // namespace storage

@@ -66,6 +66,10 @@ class ColumnVector {
   /// payloads — only call on accounting paths (a memory tracker is
   /// installed), never per cell.
   uint64_t ApproxBytes() const;
+  /// ApproxBytes() of a column of `n` rows, typed `type` or mixed, whose
+  /// non-null strings hold `string_bytes` characters in all.
+  static uint64_t ApproxBytesOf(size_t n, ValueType type, bool mixed,
+                                uint64_t string_bytes);
 
  private:
   void SetNullBit(size_t i) {

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "util/logging.h"
 
@@ -69,19 +70,27 @@ bool SameCell(const ColumnVector& src, size_t a, size_t b) {
 
 /// Exact per-column profile driving the encoding chooser, computed once per
 /// segment column from the slice itself, so the choice never depends on
-/// (possibly stale) table statistics. The same profile answers eligibility
-/// and hands the dictionary encoder its distinct values and each row's
-/// value id.
+/// (possibly stale) table statistics. The same profile answers eligibility,
+/// sizes the encoded form, and hands the dictionary encoder its distinct
+/// values and each row's value id. A mixed column is plain-only, so only
+/// its shape is profiled.
 struct ColumnProfile {
+  // The shape of the ColumnVector holding the cells.
+  size_t rows = 0;
+  ValueType type = ValueType::kNull;
+  bool mixed = false;
+  uint64_t plain_bytes = 0;        // its ApproxBytes()
+
   size_t runs = 0;
   uint64_t run_value_bytes = 0;    // Σ ValueBytes over run representatives
-  uint64_t distinct_value_bytes = 0;
+  size_t distinct = 0;             // non-null distinct values
+  uint64_t distinct_value_bytes = 0;  // Σ ValueBytes over them
   bool has_int64 = false;
   int64_t min_i64 = 0, max_i64 = 0;
   bool has_nan = false;            // NaN breaks Compare-based dedup; bail
-  /// First row of each non-null distinct value, in first-seen order (its
-  /// size is the distinct count), and each row's index into it (0 for
-  /// null rows).
+  /// First row of each non-null distinct value, in first-seen order, and
+  /// each row's index into it (0 for null rows). Only ProfileColumn fills
+  /// these, for the dictionary encoder.
   std::vector<uint32_t> first_rows;
   std::vector<uint32_t> distinct_ids;
 };
@@ -103,12 +112,15 @@ void ProfileDistinct(const ColumnVector& src, KeyAt key_at, ColumnProfile* p) {
     }
     p->distinct_ids[i] = it->second;
   }
+  p->distinct = p->first_rows.size();
 }
 
-/// Profiles a typed column. A mixed column is eligible only for plain, so
-/// its profile stays empty.
 ColumnProfile ProfileColumn(const ColumnVector& src) {
   ColumnProfile p;
+  p.rows = src.size();
+  p.type = src.type();
+  p.mixed = src.mixed();
+  p.plain_bytes = src.ApproxBytes();
   if (src.mixed()) return p;
   for (size_t i = 0; i < src.size(); ++i) {
     if (i == 0 || !SameCell(src, i - 1, i)) {
@@ -155,26 +167,25 @@ ColumnProfile ProfileColumn(const ColumnVector& src) {
   return p;
 }
 
-bool EligibleFor(const ColumnVector& src, const ColumnProfile& p,
-                 ColumnEncoding e) {
+bool EligibleFor(const ColumnProfile& p, ColumnEncoding e) {
   switch (e) {
     case ColumnEncoding::kPlain:
       return true;
     case ColumnEncoding::kDictionary:
-      return !src.mixed() && !p.has_nan && !p.first_rows.empty();
+      return !p.mixed && !p.has_nan && p.distinct > 0;
     case ColumnEncoding::kRunLength:
-      return !src.mixed() && !p.has_nan;
+      return !p.mixed && !p.has_nan;
     case ColumnEncoding::kFrameOfReference:
-      return !src.mixed() && src.type() == ValueType::kInt64 && p.has_int64;
+      return !p.mixed && p.type == ValueType::kInt64 && p.has_int64;
   }
   return false;
 }
 
-ColumnEncoding ChooseFor(const ColumnVector& src, const ColumnProfile& p) {
-  if (src.mixed() || src.empty() || p.has_nan) return ColumnEncoding::kPlain;
+ColumnEncoding ChooseFor(const ColumnProfile& p) {
+  if (p.mixed || p.rows == 0 || p.has_nan) return ColumnEncoding::kPlain;
 
-  uint64_t plain_bytes = src.ApproxBytes();
-  uint64_t bitmap_bytes = (src.size() + 63) / 64 * 8;
+  uint64_t plain_bytes = p.plain_bytes;
+  uint64_t bitmap_bytes = (p.rows + 63) / 64 * 8;
 
   // Priority order doubles as the tie-break: run-length scans whole runs
   // per predicate evaluation, dictionary compares pure integer codes,
@@ -188,23 +199,22 @@ ColumnEncoding ChooseFor(const ColumnVector& src, const ColumnProfile& p) {
     best = ColumnEncoding::kRunLength;
     best_bytes = rle_bytes;
   }
-  size_t distinct = p.first_rows.size();
-  if (distinct >= 1) {
+  if (p.distinct >= 1) {
     int code_bits =
-        BitPackedArray::BitsFor(static_cast<uint64_t>(distinct - 1));
+        BitPackedArray::BitsFor(static_cast<uint64_t>(p.distinct - 1));
     uint64_t dict_bytes = 64 + p.distinct_value_bytes +
-                          (src.size() * static_cast<uint64_t>(code_bits)) / 8 +
+                          (p.rows * static_cast<uint64_t>(code_bits)) / 8 +
                           bitmap_bytes;
     if (dict_bytes < best_bytes) {
       best = ColumnEncoding::kDictionary;
       best_bytes = dict_bytes;
     }
   }
-  if (src.type() == ValueType::kInt64 && p.has_int64) {
+  if (p.type == ValueType::kInt64 && p.has_int64) {
     int delta_bits = BitPackedArray::BitsFor(
         static_cast<uint64_t>(p.max_i64) - static_cast<uint64_t>(p.min_i64));
     uint64_t for_bytes = 64 +
-                         (src.size() * static_cast<uint64_t>(delta_bits)) / 8 +
+                         (p.rows * static_cast<uint64_t>(delta_bits)) / 8 +
                          bitmap_bytes;
     if (for_bytes < best_bytes) {
       best = ColumnEncoding::kFrameOfReference;
@@ -260,19 +270,32 @@ BitPackedArray BitPackedArray::Pack(const std::vector<uint64_t>& values,
   return out;
 }
 
+void BitPackedArray::Append(uint64_t v) {
+  DT_CHECK((v & ~mask_) == 0);
+  const size_t i = size_++;
+  if (bits_ == 0) return;
+  // As Pack sizes it: the packed bits plus one word for unsplit tail reads.
+  words_.resize((size_ * static_cast<size_t>(bits_) + 63) / 64 + 1, 0);
+  size_t off = i * static_cast<size_t>(bits_);
+  size_t w = off >> 6;
+  int shift = static_cast<int>(off & 63);
+  words_[w] |= v << shift;
+  if (shift + bits_ > 64) words_[w + 1] |= v >> (64 - shift);
+}
+
 // ------------------------------------------------------------- EncodedColumn
 
 bool EncodedColumn::Eligible(const ColumnVector& src, ColumnEncoding e) {
-  return EligibleFor(src, ProfileColumn(src), e);
+  return EligibleFor(ProfileColumn(src), e);
 }
 
 ColumnEncoding EncodedColumn::ChooseEncoding(const ColumnVector& src) {
-  return ChooseFor(src, ProfileColumn(src));
+  return ChooseFor(ProfileColumn(src));
 }
 
 EncodedColumn EncodedColumn::Encode(const ColumnVector& src) {
   ColumnProfile p = ProfileColumn(src);
-  return EncodeProfiled(src, p, ChooseFor(src, p));
+  return EncodeProfiled(src, p, ChooseFor(p));
 }
 
 EncodedColumn EncodedColumn::EncodeWith(const ColumnVector& src,
@@ -283,7 +306,7 @@ EncodedColumn EncodedColumn::EncodeWith(const ColumnVector& src,
 EncodedColumn EncodedColumn::EncodeProfiled(const ColumnVector& src,
                                             const ColumnProfile& p,
                                             ColumnEncoding e) {
-  DT_CHECK(EligibleFor(src, p, e)) << "ineligible encoding";
+  DT_CHECK(EligibleFor(p, e)) << "ineligible encoding";
   EncodedColumn out;
   out.encoding_ = e;
   out.size_ = src.size();
@@ -359,30 +382,147 @@ EncodedColumn EncodedColumn::EncodeProfiled(const ColumnVector& src,
       break;
     }
   }
-  out.FinishBytes(src);
+  out.FinishBytes(p);
   return out;
 }
 
-void EncodedColumn::FinishBytes(const ColumnVector& src) {
-  plain_bytes_ = src.ApproxBytes();
+void EncodedColumn::FinishBytes(const ColumnProfile& p) {
+  plain_bytes_ = p.plain_bytes;
   uint64_t b = 64 + null_words_.size() * 8;  // struct overhead + bitmap
+  // The dictionary holds each distinct value's first cell and the runs
+  // each run's first cell, which is what the profile summed.
   switch (encoding_) {
     case ColumnEncoding::kPlain:
-      b = plain_.ApproxBytes();
+      b = p.plain_bytes;  // plain_ is a copy of the profiled column
       break;
     case ColumnEncoding::kDictionary:
-      for (const Value& v : dict_) b += ValueBytes(v);
-      b += codes_.ByteSize();
+      b += p.distinct_value_bytes + codes_.ByteSize();
       break;
     case ColumnEncoding::kRunLength:
-      for (const Value& v : run_values_) b += ValueBytes(v);
-      b += run_starts_.size() * sizeof(uint32_t);
+      b += p.run_value_bytes + run_starts_.size() * sizeof(uint32_t);
       break;
     case ColumnEncoding::kFrameOfReference:
       b += for_deltas_.ByteSize();
       break;
   }
   encoded_bytes_ = b;
+}
+
+bool EncodedColumn::Extend(const std::vector<const Value*>& rows, size_t c,
+                           const ColumnProfile& p) {
+  switch (encoding_) {
+    case ColumnEncoding::kPlain:
+      for (size_t i = size_; i < rows.size(); ++i) plain_.Append(rows[i][c]);
+      break;
+    case ColumnEncoding::kRunLength:
+      // run_starts_ ends with size_: extend the last run, or let that
+      // entry start a new one.
+      for (size_t i = size_; i < rows.size(); ++i) {
+        const Value& v = rows[i][c];
+        if (run_values_.back().Compare(v) == 0) {
+          run_starts_.back() = static_cast<uint32_t>(i + 1);
+        } else {
+          run_values_.push_back(v);
+          run_starts_.push_back(static_cast<uint32_t>(i + 1));
+        }
+      }
+      break;
+    case ColumnEncoding::kDictionary:
+      ExtendNullBitmap(rows, c);
+      ExtendDictionary(rows, c);
+      break;
+    case ColumnEncoding::kFrameOfReference: {
+      if (p.min_i64 != for_base_ ||
+          BitPackedArray::BitsFor(static_cast<uint64_t>(p.max_i64) -
+                                  static_cast<uint64_t>(p.min_i64)) !=
+              for_deltas_.bits()) {
+        return false;
+      }
+      ExtendNullBitmap(rows, c);
+      for (size_t i = size_; i < rows.size(); ++i) {
+        const Value& v = rows[i][c];
+        for_deltas_.Append(v.is_null() ? 0
+                                        : static_cast<uint64_t>(v.AsInt64()) -
+                                              static_cast<uint64_t>(for_base_));
+      }
+      break;
+    }
+  }
+  size_ = rows.size();
+  FinishBytes(p);
+  return true;
+}
+
+void EncodedColumn::ExtendNullBitmap(const std::vector<const Value*>& rows,
+                                     size_t c) {
+  null_words_.resize((rows.size() + 63) / 64, 0);
+  for (size_t i = size_; i < rows.size(); ++i) {
+    if (rows[i][c].is_null()) {
+      null_words_[i >> 6] |= uint64_t{1} << (i & 63);
+      has_nulls_ = true;
+    }
+  }
+}
+
+void EncodedColumn::ExtendDictionary(const std::vector<const Value*>& rows,
+                                     size_t c) {
+  auto less = [](const Value& a, const Value& b) { return a.Compare(b) < 0; };
+  auto rank = [&](const Value& v) {
+    return static_cast<uint64_t>(
+        std::lower_bound(dict_.begin(), dict_.end(), v, less) - dict_.begin());
+  };
+  // Values the dictionary lacks. A dictionary keeps the first cell of each
+  // value, so of equal new cells the first one stays.
+  std::vector<Value> fresh;
+  for (size_t i = size_; i < rows.size(); ++i) {
+    const Value& v = rows[i][c];
+    if (!v.is_null() &&
+        !std::binary_search(dict_.begin(), dict_.end(), v, less)) {
+      fresh.push_back(v);
+    }
+  }
+  if (fresh.empty()) {
+    for (size_t i = size_; i < rows.size(); ++i) {
+      const Value& v = rows[i][c];
+      codes_.Append(v.is_null() ? 0 : rank(v));
+    }
+    return;
+  }
+  std::stable_sort(fresh.begin(), fresh.end(), less);
+  fresh.erase(std::unique(fresh.begin(), fresh.end(),
+                          [](const Value& a, const Value& b) {
+                            return a.Compare(b) == 0;
+                          }),
+              fresh.end());
+  // Insert the new values at their ranks; old code d moves up by the
+  // number of new values ranked below it.
+  std::vector<uint64_t> moved(dict_.size());
+  std::vector<Value> merged;
+  merged.reserve(dict_.size() + fresh.size());
+  size_t f = 0;
+  for (size_t d = 0; d < dict_.size(); ++d) {
+    while (f < fresh.size() && less(fresh[f], dict_[d])) {
+      merged.push_back(std::move(fresh[f++]));
+    }
+    moved[d] = merged.size();
+    merged.push_back(std::move(dict_[d]));
+  }
+  while (f < fresh.size()) merged.push_back(std::move(fresh[f++]));
+  dict_ = std::move(merged);
+  // Re-pack every code, at the width the larger dictionary needs; null
+  // rows keep code 0.
+  std::vector<uint64_t> codes(rows.size(), 0);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (i < size_) {
+      if (((null_words_[i >> 6] >> (i & 63)) & 1) == 0) {
+        codes[i] = moved[codes_.Get(i)];
+      }
+    } else if (!rows[i][c].is_null()) {
+      codes[i] = rank(rows[i][c]);
+    }
+  }
+  codes_ = BitPackedArray::Pack(codes,
+                                BitPackedArray::BitsFor(dict_.size() - 1));
 }
 
 bool EncodedColumn::IsNull(size_t i) const {
@@ -620,6 +760,49 @@ std::string EncodedTableSnapshot::Summary(const Schema& schema) const {
   return out;
 }
 
+namespace {
+
+/// Encodes column `c` of `rows` (each row's values, scan order), with `col`
+/// as scratch.
+EncodedColumn EncodeColumnOf(const std::vector<const Value*>& rows, size_t c,
+                             ColumnVector* col) {
+  // The first non-null cell fixes the column's type.
+  ValueType type = ValueType::kNull;
+  for (size_t r = 0; r < rows.size() && type == ValueType::kNull; ++r) {
+    type = rows[r][c].type();
+  }
+  col->Clear();
+  col->Reserve(rows.size(), type);
+  for (const Value* row : rows) col->Append(row[c]);
+  return EncodedColumn::Encode(*col);
+}
+
+/// One segment of `rows` (each row's values, scan order).
+EncodedSegment EncodeSegment(const std::vector<const Value*>& rows,
+                             size_t num_columns) {
+  EncodedSegment seg;
+  seg.num_rows = rows.size();
+  seg.columns.reserve(num_columns);
+  ColumnVector col;
+  for (size_t c = 0; c < num_columns; ++c) {
+    seg.columns.push_back(EncodeColumnOf(rows, c, &col));
+    seg.encoded_bytes += seg.columns.back().EncodedBytes();
+    seg.plain_bytes += seg.columns.back().PlainBytes();
+  }
+  return seg;
+}
+
+/// The values of rows [begin, end).
+std::vector<const Value*> RowValues(const std::vector<const Row*>& rows,
+                                    size_t begin, size_t end) {
+  std::vector<const Value*> out;
+  out.reserve(end - begin);
+  for (size_t r = begin; r < end; ++r) out.push_back(rows[r]->data());
+  return out;
+}
+
+}  // namespace
+
 EncodedTableSnapshot BuildEncodedTableSnapshot(
     size_t num_columns, const std::vector<const Row*>& rows,
     size_t segment_rows) {
@@ -629,28 +812,140 @@ EncodedTableSnapshot BuildEncodedTableSnapshot(
   snap.num_rows = rows.size();
   for (size_t begin = 0; begin < rows.size(); begin += segment_rows) {
     size_t end = std::min(rows.size(), begin + segment_rows);
-    EncodedSegment seg;
-    seg.num_rows = end - begin;
-    seg.columns.reserve(num_columns);
-    ColumnVector col;
-    for (size_t c = 0; c < num_columns; ++c) {
-      // The first non-null cell fixes the column's type.
-      ValueType type = ValueType::kNull;
-      for (size_t r = begin; r < end && type == ValueType::kNull; ++r) {
-        type = (*rows[r])[c].type();
-      }
-      col.Clear();
-      col.Reserve(seg.num_rows, type);
-      for (size_t r = begin; r < end; ++r) col.Append((*rows[r])[c]);
-      seg.columns.push_back(EncodedColumn::Encode(col));
-      seg.encoded_bytes += seg.columns.back().EncodedBytes();
-      seg.plain_bytes += seg.columns.back().PlainBytes();
-    }
+    EncodedSegment seg = EncodeSegment(RowValues(rows, begin, end),
+                                       num_columns);
     snap.encoded_bytes += seg.encoded_bytes;
     snap.plain_bytes += seg.plain_bytes;
     snap.segments.push_back(std::move(seg));
   }
   return snap;
+}
+
+// --------------------------------------------------------- SnapshotAppender
+
+/// One column of the open segment: the figures ProfileColumn would compute
+/// over its cells (without the dictionary encoder's row lists), kept
+/// current cell by cell.
+struct SnapshotAppender::OpenColumn {
+  ColumnProfile profile;
+  uint64_t string_bytes = 0;  // for profile.plain_bytes
+  const Value* last = nullptr;
+  std::unordered_set<const Value*, ValuePtrHash, ValuePtrEq> distinct;
+
+  /// Adds the cells of column `c` in rows [from, rows.size()).
+  void Add(const std::vector<const Value*>& rows, size_t c, size_t from);
+};
+
+void SnapshotAppender::OpenColumn::Add(const std::vector<const Value*>& rows,
+                                       size_t c, size_t from) {
+  ColumnProfile& p = profile;
+  for (size_t r = from; r < rows.size(); ++r) {
+    const Value& v = rows[r][c];
+    ++p.rows;
+    // ColumnVector::Append: the first non-null cell types the column, a
+    // later one of another type makes it mixed, and a mixed column is
+    // profiled no further (it is plain-only).
+    if (!v.is_null()) {
+      if (v.type() == ValueType::kString) string_bytes += v.AsString().size();
+      if (p.type == ValueType::kNull) {
+        p.type = v.type();
+      } else if (v.type() != p.type) {
+        p.mixed = true;
+      }
+    }
+    if (p.mixed) continue;
+    // Within one type, Compare equality is ProfileColumn's cell equality.
+    if (last == nullptr || last->Compare(v) != 0) {
+      ++p.runs;
+      p.run_value_bytes += ValueBytes(v);
+    }
+    last = &v;
+    if (v.is_null()) continue;
+    if (distinct.insert(&v).second) {
+      ++p.distinct;
+      p.distinct_value_bytes += ValueBytes(v);
+    }
+    if (v.type() == ValueType::kInt64) {
+      int64_t x = v.AsInt64();
+      if (!p.has_int64 || x < p.min_i64) p.min_i64 = x;
+      if (!p.has_int64 || x > p.max_i64) p.max_i64 = x;
+      p.has_int64 = true;
+    } else if (v.type() == ValueType::kDouble && std::isnan(v.AsDouble())) {
+      p.has_nan = true;
+    }
+  }
+  p.plain_bytes =
+      ColumnVector::ApproxBytesOf(p.rows, p.type, p.mixed, string_bytes);
+}
+
+SnapshotAppender::SnapshotAppender(const EncodedTableSnapshot& snap,
+                                   const std::vector<const Row*>& last_rows) {
+  if (snap.segments.empty() ||
+      snap.segments.back().num_rows >= snap.segment_rows) {
+    return;
+  }
+  const EncodedSegment& last = snap.segments.back();
+  DT_CHECK(last_rows.size() == last.num_rows);
+  Open(RowValues(last_rows, 0, last_rows.size()), last.columns.size());
+}
+
+SnapshotAppender::~SnapshotAppender() = default;
+
+void SnapshotAppender::Open(std::vector<const Value*> rows,
+                            size_t num_columns) {
+  open_rows_ = std::move(rows);
+  columns_.clear();
+  columns_.resize(num_columns);
+  for (size_t c = 0; c < num_columns; ++c) columns_[c].Add(open_rows_, c, 0);
+}
+
+void SnapshotAppender::Append(EncodedTableSnapshot* snap,
+                              const std::vector<const Row*>& rows) {
+  size_t next = 0;
+  if (!open_rows_.empty()) {
+    EncodedSegment& seg = snap->segments.back();
+    DT_CHECK(seg.num_rows == open_rows_.size());
+    next = std::min(rows.size(), snap->segment_rows - open_rows_.size());
+    const size_t from = open_rows_.size();
+    for (size_t r = 0; r < next; ++r) open_rows_.push_back(rows[r]->data());
+    snap->encoded_bytes -= seg.encoded_bytes;
+    snap->plain_bytes -= seg.plain_bytes;
+    seg.encoded_bytes = 0;
+    seg.plain_bytes = 0;
+    for (size_t c = 0; c < seg.columns.size(); ++c) {
+      OpenColumn& open = columns_[c];
+      open.Add(open_rows_, c, from);
+      EncodedColumn& col = seg.columns[c];
+      if (ChooseFor(open.profile) != col.encoding() ||
+          !col.Extend(open_rows_, c, open.profile)) {
+        ColumnVector scratch;
+        col = EncodeColumnOf(open_rows_, c, &scratch);
+      }
+      seg.encoded_bytes += col.EncodedBytes();
+      seg.plain_bytes += col.PlainBytes();
+    }
+    seg.num_rows = open_rows_.size();
+    snap->encoded_bytes += seg.encoded_bytes;
+    snap->plain_bytes += seg.plain_bytes;
+    if (open_rows_.size() == snap->segment_rows) {  // sealed
+      open_rows_.clear();
+      columns_.clear();
+    }
+  }
+  while (next < rows.size()) {
+    const size_t end = std::min(rows.size(), next + snap->segment_rows);
+    std::vector<const Value*> seg_rows = RowValues(rows, next, end);
+    const size_t num_columns = rows[next]->size();
+    EncodedSegment seg = EncodeSegment(seg_rows, num_columns);
+    snap->encoded_bytes += seg.encoded_bytes;
+    snap->plain_bytes += seg.plain_bytes;
+    snap->segments.push_back(std::move(seg));
+    if (seg_rows.size() < snap->segment_rows) {
+      Open(std::move(seg_rows), num_columns);
+    }
+    next = end;
+  }
+  snap->num_rows += rows.size();
 }
 
 }  // namespace storage

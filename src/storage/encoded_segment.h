@@ -79,6 +79,10 @@ class BitPackedArray {
   /// Packs `values` at `bits` per element; every value must fit in `bits`.
   static BitPackedArray Pack(const std::vector<uint64_t>& values, int bits);
 
+  /// Appends one value at the current width (it must fit), leaving the
+  /// array as Pack() would have built it with that value last.
+  void Append(uint64_t v);
+
   uint64_t Get(size_t i) const {
     if (bits_ == 0) return 0;
     size_t off = i * static_cast<size_t>(bits_);
@@ -108,7 +112,8 @@ class BitPackedArray {
 /// (encoded_segment.cc).
 struct ColumnProfile;
 
-/// One encoded column of one segment. Immutable after Encode().
+/// One encoded column of one segment. Immutable once encoded, except that
+/// a SnapshotAppender extends the columns of a snapshot's open segment.
 class EncodedColumn {
  public:
   EncodedColumn() = default;
@@ -157,11 +162,29 @@ class EncodedColumn {
   size_t RunCount() const { return run_values_.size(); }
 
  private:
+  friend class SnapshotAppender;
+
   /// Encodes `src` under `e`, which must be eligible per `profile`.
   static EncodedColumn EncodeProfiled(const ColumnVector& src,
                                       const ColumnProfile& profile,
                                       ColumnEncoding e);
-  void FinishBytes(const ColumnVector& src);
+  /// Sets the byte figures from the encoded form and `profile`, the
+  /// profile of the cells it holds.
+  void FinishBytes(const ColumnProfile& profile);
+  /// Appends cells [size(), rows.size()) of column `c` in place, as if the
+  /// column had been encoded with them under the same encoding. `rows`
+  /// are the segment's rows (each row's values); `profile` is the
+  /// column's profile with the new cells, and must still choose this
+  /// encoding. Returns false, changing nothing, when the encoded form
+  /// cannot take them as it stands: a frame of reference whose base or
+  /// delta width would move.
+  bool Extend(const std::vector<const Value*>& rows, size_t c,
+              const ColumnProfile& profile);
+  /// Extend's dictionary case; the null bitmap must already cover `rows`.
+  void ExtendDictionary(const std::vector<const Value*>& rows, size_t c);
+  /// Grows the null bitmap to rows.size() rows, setting the bits of the
+  /// null cells among rows [size(), rows.size()) of column `c`.
+  void ExtendNullBitmap(const std::vector<const Value*>& rows, size_t c);
   /// Frame-of-reference row i, added in uint64 so an INT64_MIN base cannot
   /// overflow.
   int64_t ForValue(size_t i) const {
@@ -255,10 +278,47 @@ struct EncodedTableSnapshot {
 
 /// Encodes `rows` (borrowed; tombstones already excluded, scan order) into
 /// segments of at most `segment_rows` rows. `num_columns` fixes the arity
-/// for the empty-table case.
+/// for the empty-table case. Table::BuildEncodedSegments calls it for a
+/// first build and whenever a row was deleted since the last one; rows
+/// appended since are folded in by a SnapshotAppender instead, with the
+/// same result.
 EncodedTableSnapshot BuildEncodedTableSnapshot(
     size_t num_columns, const std::vector<const Row*>& rows,
     size_t segment_rows);
+
+/// Writer-side state that folds rows appended to a table into its snapshot
+/// at the cost of the rows appended: they fill the last (open) segment up
+/// to `segment_rows`, then start new segments; sealed segments are never
+/// touched. For each column of the open segment it keeps the profile the
+/// encoding chooser prices, current cell by cell. When the choice holds,
+/// the column is extended in place; when it flips, that one column of that
+/// one segment is re-encoded from the rows. The snapshot then equals
+/// BuildEncodedTableSnapshot over all its rows, bytes included.
+///
+/// It points into the rows of the open segment, so those rows must stay
+/// alive and unchanged while it is used (a table drops it on Delete).
+class SnapshotAppender {
+ public:
+  /// Profiles the last segment of `snap` from `last_rows`, its rows
+  /// (borrowed, scan order), unless that segment is full.
+  SnapshotAppender(const EncodedTableSnapshot& snap,
+                   const std::vector<const Row*>& last_rows);
+  ~SnapshotAppender();
+
+  /// Folds `rows` (borrowed, scan order), the rows that follow those
+  /// `snap` holds, into `snap`, which must be the snapshot this appender
+  /// has followed since it was made. Leaves built_version to the caller.
+  void Append(EncodedTableSnapshot* snap, const std::vector<const Row*>& rows);
+
+ private:
+  struct OpenColumn;
+
+  /// Starts profiling `rows` as the open segment.
+  void Open(std::vector<const Value*> rows, size_t num_columns);
+
+  std::vector<const Value*> open_rows_;  // each row's values; empty: none
+  std::vector<OpenColumn> columns_;
+};
 
 }  // namespace storage
 }  // namespace drugtree

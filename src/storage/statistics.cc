@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 namespace drugtree {
 namespace storage {
@@ -65,81 +64,104 @@ double ColumnStats::RangeSelectivity(const Value& lo, bool lo_inclusive,
 
 namespace {
 
-/// Hash and equality of borrowed values, as std::hash<Value> and
-/// Value::operator== define them for owned ones.
-struct ValuePtrHash {
-  size_t operator()(const Value* v) const {
-    return static_cast<size_t>(v->Hash());
-  }
-};
-struct ValuePtrEq {
-  bool operator()(const Value* a, const Value* b) const {
-    return a->Compare(*b) == 0;
-  }
-};
+/// Buckets of every numeric column's equi-depth histogram.
+constexpr size_t kHistogramBuckets = 32;
+
+/// Ascending order of non-NaN doubles, with -0.0 before 0.0: a strict
+/// total order, so the sorted numeric values (and the histogram edges read
+/// from them) are the same whether they were sorted at once or merged in
+/// batch by batch.
+bool NumericLess(double a, double b) {
+  return a < b || (a == b && std::signbit(a) && !std::signbit(b));
+}
 
 }  // namespace
 
 util::Result<TableStats> TableStats::Analyze(const Schema& schema,
-                                             const std::vector<Row>& rows,
-                                             int histogram_buckets) {
+                                             const std::vector<Row>& rows) {
   std::vector<const Row*> ptrs;
   ptrs.reserve(rows.size());
   for (const Row& r : rows) ptrs.push_back(&r);
-  return Analyze(schema, ptrs, histogram_buckets);
+  return Analyze(schema, ptrs);
 }
 
-util::Result<TableStats> TableStats::Analyze(const Schema& schema,
-                                             const std::vector<const Row*>& rows,
-                                             int histogram_buckets) {
-  if (histogram_buckets < 2) {
-    return util::Status::InvalidArgument("histogram_buckets must be >= 2");
-  }
-  TableStats stats;
-  stats.num_rows_ = static_cast<int64_t>(rows.size());
-  stats.columns_.resize(schema.NumColumns());
+util::Result<TableStats> TableStats::Analyze(
+    const Schema& schema, const std::vector<const Row*>& rows) {
+  StatsAccumulator acc(schema);
+  DRUGTREE_RETURN_IF_ERROR(acc.Add(rows));
+  return acc.Stats();
+}
 
-  for (size_t c = 0; c < schema.NumColumns(); ++c) {
-    ColumnStats& cs = stats.columns_[c];
-    cs.num_rows_ = stats.num_rows_;
-    std::unordered_set<const Value*, ValuePtrHash, ValuePtrEq> distinct;
-    distinct.reserve(rows.size());
-    std::vector<double> numeric_values;
-    bool numeric_column = schema.column(c).type == ValueType::kInt64 ||
+StatsAccumulator::StatsAccumulator(const Schema& schema)
+    : columns_(schema.NumColumns()) {
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    columns_[c].numeric = schema.column(c).type == ValueType::kInt64 ||
                           schema.column(c).type == ValueType::kDouble;
-    const Value* prev = nullptr;
+  }
+}
+
+util::Status StatsAccumulator::Add(const std::vector<const Row*>& rows) {
+  for (const Row* row : rows) {
+    if (row->size() < columns_.size()) {
+      return util::Status::InvalidArgument("row narrower than schema");
+    }
+  }
+  num_rows_ += static_cast<int64_t>(rows.size());
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    Column& col = columns_[c];
+    // A first batch sizes the set once; later ones let it grow
+    // geometrically rather than rehash on every small batch.
+    if (col.distinct.empty()) col.distinct.reserve(rows.size());
+    const size_t sorted_before = col.sorted.size();
     for (const Row* row : rows) {
-      if (c >= row->size()) {
-        return util::Status::InvalidArgument("row narrower than schema");
-      }
       const Value& v = (*row)[c];
-      if (prev == nullptr || prev->Compare(v) != 0) ++cs.num_runs_;
-      prev = &v;
+      if (col.last == nullptr || col.last->Compare(v) != 0) ++col.runs;
+      col.last = &v;
       if (v.is_null()) {
-        ++cs.num_nulls_;
+        ++col.nulls;
         continue;
       }
-      distinct.insert(&v);
-      if (cs.min_.is_null() || v.Compare(cs.min_) < 0) cs.min_ = v;
-      if (cs.max_.is_null() || v.Compare(cs.max_) > 0) cs.max_ = v;
-      if (numeric_column) {
+      col.distinct.insert(&v);
+      if (col.min == nullptr || v.Compare(*col.min) < 0) col.min = &v;
+      if (col.max == nullptr || v.Compare(*col.max) > 0) col.max = &v;
+      if (col.numeric) {
         auto num = v.ToNumeric();
-        if (num.ok()) numeric_values.push_back(*num);
+        if (num.ok()) {
+          if (std::isnan(*num)) saw_nan_ = true;
+          col.sorted.push_back(*num);
+        }
       }
     }
-    cs.num_distinct_ = static_cast<int64_t>(distinct.size());
-    if (numeric_column && numeric_values.size() >= 2) {
-      std::sort(numeric_values.begin(), numeric_values.end());
-      size_t n = numeric_values.size();
-      size_t buckets = std::min<size_t>(
-          static_cast<size_t>(histogram_buckets), n);
-      cs.boundaries_.clear();
-      cs.boundaries_.push_back(numeric_values.front());
+    auto mid = col.sorted.begin() + static_cast<ptrdiff_t>(sorted_before);
+    std::sort(mid, col.sorted.end(), NumericLess);
+    std::inplace_merge(col.sorted.begin(), mid, col.sorted.end(), NumericLess);
+  }
+  return util::Status::OK();
+}
+
+TableStats StatsAccumulator::Stats() const {
+  TableStats stats;
+  stats.num_rows_ = num_rows_;
+  stats.columns_.resize(columns_.size());
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    const Column& col = columns_[c];
+    ColumnStats& cs = stats.columns_[c];
+    cs.num_rows_ = num_rows_;
+    cs.num_nulls_ = col.nulls;
+    cs.num_distinct_ = static_cast<int64_t>(col.distinct.size());
+    cs.num_runs_ = col.runs;
+    if (col.min != nullptr) cs.min_ = *col.min;
+    if (col.max != nullptr) cs.max_ = *col.max;
+    const std::vector<double>& sorted = col.sorted;
+    if (col.numeric && sorted.size() >= 2) {
+      size_t n = sorted.size();
+      size_t buckets = std::min(kHistogramBuckets, n);
+      cs.boundaries_.reserve(buckets + 1);
+      cs.boundaries_.push_back(sorted.front());
       for (size_t b = 1; b < buckets; ++b) {
-        size_t idx = b * n / buckets;
-        cs.boundaries_.push_back(numeric_values[idx]);
+        cs.boundaries_.push_back(sorted[b * n / buckets]);
       }
-      cs.boundaries_.push_back(numeric_values.back());
+      cs.boundaries_.push_back(sorted.back());
     }
   }
   return stats;

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "storage/schema.h"
@@ -51,8 +52,12 @@ class ColumnStats {
   double RangeSelectivity(const Value& lo, bool lo_inclusive, const Value& hi,
                           bool hi_inclusive) const;
 
+  /// The equi-depth histogram's bucket edges (empty unless the column is
+  /// numeric with at least two non-null values).
+  const std::vector<double>& boundaries() const { return boundaries_; }
+
  private:
-  friend class TableStats;
+  friend class StatsAccumulator;
 
   int64_t num_rows_ = 0;
   int64_t num_nulls_ = 0;
@@ -71,23 +76,65 @@ class TableStats {
   TableStats() = default;
 
   /// Computes stats over `rows` (borrowed, scan order) conforming to
-  /// `schema`, without copying them. `histogram_buckets` controls
-  /// range-estimate resolution.
+  /// `schema`, without copying them.
   static util::Result<TableStats> Analyze(const Schema& schema,
-                                          const std::vector<const Row*>& rows,
-                                          int histogram_buckets = 32);
+                                          const std::vector<const Row*>& rows);
   /// The same over owned rows.
   static util::Result<TableStats> Analyze(const Schema& schema,
-                                          const std::vector<Row>& rows,
-                                          int histogram_buckets = 32);
+                                          const std::vector<Row>& rows);
 
   int64_t num_rows() const { return num_rows_; }
   const ColumnStats& column(size_t i) const { return columns_[i]; }
   size_t NumColumns() const { return columns_.size(); }
 
  private:
+  friend class StatsAccumulator;
+
   int64_t num_rows_ = 0;
   std::vector<ColumnStats> columns_;
+};
+
+/// The running state every TableStats figure is read off: per column the
+/// distinct non-null values, the numeric values in sorted order (the
+/// histogram's edges are exact ranks of them), the last value (for runs),
+/// and the row and null counts, min and max. Analyze adds every row to one
+/// and reads it off. A table that is appended to keeps one beside its
+/// stats, so a refresh adds only the new rows instead of re-reading all.
+///
+/// It keeps pointers to the values of the rows it was given, so those rows
+/// must stay alive and unchanged while it is used (a table drops it on
+/// Delete).
+class StatsAccumulator {
+ public:
+  explicit StatsAccumulator(const Schema& schema);
+
+  /// Adds `rows` (borrowed, scan order) after those added before. Fails,
+  /// adding nothing, when a row is narrower than the schema.
+  util::Status Add(const std::vector<const Row*>& rows);
+
+  /// False once a numeric column has held a NaN. NaN compares equal to
+  /// every number, so Stats() still reads what Analyze would, but adding
+  /// more rows no longer gives what Analyze would over all of them.
+  bool foldable() const { return !saw_nan_; }
+
+  /// The statistics of every row added so far.
+  TableStats Stats() const;
+
+ private:
+  struct Column {
+    bool numeric = false;  // declared Int64 or Double
+    int64_t nulls = 0;
+    int64_t runs = 0;
+    const Value* last = nullptr;
+    const Value* min = nullptr;
+    const Value* max = nullptr;
+    std::unordered_set<const Value*, ValuePtrHash, ValuePtrEq> distinct;
+    std::vector<double> sorted;  // numeric values, ascending
+  };
+
+  int64_t num_rows_ = 0;
+  bool saw_nan_ = false;
+  std::vector<Column> columns_;
 };
 
 }  // namespace storage

@@ -1,5 +1,7 @@
 #include "storage/table.h"
 
+#include <algorithm>
+
 #include "util/string_util.h"
 
 namespace drugtree {
@@ -58,6 +60,10 @@ util::Status Table::Delete(RowId id) {
   rows_[static_cast<size_t>(id)].clear();
   --live_rows_;
   ++version_;  // invalidates the encoded snapshot and stats freshness
+  last_delete_version_ = version_;
+  // The fold state points into the row just cleared.
+  stats_acc_.reset();
+  appender_.reset();
   return util::Status::OK();
 }
 
@@ -121,13 +127,28 @@ util::Result<std::vector<RowId>> Table::IndexRange(
   return b->RangeScan(lo, lo_inclusive, hi, hi_inclusive);
 }
 
-util::Status Table::Analyze(int histogram_buckets) {
-  DRUGTREE_ASSIGN_OR_RETURN(
-      TableStats stats,
-      TableStats::Analyze(schema_, LiveRowPointers(), histogram_buckets));
+util::Status Table::Analyze() {
+  DRUGTREE_ASSIGN_OR_RETURN(TableStats stats,
+                            TableStats::Analyze(schema_, LiveRowPointers()));
   stats_ = std::make_unique<TableStats>(std::move(stats));
+  stats_acc_.reset();
   stats_version_ = version_;
   ++meta_version_;  // cost estimates derived from stats are now stale
+  return util::Status::OK();
+}
+
+util::Status Table::RefreshStats() {
+  if (!OnlyInsertsSince(stats_version_)) return Analyze();
+  if (stats_acc_ == nullptr) {
+    stats_acc_ = std::make_unique<StatsAccumulator>(schema_);
+    DRUGTREE_RETURN_IF_ERROR(stats_acc_->Add(LiveRowPointers()));
+  } else {
+    DRUGTREE_RETURN_IF_ERROR(stats_acc_->Add(RowsInsertedSince(stats_version_)));
+  }
+  if (!stats_acc_->foldable()) return Analyze();
+  stats_ = std::make_unique<TableStats>(stats_acc_->Stats());
+  stats_version_ = version_;
+  ++meta_version_;  // as Analyze(): the cost estimates moved
   return util::Status::OK();
 }
 
@@ -142,17 +163,35 @@ util::Status Table::BuildEncodedSegments(size_t segment_rows) {
       snap != nullptr && snap->segment_rows == segment_rows) {
     return util::Status::OK();
   }
-  // A rebuild walks every live row anyway, so piggyback a stats refresh
-  // when existing stats have gone stale (mutations since the last
-  // Analyze — including tombstone-creating deletes, which previously kept
-  // being served as fresh). Never-analyzed tables stay that way.
+  // Refresh stats that any Insert or Delete has made stale on the way.
+  // Never-analyzed tables stay that way.
   if (stats_ != nullptr && !stats_fresh()) {
-    DRUGTREE_RETURN_IF_ERROR(Analyze());
+    DRUGTREE_RETURN_IF_ERROR(RefreshStats());
   }
-  auto snap = std::make_unique<EncodedTableSnapshot>(BuildEncodedTableSnapshot(
-      schema_.NumColumns(), LiveRowPointers(), segment_rows));
-  snap->built_version = version_;
-  encoded_ = std::move(snap);
+  if (encoded_ != nullptr && encoded_->segment_rows == segment_rows &&
+      OnlyInsertsSince(encoded_->built_version)) {
+    std::vector<const Row*> appended =
+        RowsInsertedSince(encoded_->built_version);
+    if (appender_ == nullptr) {
+      // The live rows of the last segment: the ones just before the
+      // appended rows.
+      std::vector<const Row*> last_rows;
+      const size_t want =
+          encoded_->segments.empty() ? 0 : encoded_->segments.back().num_rows;
+      for (size_t r = rows_.size() - appended.size();
+           r-- > 0 && last_rows.size() < want;) {
+        if (!rows_[r].empty()) last_rows.push_back(&rows_[r]);
+      }
+      std::reverse(last_rows.begin(), last_rows.end());
+      appender_ = std::make_unique<SnapshotAppender>(*encoded_, last_rows);
+    }
+    appender_->Append(encoded_.get(), appended);
+  } else {
+    encoded_ = std::make_unique<EncodedTableSnapshot>(BuildEncodedTableSnapshot(
+        schema_.NumColumns(), LiveRowPointers(), segment_rows));
+    appender_.reset();
+  }
+  encoded_->built_version = version_;
   ++meta_version_;  // scan access paths (and their costs) changed
   return util::Status::OK();
 }
@@ -179,6 +218,16 @@ std::vector<const Row*> Table::LiveRowPointers() const {
   out.reserve(static_cast<size_t>(live_rows_));
   for (const Row& r : rows_) {
     if (!r.empty()) out.push_back(&r);
+  }
+  return out;
+}
+
+std::vector<const Row*> Table::RowsInsertedSince(uint64_t since) const {
+  std::vector<const Row*> out;
+  out.reserve(static_cast<size_t>(version_ - since));
+  for (size_t r = rows_.size() - static_cast<size_t>(version_ - since);
+       r < rows_.size(); ++r) {
+    out.push_back(&rows_[r]);
   }
   return out;
 }

@@ -78,14 +78,17 @@ class Table {
                                               const Value& hi,
                                               bool hi_inclusive) const;
 
-  /// Recomputes table statistics (call after bulk loading).
-  util::Status Analyze(int histogram_buckets = 32);
+  /// Recomputes table statistics from every live row (call after bulk
+  /// loading).
+  util::Status Analyze();
 
   /// Last computed statistics, or nullptr if Analyze was never run.
   const TableStats* stats() const { return stats_.get(); }
 
   /// True when stats() reflects the current data — i.e. no Insert/Delete
-  /// has happened since the last Analyze(). Consumers needing exact numbers
+  /// has happened since they were computed, by Analyze() or by the refresh
+  /// inside BuildEncodedSegments(), which folds rows appended since into
+  /// them and equals an Analyze() exactly. Consumers needing exact numbers
   /// (the encoding chooser computes its own per-segment profiles and does
   /// NOT depend on this) should check before trusting stats().
   bool stats_fresh() const {
@@ -115,12 +118,22 @@ class Table {
   /// predicate translates to encoded clauses execute directly on it until
   /// the next mutation invalidates it. A snapshot that is still fresh and
   /// was built with the same `segment_rows` is kept as is.
+  ///
+  /// When every mutation since the snapshot (or the stats) was built is an
+  /// Insert, the appended rows are folded in instead: into the stats
+  /// through writer-side accumulators, and into the snapshot's last (open)
+  /// segment column by column, new segments after it, sealed segments
+  /// untouched. Both the fold and the full path give exactly what a build
+  /// from scratch gives, and bump plan_version() alike. A Delete, another
+  /// `segment_rows`, a dropped snapshot, an explicit Analyze() and a first
+  /// build take the full path.
   util::Status BuildEncodedSegments(size_t segment_rows = kDefaultSegmentRows);
 
   /// Drops the encoded snapshot; scans revert to the plain row path.
   void DropEncodedSegments() {
     if (encoded_ != nullptr) ++meta_version_;
     encoded_.reset();
+    appender_.reset();
   }
 
   /// The encoded snapshot when one exists AND is current, else nullptr.
@@ -153,6 +166,18 @@ class Table {
   /// The live rows in insertion order, borrowed.
   std::vector<const Row*> LiveRowPointers() const;
 
+  /// True when every mutation after version `since` was an Insert.
+  bool OnlyInsertsSince(uint64_t since) const {
+    return last_delete_version_ <= since;
+  }
+  /// The rows inserted after version `since`; OnlyInsertsSince(since)
+  /// must hold (each Insert appends one row and bumps version_ once).
+  std::vector<const Row*> RowsInsertedSince(uint64_t since) const;
+
+  /// Brings stale stats up to date: folds the rows inserted since into the
+  /// accumulators (building them on the first fold), or re-analyzes.
+  util::Status RefreshStats();
+
   std::string name_;
   Schema schema_;
   std::vector<Row> rows_;
@@ -161,8 +186,15 @@ class Table {
   std::map<std::string, std::unique_ptr<HashIndex>> hash_indexes_;
   std::unique_ptr<TableStats> stats_;
   std::unique_ptr<EncodedTableSnapshot> encoded_;
+  // Writer-side fold state, kept only by tables that have been appended to
+  // since their stats or snapshot were built: `stats_acc_` holds exactly
+  // the rows stats_ covers, `appender_` profiles encoded_'s open segment.
+  // Both point into rows_, so Delete drops them.
+  std::unique_ptr<StatsAccumulator> stats_acc_;
+  std::unique_ptr<SnapshotAppender> appender_;
   uint64_t version_ = 0;
   uint64_t stats_version_ = 0;
+  uint64_t last_delete_version_ = 0;  // version_ right after the last Delete
   /// Non-mutation plan dependencies: Analyze, CreateIndex and encoded
   /// build/drop bumps.
   uint64_t meta_version_ = 0;

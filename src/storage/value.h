@@ -84,6 +84,19 @@ class Value {
   Rep rep_;
 };
 
+/// Hash and equality of borrowed values, as std::hash<Value> and
+/// Value::operator== define them for owned ones.
+struct ValuePtrHash {
+  size_t operator()(const Value* v) const {
+    return static_cast<size_t>(v->Hash());
+  }
+};
+struct ValuePtrEq {
+  bool operator()(const Value* a, const Value* b) const {
+    return a->Compare(*b) == 0;
+  }
+};
+
 /// A tuple of values.
 using Row = std::vector<Value>;
 

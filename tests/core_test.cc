@@ -248,10 +248,39 @@ TEST_F(DrugTreeMutationTest, AddActivityInvalidatesResultCache) {
 }
 
 TEST_F(DrugTreeMutationTest, AddActivityUnknownAccessionFails) {
+  auto activities = dt_->catalog()->Lookup("activities");
+  ASSERT_TRUE(activities.ok());
+  const storage::Table* table = *activities;
+  PlannerOptions cached = PlannerOptions::Optimized();
+  cached.use_result_cache = true;
+  const char* sql = "SELECT COUNT(*) AS n FROM activities a";
+  ASSERT_TRUE(dt_->Query(sql, cached).ok());  // now in the result cache
+  const int64_t rows = table->NumRows();
+  const uint64_t plan_version = table->plan_version();
+  const storage::EncodedTableSnapshot* snapshot = table->encoded();
+  ASSERT_NE(snapshot, nullptr);
+  const uint64_t epoch = dt_->catalog()->epoch();
+
+  const std::string leaf = dt_->tree().node(dt_->tree().Leaves()[0]).name;
   EXPECT_TRUE(dt_->AddActivity("NOPE", "L000001", 5.0).IsNotFound());
-  EXPECT_TRUE(dt_->AddActivity(dt_->tree().node(dt_->tree().Leaves()[0]).name,
-                               "L000001", -1.0)
-                  .IsInvalidArgument());
+  EXPECT_TRUE(dt_->AddActivity(leaf, "L000001", -1.0).IsInvalidArgument());
+  EXPECT_TRUE(
+      dt_->AddActivity(leaf, "L000001", std::nan("")).IsInvalidArgument());
+
+  // A rejected write changes nothing: no row, no version bump, a fresh
+  // snapshot, the same epoch, and a cached count that is still true.
+  EXPECT_EQ(table->NumRows(), rows);
+  EXPECT_EQ(table->plan_version(), plan_version);
+  EXPECT_EQ(table->encoded(), snapshot);
+  EXPECT_EQ(dt_->catalog()->epoch(), epoch);
+  auto from_cache = dt_->Query(sql, cached);
+  auto uncached = dt_->Query(sql, PlannerOptions::Optimized());
+  ASSERT_TRUE(from_cache.ok());
+  ASSERT_TRUE(uncached.ok());
+  EXPECT_TRUE(from_cache->from_result_cache);
+  EXPECT_EQ(from_cache->result.rows[0][0].AsInt64(),
+            uncached->result.rows[0][0].AsInt64());
+  EXPECT_EQ(uncached->result.rows[0][0].AsInt64(), rows);
 }
 
 TEST_F(DrugTreeMutationTest, NodeOverlayTableSurvivesUpdatesAndRebuilds) {

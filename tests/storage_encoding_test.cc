@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -493,6 +496,305 @@ TEST(TableEncodingTest, RebuildAfterWritesEqualsBuildFromScratch) {
   EXPECT_EQ(t.encoded()->num_rows, 1000u);
   ExpectSameSnapshot(*t.encoded(), from_scratch());
   ExpectSnapshotHoldsLiveRows(*t.encoded(), t);
+}
+
+// ------------------------------------------------- appends fold, exactly
+
+/// Equality down to the bits: the type, and a double's bit pattern (so
+/// -0.0 differs from 0.0 and a NaN equals only itself).
+bool SameBits(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  if (a.type() != ValueType::kDouble) return a == b;
+  double x = a.AsDouble(), y = b.AsDouble();
+  return std::memcmp(&x, &y, sizeof x) == 0;
+}
+
+/// Every cell of `got` equals the same cell of `want` down to the bits.
+void ExpectSameCellBits(const EncodedTableSnapshot& got,
+                        const EncodedTableSnapshot& want) {
+  ASSERT_EQ(got.segments.size(), want.segments.size());
+  for (size_t s = 0; s < got.segments.size(); ++s) {
+    const EncodedSegment& g = got.segments[s];
+    ASSERT_EQ(g.num_rows, want.segments[s].num_rows);
+    for (size_t c = 0; c < g.columns.size(); ++c) {
+      for (size_t i = 0; i < g.num_rows; ++i) {
+        Value gv = g.columns[c].ValueAt(i);
+        Value wv = want.segments[s].columns[c].ValueAt(i);
+        ASSERT_TRUE(SameBits(gv, wv))
+            << "segment " << s << " col " << c << " row " << i << ": "
+            << gv.ToString() << " vs " << wv.ToString();
+      }
+    }
+  }
+}
+
+/// Every TableStats figure, histogram edges included, down to the bits.
+void ExpectSameStats(const TableStats& got, const TableStats& want) {
+  ASSERT_EQ(got.num_rows(), want.num_rows());
+  ASSERT_EQ(got.NumColumns(), want.NumColumns());
+  for (size_t c = 0; c < got.NumColumns(); ++c) {
+    SCOPED_TRACE("stats col " + std::to_string(c));
+    const ColumnStats& g = got.column(c);
+    const ColumnStats& w = want.column(c);
+    EXPECT_EQ(g.num_rows(), w.num_rows());
+    EXPECT_EQ(g.num_nulls(), w.num_nulls());
+    EXPECT_EQ(g.num_distinct(), w.num_distinct());
+    EXPECT_EQ(g.num_runs(), w.num_runs());
+    EXPECT_TRUE(SameBits(g.min(), w.min()))
+        << g.min().ToString() << " vs " << w.min().ToString();
+    EXPECT_TRUE(SameBits(g.max(), w.max()))
+        << g.max().ToString() << " vs " << w.max().ToString();
+    ASSERT_EQ(g.boundaries().size(), w.boundaries().size());
+    for (size_t b = 0; b < g.boundaries().size(); ++b) {
+      EXPECT_TRUE(SameBits(Value::Double(g.boundaries()[b]),
+                           Value::Double(w.boundaries()[b])))
+          << "edge " << b << ": " << g.boundaries()[b] << " vs "
+          << w.boundaries()[b];
+    }
+  }
+}
+
+/// The snapshot and stats `t` holds equal a build from scratch over its
+/// live rows.
+void ExpectEqualsBuildFromScratch(const Table& t, size_t segment_rows) {
+  std::vector<const Row*> live;
+  for (RowId id : t.LiveRows()) live.push_back(&t.row(id));
+  EncodedTableSnapshot want =
+      BuildEncodedTableSnapshot(t.schema().NumColumns(), live, segment_rows);
+  ASSERT_NE(t.encoded(), nullptr);
+  ExpectSameSnapshot(*t.encoded(), want);
+  ExpectSameCellBits(*t.encoded(), want);
+  auto stats = TableStats::Analyze(t.schema(), live);
+  ASSERT_TRUE(stats.ok());
+  ASSERT_TRUE(t.stats_fresh());
+  ExpectSameStats(*t.stats(), *stats);
+}
+
+Schema FoldSchema() {
+  auto s = Schema::Create({
+      {"run", ValueType::kInt64, true},
+      {"cat", ValueType::kString, true},
+      {"wide", ValueType::kInt64, true},
+      {"score", ValueType::kDouble, true},
+      {"flag", ValueType::kBool, true},
+  });
+  EXPECT_TRUE(s.ok());
+  return *s;
+}
+
+/// Row i of a fold table before any append: long runs (rle), six
+/// categories with nulls (dict), ints in a 64-wide frame (for), doubles
+/// with signed zeros (plain) and runs of flags.
+Row FoldBaseRow(int i) {
+  return {Value::Int64(i / 100),
+          i % 17 == 0 ? Value::Null()
+                      : Value::String("c" + std::to_string(i % 6)),
+          Value::Int64(1000 + (i * 7) % 64),
+          i % 9 == 0 ? Value::Double(i % 2 == 0 ? 0.0 : -0.0)
+                     : Value::Double(i * 0.25),
+          Value::Bool((i / 40) % 2 == 0)};
+}
+
+/// Seeded appended rows. Runs continue or break; categories repeat, are
+/// new, or rank before or after every other; ints stay in the frame,
+/// widen it, lower its base or hit the int64 extremes; doubles repeat,
+/// are signed zeros, and in the last half of the steps can be Int64 (the
+/// column turns mixed) and in the last third NaN.
+class FoldRows {
+ public:
+  explicit FoldRows(uint64_t seed) : rng_(seed) {}
+
+  Row Next(int step, int steps) {
+    Row row(5);
+    if (rng_.Bernoulli(0.15)) run_ = static_cast<int64_t>(rng_.Uniform(40));
+    row[0] = rng_.Bernoulli(0.03) ? Value::Null() : Value::Int64(run_);
+
+    double u = rng_.NextDouble();
+    if (u < 0.08) {
+      row[1] = Value::Null();
+    } else if (u < 0.70) {
+      row[1] = Value::String("c" + std::to_string(rng_.Uniform(6)));
+    } else if (u < 0.76) {
+      row[1] = Value::String("\x01" + std::to_string(900000 - ++firsts_));
+    } else if (u < 0.82) {
+      row[1] = Value::String("\x7f" + std::to_string(100000 + ++lasts_));
+    } else {
+      row[1] = Value::String("n" + std::to_string(rng_.Uniform(200)));
+    }
+
+    u = rng_.NextDouble();
+    if (u < 0.01) {
+      row[2] = Value::Int64(std::numeric_limits<int64_t>::min());
+    } else if (u < 0.02) {
+      row[2] = Value::Int64(std::numeric_limits<int64_t>::max());
+    } else if (u < 0.06) {
+      row[2] = Value::Int64(1000 + static_cast<int64_t>(rng_.Uniform(300)));
+    } else if (u < 0.09) {
+      row[2] = Value::Int64(999 - static_cast<int64_t>(rng_.Uniform(20)));
+    } else if (u < 0.13) {
+      row[2] = Value::Null();
+    } else {
+      row[2] = Value::Int64(1000 + static_cast<int64_t>(rng_.Uniform(64)));
+    }
+
+    u = rng_.NextDouble();
+    if (step > 2 * steps / 3 && u < 0.03) {
+      row[3] = Value::Double(std::nan(""));
+    } else if (step > steps / 2 && u < 0.08) {
+      row[3] = Value::Int64(static_cast<int64_t>(rng_.Uniform(10)));
+    } else if (u < 0.25) {
+      row[3] = Value::Double(rng_.Bernoulli(0.5) ? -0.0 : 0.0);
+    } else if (u < 0.30) {
+      row[3] = Value::Null();
+    } else {
+      row[3] = Value::Double(static_cast<double>(rng_.Uniform(400)) * 0.25);
+    }
+
+    if (rng_.Bernoulli(0.1)) flag_ = !flag_;
+    row[4] = rng_.Bernoulli(0.02) ? Value::Null() : Value::Bool(flag_);
+    return row;
+  }
+
+ private:
+  util::Rng rng_;
+  int64_t run_ = 2;
+  bool flag_ = false;
+  int firsts_ = 0, lasts_ = 0;
+};
+
+/// Appends seeded batches of 1, 2 or up to `max_batch` rows to a 300-row
+/// analyzed table, rebuilding after each. After every rebuild: the
+/// snapshot was folded (same object; sealed segments keep their encodings
+/// and bytes), plan_version() moved as a full rebuild moves it, and
+/// snapshot and stats equal a build from scratch. Ends with a Delete,
+/// which takes the full path, and one more fold. Returns, through `kept`,
+/// the encodings the open segment extended while keeping them, and
+/// through `flips`, how often a fold changed an open column's encoding.
+void CheckAppendsFold(size_t segment_rows, uint64_t seed, size_t max_batch,
+                      std::set<ColumnEncoding>* kept, int* flips) {
+  Table t("fold", FoldSchema());
+  for (int i = 0; i < 300; ++i) ASSERT_TRUE(t.Insert(FoldBaseRow(i)).ok());
+  ASSERT_TRUE(t.Analyze().ok());
+  ASSERT_TRUE(t.BuildEncodedSegments(segment_rows).ok());
+  const EncodedTableSnapshot* snap = t.encoded();
+  ASSERT_NE(snap, nullptr);
+
+  FoldRows source(seed);
+  util::Rng batches(seed + 1);
+  const int kSteps = 150;
+  for (int step = 0; step < kSteps; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    // What the fold must leave alone, and the open segment's encodings.
+    const size_t segments = snap->segments.size();
+    const bool open = segments > 0 &&
+                      snap->segments.back().num_rows < segment_rows;
+    const size_t sealed = open ? segments - 1 : segments;
+    std::vector<std::vector<uint64_t>> sealed_figures;
+    for (size_t s = 0; s < sealed; ++s) {
+      std::vector<uint64_t> figures;
+      for (const EncodedColumn& col : snap->segments[s].columns) {
+        figures.push_back(static_cast<uint64_t>(col.encoding()));
+        figures.push_back(col.EncodedBytes());
+        figures.push_back(col.PlainBytes());
+      }
+      sealed_figures.push_back(std::move(figures));
+    }
+    std::vector<ColumnEncoding> open_before;
+    if (open) {
+      for (const EncodedColumn& col : snap->segments.back().columns) {
+        open_before.push_back(col.encoding());
+      }
+    }
+
+    const uint64_t roll = batches.Uniform(10);
+    const size_t k = roll < 4   ? 1
+                     : roll < 8 ? 2
+                                : 3 + batches.Uniform(max_batch - 2);
+    const uint64_t plan_version = t.plan_version();
+    for (size_t r = 0; r < k; ++r) {
+      ASSERT_TRUE(t.Insert(source.Next(step, kSteps)).ok());
+    }
+    ASSERT_TRUE(t.BuildEncodedSegments(segment_rows).ok());
+    ASSERT_EQ(t.encoded(), snap) << "rebuilt instead of folding";
+    // k inserts, the stats refresh and the rebuild, as before the fold.
+    EXPECT_EQ(t.plan_version(), plan_version + k + 2);
+
+    for (size_t s = 0; s < sealed; ++s) {
+      std::vector<uint64_t> figures;
+      for (const EncodedColumn& col : snap->segments[s].columns) {
+        figures.push_back(static_cast<uint64_t>(col.encoding()));
+        figures.push_back(col.EncodedBytes());
+        figures.push_back(col.PlainBytes());
+      }
+      EXPECT_EQ(figures, sealed_figures[s]) << "sealed segment " << s;
+    }
+    for (size_t c = 0; c < open_before.size(); ++c) {
+      ColumnEncoding now = snap->segments[sealed].columns[c].encoding();
+      if (now == open_before[c]) {
+        kept->insert(now);
+      } else {
+        ++*flips;
+      }
+    }
+    ExpectEqualsBuildFromScratch(t, segment_rows);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+
+  // A delete takes the full path: a new snapshot, and fresh stats.
+  const uint64_t plan_version = t.plan_version();
+  ASSERT_TRUE(t.Delete(t.LiveRows()[t.LiveRows().size() / 2]).ok());
+  ASSERT_TRUE(t.BuildEncodedSegments(segment_rows).ok());
+  EXPECT_NE(t.encoded(), snap);
+  EXPECT_EQ(t.plan_version(), plan_version + 3);
+  ExpectEqualsBuildFromScratch(t, segment_rows);
+  // And the next append folds into that snapshot.
+  snap = t.encoded();
+  ASSERT_TRUE(t.Insert(source.Next(kSteps, kSteps)).ok());
+  ASSERT_TRUE(t.BuildEncodedSegments(segment_rows).ok());
+  EXPECT_EQ(t.encoded(), snap);
+  ExpectEqualsBuildFromScratch(t, segment_rows);
+}
+
+TEST(TableEncodingTest, AppendsFoldIntoTheOpenSegment) {
+  std::set<ColumnEncoding> kept;
+  int flips = 0;
+  CheckAppendsFold(Table::kDefaultSegmentRows, 2024, 40, &kept, &flips);
+  // The loop extended every encoding in place and flipped the chooser.
+  EXPECT_EQ(kept.size(), 4u);
+  EXPECT_GT(flips, 0);
+}
+
+TEST(TableEncodingTest, AppendsFoldAcrossSegmentBoundaries) {
+  std::set<ColumnEncoding> kept;
+  int flips = 0;
+  // Batches of up to 300 rows seal the open segment and fill new ones,
+  // some of them whole.
+  CheckAppendsFold(256, 77, 300, &kept, &flips);
+  EXPECT_EQ(kept.size(), 4u);
+  EXPECT_GT(flips, 0);
+}
+
+TEST(TableEncodingTest, FoldKeepsTheFirstOfEqualNewCells) {
+  // -0.0 and 0.0 are one dictionary value, stored with the bits of its
+  // first cell. A batch that brings both in must keep -0.0, as a build
+  // from scratch does.
+  auto s = Schema::Create({{"x", ValueType::kDouble, true}});
+  ASSERT_TRUE(s.ok());
+  Table t("zeros", *s);
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(t.Insert({Value::Double(1.0 + i % 4)}).ok());
+  }
+  ASSERT_TRUE(t.Analyze().ok());
+  ASSERT_TRUE(t.BuildEncodedSegments().ok());
+  const EncodedTableSnapshot* snap = t.encoded();
+  for (double x : {-0.0, 0.0, 0.0}) {
+    ASSERT_TRUE(t.Insert({Value::Double(x)}).ok());
+  }
+  ASSERT_TRUE(t.BuildEncodedSegments().ok());
+  ASSERT_EQ(t.encoded(), snap);
+  EXPECT_EQ(snap->segments[0].columns[0].encoding(),
+            ColumnEncoding::kDictionary);
+  ExpectEqualsBuildFromScratch(t, Table::kDefaultSegmentRows);
 }
 
 TEST(TableEncodingTest, ScanFootprintShrinksWhenEncoded) {

@@ -181,6 +181,72 @@ TEST(TableStatsTest, NullFractionTracked) {
   EXPECT_NEAR(t.stats()->column(2).NullFraction(), 0.4, 1e-9);
 }
 
+TEST(TableTest, RefreshAfterChurnEqualsBuildFromScratch) {
+  // A refresh after appends folds them into the stats and the open encoded
+  // segment through state that points into the rows; a Delete destroys a
+  // row, so it must drop that state. Names are past the small-string
+  // buffer, so a read of a deleted row's value touches freed memory (the
+  // ASan lane runs this). Each refresh must equal a build from scratch.
+  util::Rng rng(11);
+  Table t("fold", TestSchema());
+  auto next_row = [&rng] {
+    return Row{Value::Int64(rng.UniformRange(0, 30)),
+               Value::String("a name past the small-string buffer " +
+                             std::to_string(rng.Uniform(12))),
+               rng.Bernoulli(0.1) ? Value::Null()
+                                  : Value::Double(rng.UniformDouble(-5, 5))};
+  };
+  for (int i = 0; i < 100; ++i) ASSERT_TRUE(t.Insert(next_row()).ok());
+  ASSERT_TRUE(t.Analyze().ok());
+  ASSERT_TRUE(t.BuildEncodedSegments(64).ok());
+  for (int op = 0; op < 400; ++op) {
+    SCOPED_TRACE("op " + std::to_string(op));
+    if (rng.Bernoulli(0.1)) {
+      // Delete the newest live row: the one the fold state saw last.
+      std::vector<RowId> live = t.LiveRows();
+      RowId victim = rng.Bernoulli(0.5) ? live.back()
+                                        : live[rng.Uniform(live.size())];
+      ASSERT_TRUE(t.Delete(victim).ok());
+    } else if (rng.Bernoulli(0.75)) {
+      ASSERT_TRUE(t.Insert(next_row()).ok());
+    } else {
+      ASSERT_TRUE(t.BuildEncodedSegments(64).ok());
+      std::vector<const Row*> live;
+      for (RowId id : t.LiveRows()) live.push_back(&t.row(id));
+      auto stats = TableStats::Analyze(t.schema(), live);
+      ASSERT_TRUE(stats.ok());
+      ASSERT_TRUE(t.stats_fresh());
+      for (size_t c = 0; c < t.schema().NumColumns(); ++c) {
+        const ColumnStats& got = t.stats()->column(c);
+        const ColumnStats& want = stats->column(c);
+        EXPECT_EQ(got.num_rows(), want.num_rows());
+        EXPECT_EQ(got.num_nulls(), want.num_nulls());
+        EXPECT_EQ(got.num_distinct(), want.num_distinct());
+        EXPECT_EQ(got.num_runs(), want.num_runs());
+        EXPECT_EQ(got.min(), want.min());
+        EXPECT_EQ(got.max(), want.max());
+        EXPECT_EQ(got.boundaries(), want.boundaries());
+      }
+      EncodedTableSnapshot want =
+          BuildEncodedTableSnapshot(t.schema().NumColumns(), live, 64);
+      const EncodedTableSnapshot* got = t.encoded();
+      ASSERT_NE(got, nullptr);
+      ASSERT_EQ(got->segments.size(), want.segments.size());
+      EXPECT_EQ(got->encoded_bytes, want.encoded_bytes);
+      EXPECT_EQ(got->plain_bytes, want.plain_bytes);
+      size_t row = 0;
+      for (const EncodedSegment& seg : got->segments) {
+        for (size_t i = 0; i < seg.num_rows; ++i, ++row) {
+          for (size_t c = 0; c < seg.columns.size(); ++c) {
+            EXPECT_EQ(seg.columns[c].ValueAt(i), (*live[row])[c]);
+          }
+        }
+      }
+      EXPECT_EQ(row, live.size());
+    }
+  }
+}
+
 TEST(TableTest, SaveAndLoadRoundTrip) {
   std::string path = testing::TempDir() + "/drugtree_table_test.db";
   std::remove(path.c_str());
