@@ -13,7 +13,8 @@ cmake -B build-asan -S . -DDRUGTREE_SANITIZE=address
 cmake --build build-asan -j "$(nproc)" \
   --target obs_test obs_telemetry_test query_equiv_test query_exec_test \
            storage_encoding_test query_adaptive_test query_index_join_test \
-           query_plan_test core_test storage_table_test
+           query_plan_test core_test storage_table_test \
+           query_lexer_parser_test
 ./build-asan/tests/obs_test
 ./build-asan/tests/obs_telemetry_test
 ./build-asan/tests/query_equiv_test
@@ -29,6 +30,10 @@ cmake --build build-asan -j "$(nproc)" \
 # statements on a real instance under both plans.
 ./build-asan/tests/query_plan_test
 ./build-asan/tests/core_test
+# Seeded byte mutations of the workload statements: a malformed statement
+# must fail the lexer or parser with a Status (and a plan-cache hit must
+# not read past its template's parameters), never read out of bounds.
+./build-asan/tests/query_lexer_parser_test
 
 # TSan smoke of the concurrency-bearing paths: the thread pool itself, the
 # multi-channel network + windowed mediator, morsel-parallel execution, the

@@ -1,5 +1,6 @@
 #include "obs/resource_tracker.h"
 
+#include <algorithm>
 #include <ctime>
 
 #include "util/string_util.h"
@@ -80,6 +81,25 @@ MemoryTracker* MemoryTracker::GetOrCreateChild(const std::string& name,
   children_.push_back(std::make_unique<MemoryTracker>(
       name, this, soft_limit_bytes, hard_limit_bytes));
   return children_.back().get();
+}
+
+MemoryTracker* MemoryTracker::AddChild(const std::string& name) {
+  std::lock_guard<std::mutex> lock(children_mu_);
+  children_.push_back(std::make_unique<MemoryTracker>(name, this));
+  return children_.back().get();
+}
+
+void MemoryTracker::RemoveChild(MemoryTracker* child) {
+  std::unique_ptr<MemoryTracker> removed;
+  {
+    std::lock_guard<std::mutex> lock(children_mu_);
+    auto it = std::find_if(
+        children_.begin(), children_.end(),
+        [child](const auto& owned) { return owned.get() == child; });
+    if (it == children_.end()) return;
+    removed = std::move(*it);
+    children_.erase(it);
+  }
 }
 
 std::string MemoryTracker::ToJson() const {

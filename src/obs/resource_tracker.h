@@ -13,13 +13,16 @@
 //
 // The charge/release fast path is lock-free: one relaxed fetch_add per
 // tree level plus a CAS-max for the peak. The only mutex guards the child
-// list, which changes when sessions appear — never per charge.
+// list, which changes when a session's first request is dispatched and
+// when its last one completes — never per charge.
 //
-// Ownership: registered children (GetOrCreateChild) are owned by the parent
-// and live as long as it does — the long-lived spine of the tree. Transient
-// nodes (one per executing query) are constructed directly with a parent
-// pointer, never registered, and release any outstanding usage from their
-// ancestors on destruction, so an aborted query cannot leak charges.
+// Ownership: registered children (GetOrCreateChild, AddChild) are owned by
+// the parent and live until it dies or removes them (RemoveChild): the
+// class spine lives as long as the server, a session's node as long as it
+// has a request in flight. Transient nodes (one per executing query) are
+// constructed directly with a parent pointer, never registered, and
+// release any outstanding usage from their ancestors on destruction, so an
+// aborted query cannot leak charges.
 
 #ifndef DRUGTREE_OBS_RESOURCE_TRACKER_H_
 #define DRUGTREE_OBS_RESOURCE_TRACKER_H_
@@ -79,12 +82,21 @@ class MemoryTracker {
   }
 
   /// Returns the registered child with `name`, creating (and owning) it on
-  /// first use. Thread-safe; creation is rare (one per session), lookups
-  /// are a short linear scan under the child mutex — never on the charge
-  /// path.
+  /// first use. Thread-safe; lookups are a linear scan under the child
+  /// mutex, for the few long-lived nodes of the tree's spine — never on the
+  /// charge path.
   MemoryTracker* GetOrCreateChild(const std::string& name,
                                   int64_t soft_limit_bytes = 0,
                                   int64_t hard_limit_bytes = 0);
+
+  /// Creates and owns a child named `name`, without looking for an
+  /// existing one: for callers that index their children themselves.
+  MemoryTracker* AddChild(const std::string& name);
+
+  /// Destroys the registered child `child`, which releases its usage from
+  /// this node and above. Nothing may charge it, or hold a node parented
+  /// into it, any longer.
+  void RemoveChild(MemoryTracker* child);
 
   /// Recursive JSON snapshot of the subtree:
   ///   {"name":"server","used":...,"peak":...,"soft_limit":...,

@@ -97,10 +97,16 @@ ExprPtr Expr::Clone(const ParamBindings* bindings) const {
 
 std::string Expr::ToString() const {
   switch (kind) {
-    case ExprKind::kLiteral:
-      return literal.type() == ValueType::kString
-                 ? "'" + literal.ToString() + "'"
-                 : literal.ToString();
+    case ExprKind::kLiteral: {
+      if (literal.type() != ValueType::kString) return literal.ToString();
+      // Quoted as the lexer reads it back: an embedded quote is doubled.
+      std::string out = "'";
+      for (char c : literal.AsString()) {
+        if (c == '\'') out += '\'';
+        out += c;
+      }
+      return out + "'";
+    }
     case ExprKind::kColumnRef:
       return column;
     case ExprKind::kBinary:

@@ -1,6 +1,7 @@
 #include "query/lexer.h"
 
 #include <cctype>
+#include <charconv>
 #include <string_view>
 
 #include "util/string_util.h"
@@ -38,15 +39,99 @@ bool IsIdentifierStart(char c) {
 
 bool IsIdentifierChar(char c) { return IsIdentifierStart(c) || IsDigit(c); }
 
+bool IsLiteral(TokenKind kind) {
+  return kind == TokenKind::kInteger || kind == TokenKind::kFloat ||
+         kind == TokenKind::kString;
+}
+
+/// Appends the spelling that lexes back to `tok`: a string literal quoted,
+/// with its quotes doubled.
+void AppendSpelling(const Token& tok, std::string* out) {
+  if (tok.kind != TokenKind::kString) {
+    *out += tok.text;
+    return;
+  }
+  out->push_back('\'');
+  for (char c : tok.text) {
+    if (c == '\'') out->push_back('\'');
+    out->push_back(c);
+  }
+  out->push_back('\'');
+}
+
+storage::Value LiteralValue(const Token& tok) {
+  switch (tok.kind) {
+    case TokenKind::kInteger:
+      return storage::Value::Int64(tok.int_value);
+    case TokenKind::kFloat:
+      return storage::Value::Double(tok.float_value);
+    default:
+      return storage::Value::String(tok.text);
+  }
+}
+
 }  // namespace
 
-util::Result<std::vector<Token>> Lex(const std::string& text) {
-  std::vector<Token> tokens;
+std::string LexedStatement::Canonical() const {
+  std::string out;
+  out.reserve(fingerprint.size() + 16);
+  for (const Token& tok : tokens) {
+    if (tok.kind == TokenKind::kEnd) break;
+    if (!out.empty()) out.push_back(' ');
+    AppendSpelling(tok, &out);
+  }
+  return out;
+}
+
+util::Result<LexedStatement> Lex(const std::string& text) {
+  LexedStatement out;
+  std::vector<Token>& tokens = out.tokens;
+  tokens.reserve(text.size() / 4 + 2);
+  out.fingerprint.reserve(text.size() + text.size() / 4);
   size_t i = 0;
   const size_t n = text.size();
   auto error = [&](const std::string& msg) {
     return util::Status::ParseError(
         util::StringPrintf("query position %zu: %s", i, msg.c_str()));
+  };
+  // Literals of the select list and of GROUP BY are shape: an unaliased
+  // select item is named by its text, and a group key's text names its
+  // column and matches it to select items.
+  bool shape_clause = false;
+  bool after_limit = false;
+  // Appends `tok` to the statement, its fingerprint and its parameters.
+  auto emit = [&](Token tok) {
+    if (tok.kind == TokenKind::kKeyword) {
+      if (tokens.empty() && out.explain == ExplainMode::kNone &&
+          tok.text == "EXPLAIN") {
+        out.explain = ExplainMode::kPlan;
+        return;
+      }
+      if (tokens.empty() && out.explain == ExplainMode::kPlan &&
+          tok.text == "ANALYZE") {
+        out.explain = ExplainMode::kAnalyze;
+        return;
+      }
+      if (tok.text == "SELECT" || tok.text == "GROUP") {
+        shape_clause = true;
+      } else if (tok.text == "FROM" || tok.text == "ORDER") {
+        shape_clause = false;
+      }
+    }
+    if (!tokens.empty()) out.fingerprint.push_back(' ');
+    if (IsLiteral(tok.kind) && !shape_clause && !after_limit) {
+      tok.param = static_cast<int>(out.params.size());
+      out.params.push_back(LiteralValue(tok));
+      char digits[16];
+      const auto end = std::to_chars(digits, digits + sizeof(digits),
+                                     tok.param).ptr;
+      out.fingerprint.push_back('?');
+      out.fingerprint.append(digits, end);
+    } else {
+      AppendSpelling(tok, &out.fingerprint);
+    }
+    after_limit = tok.kind == TokenKind::kKeyword && tok.text == "LIMIT";
+    tokens.push_back(std::move(tok));
   };
   while (i < n) {
     char c = text[i];
@@ -65,14 +150,14 @@ util::Result<std::vector<Token>> Lex(const std::string& text) {
         while (i < n && IsIdentifierChar(text[i])) ++i;
         tok.kind = TokenKind::kIdentifier;
         tok.text.assign(text, start, i - start);
-        tokens.push_back(std::move(tok));
+        emit(std::move(tok));
         continue;
       }
       const std::string_view word(text.data() + start, i - start);
       const std::string_view keyword = MatchKeyword(word);
       tok.kind = keyword.empty() ? TokenKind::kIdentifier : TokenKind::kKeyword;
       tok.text = keyword.empty() ? word : keyword;
-      tokens.push_back(std::move(tok));
+      emit(std::move(tok));
       continue;
     }
     if (IsDigit(c)) {
@@ -107,7 +192,7 @@ util::Result<std::vector<Token>> Lex(const std::string& text) {
         tok.int_value = v;
       }
       tok.text = num;
-      tokens.push_back(std::move(tok));
+      emit(std::move(tok));
       continue;
     }
     if (c == '\'') {
@@ -130,7 +215,7 @@ util::Result<std::vector<Token>> Lex(const std::string& text) {
       if (!closed) return error("unterminated string literal");
       tok.kind = TokenKind::kString;
       tok.text = std::move(s);
-      tokens.push_back(std::move(tok));
+      emit(std::move(tok));
       continue;
     }
     // Operators.
@@ -141,14 +226,14 @@ util::Result<std::vector<Token>> Lex(const std::string& text) {
       tok.text = c == '!' ? std::string_view("<>")
                           : std::string_view(text.data() + i, 2);
       i += 2;
-      tokens.push_back(std::move(tok));
+      emit(std::move(tok));
       continue;
     }
     if (std::string_view("=<>+-*/(),.;").find(c) != std::string_view::npos) {
       tok.kind = TokenKind::kOperator;
       tok.text.assign(1, c);
       ++i;
-      tokens.push_back(std::move(tok));
+      emit(std::move(tok));
       continue;
     }
     return error(util::StringPrintf("unexpected character '%c'", c));
@@ -156,8 +241,8 @@ util::Result<std::vector<Token>> Lex(const std::string& text) {
   Token end;
   end.kind = TokenKind::kEnd;
   end.position = n;
-  tokens.push_back(end);
-  return tokens;
+  tokens.push_back(std::move(end));
+  return out;
 }
 
 }  // namespace query

@@ -1,4 +1,15 @@
-// Lexer for the DrugTree query language (a SQL subset with tree predicates).
+// Lexer for the DrugTree query language (a SQL subset with tree predicates),
+// and the one place literals are factored out of a statement.
+//
+// In the pass that tokenizes a statement, Lex also renders its plan-cache
+// fingerprint and collects its parameter literals in token order: every
+// integer, float and string literal becomes the placeholder "?N" (N its
+// ordinal), and the parser tags the literal it builds from that token with
+// N. Some literals are statement shape and stay verbatim: the token after
+// LIMIT, the keywords TRUE, FALSE and NULL, and every literal of the select
+// list and of GROUP BY, whose rendering names output and group columns. A
+// leading EXPLAIN [ANALYZE] is left out of the fingerprint and reported
+// separately, so a statement and its EXPLAIN share one plan.
 
 #ifndef DRUGTREE_QUERY_LEXER_H_
 #define DRUGTREE_QUERY_LEXER_H_
@@ -7,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "storage/value.h"
 #include "util/result.h"
 
 namespace drugtree {
@@ -24,15 +36,46 @@ enum class TokenKind {
 
 struct Token {
   TokenKind kind = TokenKind::kEnd;
-  std::string text;   // keyword/identifier uppercased? identifiers keep case
+  /// Keywords upper-cased, identifiers as written, a string's unescaped
+  /// contents, a number's spelling.
+  std::string text;
   int64_t int_value = 0;
   double float_value = 0.0;
   size_t position = 0;  // byte offset in the input, for error messages
+  /// The parameter ordinal of a literal token ("?N" in the fingerprint);
+  /// -1 for every other token, and for literals that are statement shape.
+  int param = -1;
+};
+
+/// EXPLAIN prefix attached to a statement. kPlan prints the physical plan
+/// without executing; kAnalyze executes and annotates each operator with
+/// rows_out / Next() calls / cumulative time.
+enum class ExplainMode {
+  kNone,
+  kPlan,     // EXPLAIN <select>
+  kAnalyze,  // EXPLAIN ANALYZE <select>
+};
+
+/// One lexed statement.
+struct LexedStatement {
+  ExplainMode explain = ExplainMode::kNone;
+  /// The tokens after the EXPLAIN prefix, ending with a kEnd token.
+  std::vector<Token> tokens;
+  /// The plan-cache key: the tokens' spellings joined by single spaces,
+  /// each parameter literal as "?N". Statements that differ only in
+  /// parameter values (or in case and spacing) share it.
+  std::string fingerprint;
+  /// The parameter literals' values, by ordinal.
+  std::vector<storage::Value> params;
+
+  /// The fingerprint with the literal values in place: the result-cache
+  /// key.
+  std::string Canonical() const;
 };
 
 /// Tokenizes a query string. Keywords are recognized case-insensitively and
 /// reported upper-case; identifiers keep their original case.
-util::Result<std::vector<Token>> Lex(const std::string& text);
+util::Result<LexedStatement> Lex(const std::string& text);
 
 }  // namespace query
 }  // namespace drugtree

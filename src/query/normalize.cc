@@ -2,116 +2,45 @@
 
 #include <utility>
 
-#include "util/string_util.h"
+#include "query/lexer.h"
 
 namespace drugtree {
 namespace query {
 
 namespace {
 
-/// Assigns ordinals to every literal below `expr` (in place, preorder) and
-/// collects the values.
-void TagLiterals(Expr* expr, std::vector<storage::Value>* params) {
+/// True iff `tok` is where the rendering of a literal expression node
+/// lies: a literal token, or TRUE, FALSE or NULL.
+bool RendersLiteral(const Token& tok) {
+  switch (tok.kind) {
+    case TokenKind::kInteger:
+    case TokenKind::kFloat:
+    case TokenKind::kString:
+      return true;
+    case TokenKind::kKeyword:
+      return tok.text == "TRUE" || tok.text == "FALSE" || tok.text == "NULL";
+    default:
+      return false;
+  }
+}
+
+/// Pairs the literal nodes below `expr` (preorder: the ToString order)
+/// with the literal tokens of its rendering, from `*next` on, and tags each
+/// with its token's ordinal.
+void TagLiterals(Expr* expr, const std::vector<Token>& tokens, size_t* next,
+                 std::vector<storage::Value>* params) {
   if (expr == nullptr) return;
   if (expr->kind == ExprKind::kLiteral) {
-    expr->param_index = static_cast<int>(params->size());
-    params->push_back(expr->literal);
+    while (*next < tokens.size() && !RendersLiteral(tokens[*next])) ++*next;
+    expr->param_index = *next < tokens.size() ? tokens[(*next)++].param : -1;
+    if (expr->param_index >= 0) {
+      const auto ordinal = static_cast<size_t>(expr->param_index);
+      if (ordinal >= params->size()) params->resize(ordinal + 1);
+      (*params)[ordinal] = expr->literal;
+    }
     return;
   }
-  for (auto& c : expr->children) TagLiterals(c.get(), params);
-}
-
-/// Appends the Expr::ToString() rendering of `expr` to `out`, except that
-/// tagged literals render as their positional placeholder ("?N", so the
-/// fingerprint reads "p.pre < ?0"). Renders in one pass into one buffer —
-/// this runs on every plan-cache hit, so it must not clone the tree the way
-/// a placeholder-substituted copy would.
-void AppendFingerprint(const Expr* expr, std::string* out) {
-  switch (expr->kind) {
-    case ExprKind::kLiteral:
-      if (expr->param_index >= 0) {
-        *out += "?" + std::to_string(expr->param_index);
-      } else if (expr->literal.type() == storage::ValueType::kString) {
-        *out += "'" + expr->literal.ToString() + "'";
-      } else {
-        *out += expr->literal.ToString();
-      }
-      return;
-    case ExprKind::kColumnRef:
-      *out += expr->column;
-      return;
-    case ExprKind::kBinary:
-      *out += "(";
-      AppendFingerprint(expr->children[0].get(), out);
-      *out += " ";
-      *out += BinaryOpName(expr->bin_op);
-      *out += " ";
-      AppendFingerprint(expr->children[1].get(), out);
-      *out += ")";
-      return;
-    case ExprKind::kUnary:
-      *out += expr->un_op == UnaryOp::kNot ? "(NOT " : "(-";
-      AppendFingerprint(expr->children[0].get(), out);
-      *out += ")";
-      return;
-    case ExprKind::kFunction:
-      *out += expr->function + "(";
-      if (expr->function == "COUNT" && expr->children.empty()) *out += "*";
-      for (size_t i = 0; i < expr->children.size(); ++i) {
-        if (i) *out += ", ";
-        AppendFingerprint(expr->children[i].get(), out);
-      }
-      *out += ")";
-      return;
-  }
-  *out += "?";
-}
-
-/// SelectStatement::ToString() with placeholder literals — the mirror must
-/// stay exact so a fingerprint of a statement with no literals equals its
-/// canonical text.
-std::string RenderFingerprint(const SelectStatement& stmt) {
-  std::string out = stmt.distinct ? "SELECT DISTINCT " : "SELECT ";
-  for (size_t i = 0; i < stmt.select.size(); ++i) {
-    if (i) out += ", ";
-    if (stmt.select[i].star) {
-      out += "*";
-    } else {
-      AppendFingerprint(stmt.select[i].expr.get(), &out);
-      if (!stmt.select[i].alias.empty()) out += " AS " + stmt.select[i].alias;
-    }
-  }
-  out += " FROM ";
-  for (size_t i = 0; i < stmt.tables.size(); ++i) {
-    if (i) out += ", ";
-    out += stmt.tables[i].table;
-    if (stmt.tables[i].alias != stmt.tables[i].table) {
-      out += " " + stmt.tables[i].alias;
-    }
-  }
-  if (stmt.where) {
-    out += " WHERE ";
-    AppendFingerprint(stmt.where.get(), &out);
-  }
-  if (!stmt.group_by.empty()) {
-    out += " GROUP BY ";
-    for (size_t i = 0; i < stmt.group_by.size(); ++i) {
-      if (i) out += ", ";
-      AppendFingerprint(stmt.group_by[i].get(), &out);
-    }
-  }
-  if (!stmt.order_by.empty()) {
-    out += " ORDER BY ";
-    for (size_t i = 0; i < stmt.order_by.size(); ++i) {
-      if (i) out += ", ";
-      AppendFingerprint(stmt.order_by[i].expr.get(), &out);
-      if (!stmt.order_by[i].ascending) out += " DESC";
-    }
-  }
-  if (stmt.limit) {
-    out += util::StringPrintf(" LIMIT %lld", (long long)*stmt.limit);
-  }
-  return out;
+  for (auto& c : expr->children) TagLiterals(c.get(), tokens, next, params);
 }
 
 }  // namespace
@@ -119,16 +48,25 @@ std::string RenderFingerprint(const SelectStatement& stmt) {
 NormalizedStatement NormalizeStatement(SelectStatement* stmt,
                                        bool want_canonical) {
   NormalizedStatement out;
-  // Tag in ToString order so placeholder numbering is reproducible from the
-  // canonical text alone.
+  std::string text = stmt->ToString();
+  // A parsed statement's rendering lexes; should it not, every literal
+  // stays untagged and the fingerprint empty.
+  util::Result<LexedStatement> lexed = Lex(text);
+  const std::vector<Token> none;
+  const std::vector<Token>& tokens = lexed.ok() ? lexed->tokens : none;
+  size_t next = 0;
   for (auto& item : stmt->select) {
-    if (!item.star) TagLiterals(item.expr.get(), &out.params);
+    if (!item.star) TagLiterals(item.expr.get(), tokens, &next, &out.params);
   }
-  TagLiterals(stmt->where.get(), &out.params);
-  for (auto& g : stmt->group_by) TagLiterals(g.get(), &out.params);
-  for (auto& k : stmt->order_by) TagLiterals(k.expr.get(), &out.params);
-  if (want_canonical) out.canonical = stmt->ToString();
-  out.fingerprint = RenderFingerprint(*stmt);
+  TagLiterals(stmt->where.get(), tokens, &next, &out.params);
+  for (auto& g : stmt->group_by) {
+    TagLiterals(g.get(), tokens, &next, &out.params);
+  }
+  for (auto& k : stmt->order_by) {
+    TagLiterals(k.expr.get(), tokens, &next, &out.params);
+  }
+  if (lexed.ok()) out.fingerprint = std::move(lexed->fingerprint);
+  if (want_canonical) out.canonical = std::move(text);
   return out;
 }
 

@@ -1,9 +1,8 @@
-// Statement normalization: the one place literals are factored out of a
-// parsed statement. Every cache key in the engine derives from it — the
-// semantic result cache keys on the canonical text, the plan cache keys on
-// the literal-free structural fingerprint, and parameter re-binding uses
-// the extracted literal vector — so equivalent statements can never
-// disagree between caches.
+// Statement normalization for an already parsed statement. The lexer is
+// where literals are factored out (query/lexer.h): Planner::Run keys its
+// caches on the lexed statement and never calls this. NormalizeStatement
+// remains only for callers that hold a parsed statement and want its
+// fingerprint and literal ordinals, such as perfbench's per-layer ledger.
 
 #ifndef DRUGTREE_QUERY_NORMALIZE_H_
 #define DRUGTREE_QUERY_NORMALIZE_H_
@@ -19,30 +18,25 @@ namespace query {
 
 /// The normalized view of one SELECT statement.
 struct NormalizedStatement {
-  /// Canonical rendering with literal values in place — the result-cache
-  /// key text (identical to SelectStatement::ToString()). Empty when the
-  /// caller asked to skip it.
+  /// The statement's rendering with literal values in place
+  /// (SelectStatement::ToString()). Empty when the caller asked to skip it.
   std::string canonical;
-  /// Structural fingerprint: the same rendering with every literal replaced
-  /// by its positional placeholder ("?0", "?1", ...). Statements differing
-  /// only in literal values share a fingerprint — the plan-cache key.
-  /// LIMIT is not an Expr and stays verbatim.
+  /// The lexer's fingerprint of that rendering: every parameter literal
+  /// replaced by its placeholder ("?0", "?1", ...).
   std::string fingerprint;
-  /// The literal values in placeholder order.
+  /// The statement's parameter literal values, by ordinal.
   std::vector<storage::Value> params;
 };
 
-/// Normalizes `stmt` in place: tags every literal expression node with its
-/// positional parameter ordinal (Expr::param_index) in a fixed traversal
-/// order (select items, WHERE, GROUP BY, ORDER BY — the ToString order),
-/// and returns the canonical text, the fingerprint, and the extracted
-/// parameter vector. Tags survive Clone(), so they flow from the statement
-/// through logical planning into the optimized plan; optimizer-synthesized
-/// literals stay untagged.
+/// Normalizes `stmt` in place: lexes its rendering and tags every literal
+/// expression node with the ordinal of its token there (Expr::param_index;
+/// -1 for shape literals), so ordinals follow the ToString order (select
+/// items, WHERE, GROUP BY, ORDER BY). Returns the rendering, its
+/// fingerprint and the tagged literals' values. Tags survive Clone(), so
+/// they flow from the statement through logical planning into the
+/// optimized plan; optimizer-synthesized literals stay untagged.
 ///
-/// `want_canonical` = false skips the canonical rendering (it is only
-/// needed for result-cache keys; the plan-cache hit path runs hot without
-/// it).
+/// `want_canonical` = false skips keeping the rendering.
 NormalizedStatement NormalizeStatement(SelectStatement* stmt,
                                        bool want_canonical = true);
 

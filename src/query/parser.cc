@@ -14,7 +14,7 @@ namespace {
 
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  explicit Parser(const std::vector<Token>& tokens) : tokens_(tokens) {}
 
   util::Result<SelectStatement> Parse() {
     SelectStatement stmt;
@@ -263,13 +263,13 @@ class Parser {
     switch (t.kind) {
       case TokenKind::kInteger:
         ++pos_;
-        return Expr::Literal(Value::Int64(t.int_value));
+        return Literal(Value::Int64(t.int_value), t);
       case TokenKind::kFloat:
         ++pos_;
-        return Expr::Literal(Value::Double(t.float_value));
+        return Literal(Value::Double(t.float_value), t);
       case TokenKind::kString:
         ++pos_;
-        return Expr::Literal(Value::String(t.text));
+        return Literal(Value::String(t.text), t);
       case TokenKind::kKeyword:
         if (t.text == "TRUE") {
           ++pos_;
@@ -319,6 +319,13 @@ class Parser {
     return Error("unexpected token");
   }
 
+  /// A literal tagged with `token`'s parameter ordinal.
+  static ExprPtr Literal(Value value, const Token& token) {
+    ExprPtr literal = Expr::Literal(std::move(value));
+    literal->param_index = token.param;
+    return literal;
+  }
+
   const Token& Peek() const { return tokens_[pos_]; }
 
   bool PeekKeyword(std::string_view kw) const {
@@ -354,7 +361,7 @@ class Parser {
         "query position %zu: %s", Peek().position, msg.c_str()));
   }
 
-  std::vector<Token> tokens_;
+  const std::vector<Token>& tokens_;
   size_t pos_ = 0;
 };
 
@@ -364,8 +371,13 @@ std::string SelectStatement::ToString() const {
   std::string out = distinct ? "SELECT DISTINCT " : "SELECT ";
   for (size_t i = 0; i < select.size(); ++i) {
     if (i) out += ", ";
-    out += select[i].star ? "*" : select[i].expr->ToString();
-    if (!select[i].star && !select[i].alias.empty()) {
+    if (select[i].star) {
+      out += "*";
+      continue;
+    }
+    const std::string item = select[i].expr->ToString();
+    out += item;
+    if (!select[i].alias.empty() && select[i].alias != item) {
       out += " AS " + select[i].alias;
     }
   }
@@ -395,31 +407,23 @@ std::string SelectStatement::ToString() const {
   return out;
 }
 
+util::Result<SelectStatement> ParseTokens(const std::vector<Token>& tokens) {
+  return Parser(tokens).Parse();
+}
+
 util::Result<SelectStatement> ParseQuery(const std::string& text) {
-  DRUGTREE_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(text));
-  return Parser(std::move(tokens)).Parse();
+  DRUGTREE_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(text));
+  if (stmt.explain != ExplainMode::kNone) {
+    return util::Status::ParseError("query position 0: expected SELECT");
+  }
+  return std::move(stmt.select);
 }
 
 util::Result<Statement> ParseStatement(const std::string& text) {
-  DRUGTREE_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(text));
+  DRUGTREE_ASSIGN_OR_RETURN(LexedStatement lexed, Lex(text));
   Statement stmt;
-  // Peel the optional EXPLAIN [ANALYZE] prefix off the token stream so the
-  // SELECT parser proper never sees it.
-  size_t skip = 0;
-  auto is_kw = [&](size_t i, const char* kw) {
-    return i < tokens.size() && tokens[i].kind == TokenKind::kKeyword &&
-           tokens[i].text == kw;
-  };
-  if (is_kw(0, "EXPLAIN")) {
-    skip = 1;
-    stmt.explain = ExplainMode::kPlan;
-    if (is_kw(1, "ANALYZE")) {
-      skip = 2;
-      stmt.explain = ExplainMode::kAnalyze;
-    }
-  }
-  if (skip > 0) tokens.erase(tokens.begin(), tokens.begin() + skip);
-  DRUGTREE_ASSIGN_OR_RETURN(stmt.select, Parser(std::move(tokens)).Parse());
+  stmt.explain = lexed.explain;
+  DRUGTREE_ASSIGN_OR_RETURN(stmt.select, ParseTokens(lexed.tokens));
   return stmt;
 }
 

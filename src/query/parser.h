@@ -11,6 +11,10 @@
 // Expressions: OR > AND > NOT > comparison > additive > multiplicative >
 // unary > primary; primaries are literals, column refs, function calls,
 // parenthesized exprs, and IS [NOT] NULL postfix.
+//
+// Each literal built from a parameter token carries the token's ordinal
+// (Expr::param_index, lexer.h); BETWEEN's duplicated operand keeps the same
+// ordinals.
 
 #ifndef DRUGTREE_QUERY_PARSER_H_
 #define DRUGTREE_QUERY_PARSER_H_
@@ -20,6 +24,7 @@
 #include <vector>
 
 #include "query/expr.h"
+#include "query/lexer.h"
 #include "util/result.h"
 
 namespace drugtree {
@@ -53,21 +58,16 @@ struct SelectStatement {
   std::vector<OrderKey> order_by;
   std::optional<int64_t> limit;
 
-  /// Canonical text used as the result-cache key.
+  /// A statement text that parses back to this statement (select items
+  /// carry AS only for an alias other than the item's own text).
   std::string ToString() const;
 };
 
 /// Parses one SELECT statement.
 util::Result<SelectStatement> ParseQuery(const std::string& text);
 
-/// EXPLAIN prefix attached to a statement. kPlan prints the physical plan
-/// without executing; kAnalyze executes and annotates each operator with
-/// rows_out / Next() calls / cumulative time.
-enum class ExplainMode {
-  kNone,
-  kPlan,     // EXPLAIN <select>
-  kAnalyze,  // EXPLAIN ANALYZE <select>
-};
+/// Parses the SELECT statement of a lexed statement's tokens.
+util::Result<SelectStatement> ParseTokens(const std::vector<Token>& tokens);
 
 /// A top-level statement: an optional EXPLAIN [ANALYZE] prefix plus a SELECT.
 struct Statement {

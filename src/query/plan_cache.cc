@@ -75,15 +75,28 @@ PlanCache::VersionSignature PlanCache::CaptureVersions(
   return sig;
 }
 
+bool PlanCache::IsCurrent(const VersionSignature& versions,
+                          const Catalog& catalog, uint64_t cost_version) {
+  if (versions.catalog_epoch != catalog.epoch() ||
+      versions.cost_version != cost_version) {
+    return false;
+  }
+  for (const auto& [name, version] : versions.tables) {
+    auto table = catalog.Lookup(name);
+    if ((table.ok() ? (*table)->plan_version() : 0) != version) return false;
+  }
+  return true;
+}
+
 util::Result<PlanCache::Lookup> PlanCache::Choose(
     const Entry& entry, const std::vector<storage::Value>& params,
-    const Binder& bind, const Classifier* classify) {
+    const Binder& bind, const Classifier& classify) {
   std::optional<ParamBindings> bindings;
   std::vector<int> classes;
-  if (classify != nullptr) {
+  if (entry.versions.tables.size() > 1) {
     const LogicalNode& first = *entry.variants[0].plan;
     DRUGTREE_ASSIGN_OR_RETURN(bindings, bind(first));
-    classes = (*classify)(first, *bindings);
+    classes = classify(first, *bindings);
   }
   auto v = std::find_if(
       entry.variants.begin(), entry.variants.end(),
@@ -100,12 +113,13 @@ util::Result<PlanCache::Lookup> PlanCache::Choose(
 }
 
 util::Result<PlanCache::Lookup> PlanCache::Get(
-    const Key& key, const VersionSignature& current,
+    const Key& key, const Catalog& catalog, uint64_t cost_version,
     const std::vector<storage::Value>& params, const Binder& bind,
-    const Classifier* classify) {
+    const Classifier& classify) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
-  if (it != entries_.end() && !(it->second.versions == current)) {
+  if (it != entries_.end() &&
+      !IsCurrent(it->second.versions, catalog, cost_version)) {
     lru_.erase(it->second.lru_it);
     entries_.erase(it);
     it = entries_.end();
@@ -127,7 +141,7 @@ util::Result<PlanCache::Lookup> PlanCache::Get(
 void PlanCache::Install(const Key& key, LogicalPtr plan,
                         std::vector<storage::Value> params,
                         VersionSignature versions, const Binder& bind,
-                        const Classifier* classify) {
+                        const Classifier& classify) {
   Template tmpl;
   tmpl.rebindable = ComputeRebindable(*plan, params.size());
   tmpl.plan = std::move(plan);
@@ -136,14 +150,14 @@ void PlanCache::Install(const Key& key, LogicalPtr plan,
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   const bool fresh = it != entries_.end() && it->second.versions == versions;
-  if (classify != nullptr) {
+  if (versions.tables.size() > 1) {
     // Classify the way Get will: through the entry's first template, so a
     // template that consumed a literal still lands where lookups find it.
     const LogicalNode& first =
         fresh ? *it->second.variants[0].plan : *tmpl.plan;
     util::Result<ParamBindings> bindings = bind(first);
     if (!bindings.ok()) return;
-    tmpl.classes = (*classify)(first, *bindings);
+    tmpl.classes = classify(first, *bindings);
   }
   if (it != entries_.end() && !fresh) {
     // The entry went stale between this planner's Get and Install (or a

@@ -1,23 +1,27 @@
-// Parametric plan cache (Hyrise-style): literals are normalized out of the
-// parsed statement (query/normalize.h), the optimized logical plan is
-// stored as a shared, read-only template keyed by the structural
-// fingerprint and the optimizer's rule flags, and later executions of the
-// same shape reuse the template with their own literals instead of
-// re-running the optimizer. Physical planning substitutes the literals
-// while it copies each expression it lowers (Planner::ToPhysical), so a
-// hit never copies or modifies the template.
+// Parametric plan cache (Hyrise-style): the lexer factors literals out of
+// the statement text (query/lexer.h), the optimized logical plan is stored
+// as a shared, read-only template keyed by the lexer's fingerprint and the
+// optimizer's rule flags, and later executions of the same shape reuse the
+// template with their own literals instead of re-running the optimizer. A
+// hit does not parse: Planner::Run looks the fingerprint up right after
+// lexing, and only a miss parses the tokens it has. Physical planning
+// substitutes the literals while it copies each expression it lowers
+// (Planner::ToPhysical), so a hit never copies or modifies the template.
 //
-// Soundness of re-binding: NormalizeStatement tags every literal with a
-// positional ordinal that survives Clone(). The tree-predicate rewrite
-// keeps SUBTREE/ANCESTOR_OF node literals as parameters: each interval
-// bound it synthesizes carries the node literal's ordinal and its role
-// (pre or post), and binding re-resolves the node (rules.h BindParams).
-// Rewrites that *consume* a literal (constant folding collapses
-// literal-only trees; TRUE-conjunct elimination drops them) leave untagged
-// literals, so a template is re-bindable only when every ordinal appears in
-// the optimized plan. A template that consumed a literal is reused only for
-// identical parameter values: a stale or unusable template can cost a
-// re-plan, never a wrong result.
+// Soundness of re-binding: the parser tags every literal built from a
+// parameter token with that token's ordinal, and the tag survives Clone().
+// One fingerprint is one token sequence up to parameter values, so its
+// ordinals name the same literal positions in every statement that shares
+// it. The tree-predicate rewrite keeps SUBTREE/ANCESTOR_OF node literals
+// as parameters: each interval bound it synthesizes carries the node
+// literal's ordinal and its role (pre or post), and binding re-resolves
+// the node (rules.h BindParams). Rewrites that *consume* a literal
+// (constant folding collapses literal-only trees; TRUE-conjunct
+// elimination drops them) leave untagged literals, so a template is
+// re-bindable only when every ordinal appears in the optimized plan. A
+// template that consumed a literal is reused only for identical parameter
+// values: a stale or unusable template can cost a re-plan, never a wrong
+// result.
 //
 // Parametric variants: a statement over one table has one template, since
 // no plan choice depends on its literals. A multi-scan statement's join
@@ -26,11 +30,13 @@
 // under the statement's literals (rules.h CardinalityClasses): one template
 // per class vector, so a leaf clade and the root keep their own join plans.
 //
-// Invalidation: each entry captures a version signature — the catalog
-// data epoch, each referenced table's plan_version() (mutations, Analyze
-// stats refreshes, index creation, encoded-segment builds/drops; a rebuild
-// that keeps a fresh snapshot bumps nothing), and the cost-calibrator
-// coefficient version. Any bump makes the next lookup evict and re-plan.
+// Invalidation: each entry records its tables and captures a version
+// signature — the catalog data epoch, each table's plan_version()
+// (mutations, Analyze stats refreshes, index creation, encoded-segment
+// builds/drops; a rebuild that keeps a fresh snapshot bumps nothing), and
+// the cost-calibrator coefficient version. A lookup compares the entry's
+// signature against the catalog directly, so it needs no parsed statement,
+// and any bump makes it evict and re-plan.
 //
 // Thread-safe: one cache serves every planner slot of a server, and each
 // DrugTree instance has its own for its direct queries.
@@ -65,7 +71,7 @@ class PlanCache {
   /// A template family: one statement shape planned under one set of
   /// optimizer rules (a naive and an optimized plan never share entries).
   struct Key {
-    std::string fingerprint;  // NormalizedStatement::fingerprint
+    std::string fingerprint;  // LexedStatement::fingerprint
     uint8_t rules = 0;        // RuleFlags(options)
 
     auto operator<=>(const Key&) const = default;
@@ -78,7 +84,8 @@ class PlanCache {
   struct VersionSignature {
     uint64_t catalog_epoch = 0;
     uint64_t cost_version = 0;  // calibrated-coefficient version
-    /// plan_version() of each referenced table, in statement order.
+    /// Each referenced table with its plan_version(), in statement order:
+    /// the tables an entry records.
     std::vector<std::pair<std::string, uint64_t>> tables;
 
     bool operator==(const VersionSignature& o) const {
@@ -102,7 +109,8 @@ class PlanCache {
 
   /// A multi-scan statement's variant key, computed from any template of
   /// its entry (they share their scans and pushed-down predicates) under
-  /// the statement's bound literals: CardinalityClasses.
+  /// the statement's bound literals: CardinalityClasses. The cache calls it
+  /// only for an entry over more than one table.
   using Classifier = std::function<std::vector<int>(const LogicalNode&,
                                                     const ParamBindings&)>;
 
@@ -127,23 +135,25 @@ class PlanCache {
   explicit PlanCache(size_t capacity_entries = 256)
       : capacity_(capacity_entries > 0 ? capacity_entries : 1) {}
 
-  /// Looks up `key`. A stored entry whose signature differs from `current`
-  /// is evicted wholesale (invalidation) — the caller re-plans. On a match,
-  /// `classify` (null for a single-table statement) picks the variant under
-  /// `bind`'s bindings; it is reused when it was planned for `params` or is
-  /// re-bindable to them (same arity and literal types), and the lookup
-  /// misses otherwise. A binding error (an unknown tree node) counts as a
-  /// miss and is returned.
-  util::Result<Lookup> Get(const Key& key, const VersionSignature& current,
+  /// Looks up `key`. A stored entry whose signature no longer matches
+  /// `catalog` and `cost_version` is evicted wholesale (invalidation) — the
+  /// caller re-plans. On a match, `classify` picks a multi-table entry's
+  /// variant under `bind`'s bindings; it is reused when it was planned for
+  /// `params` or is re-bindable to them (same arity and literal types), and
+  /// the lookup misses otherwise. A binding error (an unknown tree node)
+  /// counts as a miss and is returned.
+  util::Result<Lookup> Get(const Key& key, const Catalog& catalog,
+                           uint64_t cost_version,
                            const std::vector<storage::Value>& params,
-                           const Binder& bind, const Classifier* classify);
+                           const Binder& bind, const Classifier& classify);
 
   /// Installs `plan`, freshly optimized for `params` with its ordinal tags
   /// intact, as the variant of its class (replacing the whole entry when
-  /// its signature is stale).
+  /// its signature is stale). `versions` (CaptureVersions, taken before
+  /// planning) names the entry's tables.
   void Install(const Key& key, LogicalPtr plan,
                std::vector<storage::Value> params, VersionSignature versions,
-               const Binder& bind, const Classifier* classify);
+               const Binder& bind, const Classifier& classify);
 
   void Clear();
   size_t size() const;
@@ -172,11 +182,15 @@ class PlanCache {
     std::list<Key>::iterator lru_it;
   };
 
+  /// True iff `versions` still describes `catalog` and `cost_version`.
+  static bool IsCurrent(const VersionSignature& versions,
+                        const Catalog& catalog, uint64_t cost_version);
+
   /// The variant of `entry` that `params` may reuse; a null plan when none.
   static util::Result<Lookup> Choose(const Entry& entry,
                                      const std::vector<storage::Value>& params,
                                      const Binder& bind,
-                                     const Classifier* classify);
+                                     const Classifier& classify);
 
   mutable std::mutex mu_;
   size_t capacity_;

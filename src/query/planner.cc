@@ -6,7 +6,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_context.h"
-#include "query/normalize.h"
+#include "query/lexer.h"
 #include "query/parser.h"
 #include "util/string_util.h"
 
@@ -379,29 +379,21 @@ util::Result<QueryOutcome> Planner::Run(const std::string& sql,
     DRUGTREE_RETURN_IF_ERROR(context->Check());
   }
   obs::TraceContext* trace = obs::TraceContext::Current();
-  DRUGTREE_ASSIGN_OR_RETURN(Statement stmt, [&] {
+  // One pass yields the tokens, the plan-cache fingerprint and the literal
+  // values; a plan-cache hit needs nothing else from the text.
+  DRUGTREE_ASSIGN_OR_RETURN(LexedStatement lexed, [&] {
     obs::TracePhaseScope plan_phase(obs::TracePhase::kPlan);
-    DT_SPAN("query.parse");
-    return ParseStatement(sql);
+    DT_SPAN("query.lex");
+    return Lex(sql);
   }());
   // EXPLAIN [ANALYZE] always runs the full pipeline: a cached result would
   // have no plan to show.
   std::string cache_key;
   const bool use_cache = options.use_result_cache &&
                          result_cache_ != nullptr &&
-                         stmt.explain == ExplainMode::kNone;
-  // Literal normalization: tags every literal in the statement with its
-  // positional ordinal (in place), and yields the canonical text (result
-  // cache key — skipped when unused, it is pure rendering cost on the
-  // plan-cache hit path) plus the structural fingerprint (plan cache key).
-  // Both keys derive from one traversal, so equivalent statements agree by
-  // construction.
-  NormalizedStatement norm = [&] {
-    obs::TracePhaseScope plan_phase(obs::TracePhase::kPlan);
-    return NormalizeStatement(&stmt.select, /*want_canonical=*/use_cache);
-  }();
+                         lexed.explain == ExplainMode::kNone;
   if (use_cache) {
-    cache_key = ResultCache::MakeKey(norm.canonical, catalog_->epoch());
+    cache_key = ResultCache::MakeKey(lexed.Canonical(), catalog_->epoch());
     if (auto cached = result_cache_->Get(cache_key)) {
       if (trace != nullptr) trace->BumpCounter("result_cache_hit");
       QueryOutcome outcome;
@@ -422,34 +414,29 @@ util::Result<QueryOutcome> Planner::Run(const std::string& sql,
     optimizer.costs = &costs;
   }
   QueryOutcome outcome;
-  PlanCache::VersionSignature versions;
   PlanCache::Key key;
   // A cached template re-resolves this statement's tree nodes; a
   // multi-table statement's variant is chosen by its scans' cardinality
   // classes under those bindings.
-  const PlanCache::Binder bind = [this, &norm](const LogicalNode& plan) {
-    return BindParams(plan, norm.params, *catalog_);
+  const PlanCache::Binder bind = [this, &lexed](const LogicalNode& plan) {
+    return BindParams(plan, lexed.params, *catalog_);
   };
-  PlanCache::Classifier classify;
-  if (stmt.select.tables.size() > 1) {
-    classify = [this, &optimizer](const LogicalNode& plan,
-                                  const ParamBindings& bindings) {
-      return CardinalityClasses(plan, bindings, *catalog_, optimizer.costs);
-    };
-  }
-  const PlanCache::Classifier* classifier = classify ? &classify : nullptr;
+  const PlanCache::Classifier classify =
+      [this, &optimizer](const LogicalNode& plan,
+                         const ParamBindings& bindings) {
+        return CardinalityClasses(plan, bindings, *catalog_, optimizer.costs);
+      };
   LogicalPtr optimized;
   // Set when `optimized` was planned for other literals: this statement's.
   std::optional<ParamBindings> params;
   if (plan_cache_ != nullptr) {
     obs::TracePhaseScope plan_phase(obs::TracePhase::kPlan);
     DT_SPAN("query.plan.cache");
-    versions = PlanCache::CaptureVersions(*catalog_, stmt.select,
-                                          costs.version);
-    key = {std::move(norm.fingerprint), PlanCache::RuleFlags(optimizer)};
+    key = {std::move(lexed.fingerprint), PlanCache::RuleFlags(optimizer)};
     DRUGTREE_ASSIGN_OR_RETURN(
         PlanCache::Lookup lookup,
-        plan_cache_->Get(key, versions, norm.params, bind, classifier));
+        plan_cache_->Get(key, *catalog_, costs.version, lexed.params, bind,
+                         classify));
     if (lookup.plan != nullptr) {
       optimized = std::move(lookup.plan);
       params = std::move(lookup.bindings);
@@ -461,17 +448,26 @@ util::Result<QueryOutcome> Planner::Run(const std::string& sql,
     }
   }
   if (optimized == nullptr) {
+    // A miss: parse the tokens, whose literals carry their ordinals.
+    DRUGTREE_ASSIGN_OR_RETURN(SelectStatement stmt, [&] {
+      obs::TracePhaseScope plan_phase(obs::TracePhase::kPlan);
+      DT_SPAN("query.parse");
+      return ParseTokens(lexed.tokens);
+    }());
+    PlanCache::VersionSignature versions;
+    if (plan_cache_ != nullptr) {
+      versions = PlanCache::CaptureVersions(*catalog_, stmt, costs.version);
+    }
     DRUGTREE_ASSIGN_OR_RETURN(optimized, [&] {
       obs::TracePhaseScope plan_phase(obs::TracePhase::kPlan);
       DT_SPAN("query.optimize");
-      util::Result<LogicalPtr> logical =
-          BuildLogicalPlan(stmt.select, *catalog_);
+      util::Result<LogicalPtr> logical = BuildLogicalPlan(stmt, *catalog_);
       if (!logical.ok()) return logical;
       return OptimizeLogicalPlan(*logical, *catalog_, optimizer);
     }());
     if (plan_cache_ != nullptr) {
-      plan_cache_->Install(key, optimized, norm.params, versions, bind,
-                           classifier);
+      plan_cache_->Install(key, optimized, lexed.params, std::move(versions),
+                           bind, classify);
     }
   }
   const ParamBindings* bindings = params ? &*params : nullptr;
@@ -482,7 +478,7 @@ util::Result<QueryOutcome> Planner::Run(const std::string& sql,
   }());
   // Plan texts are rendered for EXPLAIN [ANALYZE] only; other statements
   // leave them empty.
-  if (stmt.explain != ExplainMode::kNone) {
+  if (lexed.explain != ExplainMode::kNone) {
     outcome.logical_plan = optimized->ToString(0, bindings);
     outcome.physical_plan = physical->ExplainString();
     if (outcome.from_plan_cache) {
@@ -491,7 +487,7 @@ util::Result<QueryOutcome> Planner::Run(const std::string& sql,
       outcome.physical_plan = "plan: cached\n" + outcome.physical_plan;
     }
   }
-  if (stmt.explain == ExplainMode::kPlan) {
+  if (lexed.explain == ExplainMode::kPlan) {
     // Plan-only: the plan texts are the result.
     return outcome;
   }
@@ -499,7 +495,7 @@ util::Result<QueryOutcome> Planner::Run(const std::string& sql,
   // opted in by the serving layer so slow-query forensics has the plan of
   // an offender without re-running it.
   const bool analyze =
-      stmt.explain == ExplainMode::kAnalyze ||
+      lexed.explain == ExplainMode::kAnalyze ||
       (context != nullptr && context->collect_analyze);
   if (analyze) {
     physical->EnableAnalyze(obs::Tracer::Default()->clock());

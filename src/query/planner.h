@@ -1,9 +1,10 @@
-// Planner: the query engine's front door. Parses, optimizes, physically
-// plans, and executes statements, with every optimization independently
-// toggleable (the E1/E2 ablation axes) and an optional semantic result
-// cache in front of the whole pipeline. Physical planning lowers each
-// logical scan's column list (projection pruning, rules.h) into the scan
-// and index-join operators, which copy only the listed columns.
+// Planner: the query engine's front door. Lexes, optimizes (or reuses a
+// cached plan), physically plans, and executes statements, with every
+// optimization independently toggleable (the E1/E2 ablation axes) and an
+// optional semantic result cache in front of the whole pipeline. Physical
+// planning lowers each logical scan's column list (projection pruning,
+// rules.h) into the scan and index-join operators, which copy only the
+// listed columns.
 
 #ifndef DRUGTREE_QUERY_PLANNER_H_
 #define DRUGTREE_QUERY_PLANNER_H_
@@ -91,7 +92,9 @@ class Planner {
         plan_cache_(plan_cache),
         calibrator_(calibrator) {}
 
-  /// Parses + optimizes + plans + executes one statement. A leading
+  /// Lexes + optimizes + plans + executes one statement. A plan-cache hit
+  /// is looked up by the lexer's fingerprint and does not parse; only a
+  /// miss parses the tokens and optimizes. A leading
   /// EXPLAIN prefix skips execution and returns only the plan text; a
   /// leading EXPLAIN ANALYZE executes with per-operator instrumentation
   /// and fills QueryOutcome::analyzed_plan (both bypass the result cache).

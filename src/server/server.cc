@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <optional>
 #include <utility>
 
 #include "obs/trace.h"
@@ -524,14 +525,24 @@ void DrugTreeServer::DispatchLocked() {
     if (dispatch_log_enabled_) {
       dispatch_log_.push_back(next->request.session_id);
     }
+    const auto cls = static_cast<size_t>(next->request.query_class);
+    const uint64_t session_id = next->request.session_id;
+    SessionNode& session = sessions_[cls][session_id];
+    if (session.in_flight++ == 0) {
+      session.tracker = class_trackers_[cls]->AddChild(util::StringPrintf(
+          "session-%llu", (unsigned long long)session_id));
+    }
     // std::function requires a copyable callable; box the moved request.
     auto boxed = std::make_shared<PendingRequest>(std::move(*next));
-    pool_->Submit([this, boxed, slot] { Execute(std::move(*boxed), slot); });
+    pool_->Submit([this, boxed, slot, tracker = session.tracker] {
+      Execute(std::move(*boxed), slot, tracker);
+    });
   }
   free_slots_gauge_->Set(static_cast<int64_t>(free_slots_.size()));
 }
 
-void DrugTreeServer::Execute(PendingRequest req, int slot) {
+void DrugTreeServer::Execute(PendingRequest req, int slot,
+                             obs::MemoryTracker* session) {
   QueryClass cls = req.request.query_class;
   ClassMetrics& m = metrics_[static_cast<size_t>(cls)];
   int64_t deadline = req.request.deadline_micros;
@@ -542,16 +553,14 @@ void DrugTreeServer::Execute(PendingRequest req, int slot) {
   // Per-query tracker: stack-local, parented into the session node so every
   // charge propagates session -> class -> server. Its hard limit is the
   // per-query budget; its peak is stamped into the trace. Destroyed after
-  // the trace is filed, releasing anything the engine left charged.
-  obs::MemoryTracker* session_tracker =
-      class_trackers_[static_cast<size_t>(cls)]->GetOrCreateChild(
-          util::StringPrintf("session-%llu",
-                             (unsigned long long)req.request.session_id));
-  obs::MemoryTracker query_tracker(
+  // the response completes, releasing anything the engine left charged,
+  // and before its session node may be retired.
+  std::optional<obs::MemoryTracker> query_tracker;
+  query_tracker.emplace(
       util::StringPrintf(
           "query-%llu", (unsigned long long)next_query_id_.fetch_add(
                             1, std::memory_order_relaxed)),
-      session_tracker, /*soft_limit_bytes=*/0,
+      session, /*soft_limit_bytes=*/0,
       static_cast<int64_t>(options_.query_memory_bytes));
   int64_t cpu_micros = 0;
   {
@@ -583,7 +592,7 @@ void DrugTreeServer::Execute(PendingRequest req, int slot) {
         context.clock = clock_;
         context.deadline_micros = deadline;
         context.cancel = &req.response->cancel_;
-        context.memory = &query_tracker;
+        context.memory = &*query_tracker;
         // Slow-query forensics wants the offender's analyzed plan, and we
         // only know a query was slow after it ran — so collect whenever the
         // slow log is armed.
@@ -631,7 +640,7 @@ void DrugTreeServer::Execute(PendingRequest req, int slot) {
     // after that would make timelines nondeterministic.
     trace->AddPhaseInterval(obs::TracePhase::kSerialize, end,
                             clock_->NowMicros());
-    trace->set_peak_memory_bytes(query_tracker.peak());
+    trace->set_peak_memory_bytes(query_tracker->peak());
     trace->set_cpu_micros(cpu_micros);
     std::string status = result.ok() ? "ok"
                          : result.status().IsResourceExhausted()
@@ -645,8 +654,16 @@ void DrugTreeServer::Execute(PendingRequest req, int slot) {
   // wake and advance a simulated clock, so timelines stay bit-deterministic.
   TelemetryTick();
   Complete(req.response, std::move(result));
+  query_tracker.reset();
   {
     std::lock_guard<std::mutex> lock(mu_);
+    auto& sessions = sessions_[static_cast<size_t>(cls)];
+    auto it = sessions.find(req.request.session_id);
+    if (--it->second.in_flight == 0) {
+      class_trackers_[static_cast<size_t>(cls)]->RemoveChild(
+          it->second.tracker);
+      sessions.erase(it);
+    }
     scheduler_.OnComplete(cls);
     free_slots_.push_back(slot);
     DispatchLocked();

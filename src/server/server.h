@@ -312,9 +312,10 @@ class DrugTreeServer {
   /// nothing runnable. Caller holds mu_.
   void DispatchLocked();
 
-  /// Runs one request on a pool worker using the slot's planner, then
-  /// completes its response state and releases the slot.
-  void Execute(PendingRequest req, int slot);
+  /// Runs one request on a pool worker using the slot's planner, charging
+  /// its memory under `session` (its session's node), then completes its
+  /// response state and releases the slot.
+  void Execute(PendingRequest req, int slot, obs::MemoryTracker* session);
 
   /// Completes a response state (own mutex; safe without mu_).
   static void Complete(const std::shared_ptr<ResponseState>& state,
@@ -326,12 +327,21 @@ class DrugTreeServer {
   obs::TraceStore trace_store_;
   std::atomic<uint64_t> next_trace_id_{1};
   std::atomic<uint64_t> next_query_id_{1};
-  /// Root of the tracker hierarchy; class nodes are owned children. Session
-  /// nodes are created lazily under their class node; per-query trackers
-  /// are stack-local in Execute() and parent into the session node, so the
-  /// tree only holds long-lived nodes.
+  /// Root of the tracker hierarchy; class nodes are owned children. A
+  /// session's node lives under its class node while the session has a
+  /// request in flight: it is created when the first one is dispatched and
+  /// removed when the last one completes. Per-query trackers are
+  /// stack-local in Execute() and parent into the session node.
   obs::MemoryTracker memory_root_;
   std::array<obs::MemoryTracker*, kNumQueryClasses> class_trackers_{};
+  /// A session's node and its dispatched, not yet completed requests.
+  struct SessionNode {
+    obs::MemoryTracker* tracker = nullptr;
+    int in_flight = 0;
+  };
+  /// Per class, by session id. Guarded by mu_.
+  std::array<std::unordered_map<uint64_t, SessionNode>, kNumQueryClasses>
+      sessions_;
   int64_t resident_table_bytes_ = 0;
   std::array<std::unique_ptr<obs::SloTracker>, kNumQueryClasses> slo_;
   std::unique_ptr<query::ResultCache> result_cache_;

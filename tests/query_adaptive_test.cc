@@ -20,6 +20,8 @@
 #include "core/workload.h"
 #include "obs/cost_calibrator.h"
 #include "obs/explain.h"
+#include "obs/metrics.h"
+#include "query/lexer.h"
 #include "query/normalize.h"
 #include "query/parser.h"
 #include "query/plan_cache.h"
@@ -239,6 +241,38 @@ TEST_F(AdaptiveTest, PlanCacheHitsAndRebindsWithIdenticalResults) {
     EXPECT_NE(bound_plan->physical_plan.find("[columns: "), std::string::npos)
         << bound_plan->physical_plan;
   }
+}
+
+// A hit is looked up by the lexer's fingerprint and parses nothing: only
+// the miss bumps the query.parse span, and every statement lexes once. The
+// cache counts exactly one hit or miss per Run.
+TEST_F(AdaptiveTest, PlanCacheHitParsesNothing) {
+  obs::Counter* parses =
+      obs::MetricRegistry::Default()->GetCounter("span.query.parse.count");
+  obs::Counter* lexes =
+      obs::MetricRegistry::Default()->GetCounter("span.query.lex.count");
+  PlanCache cache;
+  Planner cached(dt_->catalog(), nullptr, &cache);
+  const Clades clades = PickClades(*dt_);
+  const std::string first = dt_->OverlayQuerySql(clades.mid);
+  const std::string second = dt_->OverlayQuerySql(clades.leaf_parent);
+
+  const int64_t parses0 = parses->Value();
+  const int64_t lexes0 = lexes->Value();
+  auto miss = cached.Run(first, PlannerOptions());
+  ASSERT_TRUE(miss.ok()) << miss.status();
+  EXPECT_FALSE(miss->from_plan_cache);
+  EXPECT_EQ(parses->Value(), parses0 + 1);
+
+  for (const std::string& sql : {first, second, "EXPLAIN " + second}) {
+    auto hit = cached.Run(sql, PlannerOptions());
+    ASSERT_TRUE(hit.ok()) << hit.status();
+    EXPECT_TRUE(hit->from_plan_cache) << sql;
+  }
+  EXPECT_EQ(parses->Value(), parses0 + 1);
+  EXPECT_EQ(lexes->Value(), lexes0 + 4);
+  EXPECT_EQ(cache.stats().hits + cache.stats().misses, 4);
+  EXPECT_EQ(cache.stats().misses, 1);
 }
 
 // A naive plan and an optimized plan of one statement are different
@@ -604,11 +638,11 @@ TEST_F(AdaptiveTest, SharedTemplatesAreNeverBound) {
 
   for (const Shape& shape : shapes) {
     for (const std::string& sql : shape.sqls) {
-      auto stmt = ParseStatement(sql);
-      ASSERT_TRUE(stmt.ok()) << stmt.status();
-      NormalizedStatement norm = NormalizeStatement(&stmt->select);
+      // The key Planner::Run looks up: the lexer's fingerprint and literals.
+      auto lexed = Lex(sql);
+      ASSERT_TRUE(lexed.ok()) << lexed.status();
       const PlanCache::Binder bind = [&](const LogicalNode& plan) {
-        return BindParams(plan, norm.params, *dt_->catalog());
+        return BindParams(plan, lexed->params, *dt_->catalog());
       };
       const PlanCache::Classifier classify =
           [&](const LogicalNode& plan, const ParamBindings& bindings) {
@@ -616,11 +650,9 @@ TEST_F(AdaptiveTest, SharedTemplatesAreNeverBound) {
                                       nullptr);
           };
       auto lookup = cache.Get(
-          {norm.fingerprint, PlanCache::RuleFlags(OptimizerOptions())},
-          PlanCache::CaptureVersions(*dt_->catalog(), stmt->select,
-                                     obs::CalibratedCosts().version),
-          norm.params, bind,
-          stmt->select.tables.size() > 1 ? &classify : nullptr);
+          {lexed->fingerprint, PlanCache::RuleFlags(OptimizerOptions())},
+          *dt_->catalog(), obs::CalibratedCosts().version, lexed->params,
+          bind, classify);
       ASSERT_TRUE(lookup.ok()) << lookup.status();
       ASSERT_NE(lookup->plan, nullptr) << sql;
       EXPECT_TRUE(Unbound(*lookup->plan)) << sql;

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -24,7 +25,10 @@
 #include "obs/resource_tracker.h"
 #include "phylo/newick.h"
 #include "query/executor.h"
+#include "query/lexer.h"
+#include "query/parser.h"
 #include "query/physical.h"
+#include "query/plan_cache.h"
 #include "query/planner.h"
 #include "storage/column_vector.h"
 
@@ -394,6 +398,19 @@ TEST_F(EquivTest, OrderByLimitIsAPrefixOfTheFullSort) {
   }
 }
 
+/// perfbench's small instance: the golden and workload statements run on
+/// it.
+util::Result<std::unique_ptr<core::DrugTree>> BuildSmallInstance(
+    util::SimulatedClock* clock) {
+  core::BuildOptions options;
+  options.seed = 42;
+  options.num_families = 6;
+  options.taxa_per_family = 24;
+  options.num_ligands = 300;
+  options.activities_per_protein = 6.0;
+  return core::DrugTree::Build(options, clock);
+}
+
 // Plan stability: the EXPLAIN logical and physical plans of the corpus and
 // of the workload statements (every query kind at a root, mid and small
 // clade, on the benchmark's small instance) under the optimized and the
@@ -420,13 +437,7 @@ TEST_F(EquivTest, PlansMatchGoldens) {
   }
 
   util::SimulatedClock clock;
-  core::BuildOptions options;
-  options.seed = 42;
-  options.num_families = 6;
-  options.taxa_per_family = 24;
-  options.num_ligands = 300;
-  options.activities_per_protein = 6.0;
-  auto dt = core::DrugTree::Build(options, &clock);
+  auto dt = BuildSmallInstance(&clock);
   ASSERT_TRUE(dt.ok()) << dt.status();
   const Clades clades = PickClades(**dt);
   std::vector<std::string> sqls;
@@ -466,6 +477,181 @@ TEST_F(EquivTest, PlansMatchGoldens) {
     EXPECT_EQ(golden.str(), actual)
         << "plans differ from " << golden_path << "; the new plans are in "
         << actual_path;
+  }
+}
+
+// ------------------------------------------------ lexer / parser agreement
+
+/// Appends every literal node below `expr`.
+void CollectLiterals(const Expr* expr, std::vector<const Expr*>* out) {
+  if (expr == nullptr) return;
+  if (expr->kind == ExprKind::kLiteral) out->push_back(expr);
+  for (const auto& c : expr->children) CollectLiterals(c.get(), out);
+}
+
+/// The lexer's parameters equal, by ordinal, in value and in type, the
+/// literals the parser tagged, and every ordinal is tagged.
+void ExpectLexerAgreesWithParser(const std::string& sql) {
+  auto lexed = Lex(sql);
+  ASSERT_TRUE(lexed.ok()) << sql << ": " << lexed.status();
+  auto stmt = ParseTokens(lexed->tokens);
+  ASSERT_TRUE(stmt.ok()) << sql << ": " << stmt.status();
+  std::vector<const Expr*> literals;
+  for (const auto& item : stmt->select) CollectLiterals(item.expr.get(), &literals);
+  CollectLiterals(stmt->where.get(), &literals);
+  for (const auto& g : stmt->group_by) CollectLiterals(g.get(), &literals);
+  for (const auto& k : stmt->order_by) CollectLiterals(k.expr.get(), &literals);
+  std::vector<bool> tagged(lexed->params.size(), false);
+  for (const Expr* literal : literals) {
+    if (literal->param_index < 0) continue;
+    const auto ordinal = static_cast<size_t>(literal->param_index);
+    ASSERT_LT(ordinal, lexed->params.size()) << sql;
+    const Value& param = lexed->params[ordinal];
+    EXPECT_EQ(param.type(), literal->literal.type()) << sql << " ?" << ordinal;
+    EXPECT_TRUE(param == literal->literal) << sql << " ?" << ordinal;
+    tagged[ordinal] = true;
+  }
+  EXPECT_EQ(std::count(tagged.begin(), tagged.end(), true),
+            static_cast<std::ptrdiff_t>(tagged.size()))
+      << sql;
+}
+
+/// Runs `sql` twice through `cached` (the second run must hit) and checks
+/// the hit's rows and EXPLAIN text against `fresh`, a cacheless planner.
+void ExpectHitMatchesCacheless(const std::string& sql, Planner* cached,
+                               Planner* fresh) {
+  auto first = cached->Run(sql, PlannerOptions());
+  ASSERT_TRUE(first.ok()) << sql << ": " << first.status();
+  auto hit = cached->Run(sql, PlannerOptions());
+  ASSERT_TRUE(hit.ok()) << sql << ": " << hit.status();
+  EXPECT_TRUE(hit->from_plan_cache) << sql;
+  auto want = fresh->Run(sql, PlannerOptions());
+  ASSERT_TRUE(want.ok()) << sql << ": " << want.status();
+  ASSERT_EQ(want->result.columns, hit->result.columns) << sql;
+  EXPECT_EQ(want->result.rows, hit->result.rows) << sql;
+  auto explained = cached->Run("EXPLAIN " + sql, PlannerOptions());
+  auto want_explained = fresh->Run("EXPLAIN " + sql, PlannerOptions());
+  ASSERT_TRUE(explained.ok() && want_explained.ok()) << sql;
+  EXPECT_EQ(explained->logical_plan, want_explained->logical_plan) << sql;
+  EXPECT_EQ(explained->physical_plan,
+            "plan: cached\n" + want_explained->physical_plan)
+      << sql;
+}
+
+// Every corpus and golden statement, and each workload query kind (and the
+// served overlay) at every node of the small instance: the lexer and the
+// parser agree on the parameters, and a plan-cache hit, which skips the
+// parser, returns what a cacheless planner does.
+TEST_F(EquivTest, LexerAndParserAgreeOnEveryStatement) {
+  {
+    PlanCache cache;
+    Planner cached(&catalog_, nullptr, &cache);
+    for (const char* sql : kCorpus) {
+      ExpectLexerAgreesWithParser(sql);
+      ExpectHitMatchesCacheless(sql, &cached, planner_.get());
+    }
+  }
+  util::SimulatedClock clock;
+  auto dt = BuildSmallInstance(&clock);
+  ASSERT_TRUE(dt.ok()) << dt.status();
+  const phylo::Tree& tree = (*dt)->tree();
+  std::vector<std::string> sqls;
+  std::set<std::string> seen;
+  for (phylo::NodeId node = 0; node < static_cast<phylo::NodeId>(tree.NumNodes());
+       ++node) {
+    for (core::QueryKind kind :
+         {core::QueryKind::kSubtreeProteins, core::QueryKind::kSubtreeOverlay,
+          core::QueryKind::kScreeningJoin, core::QueryKind::kFamilyAggregate,
+          core::QueryKind::kAncestorPath}) {
+      std::string sql =
+          core::MakeQuerySql(kind, node, tree, core::WorkloadParams());
+      if (seen.insert(sql).second) sqls.push_back(std::move(sql));
+    }
+    std::string overlay = (*dt)->OverlayQuerySql(node);
+    if (seen.insert(overlay).second) sqls.push_back(std::move(overlay));
+  }
+  PlanCache cache;
+  Planner cached((*dt)->catalog(), nullptr, &cache);
+  Planner fresh((*dt)->catalog());
+  for (const std::string& sql : sqls) {
+    ExpectLexerAgreesWithParser(sql);
+    ExpectHitMatchesCacheless(sql, &cached, &fresh);
+  }
+}
+
+// Statement pairs that differ in shape get their own fingerprints; pairs
+// that differ only in literal values (or their types) or in the EXPLAIN
+// prefix share one. Either way each statement, run right after its
+// partner on one cache, returns the naive plan's rows (or its error).
+TEST_F(EquivTest, ShapePairsKeepTheirOwnPlans) {
+  struct Pair {
+    const char* a;
+    const char* b;
+    bool share;  // one fingerprint
+  };
+  const Pair pairs[] = {
+      {"SELECT n.k FROM nums n ORDER BY n.k, n.v LIMIT 5",
+       "SELECT n.k FROM nums n ORDER BY n.k, n.v LIMIT 6", false},
+      {"SELECT n.k FROM nums n WHERE n.g IS NULL",
+       "SELECT n.k FROM nums n WHERE n.g = NULL", false},
+      {"SELECT n.k FROM nums n WHERE TRUE",
+       "SELECT n.k FROM nums n WHERE FALSE", false},
+      {"SELECT n.k FROM nums n WHERE n.v > -5.0",
+       "SELECT n.k FROM nums n WHERE n.v > 5.0", false},
+      {"SELECT n.k, n.v FROM nums n ORDER BY n.v ASC",
+       "SELECT n.k, n.v FROM nums n ORDER BY n.v DESC", false},
+      // An unaliased select item is named by its text; a group key's text
+      // must match its select item.
+      {"SELECT n.k + 1 FROM nums n", "SELECT n.k + 2 FROM nums n", false},
+      {"SELECT n.k + 1 AS x, COUNT(*) AS c FROM nums n GROUP BY n.k + 1",
+       "SELECT n.k + 1 AS x, COUNT(*) AS c FROM nums n GROUP BY n.k + 2",
+       false},
+      {"SELECT p.acc, a.aff FROM proteins p JOIN activities a "
+       "ON p.acc = a.acc",
+       "SELECT p.acc, a.aff FROM proteins p, activities a "
+       "WHERE p.acc = a.acc",
+       false},
+      // One position as an int, a float and a string.
+      {"SELECT n.k FROM nums n WHERE n.k = 3",
+       "SELECT n.k FROM nums n WHERE n.k = 3.0", true},
+      {"SELECT n.k FROM nums n WHERE n.k = 3.0",
+       "SELECT n.k FROM nums n WHERE n.s = 's3'", false},
+      {"SELECT n.s FROM nums n WHERE n.s = 's3'",
+       "SELECT n.s FROM nums n WHERE n.s = 3", true},
+      {"SELECT n.k FROM nums n WHERE n.v > 2.5 ORDER BY n.k",
+       "SELECT n.k FROM nums n WHERE n.v > 7.5 ORDER BY n.k", true},
+      {"SELECT p.acc FROM proteins p WHERE SUBTREE(p.node_id, 'x') "
+       "ORDER BY p.acc",
+       "EXPLAIN SELECT p.acc FROM proteins p WHERE SUBTREE(p.node_id, 'y') "
+       "ORDER BY p.acc",
+       true},
+  };
+  for (const Pair& pair : pairs) {
+    auto la = Lex(pair.a);
+    auto lb = Lex(pair.b);
+    ASSERT_TRUE(la.ok() && lb.ok()) << pair.a;
+    EXPECT_EQ(la->fingerprint == lb->fingerprint, pair.share)
+        << pair.a << " | " << pair.b;
+    for (bool a_first : {true, false}) {
+      PlanCache cache;
+      Planner cached(&catalog_, nullptr, &cache);
+      for (const char* sql : {a_first ? pair.a : pair.b,
+                              a_first ? pair.b : pair.a}) {
+        auto got = cached.Run(sql, PlannerOptions());
+        if (Lex(sql)->explain != ExplainMode::kNone) {
+          ASSERT_TRUE(got.ok()) << sql << ": " << got.status();
+          continue;
+        }
+        auto want = planner_->Run(sql, PlannerOptions::Naive());
+        ASSERT_EQ(got.ok(), want.ok()) << sql;
+        if (!want.ok()) {
+          EXPECT_EQ(got.status().ToString(), want.status().ToString()) << sql;
+          continue;
+        }
+        ExpectIdentical(Canonical(want->result, sql),
+                        Canonical(got->result, sql), sql);
+      }
+    }
   }
 }
 

@@ -598,6 +598,50 @@ TEST_F(ServerTest, PeakMemoryAndSloNumbersAreDeterministicOnVirtualClock) {
   EXPECT_EQ(first.analytic.burn_rate, second.analytic.burn_rate);
 }
 
+/// How many tracker nodes named `name` the server's tracker tree holds.
+size_t CountTrackers(DrugTreeServer& server, const std::string& name) {
+  const std::string json = server.memory_tracker()->ToJson();
+  const std::string key = "\"name\":\"" + name + "\"";
+  size_t count = 0;
+  for (size_t at = json.find(key); at != std::string::npos;
+       at = json.find(key, at + key.size())) {
+    ++count;
+  }
+  return count;
+}
+
+// A session's tracker node lives while the session has a request in
+// flight: sessions served one after another leave none behind.
+TEST_F(ServerTest, SessionTrackersRetireWithTheirLastRequest) {
+  auto server = dt_->MakeServer();
+  for (uint64_t session = 1; session <= 2000; ++session) {
+    ASSERT_TRUE(server->Submit(Interactive(session, CheapSql())).ok());
+  }
+  server->Drain();
+  EXPECT_EQ(CountTrackers(*server, "interactive"), 1u);
+  EXPECT_EQ(server->memory_tracker()->ToJson().find("session-"),
+            std::string::npos)
+      << server->memory_tracker()->ToJson();
+}
+
+// Two in-flight requests of one session share its node until both
+// complete. Each request sleeps before planning (a RealClock fault delay),
+// and the second is submitted halfway through the first's sleep.
+TEST_F(ServerTest, InFlightRequestsOfOneSessionShareItsTrackerNode) {
+  constexpr int64_t kDelayMicros = 400'000;
+  auto server = dt_->MakeServer(ServerOptions(), util::RealClock::Instance());
+  server->set_fault_execution_delay_micros(kDelayMicros);
+  ResponseHandle first = server->SubmitAsync(Interactive(7, CheapSql()));
+  util::RealClock::Instance()->AdvanceMicros(kDelayMicros / 2);
+  ResponseHandle second = server->SubmitAsync(Interactive(7, CheapSql()));
+  EXPECT_EQ(CountTrackers(*server, "session-7"), 1u);
+  ASSERT_TRUE(first.Wait().ok());
+  EXPECT_EQ(CountTrackers(*server, "session-7"), 1u);
+  ASSERT_TRUE(second.Wait().ok());
+  server->Drain();
+  EXPECT_EQ(CountTrackers(*server, "session-7"), 0u);
+}
+
 TEST_F(ServerTest, StatuszExposesTrackersSlosAndOccupancy) {
   auto server = dt_->MakeServer();
   ASSERT_TRUE(server->Submit(Interactive(1, CheapSql())).ok());
