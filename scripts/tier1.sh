@@ -14,7 +14,7 @@ cmake --build build-asan -j "$(nproc)" \
   --target obs_test obs_telemetry_test query_equiv_test query_exec_test \
            storage_encoding_test query_adaptive_test query_index_join_test \
            query_plan_test core_test storage_table_test \
-           query_lexer_parser_test
+           query_lexer_parser_test server_test query_parallel_test
 ./build-asan/tests/obs_test
 ./build-asan/tests/obs_telemetry_test
 ./build-asan/tests/query_equiv_test
@@ -34,6 +34,12 @@ cmake --build build-asan -j "$(nproc)" \
 # must fail the lexer or parser with a Status (and a plan-cache hit must
 # not read past its template's parameters), never read out of bounds.
 ./build-asan/tests/query_lexer_parser_test
+# Planners keep the physical plans they lower and re-run them: a kept plan
+# that still pointed at a finished request's context or memory tracker, or
+# at a worker pool a parallelism change replaced, is a use-after-free that
+# only this lane reports (TSan runs both binaries too, for races).
+./build-asan/tests/server_test
+./build-asan/tests/query_parallel_test
 
 # TSan smoke of the concurrency-bearing paths: the thread pool itself, the
 # multi-channel network + windowed mediator, morsel-parallel execution, the

@@ -59,7 +59,9 @@ util::Result<QueryResult> ExecutePlan(PhysicalOperator* root,
                                       const QueryContext* context,
                                       size_t /*batch_size*/) {
   DT_SPAN("query.execute");
-  if (context != nullptr) root->SetQueryContext(context);
+  // Null detaches: a plan that ran before must not keep its last run's
+  // context.
+  root->SetQueryContext(context);
   DRUGTREE_RETURN_IF_ERROR(root->Open());
   QueryResult result;
   for (const auto& c : root->schema().columns()) {

@@ -1,4 +1,7 @@
-// Query results and the pull-to-completion executor.
+// Query results and the pull-to-completion executor. ExecutePlan runs a
+// plan once; a plan kept for more runs (planner.h) gets each run's context
+// attached here, null included, and its caller ends each run with
+// PhysicalOperator::Release().
 
 #ifndef DRUGTREE_QUERY_EXECUTOR_H_
 #define DRUGTREE_QUERY_EXECUTOR_H_
@@ -25,10 +28,11 @@ struct QueryResult {
   std::string ToString(size_t max_rows = 50) const;
 };
 
-/// Opens `root` and drains it into a QueryResult. A non-null `context`
-/// attaches deadline/cancellation enforcement to the whole operator tree:
-/// execution aborts with kCancelled at the next operator checkpoint once
-/// the deadline passes or the cancel flag is set. The third parameter is
+/// Opens `root` and drains it into a QueryResult. `context` is attached to
+/// the whole operator tree (null detaches a previous run's): a non-null one
+/// enforces its deadline and cancellation, so execution aborts with
+/// kCancelled at the next operator checkpoint once the deadline passes or
+/// the cancel flag is set, and charges its memory tracker. The third parameter is
 /// ignored: it is the batch size of the removed vectorized engine, still
 /// declared only because the perfbench harness passes it (drop it once
 /// perfbench no longer does).

@@ -1,6 +1,5 @@
 #include "query/lexer.h"
 
-#include <cctype>
 #include <charconv>
 #include <string_view>
 
@@ -11,8 +10,8 @@ namespace query {
 
 namespace {
 
-/// The upper-case spelling of `word` when it is a reserved keyword (matched
-/// case-insensitively), else empty.
+/// The upper-case spelling of `word`, an identifier's characters, when it
+/// is a reserved keyword (matched case-insensitively), else empty.
 std::string_view MatchKeyword(std::string_view word) {
   static constexpr std::string_view kKeywords[] = {
       "SELECT", "FROM",  "WHERE", "AND",   "OR",    "NOT",     "JOIN",
@@ -21,16 +20,20 @@ std::string_view MatchKeyword(std::string_view word) {
       "BETWEEN", "EXPLAIN", "ANALYZE",
   };
   for (std::string_view keyword : kKeywords) {
-    if (keyword.size() == word.size() &&
-        util::EqualsIgnoreCase(keyword, word)) {
-      return keyword;
-    }
+    if (keyword.size() != word.size()) continue;
+    // Clearing bit 5 upper-cases a letter; it maps no digit or underscore
+    // onto a letter.
+    size_t i = 0;
+    while (i < word.size() && (word[i] & ~0x20) == keyword[i]) ++i;
+    if (i == word.size()) return keyword;
   }
   return {};
 }
 
 // ASCII classification, as <cctype> does in the "C" locale the engine runs
 // in, without a library call per character.
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
 bool IsDigit(char c) { return c >= '0' && c <= '9'; }
 
 bool IsIdentifierStart(char c) {
@@ -66,25 +69,14 @@ storage::Value LiteralValue(const Token& tok) {
     case TokenKind::kFloat:
       return storage::Value::Double(tok.float_value);
     default:
-      return storage::Value::String(tok.text);
+      return storage::Value::String(std::string(tok.text));
   }
 }
 
-}  // namespace
-
-std::string LexedStatement::Canonical() const {
-  std::string out;
-  out.reserve(fingerprint.size() + 16);
-  for (const Token& tok : tokens) {
-    if (tok.kind == TokenKind::kEnd) break;
-    if (!out.empty()) out.push_back(' ');
-    AppendSpelling(tok, &out);
-  }
-  return out;
-}
-
-util::Result<LexedStatement> Lex(const std::string& text) {
-  LexedStatement out;
+/// Lexes `text` into `out`, whose `owned` list (if any) already holds the
+/// text when the statement owns it.
+util::Result<LexedStatement> LexInto(std::string_view text,
+                                     LexedStatement out) {
   std::vector<Token>& tokens = out.tokens;
   tokens.reserve(text.size() / 4 + 2);
   out.fingerprint.reserve(text.size() + text.size() / 4);
@@ -100,7 +92,7 @@ util::Result<LexedStatement> Lex(const std::string& text) {
   bool shape_clause = false;
   bool after_limit = false;
   // Appends `tok` to the statement, its fingerprint and its parameters.
-  auto emit = [&](Token tok) {
+  auto emit = [&](Token& tok) {
     if (tok.kind == TokenKind::kKeyword) {
       if (tokens.empty() && out.explain == ExplainMode::kNone &&
           tok.text == "EXPLAIN") {
@@ -131,16 +123,16 @@ util::Result<LexedStatement> Lex(const std::string& text) {
       AppendSpelling(tok, &out.fingerprint);
     }
     after_limit = tok.kind == TokenKind::kKeyword && tok.text == "LIMIT";
-    tokens.push_back(std::move(tok));
+    tokens.push_back(tok);
   };
   while (i < n) {
     char c = text[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (IsSpace(c)) {
       ++i;
       continue;
     }
     Token tok;
-    tok.position = i;
+    tok.position = static_cast<uint32_t>(i);
     if (IsIdentifierStart(c)) {
       size_t start = i;
       while (i < n && IsIdentifierChar(text[i])) ++i;
@@ -149,15 +141,15 @@ util::Result<LexedStatement> Lex(const std::string& text) {
         ++i;
         while (i < n && IsIdentifierChar(text[i])) ++i;
         tok.kind = TokenKind::kIdentifier;
-        tok.text.assign(text, start, i - start);
-        emit(std::move(tok));
+        tok.text = text.substr(start, i - start);
+        emit(tok);
         continue;
       }
-      const std::string_view word(text.data() + start, i - start);
+      const std::string_view word = text.substr(start, i - start);
       const std::string_view keyword = MatchKeyword(word);
       tok.kind = keyword.empty() ? TokenKind::kIdentifier : TokenKind::kKeyword;
       tok.text = keyword.empty() ? word : keyword;
-      emit(std::move(tok));
+      emit(tok);
       continue;
     }
     if (IsDigit(c)) {
@@ -181,7 +173,7 @@ util::Result<LexedStatement> Lex(const std::string& text) {
           i = save;
         }
       }
-      const std::string_view num(text.data() + start, i - start);
+      const std::string_view num = text.substr(start, i - start);
       if (is_float) {
         DRUGTREE_ASSIGN_OR_RETURN(double v, util::ParseDouble(num));
         tok.kind = TokenKind::kFloat;
@@ -192,30 +184,42 @@ util::Result<LexedStatement> Lex(const std::string& text) {
         tok.int_value = v;
       }
       tok.text = num;
-      emit(std::move(tok));
+      emit(tok);
       continue;
     }
     if (c == '\'') {
-      ++i;
-      std::string s;
+      const size_t start = ++i;
+      bool doubled = false;
       bool closed = false;
       while (i < n) {
         if (text[i] == '\'') {
           if (i + 1 < n && text[i + 1] == '\'') {
-            s += '\'';
+            doubled = true;
             i += 2;
             continue;
           }
-          ++i;
           closed = true;
           break;
         }
-        s += text[i++];
+        ++i;
       }
       if (!closed) return error("unterminated string literal");
       tok.kind = TokenKind::kString;
-      tok.text = std::move(s);
-      emit(std::move(tok));
+      tok.text = text.substr(start, i++ - start);
+      if (doubled) {
+        // The contents differ from the spelling: keep them beside it.
+        std::string unescaped;
+        for (size_t k = 0; k < tok.text.size(); ++k) {
+          unescaped.push_back(tok.text[k]);
+          if (tok.text[k] == '\'') ++k;
+        }
+        if (out.owned == nullptr) {
+          out.owned = std::make_shared<std::forward_list<std::string>>();
+        }
+        out.owned->push_front(std::move(unescaped));
+        tok.text = out.owned->front();
+      }
+      emit(tok);
       continue;
     }
     // Operators.
@@ -223,26 +227,49 @@ util::Result<LexedStatement> Lex(const std::string& text) {
     if ((c == '<' && (next == '>' || next == '=')) ||
         ((c == '>' || c == '!') && next == '=')) {
       tok.kind = TokenKind::kOperator;
-      tok.text = c == '!' ? std::string_view("<>")
-                          : std::string_view(text.data() + i, 2);
+      tok.text = c == '!' ? std::string_view("<>") : text.substr(i, 2);
       i += 2;
-      emit(std::move(tok));
+      emit(tok);
       continue;
     }
     if (std::string_view("=<>+-*/(),.;").find(c) != std::string_view::npos) {
       tok.kind = TokenKind::kOperator;
-      tok.text.assign(1, c);
-      ++i;
-      emit(std::move(tok));
+      tok.text = text.substr(i++, 1);
+      emit(tok);
       continue;
     }
     return error(util::StringPrintf("unexpected character '%c'", c));
   }
   Token end;
   end.kind = TokenKind::kEnd;
-  end.position = n;
-  tokens.push_back(std::move(end));
+  end.position = static_cast<uint32_t>(n);
+  tokens.push_back(end);
   return out;
+}
+
+}  // namespace
+
+std::string LexedStatement::Canonical() const {
+  std::string out;
+  out.reserve(fingerprint.size() + 16);
+  for (const Token& tok : tokens) {
+    if (tok.kind == TokenKind::kEnd) break;
+    if (!out.empty()) out.push_back(' ');
+    AppendSpelling(tok, &out);
+  }
+  return out;
+}
+
+util::Result<LexedStatement> Lex(const std::string& text) {
+  return LexInto(text, LexedStatement());
+}
+
+util::Result<LexedStatement> Lex(std::string&& text) {
+  LexedStatement out;
+  out.owned = std::make_shared<std::forward_list<std::string>>();
+  out.owned->push_front(std::move(text));
+  const std::string_view owned = out.owned->front();
+  return LexInto(owned, std::move(out));
 }
 
 }  // namespace query

@@ -15,7 +15,10 @@
 #define DRUGTREE_QUERY_LEXER_H_
 
 #include <cstdint>
+#include <forward_list>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "storage/value.h"
@@ -24,7 +27,7 @@
 namespace drugtree {
 namespace query {
 
-enum class TokenKind {
+enum class TokenKind : uint8_t {
   kKeyword,     // SELECT, FROM, WHERE, ... (uppercased)
   kIdentifier,  // table/column names; may contain one '.' qualifier
   kString,      // 'literal'
@@ -34,17 +37,22 @@ enum class TokenKind {
   kEnd,
 };
 
+/// One token. Its text is a view, not a copy: into the statement text for
+/// identifiers, numbers, operators and most strings, into static storage
+/// for keywords (upper-cased) and `!=` (read as `<>`), and into its
+/// LexedStatement for a string whose quotes were doubled. The statement
+/// text must outlive the tokens (see Lex).
 struct Token {
-  TokenKind kind = TokenKind::kEnd;
   /// Keywords upper-cased, identifiers as written, a string's unescaped
   /// contents, a number's spelling.
-  std::string text;
+  std::string_view text;
   int64_t int_value = 0;
   double float_value = 0.0;
-  size_t position = 0;  // byte offset in the input, for error messages
+  uint32_t position = 0;  // byte offset in the input, for error messages
   /// The parameter ordinal of a literal token ("?N" in the fingerprint);
   /// -1 for every other token, and for literals that are statement shape.
   int param = -1;
+  TokenKind kind = TokenKind::kEnd;
 };
 
 /// EXPLAIN prefix attached to a statement. kPlan prints the physical plan
@@ -67,6 +75,11 @@ struct LexedStatement {
   std::string fingerprint;
   /// The parameter literals' values, by ordinal.
   std::vector<storage::Value> params;
+  /// Text the tokens view besides the caller's string: the statement when
+  /// Lex took ownership of it, and the unescaped contents of strings with
+  /// doubled quotes. Null when there is none; list nodes never move, so
+  /// the views survive moving or copying the statement.
+  std::shared_ptr<std::forward_list<std::string>> owned;
 
   /// The fingerprint with the literal values in place: the result-cache
   /// key.
@@ -74,8 +87,14 @@ struct LexedStatement {
 };
 
 /// Tokenizes a query string. Keywords are recognized case-insensitively and
-/// reported upper-case; identifiers keep their original case.
+/// reported upper-case; identifiers keep their original case. The tokens
+/// view `text`, which must outlive them; a lex allocates only its token
+/// vector, the fingerprint and the parameter values.
 util::Result<LexedStatement> Lex(const std::string& text);
+
+/// Lexes a temporary statement: the LexedStatement keeps the text alive
+/// for its tokens.
+util::Result<LexedStatement> Lex(std::string&& text);
 
 }  // namespace query
 }  // namespace drugtree

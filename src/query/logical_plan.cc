@@ -1,5 +1,6 @@
 #include "query/logical_plan.h"
 
+#include <algorithm>
 #include <numeric>
 #include <set>
 
@@ -325,14 +326,10 @@ util::Result<LogicalPtr> BuildLogicalPlan(const SelectStatement& stmt,
         }
         aggs.push_back({item.expr->Clone(), item.alias});
       } else {
-        // Must be (syntactically) one of the group keys.
-        bool matches = false;
-        for (const auto& g : stmt.group_by) {
-          if (g->ToString() == item.expr->ToString()) {
-            matches = true;
-            break;
-          }
-        }
+        // Must be one of the group keys, tree for tree.
+        const bool matches = std::any_of(
+            stmt.group_by.begin(), stmt.group_by.end(),
+            [&item](const ExprPtr& g) { return g->SameTree(*item.expr); });
         if (!matches) {
           return util::Status::InvalidArgument(
               "non-aggregate select item not in GROUP BY: " +

@@ -48,6 +48,8 @@ void TagLiterals(Expr* expr, const std::vector<Token>& tokens, size_t* next,
 NormalizedStatement NormalizeStatement(SelectStatement* stmt,
                                        bool want_canonical) {
   NormalizedStatement out;
+  // The tokens view the rendering: it stays here, unmoved, until the last
+  // token is read.
   std::string text = stmt->ToString();
   // A parsed statement's rendering lexes; should it not, every literal
   // stays untagged and the fingerprint empty.

@@ -269,7 +269,7 @@ class Parser {
         return Literal(Value::Double(t.float_value), t);
       case TokenKind::kString:
         ++pos_;
-        return Literal(Value::String(t.text), t);
+        return Literal(Value::String(std::string(t.text)), t);
       case TokenKind::kKeyword:
         if (t.text == "TRUE") {
           ++pos_;
@@ -283,9 +283,9 @@ class Parser {
           ++pos_;
           return Expr::Literal(Value::Null());
         }
-        return Error("unexpected keyword " + t.text);
+        return Error("unexpected keyword " + std::string(t.text));
       case TokenKind::kIdentifier: {
-        std::string name = t.text;
+        std::string name(t.text);
         ++pos_;
         if (PeekOperator("(")) {
           ++pos_;
@@ -312,7 +312,7 @@ class Parser {
           if (!ConsumeOperator(")")) return Error("expected ')'");
           return e;
         }
-        return Error("unexpected operator " + t.text);
+        return Error("unexpected operator " + std::string(t.text));
       case TokenKind::kEnd:
         return Error("unexpected end of query");
     }
@@ -351,14 +351,16 @@ class Parser {
   util::Status ExpectKeyword(std::string_view kw) {
     if (!ConsumeKeyword(kw)) {
       return util::Status::ParseError(util::StringPrintf(
-          "query position %zu: expected %.*s", Peek().position,
+          "query position %zu: expected %.*s",
+          static_cast<size_t>(Peek().position),
           static_cast<int>(kw.size()), kw.data()));
     }
     return util::Status::OK();
   }
   util::Status Error(const std::string& msg) const {
     return util::Status::ParseError(util::StringPrintf(
-        "query position %zu: %s", Peek().position, msg.c_str()));
+        "query position %zu: %s", static_cast<size_t>(Peek().position),
+        msg.c_str()));
   }
 
   const std::vector<Token>& tokens_;

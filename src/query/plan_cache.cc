@@ -88,38 +88,54 @@ bool PlanCache::IsCurrent(const VersionSignature& versions,
   return true;
 }
 
+std::vector<int> PlanCache::Classify(Entry* entry, const LogicalNode& plan,
+                                     const ParamBindings& bindings,
+                                     const Catalog& catalog,
+                                     const obs::CalibratedCosts& costs) {
+  if (entry->classifier == nullptr) {
+    entry->classifier =
+        std::make_unique<ScanClassifier>(plan, catalog, &costs);
+  }
+  return entry->classifier->Classify(bindings);
+}
+
 util::Result<PlanCache::Lookup> PlanCache::Choose(
-    const Entry& entry, const std::vector<storage::Value>& params,
-    const Binder& bind, const Classifier& classify) {
+    Entry* entry, const std::vector<storage::Value>& params,
+    const Binder& bind, const Catalog& catalog,
+    const obs::CalibratedCosts& costs) {
+  Lookup lookup;
   std::optional<ParamBindings> bindings;
-  std::vector<int> classes;
-  if (entry.versions.tables.size() > 1) {
-    const LogicalNode& first = *entry.variants[0].plan;
+  if (entry->versions.tables.size() > 1) {
+    const LogicalNode& first = *entry->variants[0].plan;
     DRUGTREE_ASSIGN_OR_RETURN(bindings, bind(first));
-    classes = classify(first, *bindings);
+    lookup.classes = Classify(entry, first, *bindings, catalog, costs);
   }
   auto v = std::find_if(
-      entry.variants.begin(), entry.variants.end(),
-      [&classes](const Template& t) { return t.classes == classes; });
-  if (v == entry.variants.end()) return Lookup{};
-  if (SameParams(v->params, params)) return Lookup{v->plan, std::nullopt};
+      entry->variants.begin(), entry->variants.end(),
+      [&lookup](const Template& t) { return t.classes == lookup.classes; });
+  if (v == entry->variants.end()) return lookup;
+  if (SameParams(v->params, params)) {
+    lookup.plan = v->plan;
+    return lookup;
+  }
   // The template consumed a literal (or the literal types changed):
   // reusing it could return wrong results, so re-plan.
-  if (!v->rebindable || !SameTypes(v->params, params)) return Lookup{};
+  if (!v->rebindable || !SameTypes(v->params, params)) return lookup;
   if (!bindings) {
     DRUGTREE_ASSIGN_OR_RETURN(bindings, bind(*v->plan));
   }
-  return Lookup{v->plan, std::move(bindings)};
+  lookup.plan = v->plan;
+  lookup.bindings = std::move(bindings);
+  return lookup;
 }
 
 util::Result<PlanCache::Lookup> PlanCache::Get(
-    const Key& key, const Catalog& catalog, uint64_t cost_version,
-    const std::vector<storage::Value>& params, const Binder& bind,
-    const Classifier& classify) {
+    const Key& key, const Catalog& catalog, const obs::CalibratedCosts& costs,
+    const std::vector<storage::Value>& params, const Binder& bind) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   if (it != entries_.end() &&
-      !IsCurrent(it->second.versions, catalog, cost_version)) {
+      !IsCurrent(it->second.versions, catalog, costs.version)) {
     lru_.erase(it->second.lru_it);
     entries_.erase(it);
     it = entries_.end();
@@ -127,7 +143,7 @@ util::Result<PlanCache::Lookup> PlanCache::Get(
   }
   util::Result<Lookup> lookup =
       it == entries_.end() ? Lookup{}
-                           : Choose(it->second, params, bind, classify);
+                           : Choose(&it->second, params, bind, catalog, costs);
   if (!lookup.ok() || lookup->plan == nullptr) {
     ++stats_.misses;
     return lookup;
@@ -141,7 +157,8 @@ util::Result<PlanCache::Lookup> PlanCache::Get(
 void PlanCache::Install(const Key& key, LogicalPtr plan,
                         std::vector<storage::Value> params,
                         VersionSignature versions, const Binder& bind,
-                        const Classifier& classify) {
+                        const Catalog& catalog,
+                        const obs::CalibratedCosts& costs) {
   Template tmpl;
   tmpl.rebindable = ComputeRebindable(*plan, params.size());
   tmpl.plan = std::move(plan);
@@ -150,6 +167,9 @@ void PlanCache::Install(const Key& key, LogicalPtr plan,
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   const bool fresh = it != entries_.end() && it->second.versions == versions;
+  // A fresh entry's classifier, or one this install builds for the entry.
+  Entry scratch;
+  Entry* classifying = fresh ? &it->second : &scratch;
   if (versions.tables.size() > 1) {
     // Classify the way Get will: through the entry's first template, so a
     // template that consumed a literal still lands where lookups find it.
@@ -157,19 +177,21 @@ void PlanCache::Install(const Key& key, LogicalPtr plan,
         fresh ? *it->second.variants[0].plan : *tmpl.plan;
     util::Result<ParamBindings> bindings = bind(first);
     if (!bindings.ok()) return;
-    tmpl.classes = classify(first, *bindings);
+    tmpl.classes = Classify(classifying, first, *bindings, catalog, costs);
   }
   if (it != entries_.end() && !fresh) {
     // The entry went stale between this planner's Get and Install (or a
     // concurrent slot raced a catalog bump): start its variants over under
     // the fresh signature.
     it->second.variants.clear();
+    it->second.classifier = std::move(scratch.classifier);
     it->second.versions = std::move(versions);
   }
   if (it == entries_.end()) {
     lru_.push_front(key);
     Entry entry;
     entry.versions = std::move(versions);
+    entry.classifier = std::move(scratch.classifier);
     entry.lru_it = lru_.begin();
     it = entries_.emplace(key, std::move(entry)).first;
     while (entries_.size() > capacity_) {

@@ -4,9 +4,11 @@
 // optimizer's rule flags, and later executions of the same shape reuse the
 // template with their own literals instead of re-running the optimizer. A
 // hit does not parse: Planner::Run looks the fingerprint up right after
-// lexing, and only a miss parses the tokens it has. Physical planning
-// substitutes the literals while it copies each expression it lowers
-// (Planner::ToPhysical), so a hit never copies or modifies the template.
+// lexing, and only a miss parses the tokens it has. Each planner lowers a
+// template to a physical plan once and keeps it, keyed by the template's
+// identity (planner.h): a hit assigns the statement's literals to that
+// plan's literal copies and runs it, so a hit never copies or modifies the
+// template.
 //
 // Soundness of re-binding: the parser tags every literal built from a
 // parameter token with that token's ordinal, and the tag survives Clone().
@@ -27,8 +29,10 @@
 // no plan choice depends on its literals. A multi-scan statement's join
 // order and join methods follow each scan's estimated rows, so its
 // templates are keyed by each scan's cardinality class ceil(log2 rows)
-// under the statement's literals (rules.h CardinalityClasses): one template
+// under the statement's literals (rules.h ScanClassifier): one template
 // per class vector, so a leaf clade and the root keep their own join plans.
+// Each entry builds its classifier once and classifies under the cache's
+// mutex.
 //
 // Invalidation: each entry records its tables and captures a version
 // signature — the catalog data epoch, each table's plan_version()
@@ -56,6 +60,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/cost_calibrator.h"
 #include "query/catalog.h"
 #include "query/logical_plan.h"
 #include "query/parser.h"
@@ -107,13 +112,6 @@ class PlanCache {
   using Binder =
       std::function<util::Result<ParamBindings>(const LogicalNode&)>;
 
-  /// A multi-scan statement's variant key, computed from any template of
-  /// its entry (they share their scans and pushed-down predicates) under
-  /// the statement's bound literals: CardinalityClasses. The cache calls it
-  /// only for an entry over more than one table.
-  using Classifier = std::function<std::vector<int>(const LogicalNode&,
-                                                    const ParamBindings&)>;
-
   struct Stats {
     int64_t hits = 0;           // template reused
     int64_t rebinds = 0;        // subset of hits: planned for other literals
@@ -130,22 +128,26 @@ class PlanCache {
     /// Set when `plan` was planned for other literals: the statement's own,
     /// bound for it.
     std::optional<ParamBindings> bindings;
+    /// A multi-table statement's cardinality classes, hit or miss (empty
+    /// for one table, or when the entry was missing or stale).
+    std::vector<int> classes;
   };
 
   explicit PlanCache(size_t capacity_entries = 256)
       : capacity_(capacity_entries > 0 ? capacity_entries : 1) {}
 
   /// Looks up `key`. A stored entry whose signature no longer matches
-  /// `catalog` and `cost_version` is evicted wholesale (invalidation) — the
-  /// caller re-plans. On a match, `classify` picks a multi-table entry's
-  /// variant under `bind`'s bindings; it is reused when it was planned for
-  /// `params` or is re-bindable to them (same arity and literal types), and
-  /// the lookup misses otherwise. A binding error (an unknown tree node)
-  /// counts as a miss and is returned.
+  /// `catalog` and `costs` is evicted wholesale (invalidation) — the caller
+  /// re-plans. On a match, a multi-table entry's variant is picked by the
+  /// cardinality classes of the statement under `bind`'s bindings (priced
+  /// with `costs`); it is reused when it was planned for `params` or is
+  /// re-bindable to them (same arity and literal types), and the lookup
+  /// misses otherwise. A binding error (an unknown tree node) counts as a
+  /// miss and is returned.
   util::Result<Lookup> Get(const Key& key, const Catalog& catalog,
-                           uint64_t cost_version,
+                           const obs::CalibratedCosts& costs,
                            const std::vector<storage::Value>& params,
-                           const Binder& bind, const Classifier& classify);
+                           const Binder& bind);
 
   /// Installs `plan`, freshly optimized for `params` with its ordinal tags
   /// intact, as the variant of its class (replacing the whole entry when
@@ -153,7 +155,8 @@ class PlanCache {
   /// planning) names the entry's tables.
   void Install(const Key& key, LogicalPtr plan,
                std::vector<storage::Value> params, VersionSignature versions,
-               const Binder& bind, const Classifier& classify);
+               const Binder& bind, const Catalog& catalog,
+               const obs::CalibratedCosts& costs);
 
   void Clear();
   size_t size() const;
@@ -179,6 +182,10 @@ class PlanCache {
   struct Entry {
     VersionSignature versions;       // shared: any bump evicts every variant
     std::vector<Template> variants;  // oldest first, one per class
+    /// A multi-table entry's classifier, built from its first template by
+    /// the first lookup or install that classifies; valid while `versions`
+    /// holds, and dropped with the variants when they start over.
+    std::unique_ptr<ScanClassifier> classifier;
     std::list<Key>::iterator lru_it;
   };
 
@@ -186,11 +193,19 @@ class PlanCache {
   static bool IsCurrent(const VersionSignature& versions,
                         const Catalog& catalog, uint64_t cost_version);
 
+  /// The classes of `plan`'s statement under `bindings`, through `entry`'s
+  /// classifier (built from `plan` if it has none).
+  static std::vector<int> Classify(Entry* entry, const LogicalNode& plan,
+                                   const ParamBindings& bindings,
+                                   const Catalog& catalog,
+                                   const obs::CalibratedCosts& costs);
+
   /// The variant of `entry` that `params` may reuse; a null plan when none.
-  static util::Result<Lookup> Choose(const Entry& entry,
+  static util::Result<Lookup> Choose(Entry* entry,
                                      const std::vector<storage::Value>& params,
                                      const Binder& bind,
-                                     const Classifier& classify);
+                                     const Catalog& catalog,
+                                     const obs::CalibratedCosts& costs);
 
   mutable std::mutex mu_;
   size_t capacity_;

@@ -472,26 +472,44 @@ util::Result<ParamBindings> BindParams(const LogicalNode& plan,
   return bindings;
 }
 
-std::vector<int> CardinalityClasses(const LogicalNode& plan,
-                                    const ParamBindings& bindings,
-                                    const Catalog& catalog,
-                                    const obs::CalibratedCosts* costs) {
+namespace {
+
+/// `plan`'s scans, sorted by alias.
+std::vector<const LogicalNode*> ScansByAlias(const LogicalNode& plan) {
   std::vector<const LogicalNode*> scans;
   CollectScans(plan, &scans);
   std::sort(scans.begin(), scans.end(),
             [](const LogicalNode* a, const LogicalNode* b) {
               return a->alias < b->alias;
             });
+  return scans;
+}
+
+std::map<std::string, std::string> AliasTables(const LogicalNode& plan) {
   std::map<std::string, std::string> alias_to_table;
-  for (const LogicalNode* s : scans) alias_to_table[s->alias] = s->table;
-  CostModel cost(&catalog, alias_to_table, costs);
+  for (const LogicalNode* s : ScansByAlias(plan)) {
+    alias_to_table[s->alias] = s->table;
+  }
+  return alias_to_table;
+}
+
+}  // namespace
+
+ScanClassifier::ScanClassifier(const LogicalNode& plan, const Catalog& catalog,
+                               const obs::CalibratedCosts* costs)
+    : cost_(&catalog, AliasTables(plan), costs) {
+  for (const LogicalNode* s : ScansByAlias(plan)) {
+    scans_.push_back({s->alias, SplitConjuncts(s->scan_predicate)});
+  }
+}
+
+std::vector<int> ScanClassifier::Classify(
+    const ParamBindings& bindings) const {
   std::vector<int> classes;
-  classes.reserve(scans.size());
-  for (const LogicalNode* s : scans) {
-    ExprPtr pred =
-        s->scan_predicate ? s->scan_predicate->Clone(&bindings) : nullptr;
-    classes.push_back(static_cast<int>(
-        std::ceil(std::log2(cost.EstimateScanRows(s->alias, pred)))));
+  classes.reserve(scans_.size());
+  for (const Scan& s : scans_) {
+    classes.push_back(static_cast<int>(std::ceil(std::log2(
+        cost_.EstimateScanRows(s.alias, s.conjuncts, &bindings)))));
   }
   return classes;
 }

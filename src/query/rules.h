@@ -14,6 +14,7 @@
 
 #include "obs/cost_calibrator.h"
 #include "query/catalog.h"
+#include "query/cost_model.h"
 #include "query/expr.h"
 #include "query/logical_plan.h"
 #include "util/result.h"
@@ -83,16 +84,31 @@ util::Result<ParamBindings> BindParams(const LogicalNode& plan,
                                        std::span<const storage::Value> params,
                                        const Catalog& catalog);
 
-/// The cardinality class ceil(log2 rows) of each scan of `plan` under
-/// `bindings` (BindParams of `plan`), in alias order. The rows are
-/// CostModel::EstimateScanRows over the scan's bound pushed-down predicate
-/// (an exact count for a clade), which is what join order and join methods
-/// are chosen from, so the plan cache keeps one multi-scan plan per class
-/// vector.
-std::vector<int> CardinalityClasses(const LogicalNode& plan,
-                                    const ParamBindings& bindings,
-                                    const Catalog& catalog,
-                                    const obs::CalibratedCosts* costs);
+/// Classifies a multi-scan plan's statements: the cardinality class
+/// ceil(log2 rows) of each scan, in alias order, under a statement's
+/// bindings (BindParams). The rows are CostModel::EstimateScanRows over the
+/// scan's bound pushed-down predicate (an exact count for a clade), which
+/// is what join order and join methods are chosen from, so the plan cache
+/// keeps one multi-scan plan per class vector. Built once per plan-cache
+/// entry: it resolves the scans' tables and splits their predicates once,
+/// and Classify() reads tagged literals through the bindings, so it builds
+/// no alias map and copies no expression. It holds table pointers and
+/// cost coefficients, valid while the entry's version signature holds.
+class ScanClassifier {
+ public:
+  ScanClassifier(const LogicalNode& plan, const Catalog& catalog,
+                 const obs::CalibratedCosts* costs);
+
+  std::vector<int> Classify(const ParamBindings& bindings) const;
+
+ private:
+  struct Scan {
+    std::string alias;
+    std::vector<ExprPtr> conjuncts;  // shared with the plan
+  };
+  std::vector<Scan> scans_;  // alias order
+  CostModel cost_;
+};
 
 }  // namespace query
 }  // namespace drugtree

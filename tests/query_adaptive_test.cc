@@ -9,7 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -21,6 +25,8 @@
 #include "obs/cost_calibrator.h"
 #include "obs/explain.h"
 #include "obs/metrics.h"
+#include "obs/resource_tracker.h"
+#include "query/cost_model.h"
 #include "query/lexer.h"
 #include "query/normalize.h"
 #include "query/parser.h"
@@ -93,6 +99,84 @@ class AdaptiveTest : public ::testing::Test {
 
 util::SimulatedClock* AdaptiveTest::clock_ = nullptr;
 core::DrugTree* AdaptiveTest::dt_ = nullptr;
+
+/// perfbench's small instance (286 nodes), with `activities_per_protein`.
+std::unique_ptr<core::DrugTree> BuildSmallInstance(
+    util::Clock* clock, double activities_per_protein = 6.0) {
+  core::BuildOptions bo;
+  bo.seed = 42;
+  bo.num_families = 6;
+  bo.taxa_per_family = 24;
+  bo.num_ligands = 300;
+  bo.activities_per_protein = activities_per_protein;
+  auto built = core::DrugTree::Build(bo, clock);
+  EXPECT_TRUE(built.ok()) << built.status();
+  return built.ok() ? std::move(*built) : nullptr;
+}
+
+/// Every workload statement at every node: the served overlay, the
+/// workload overlay, the subtree proteins, the screening join and the
+/// family aggregate at each internal node, and the ancestor path at each
+/// leaf, in pre-order.
+std::vector<std::string> WorkloadStatements(const core::DrugTree& dt) {
+  const phylo::Tree& tree = dt.tree();
+  std::vector<std::string> out;
+  tree.PreOrder([&](phylo::NodeId node) {
+    if (tree.node(node).IsLeaf()) {
+      out.push_back(core::MakeQuerySql(core::QueryKind::kAncestorPath, node,
+                                       tree, core::WorkloadParams()));
+      return;
+    }
+    out.push_back(dt.OverlayQuerySql(node));
+    for (core::QueryKind kind :
+         {core::QueryKind::kSubtreeOverlay, core::QueryKind::kSubtreeProteins,
+          core::QueryKind::kScreeningJoin,
+          core::QueryKind::kFamilyAggregate}) {
+      out.push_back(
+          core::MakeQuerySql(kind, node, tree, core::WorkloadParams()));
+    }
+  });
+  return out;
+}
+
+/// An EXPLAIN ANALYZE rendering without its timings.
+std::string WithoutTimes(std::string analyzed) {
+  for (size_t at = analyzed.find(" time="); at != std::string::npos;
+       at = analyzed.find(" time=", at)) {
+    analyzed.erase(at, analyzed.find(')', at) - at);
+  }
+  return analyzed;
+}
+
+/// The from-scratch reference for the classes the plan cache computes:
+/// each scan's pushed-down predicate copied under `bindings` and estimated
+/// by a cost model built for the statement's aliases.
+std::vector<int> CardinalityClasses(const LogicalNode& plan,
+                                    const ParamBindings& bindings,
+                                    const Catalog& catalog) {
+  std::vector<const LogicalNode*> scans;
+  std::function<void(const LogicalNode&)> collect =
+      [&](const LogicalNode& node) {
+        if (node.kind == LogicalKind::kScan) scans.push_back(&node);
+        for (const auto& c : node.children) collect(*c);
+      };
+  collect(plan);
+  std::sort(scans.begin(), scans.end(),
+            [](const LogicalNode* a, const LogicalNode* b) {
+              return a->alias < b->alias;
+            });
+  std::map<std::string, std::string> alias_to_table;
+  for (const LogicalNode* s : scans) alias_to_table[s->alias] = s->table;
+  CostModel cost(&catalog, alias_to_table, nullptr);
+  std::vector<int> classes;
+  for (const LogicalNode* s : scans) {
+    ExprPtr pred =
+        s->scan_predicate ? s->scan_predicate->Clone(&bindings) : nullptr;
+    classes.push_back(static_cast<int>(
+        std::ceil(std::log2(cost.EstimateScanRows(s->alias, pred)))));
+  }
+  return classes;
+}
 
 // ---------------------------------------------------------------------------
 // Normalization: one traversal feeds both cache keys.
@@ -306,23 +390,19 @@ TEST_F(AdaptiveTest, PlanCacheKeysOnOptimizerRules) {
 // Re-binding: tree predicates stay parameters through optimization.
 
 // On the benchmark's small instance, the served overlay, the workload
-// overlay, the subtree-proteins and the screening-join statements at every
-// internal node, and the ancestor path at every leaf, run through one cache
-// in pre-order. Each statement re-binds a template made for another node
-// (or plans the first of its shape and class), and its plan equals a
-// cacheless planner's in EXPLAIN, logical and physical, and its rows equal
-// the naive plan's.
+// overlay, the subtree-proteins, the screening-join and the family-aggregate
+// statements at every internal node, and the ancestor path at every leaf,
+// run through one cache in pre-order. Each statement re-binds a template
+// made for another node (or plans the first of its shape and class), and
+// runs the one prepared plan of its template: its plan equals a cacheless
+// planner's in EXPLAIN, logical and physical; its EXPLAIN ANALYZE counts
+// (rows, Next() calls, bytes) equal a cacheless planner's, those of one
+// run, not a sum over the plan's runs; and its rows equal the naive plan's.
 TEST_F(AdaptiveTest, ReboundPlansEqualFreshPlansAtEveryNode) {
   util::SimulatedClock clock;
-  core::BuildOptions bo;
-  bo.seed = 42;
-  bo.num_families = 6;
-  bo.taxa_per_family = 24;
-  bo.num_ligands = 300;
-  bo.activities_per_protein = 6.0;
-  auto built = core::DrugTree::Build(bo, &clock);
-  ASSERT_TRUE(built.ok()) << built.status();
-  core::DrugTree& dt = **built;
+  std::unique_ptr<core::DrugTree> built = BuildSmallInstance(&clock);
+  ASSERT_NE(built, nullptr);
+  core::DrugTree& dt = *built;
   const phylo::Tree& tree = dt.tree();
 
   PlanCache cache;
@@ -350,6 +430,7 @@ TEST_F(AdaptiveTest, ReboundPlansEqualFreshPlansAtEveryNode) {
       {workload(core::QueryKind::kSubtreeProteins)},
       {workload(core::QueryKind::kScreeningJoin)},
       {workload(core::QueryKind::kAncestorPath), /*at_leaves=*/true},
+      {workload(core::QueryKind::kFamilyAggregate)},
   };
   int statements = 0;
   for (Shape& shape : shapes) {
@@ -370,6 +451,14 @@ TEST_F(AdaptiveTest, ReboundPlansEqualFreshPlansAtEveryNode) {
       EXPECT_EQ(physical, want->physical_plan) << sql;
       EXPECT_EQ(explained->logical_plan, want->logical_plan) << sql;
 
+      auto analyzed = cached.Run("EXPLAIN ANALYZE " + sql, opts);
+      auto want_analyzed = fresh.Run("EXPLAIN ANALYZE " + sql, opts);
+      ASSERT_TRUE(analyzed.ok() && want_analyzed.ok()) << sql;
+      EXPECT_TRUE(analyzed->from_plan_cache) << sql;
+      EXPECT_EQ(WithoutTimes(analyzed->analyzed_plan),
+                WithoutTimes(want_analyzed->analyzed_plan))
+          << sql;
+
       auto got = cached.Run(sql, opts);
       auto naive = fresh.Run(sql, reference);
       ASSERT_TRUE(got.ok() && naive.ok()) << sql;
@@ -378,7 +467,7 @@ TEST_F(AdaptiveTest, ReboundPlansEqualFreshPlansAtEveryNode) {
     });
   }
   const auto leaves = static_cast<int>(tree.Leaves().size());
-  EXPECT_EQ(statements, 4 * (static_cast<int>(tree.NumNodes()) - leaves) +
+  EXPECT_EQ(statements, 5 * (static_cast<int>(tree.NumNodes()) - leaves) +
                             leaves);
   // A single-table shape has one template. The screening join has one per
   // class of its clade's protein count (1..144 rows: classes 0..8); its
@@ -392,6 +481,314 @@ TEST_F(AdaptiveTest, ReboundPlansEqualFreshPlansAtEveryNode) {
     }
   }
   EXPECT_GT(cache.stats().rebinds, statements);
+}
+
+// ---------------------------------------------------------------------------
+// Prepared plans: each planner lowers a template once and re-runs it.
+
+// Two passes of every workload statement at every node through one planner:
+// the first lowers one physical plan per template (one
+// span.query.plan.physical per install), the second lowers none.
+TEST_F(AdaptiveTest, PreparedPlanHitLowersNothing) {
+  util::SimulatedClock clock;
+  std::unique_ptr<core::DrugTree> dt = BuildSmallInstance(&clock);
+  ASSERT_NE(dt, nullptr);
+  obs::Counter* lowerings = obs::MetricRegistry::Default()->GetCounter(
+      "span.query.plan.physical.count");
+  PlanCache cache;
+  Planner planner(dt->catalog(), nullptr, &cache);
+  const std::vector<std::string> statements = WorkloadStatements(*dt);
+  for (int pass = 0; pass < 2; ++pass) {
+    const int64_t before = lowerings->Value();
+    const int64_t installs = cache.stats().installs;
+    for (const std::string& sql : statements) {
+      auto got = planner.Run(sql, PlannerOptions());
+      ASSERT_TRUE(got.ok()) << sql << ": " << got.status();
+    }
+    EXPECT_EQ(lowerings->Value() - before, cache.stats().installs - installs)
+        << "pass " << pass;
+    if (pass == 1) {
+      EXPECT_EQ(cache.stats().installs, installs);
+    }
+  }
+  EXPECT_EQ(planner.prepared_plans(), cache.stats().installs);
+}
+
+/// A clock whose every reading is one microsecond later than the last:
+/// a context with deadline K on it cancels at its (K+2)-th check.
+class TickingClock : public util::Clock {
+ public:
+  int64_t NowMicros() const override { return now_++; }
+  void AdvanceMicros(int64_t micros) override { now_ += micros; }
+
+ private:
+  mutable std::atomic<int64_t> now_{0};
+};
+
+// A prepared plan stays reusable after a run that fails: one cancelled
+// mid-drain (a deadline that passes at the first checkpoint after every
+// operator has opened), one that divides by zero in an index scan's
+// residual. The next run of the same template returns the naive rows.
+TEST_F(AdaptiveTest, PreparedPlansSurviveCancellationAndRuntimeErrors) {
+  util::SimulatedClock clock;
+  std::unique_ptr<core::DrugTree> dt = BuildSmallInstance(&clock);
+  ASSERT_NE(dt, nullptr);
+  PlanCache cache;
+  Planner cached(dt->catalog(), nullptr, &cache);
+  Planner plain(dt->catalog());
+  const PlannerOptions opts;
+  const Clades clades = PickClades(*dt);
+  for (const std::string& sql :
+       {core::MakeQuerySql(core::QueryKind::kScreeningJoin, clades.root,
+                           dt->tree(), core::WorkloadParams()),
+        core::MakeQuerySql(core::QueryKind::kFamilyAggregate, clades.root,
+                           dt->tree(), core::WorkloadParams())}) {
+    auto naive = plain.Run(sql, PlannerOptions::Naive());
+    ASSERT_TRUE(naive.ok()) << sql << ": " << naive.status();
+    auto explained = plain.Run("EXPLAIN " + sql, opts);
+    ASSERT_TRUE(explained.ok()) << explained.status();
+    const auto operators = std::count(explained->physical_plan.begin(),
+                                      explained->physical_plan.end(), '\n');
+    ASSERT_TRUE(cached.Run(sql, opts).ok()) << sql;
+    {
+      // Run() checks once, then each operator's Open() once: the deadline
+      // passes at the first check after those.
+      TickingClock ticking;
+      QueryContext context;
+      context.clock = &ticking;
+      context.deadline_micros = operators;
+      auto cancelled = cached.Run(sql, opts, &context);
+      ASSERT_FALSE(cancelled.ok()) << sql;
+      EXPECT_TRUE(cancelled.status().IsCancelled()) << cancelled.status();
+      EXPECT_EQ(ticking.NowMicros(), operators + 2) << sql;
+    }
+    auto again = cached.Run(sql, opts);
+    ASSERT_TRUE(again.ok()) << sql << ": " << again.status();
+    EXPECT_TRUE(again->from_plan_cache);
+    ExpectSameRows(naive->result, again->result, "after cancel: " + sql);
+  }
+
+  auto accession = dt->Query(
+      "SELECT a.accession FROM activities a ORDER BY a.accession LIMIT 1");
+  ASSERT_TRUE(accession.ok()) << accession.status();
+  auto scan = [&accession](double divisor) {
+    return util::StringPrintf(
+        "SELECT a.ligand_id, a.affinity_nm FROM activities a "
+        "WHERE a.accession = '%s' AND a.affinity_nm / %.1f > 1.0 "
+        "ORDER BY a.ligand_id, a.affinity_nm",
+        accession->result.rows[0][0].AsString().c_str(), divisor);
+  };
+  auto naive = plain.Run(scan(2.0), PlannerOptions::Naive());
+  ASSERT_TRUE(naive.ok()) << naive.status();
+  ASSERT_FALSE(naive->result.rows.empty());
+  auto explained = cached.Run("EXPLAIN " + scan(2.0), opts);
+  ASSERT_TRUE(explained.ok()) << explained.status();
+  EXPECT_NE(explained->physical_plan.find("[residual: "), std::string::npos)
+      << explained->physical_plan;
+  for (int round = 0; round < 2; ++round) {
+    auto failed = cached.Run(scan(0.0), opts);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_FALSE(failed.status().IsCancelled()) << failed.status();
+    auto again = cached.Run(scan(2.0), opts);
+    ASSERT_TRUE(again.ok()) << again.status();
+    EXPECT_TRUE(again->from_plan_cache);
+    ExpectSameRows(naive->result, again->result, "after a runtime error");
+  }
+}
+
+// Each run charges its own tracker and leaves it at zero: a prepared plan
+// keeps neither charges nor a pointer to a tracker (or context) that its
+// run's caller destroys before the next run, which the sanitizer lanes
+// would report.
+TEST_F(AdaptiveTest, PreparedPlansReleaseChargesEveryRun) {
+  PlanCache cache;
+  Planner cached(dt_->catalog(), nullptr, &cache);
+  Planner plain(dt_->catalog());
+  const Clades clades = PickClades(*dt_);
+  std::vector<std::string> statements;
+  for (phylo::NodeId node : {clades.root, clades.mid, clades.leaf_parent}) {
+    for (core::QueryKind kind :
+         {core::QueryKind::kScreeningJoin, core::QueryKind::kFamilyAggregate,
+          core::QueryKind::kSubtreeProteins,
+          core::QueryKind::kSubtreeOverlay}) {
+      statements.push_back(
+          core::MakeQuerySql(kind, node, dt_->tree(), core::WorkloadParams()));
+    }
+  }
+  statements.push_back(
+      "SELECT p.family, COUNT(*) AS n FROM proteins p "
+      "JOIN activities a ON p.accession = a.accession "
+      "WHERE a.affinity_nm < 5000.0 GROUP BY p.family ORDER BY p.family");
+  for (int round = 0; round < 2; ++round) {
+    for (const std::string& sql : statements) {
+      obs::MemoryTracker memory("run", nullptr, 0, 64 << 20);
+      QueryContext context;
+      context.memory = &memory;
+      auto got = cached.Run(sql, PlannerOptions(), &context);
+      ASSERT_TRUE(got.ok()) << sql << ": " << got.status();
+      EXPECT_EQ(memory.used(), 0) << sql;
+      if (!got->result.rows.empty()) {
+        EXPECT_GT(memory.peak(), 0) << sql;
+      }
+      auto want = plain.Run(sql, PlannerOptions());
+      ASSERT_TRUE(want.ok()) << want.status();
+      ExpectSameRows(want->result, got->result, sql);
+    }
+  }
+  EXPECT_GT(cache.stats().hits, static_cast<int64_t>(statements.size()));
+}
+
+// One planner alternates parallelism 1, 4, 2 and 4: a pool replaced by a
+// parallelism change takes the plans lowered against it along, so the
+// planner holds the serial plans and the current pool's, never one on a
+// destroyed pool. The activities table is large enough for morsel-parallel
+// hash-join builds.
+TEST_F(AdaptiveTest, PreparedPlansFollowParallelismChanges) {
+  util::SimulatedClock clock;
+  std::unique_ptr<core::DrugTree> dt =
+      BuildSmallInstance(&clock, /*activities_per_protein=*/16.0);
+  ASSERT_NE(dt, nullptr);
+  ASSERT_GE(dt->activities()->NumRows(), 2048);
+  PlanCache cache;
+  Planner cached(dt->catalog(), nullptr, &cache);
+  Planner plain(dt->catalog());
+  const Clades clades = PickClades(*dt);
+  const std::vector<std::string> statements = {
+      core::MakeQuerySql(core::QueryKind::kScreeningJoin, clades.root,
+                         dt->tree(), core::WorkloadParams()),
+      core::MakeQuerySql(core::QueryKind::kScreeningJoin, clades.mid,
+                         dt->tree(), core::WorkloadParams()),
+      core::MakeQuerySql(core::QueryKind::kFamilyAggregate, clades.root,
+                         dt->tree(), core::WorkloadParams()),
+  };
+  std::vector<QueryResult> reference;
+  for (const std::string& sql : statements) {
+    auto naive = plain.Run(sql, PlannerOptions::Naive());
+    ASSERT_TRUE(naive.ok()) << naive.status();
+    reference.push_back(std::move(naive->result));
+  }
+  size_t serial_plans = 0;
+  for (int parallelism : {1, 4, 2, 4}) {
+    PlannerOptions opts;
+    opts.parallelism = parallelism;
+    const int64_t installs = cache.stats().installs;
+    for (int round = 0; round < 2; ++round) {
+      for (size_t i = 0; i < statements.size(); ++i) {
+        auto got = cached.Run(statements[i], opts);
+        ASSERT_TRUE(got.ok()) << statements[i] << ": " << got.status();
+        ExpectSameRows(reference[i], got->result,
+                       util::StringPrintf("parallelism %d: ", parallelism) +
+                           statements[i]);
+      }
+    }
+    // Parallelism is not a plan-cache key: the templates stay.
+    if (parallelism != 1) {
+      EXPECT_EQ(cache.stats().installs, installs);
+    }
+    const size_t templates = static_cast<size_t>(cache.stats().installs);
+    if (parallelism == 1) serial_plans = cached.prepared_plans();
+    EXPECT_EQ(serial_plans, templates);
+    EXPECT_EQ(cached.prepared_plans(),
+              parallelism == 1 ? templates : serial_plans + templates)
+        << "parallelism " << parallelism;
+  }
+}
+
+// A write that invalidates a template frees it, and the next lowering
+// prunes the planner's plan of it: the planner holds only the new
+// template's plan, whose rows include the write.
+TEST_F(AdaptiveTest, PreparedPlansDieWithTheirTemplates) {
+  util::SimulatedClock clock;
+  std::unique_ptr<core::DrugTree> dt = BuildSmallInstance(&clock);
+  ASSERT_NE(dt, nullptr);
+  PlanCache cache;
+  Planner planner(dt->catalog(), nullptr, &cache);
+  const std::string sql =
+      "SELECT COUNT(*) AS n FROM activities a WHERE a.affinity_nm < 1e9";
+  auto first = planner.Run(sql, PlannerOptions());
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_TRUE(planner.Run(sql, PlannerOptions()).ok());
+  EXPECT_EQ(planner.prepared_plans(), 1u);
+
+  auto lexed = Lex(sql);
+  ASSERT_TRUE(lexed.ok());
+  const PlanCache::Key key{lexed->fingerprint,
+                           PlanCache::RuleFlags(OptimizerOptions())};
+  const PlanCache::Binder bind = [&](const LogicalNode& plan) {
+    return BindParams(plan, lexed->params, *dt->catalog());
+  };
+  std::weak_ptr<LogicalNode> old_template;
+  {
+    auto lookup = cache.Get(key, *dt->catalog(), obs::CalibratedCosts(),
+                            lexed->params, bind);
+    ASSERT_TRUE(lookup.ok() && lookup->plan != nullptr);
+    old_template = lookup->plan;
+  }
+
+  auto row = dt->Query("SELECT accession, ligand_id FROM activities LIMIT 1");
+  ASSERT_TRUE(row.ok() && row->result.rows.size() == 1u);
+  ASSERT_TRUE(dt->AddActivity(row->result.rows[0][0].AsString(),
+                              row->result.rows[0][1].AsString(), 12.5)
+                  .ok());
+  ASSERT_TRUE(dt->BuildEncodedSegments().ok());
+
+  auto after = planner.Run(sql, PlannerOptions());
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_FALSE(after->from_plan_cache);
+  EXPECT_TRUE(old_template.expired());
+  EXPECT_EQ(planner.prepared_plans(), 1u);
+  EXPECT_EQ(after->result.rows[0][0].AsInt64(),
+            first->result.rows[0][0].AsInt64() + 1);
+  auto hit = planner.Run(sql, PlannerOptions());
+  ASSERT_TRUE(hit.ok());
+  EXPECT_TRUE(hit->from_plan_cache);
+  EXPECT_EQ(hit->result.rows, after->result.rows);
+}
+
+// The classes a lookup computes through its entry's classifier equal the
+// classes computed from scratch (a freshly optimized plan, its predicates
+// copied under the statement's bindings), for every workload statement at
+// every node of the small instance.
+TEST_F(AdaptiveTest, CacheClassesMatchFromScratchClasses) {
+  util::SimulatedClock clock;
+  std::unique_ptr<core::DrugTree> dt = BuildSmallInstance(&clock);
+  ASSERT_NE(dt, nullptr);
+  const Catalog& catalog = *dt->catalog();
+  PlanCache cache;
+  Planner planner(dt->catalog(), nullptr, &cache);
+  int multi_table = 0;
+  for (const std::string& sql : WorkloadStatements(*dt)) {
+    ASSERT_TRUE(planner.Run(sql, PlannerOptions()).ok()) << sql;
+    auto lexed = Lex(sql);
+    ASSERT_TRUE(lexed.ok()) << lexed.status();
+    const PlanCache::Binder bind = [&](const LogicalNode& plan) {
+      return BindParams(plan, lexed->params, catalog);
+    };
+    auto lookup = cache.Get(
+        {lexed->fingerprint, PlanCache::RuleFlags(OptimizerOptions())},
+        catalog, obs::CalibratedCosts(), lexed->params, bind);
+    ASSERT_TRUE(lookup.ok()) << lookup.status();
+    EXPECT_NE(lookup->plan, nullptr) << sql;
+
+    auto stmt = ParseQuery(sql);
+    ASSERT_TRUE(stmt.ok()) << stmt.status();
+    if (stmt->tables.size() < 2) {
+      EXPECT_TRUE(lookup->classes.empty()) << sql;
+      continue;
+    }
+    ++multi_table;
+    NormalizedStatement norm = NormalizeStatement(&*stmt);
+    auto logical = BuildLogicalPlan(*stmt, catalog);
+    ASSERT_TRUE(logical.ok()) << logical.status();
+    auto optimized = OptimizeLogicalPlan(*logical, catalog, OptimizerOptions());
+    ASSERT_TRUE(optimized.ok()) << optimized.status();
+    auto bindings = BindParams(**optimized, norm.params, catalog);
+    ASSERT_TRUE(bindings.ok()) << bindings.status();
+    EXPECT_EQ(lookup->classes,
+              CardinalityClasses(**optimized, *bindings, catalog))
+        << sql;
+  }
+  EXPECT_GT(multi_table, 200);
 }
 
 // Constant folding consumes both literals of 10.0 * 5.0, so the template
@@ -486,7 +883,7 @@ std::vector<int> ClassesOf(const std::string& sql, const Catalog& catalog) {
   EXPECT_TRUE(optimized.ok()) << optimized.status();
   auto bindings = BindParams(**optimized, norm.params, catalog);
   EXPECT_TRUE(bindings.ok()) << bindings.status();
-  return CardinalityClasses(**optimized, *bindings, catalog, nullptr);
+  return CardinalityClasses(**optimized, *bindings, catalog);
 }
 
 // A screening join planned at a leaf clade is not re-bound at the root,
@@ -644,15 +1041,9 @@ TEST_F(AdaptiveTest, SharedTemplatesAreNeverBound) {
       const PlanCache::Binder bind = [&](const LogicalNode& plan) {
         return BindParams(plan, lexed->params, *dt_->catalog());
       };
-      const PlanCache::Classifier classify =
-          [&](const LogicalNode& plan, const ParamBindings& bindings) {
-            return CardinalityClasses(plan, bindings, *dt_->catalog(),
-                                      nullptr);
-          };
       auto lookup = cache.Get(
           {lexed->fingerprint, PlanCache::RuleFlags(OptimizerOptions())},
-          *dt_->catalog(), obs::CalibratedCosts().version, lexed->params,
-          bind, classify);
+          *dt_->catalog(), obs::CalibratedCosts(), lexed->params, bind);
       ASSERT_TRUE(lookup.ok()) << lookup.status();
       ASSERT_NE(lookup->plan, nullptr) << sql;
       EXPECT_TRUE(Unbound(*lookup->plan)) << sql;
