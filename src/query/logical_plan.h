@@ -46,7 +46,8 @@ struct OutputColumn {
 /// shares every expression it did not rewrite) and with plan-cache
 /// templates, and a tree may share subtrees. Physical planning is the one
 /// place that copies them, because binding writes Expr::bound_index; a
-/// plan-cache hit substitutes its statement's literals in those copies.
+/// prepared plan assigns each statement's literals to those copies
+/// (planner.h).
 struct LogicalNode {
   LogicalKind kind;
   std::vector<LogicalPtr> children;
