@@ -43,10 +43,11 @@ World MakeWorld(int64_t rtt_ms) {
   auto ls = LigandSource::Create(300, lp, w.network.get(), &rng);
   DT_CHECK(ls.ok());
   w.ligands = std::make_unique<LigandSource>(std::move(*ls));
-  w.accessions = w.proteins->ListAccessions();
+  w.accessions = Await(w.network.get(), w.proteins->ListAccessions());
   ActivityGenParams ap;
-  auto as = ActivitySource::Create(w.accessions, w.ligands->ListIds(), ap,
-                                   w.network.get(), &rng);
+  auto as = ActivitySource::Create(
+      w.accessions, Await(w.network.get(), w.ligands->ListIds()), ap,
+      w.network.get(), &rng);
   DT_CHECK(as.ok());
   w.activities = std::make_unique<ActivitySource>(std::move(*as));
   w.cache = std::make_unique<SemanticCache>(16 * 1024 * 1024);
@@ -79,7 +80,7 @@ void DrillDownSession(World& w, bool use_cache, bool prefetch,
       DT_CHECK(rec.ok());
       family = rec->family;
     } else {
-      auto rec = w.mediator->GetProtein(seed, mopts);
+      auto rec = Await(w.network.get(), w.mediator->GetProtein(seed, mopts));
       DT_CHECK(rec.ok());
       family = rec->family;
     }
@@ -94,7 +95,9 @@ void DrillDownSession(World& w, bool use_cache, bool prefetch,
       if (prefetch) {
         DT_CHECK(prefetcher.GetProtein(mates[i]).ok());
       } else {
-        DT_CHECK(w.mediator->GetProtein(mates[i], mopts).ok());
+        DT_CHECK(
+            Await(w.network.get(), w.mediator->GetProtein(mates[i], mopts))
+                .ok());
       }
     }
   }
@@ -190,7 +193,6 @@ int main(int argc, char** argv) {
     MediatorOptions opts;
     opts.batch_requests = false;
     opts.use_cache = false;
-    opts.max_concurrency = c;
     int64_t t0 = w.clock->NowMicros();
     DT_CHECK(w.mediator->IntegrateAll(opts).ok());
     double ms = (w.clock->NowMicros() - t0) / 1000.0;

@@ -31,8 +31,8 @@ int main() {
     std::fprintf(stderr, "source setup failed\n");
     return 1;
   }
-  std::vector<std::string> accs = proteins->ListAccessions();
-  std::vector<std::string> lig_ids = ligands->ListIds();
+  std::vector<std::string> accs = Await(&network, proteins->ListAccessions());
+  std::vector<std::string> lig_ids = Await(&network, ligands->ListIds());
   ActivityGenParams ap;
   auto activities =
       ActivitySource::Create(accs, lig_ids, ap, &network, &rng);
@@ -77,13 +77,15 @@ int main() {
     int64_t t0 = clock.NowMicros();
     uint64_t r0 = network.num_requests();
     for (int i = 0; i < 10; ++i) {
-      if (!mediator.GetProtein(accs[static_cast<size_t>(i)], opts).ok()) return 1;
+      const std::string& acc = accs[static_cast<size_t>(i)];
+      if (!Await(&network, mediator.GetProtein(acc, opts)).ok()) return 1;
     }
     report("10 point lookups (cold)", t0, r0);
     t0 = clock.NowMicros();
     r0 = network.num_requests();
     for (int i = 0; i < 10; ++i) {
-      if (!mediator.GetProtein(accs[static_cast<size_t>(i)], opts).ok()) return 1;
+      const std::string& acc = accs[static_cast<size_t>(i)];
+      if (!Await(&network, mediator.GetProtein(acc, opts)).ok()) return 1;
     }
     report("10 point lookups (warm)", t0, r0);
   }
@@ -96,7 +98,7 @@ int main() {
     int64_t t0 = clock.NowMicros();
     uint64_t r0 = network.num_requests();
     // Touch 12 proteins of the same family (typical clade drill-down).
-    auto fam = proteins->FetchFamily("family-2");
+    auto fam = Await(&network, proteins->FetchFamily("family-2"));
     for (const auto& rec : fam) {
       if (!prefetcher.GetProtein(rec.accession).ok()) return 1;
     }

@@ -14,7 +14,8 @@ cmake --build build-asan -j "$(nproc)" \
   --target obs_test obs_telemetry_test query_equiv_test query_exec_test \
            storage_encoding_test query_adaptive_test query_index_join_test \
            query_plan_test core_test storage_table_test \
-           query_lexer_parser_test server_test query_parallel_test
+           query_lexer_parser_test server_test query_parallel_test \
+           integration_test integration_async_test
 ./build-asan/tests/obs_test
 ./build-asan/tests/obs_telemetry_test
 ./build-asan/tests/query_equiv_test
@@ -40,6 +41,11 @@ cmake --build build-asan -j "$(nproc)" \
 # only this lane reports (TSan runs both binaries too, for races).
 ./build-asan/tests/server_test
 ./build-asan/tests/query_parallel_test
+# Every federated fetch moves its records through Deferred values and
+# fetch windows: a dangling one is a use-after-free only this lane reports
+# (TSan runs integration_async_test too, for the shared link's races).
+./build-asan/tests/integration_test
+./build-asan/tests/integration_async_test
 
 # TSan smoke of the concurrency-bearing paths: the thread pool itself, the
 # multi-channel network + windowed mediator, morsel-parallel execution, the

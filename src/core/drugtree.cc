@@ -15,6 +15,13 @@ namespace core {
 
 using storage::Value;
 
+namespace {
+
+/// Capacity of the instance's semantic cache of source responses.
+constexpr uint64_t kSemanticCacheBytes = 8 * 1024 * 1024;
+
+}  // namespace
+
 util::Result<std::unique_ptr<DrugTree>> DrugTree::Build(
     const BuildOptions& options, util::Clock* clock) {
   if (clock == nullptr) {
@@ -25,11 +32,8 @@ util::Result<std::unique_ptr<DrugTree>> DrugTree::Build(
   util::Rng rng(options.seed);
 
   // 1. Simulated remote sources.
-  integration::NetworkParams np = options.source_network;
-  if (options.fetch_concurrency > 1) {
-    np.max_concurrency = std::max(np.max_concurrency,
-                                  options.fetch_concurrency);
-  }
+  integration::NetworkParams np;
+  np.max_concurrency = std::max(1, options.fetch_concurrency);
   dt->network_ = std::make_unique<integration::SimulatedNetwork>(
       clock, np, options.seed ^ 0x5EEDULL);
   integration::ProteinSourceParams pp;
@@ -50,14 +54,13 @@ util::Result<std::unique_ptr<DrugTree>> DrugTree::Build(
   dt->ligand_source_ =
       std::make_unique<integration::LigandSource>(std::move(ls));
 
-  // Source construction must not charge network time: temporary catalogs.
-  std::vector<std::string> accessions;
-  {
-    // Read ground truth without network charges by peeking at the source's
-    // own catalog request once (costed; it is part of integration anyway).
-    accessions = dt->protein_source_->ListAccessions();
-  }
-  std::vector<std::string> ligand_ids = dt->ligand_source_->ListIds();
+  // The activity source is generated over the other two sources' catalogs,
+  // read through their (costed) catalog requests.
+  integration::SimulatedNetwork* net = dt->network_.get();
+  std::vector<std::string> accessions =
+      integration::Await(net, dt->protein_source_->ListAccessions());
+  std::vector<std::string> ligand_ids =
+      integration::Await(net, dt->ligand_source_->ListIds());
 
   integration::ActivityGenParams ap;
   ap.activities_per_protein = options.activities_per_protein;
@@ -69,8 +72,8 @@ util::Result<std::unique_ptr<DrugTree>> DrugTree::Build(
       std::make_unique<integration::ActivitySource>(std::move(as));
 
   // 2. Mediator integration.
-  dt->semantic_cache_ = std::make_unique<integration::SemanticCache>(
-      options.semantic_cache_bytes);
+  dt->semantic_cache_ =
+      std::make_unique<integration::SemanticCache>(kSemanticCacheBytes);
   dt->mediator_ = std::make_unique<integration::Mediator>(
       dt->protein_source_.get(), dt->ligand_source_.get(),
       dt->activity_source_.get(), dt->semantic_cache_.get());
@@ -80,7 +83,6 @@ util::Result<std::unique_ptr<DrugTree>> DrugTree::Build(
       dt->integration_tracker_.GetOrCreateChild("mediator"));
   integration::MediatorOptions mo;
   mo.batch_requests = options.batch_requests;
-  mo.max_concurrency = options.fetch_concurrency;
   DRUGTREE_ASSIGN_OR_RETURN(dt->dataset_, dt->mediator_->IntegrateAll(mo));
 
   // 3. Distance matrix + phylogeny over all integrated proteins.

@@ -53,14 +53,13 @@ struct BuildOptions {
   bool use_alignment_distance = false;
   int kmer_k = 3;
 
-  // Integration behaviour.
-  integration::NetworkParams source_network;
+  // Integration behaviour. The source link has default NetworkParams and
+  // the semantic cache 8 MiB.
   bool batch_requests = true;
-  /// Overlapped in-flight fetch window for per-record integration; also
-  /// sets source_network.max_concurrency when > 1. 1 = serial (identical
-  /// behaviour to historical builds).
+  /// Channels of the source link, which is also the in-flight window of
+  /// per-record integration. 1 = serial (identical behaviour to historical
+  /// builds).
   int fetch_concurrency = 1;
-  uint64_t semantic_cache_bytes = 8 * 1024 * 1024;
 
   // Query engine.
   uint64_t result_cache_bytes = 16 * 1024 * 1024;
@@ -190,14 +189,6 @@ class DrugTree {
   storage::Table* ligands() { return dataset_.ligands.get(); }
   storage::Table* activities() { return dataset_.activities.get(); }
 
-  /// Root of the integration layer's memory accounting (semantic cache +
-  /// mediator fetch buffers as child nodes). Owned by the instance so it
-  /// shares the caches' lifetime; server trees track query-side memory
-  /// separately.
-  obs::MemoryTracker* integration_memory_tracker() {
-    return &integration_tracker_;
-  }
-
  private:
   DrugTree() = default;
 
@@ -207,7 +198,10 @@ class DrugTree {
   util::Status FinishWiring(uint64_t result_cache_bytes);
 
   util::Clock* clock_ = nullptr;
-  /// Declared before the components attached to it so it is destroyed last.
+  /// Root of the integration layer's memory accounting (semantic cache +
+  /// mediator fetch buffers as child nodes); server trees track query-side
+  /// memory separately. Declared before the components attached to it so
+  /// it is destroyed last.
   obs::MemoryTracker integration_tracker_{"integration"};
   std::unique_ptr<integration::SimulatedNetwork> network_;
   std::unique_ptr<integration::ProteinSource> protein_source_;

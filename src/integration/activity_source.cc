@@ -51,7 +51,6 @@ util::Result<ActivitySource> ActivitySource::Create(
       rec.source_db = kSourceDbs[0];
       size_t idx = src.records_.size();
       src.by_accession_[rec.accession].push_back(idx);
-      src.by_ligand_[rec.ligand_id].push_back(idx);
       src.records_.push_back(rec);
       // Conflicting duplicate from the second database.
       if (rng->Bernoulli(params.duplicate_fraction)) {
@@ -60,7 +59,6 @@ util::Result<ActivitySource> ActivitySource::Create(
         dup.affinity_nm *= rng->UniformDouble(0.8, 1.25);
         size_t didx = src.records_.size();
         src.by_accession_[dup.accession].push_back(didx);
-        src.by_ligand_[dup.ligand_id].push_back(didx);
         src.records_.push_back(std::move(dup));
       }
     }
@@ -68,7 +66,7 @@ util::Result<ActivitySource> ActivitySource::Create(
   return src;
 }
 
-std::vector<ActivityRecord> ActivitySource::FetchByAccession(
+Deferred<std::vector<ActivityRecord>> ActivitySource::FetchByAccession(
     const std::string& accession) {
   std::vector<ActivityRecord> out;
   uint64_t bytes = 64;
@@ -79,61 +77,13 @@ std::vector<ActivityRecord> ActivitySource::FetchByAccession(
       bytes += out.back().ApproxBytes();
     }
   }
-  Charge(bytes);
-  return out;
+  return {std::move(out), Charge(bytes)};
 }
 
-Deferred<std::vector<ActivityRecord>> ActivitySource::FetchByAccessionAsync(
-    const std::string& accession) {
-  Deferred<std::vector<ActivityRecord>> out;
-  uint64_t bytes = 64;
-  auto it = by_accession_.find(accession);
-  if (it != by_accession_.end()) {
-    for (size_t i : it->second) {
-      out.value.push_back(records_[i]);
-      bytes += out.value.back().ApproxBytes();
-    }
-  }
-  out.ready_micros = ChargeAsync(bytes);
-  return out;
-}
-
-std::vector<ActivityRecord> ActivitySource::FetchByLigand(
-    const std::string& ligand_id) {
-  std::vector<ActivityRecord> out;
-  uint64_t bytes = 64;
-  auto it = by_ligand_.find(ligand_id);
-  if (it != by_ligand_.end()) {
-    for (size_t i : it->second) {
-      out.push_back(records_[i]);
-      bytes += out.back().ApproxBytes();
-    }
-  }
-  Charge(bytes);
-  return out;
-}
-
-std::vector<ActivityRecord> ActivitySource::FetchBatch(
-    const std::vector<std::string>& accessions) {
-  std::vector<ActivityRecord> out;
-  uint64_t bytes = 64;
-  for (const auto& acc : accessions) {
-    auto it = by_accession_.find(acc);
-    if (it == by_accession_.end()) continue;
-    for (size_t i : it->second) {
-      out.push_back(records_[i]);
-      bytes += out.back().ApproxBytes();
-    }
-  }
-  Charge(bytes);
-  return out;
-}
-
-std::vector<ActivityRecord> ActivitySource::FetchAll() {
+Deferred<std::vector<ActivityRecord>> ActivitySource::FetchAll() {
   uint64_t bytes = 64;
   for (const auto& r : records_) bytes += r.ApproxBytes();
-  Charge(bytes);
-  return records_;
+  return {records_, Charge(bytes)};
 }
 
 }  // namespace integration

@@ -35,21 +35,11 @@ class ActivitySource : public RemoteSource {
       util::Rng* rng);
 
   /// All measurements for one protein; one request.
-  std::vector<ActivityRecord> FetchByAccession(const std::string& accession);
-
-  /// All measurements for one protein, scheduled without blocking.
-  Deferred<std::vector<ActivityRecord>> FetchByAccessionAsync(
+  Deferred<std::vector<ActivityRecord>> FetchByAccession(
       const std::string& accession);
 
-  /// All measurements for one ligand; one request.
-  std::vector<ActivityRecord> FetchByLigand(const std::string& ligand_id);
-
-  /// Batched per-protein fetch in one request.
-  std::vector<ActivityRecord> FetchBatch(
-      const std::vector<std::string>& accessions);
-
   /// Bulk export; one request.
-  std::vector<ActivityRecord> FetchAll();
+  Deferred<std::vector<ActivityRecord>> FetchAll();
 
   size_t NumRecords() const { return records_.size(); }
 
@@ -59,7 +49,6 @@ class ActivitySource : public RemoteSource {
 
   std::vector<ActivityRecord> records_;
   std::unordered_map<std::string, std::vector<size_t>> by_accession_;
-  std::unordered_map<std::string, std::vector<size_t>> by_ligand_;
 };
 
 }  // namespace integration

@@ -23,53 +23,24 @@ util::Result<LigandSource> LigandSource::Create(
   return src;
 }
 
-util::Result<LigandEntry> LigandSource::FetchById(
+Deferred<util::Result<LigandEntry>> LigandSource::FetchById(
     const std::string& ligand_id) {
   auto it = by_id_.find(ligand_id);
   if (it == by_id_.end()) {
-    Charge(64);
-    return util::Status::NotFound("no ligand with id " + ligand_id);
+    return {util::Status::NotFound("no ligand with id " + ligand_id),
+            Charge(64)};
   }
   const LigandEntry& e = entries_[it->second];
-  Charge(e.ApproxBytes());
-  return e;
+  return {e, Charge(e.ApproxBytes())};
 }
 
-util::Result<Deferred<LigandEntry>> LigandSource::FetchByIdAsync(
-    const std::string& ligand_id) {
-  auto it = by_id_.find(ligand_id);
-  if (it == by_id_.end()) {
-    ChargeAsync(64);
-    return util::Status::NotFound("no ligand with id " + ligand_id);
-  }
-  Deferred<LigandEntry> out;
-  out.value = entries_[it->second];
-  out.ready_micros = ChargeAsync(out.value.ApproxBytes());
-  return out;
-}
-
-std::vector<LigandEntry> LigandSource::FetchBatch(
-    const std::vector<std::string>& ids) {
-  std::vector<LigandEntry> out;
-  uint64_t bytes = 64;
-  for (const auto& id : ids) {
-    auto it = by_id_.find(id);
-    if (it == by_id_.end()) continue;
-    out.push_back(entries_[it->second]);
-    bytes += out.back().ApproxBytes();
-  }
-  Charge(bytes);
-  return out;
-}
-
-std::vector<LigandEntry> LigandSource::FetchAll() {
+Deferred<std::vector<LigandEntry>> LigandSource::FetchAll() {
   uint64_t bytes = 64;
   for (const auto& e : entries_) bytes += e.ApproxBytes();
-  Charge(bytes);
-  return entries_;
+  return {entries_, Charge(bytes)};
 }
 
-std::vector<std::string> LigandSource::ListIds() {
+Deferred<std::vector<std::string>> LigandSource::ListIds() {
   std::vector<std::string> out;
   uint64_t bytes = 16;
   out.reserve(entries_.size());
@@ -77,8 +48,7 @@ std::vector<std::string> LigandSource::ListIds() {
     out.push_back(e.record.ligand_id);
     bytes += out.back().size();
   }
-  Charge(bytes);
-  return out;
+  return {std::move(out), Charge(bytes)};
 }
 
 }  // namespace integration

@@ -36,21 +36,15 @@ class LigandSource : public RemoteSource {
                                            SimulatedNetwork* network,
                                            util::Rng* rng);
 
-  /// One compound by id; one request.
-  util::Result<LigandEntry> FetchById(const std::string& ligand_id);
-
-  /// One compound by id, scheduled without blocking.
-  util::Result<Deferred<LigandEntry>> FetchByIdAsync(
-      const std::string& ligand_id);
-
-  /// Batch fetch in a single request; unknown ids are skipped.
-  std::vector<LigandEntry> FetchBatch(const std::vector<std::string>& ids);
+  /// One compound by id; one request. An unknown id is a NotFound that
+  /// still costs a round trip.
+  Deferred<util::Result<LigandEntry>> FetchById(const std::string& ligand_id);
 
   /// Bulk export; one request.
-  std::vector<LigandEntry> FetchAll();
+  Deferred<std::vector<LigandEntry>> FetchAll();
 
   /// Catalog of ids; one cheap request.
-  std::vector<std::string> ListIds();
+  Deferred<std::vector<std::string>> ListIds();
 
   size_t NumRecords() const { return entries_.size(); }
 

@@ -165,31 +165,33 @@ util::Result<std::vector<ActivityRecord>> Mediator::DecodeActivities(
   return out;
 }
 
-util::Result<ProteinRecord> Mediator::GetProtein(
+Deferred<util::Result<ProteinRecord>> Mediator::GetProtein(
     const std::string& accession, const MediatorOptions& options) {
   const std::string key = SemanticCache::ProteinKey(accession);
   if (CacheEnabled(options)) {
-    if (auto blob = cache_->Get(key)) return DecodeProtein(*blob);
+    if (auto blob = cache_->Get(key)) return {DecodeProtein(*blob)};
   }
-  DRUGTREE_ASSIGN_OR_RETURN(ProteinRecord rec,
-                            protein_source_->FetchByAccession(accession));
-  if (CacheEnabled(options)) cache_->Put(key, EncodeProtein(rec));
-  return rec;
+  Deferred<util::Result<ProteinRecord>> fetched =
+      protein_source_->FetchByAccession(accession);
+  if (fetched.value.ok() && CacheEnabled(options)) {
+    cache_->Put(key, EncodeProtein(*fetched.value));
+  }
+  return fetched;
 }
 
-util::Result<std::vector<ActivityRecord>> Mediator::GetActivities(
+Deferred<util::Result<std::vector<ActivityRecord>>> Mediator::GetActivities(
     const std::string& accession, const MediatorOptions& options) {
   const std::string key = SemanticCache::ActivitiesByProteinKey(accession);
   if (CacheEnabled(options)) {
-    if (auto blob = cache_->Get(key)) return DecodeActivities(*blob);
+    if (auto blob = cache_->Get(key)) return {DecodeActivities(*blob)};
   }
-  std::vector<ActivityRecord> recs =
+  Deferred<std::vector<ActivityRecord>> fetched =
       activity_source_->FetchByAccession(accession);
-  if (CacheEnabled(options)) cache_->Put(key, EncodeActivities(recs));
-  return recs;
+  if (CacheEnabled(options)) cache_->Put(key, EncodeActivities(fetched.value));
+  return {std::move(fetched.value), fetched.ready_micros};
 }
 
-util::Result<std::vector<ProteinRecord>> Mediator::GetFamily(
+Deferred<util::Result<std::vector<ProteinRecord>>> Mediator::GetFamily(
     const std::string& family, const MediatorOptions& options) {
   const std::string fam_key = SemanticCache::FamilyKey(family);
   if (CacheEnabled(options) && cache_->Contains(fam_key)) {
@@ -206,74 +208,43 @@ util::Result<std::vector<ProteinRecord>> Mediator::GetFamily(
           all_present = false;  // member evicted: fall through to refetch
           break;
         }
-        DRUGTREE_ASSIGN_OR_RETURN(ProteinRecord rec, DecodeProtein(*member));
-        out.push_back(std::move(rec));
+        util::Result<ProteinRecord> rec = DecodeProtein(*member);
+        if (!rec.ok()) return {rec.status()};
+        out.push_back(std::move(*rec));
       }
-      if (all_present) return out;
+      if (all_present) return {std::move(out)};
     }
   }
-  std::vector<ProteinRecord> recs = protein_source_->FetchFamily(family);
+  Deferred<std::vector<ProteinRecord>> fetched =
+      protein_source_->FetchFamily(family);
   if (CacheEnabled(options)) {
     std::vector<std::string> accs;
-    for (const auto& rec : recs) {
+    for (const auto& rec : fetched.value) {
       cache_->Put(SemanticCache::ProteinKey(rec.accession),
                   EncodeProtein(rec));
       accs.push_back(rec.accession);
     }
     cache_->Put(fam_key, util::Join(accs, ","));
   }
-  return recs;
+  return {std::move(fetched.value), fetched.ready_micros};
 }
 
-util::Result<Deferred<std::vector<ProteinRecord>>> Mediator::GetFamilyAsync(
-    const std::string& family, const MediatorOptions& options) {
-  const std::string fam_key = SemanticCache::FamilyKey(family);
-  if (CacheEnabled(options) && cache_->Contains(fam_key)) {
-    auto blob = cache_->Get(fam_key);
-    if (blob) {
-      Deferred<std::vector<ProteinRecord>> out;
-      bool all_present = true;
-      for (const auto& acc : util::Split(*blob, ',')) {
-        if (acc.empty()) continue;
-        auto member = cache_->Get(SemanticCache::ProteinKey(acc));
-        if (!member) {
-          all_present = false;
-          break;
-        }
-        DRUGTREE_ASSIGN_OR_RETURN(ProteinRecord rec, DecodeProtein(*member));
-        out.value.push_back(std::move(rec));
-      }
-      if (all_present) return out;
-    }
+template <typename Keys, typename Fetch, typename Take>
+util::Status Mediator::FetchEach(const Keys& keys, Fetch fetch, Take take) {
+  SimulatedNetwork* net = network();
+  FetchWindow window(net, net != nullptr ? net->params().max_concurrency : 1);
+  for (const auto& key : keys) {
+    window.Acquire();
+    auto fetched = fetch(key);
+    window.Track(fetched.ready_micros);
+    if (!fetched.value.ok()) return fetched.value.status();
+    take(std::move(fetched.value).ValueUnsafe());
   }
-  Deferred<std::vector<ProteinRecord>> out =
-      protein_source_->FetchFamilyAsync(family);
-  if (CacheEnabled(options)) {
-    std::vector<std::string> accs;
-    for (const auto& rec : out.value) {
-      cache_->Put(SemanticCache::ProteinKey(rec.accession),
-                  EncodeProtein(rec));
-      accs.push_back(rec.accession);
-    }
-    cache_->Put(fam_key, util::Join(accs, ","));
-  }
-  return out;
-}
-
-util::Result<Deferred<std::vector<ActivityRecord>>> Mediator::GetActivitiesAsync(
-    const std::string& accession, const MediatorOptions& options) {
-  const std::string key = SemanticCache::ActivitiesByProteinKey(accession);
-  if (CacheEnabled(options)) {
-    if (auto blob = cache_->Get(key)) {
-      Deferred<std::vector<ActivityRecord>> out;
-      DRUGTREE_ASSIGN_OR_RETURN(out.value, DecodeActivities(*blob));
-      return out;
-    }
-  }
-  Deferred<std::vector<ActivityRecord>> out =
-      activity_source_->FetchByAccessionAsync(accession);
-  if (CacheEnabled(options)) cache_->Put(key, EncodeActivities(out.value));
-  return out;
+  window.Drain();
+  async_stats_.peak_in_flight =
+      std::max(async_stats_.peak_in_flight, window.peak_in_flight());
+  async_stats_.async_requests += window.submissions();
+  return util::Status::OK();
 }
 
 util::Result<IntegratedDataset> Mediator::IntegrateAll(
@@ -287,44 +258,19 @@ util::Result<IntegratedDataset> Mediator::IntegrateAll(
   ds.ligands = std::make_unique<Table>("ligands", LigandTableSchema());
   ds.activities = std::make_unique<Table>("activities", ActivityTableSchema());
   async_stats_ = MediatorAsyncStats{};
-  const bool overlapped = options.max_concurrency > 1 && network() != nullptr;
+  SimulatedNetwork* net = network();
 
   // Proteins.
   std::vector<ProteinRecord> proteins;
   {
     DT_SPAN("integrate.fetch_proteins");
     if (options.batch_requests) {
-      proteins = protein_source_->FetchAll();
-    } else if (overlapped) {
-      // Overlapped per-record fetch: keep up to max_concurrency requests in
-      // flight; cache semantics match the serial GetProtein path exactly.
-      FetchWindow window(network(), options.max_concurrency);
-      for (const auto& acc : protein_source_->ListAccessions()) {
-        const std::string key = SemanticCache::ProteinKey(acc);
-        if (CacheEnabled(options)) {
-          if (auto blob = cache_->Get(key)) {
-            DRUGTREE_ASSIGN_OR_RETURN(ProteinRecord rec, DecodeProtein(*blob));
-            proteins.push_back(std::move(rec));
-            continue;
-          }
-        }
-        window.Acquire();
-        DRUGTREE_ASSIGN_OR_RETURN(
-            Deferred<ProteinRecord> d,
-            protein_source_->FetchByAccessionAsync(acc));
-        window.Track(d.ready_micros);
-        ++async_stats_.async_requests;
-        if (CacheEnabled(options)) cache_->Put(key, EncodeProtein(d.value));
-        proteins.push_back(std::move(d.value));
-      }
-      window.Drain();
-      async_stats_.peak_in_flight =
-          std::max(async_stats_.peak_in_flight, window.peak_in_flight());
+      proteins = Await(net, protein_source_->FetchAll());
     } else {
-      for (const auto& acc : protein_source_->ListAccessions()) {
-        DRUGTREE_ASSIGN_OR_RETURN(ProteinRecord rec, GetProtein(acc, options));
-        proteins.push_back(std::move(rec));
-      }
+      DRUGTREE_RETURN_IF_ERROR(FetchEach(
+          Await(net, protein_source_->ListAccessions()),
+          [&](const std::string& acc) { return GetProtein(acc, options); },
+          [&](ProteinRecord rec) { proteins.push_back(std::move(rec)); }));
     }
   }
   protein_fetches->Add(static_cast<int64_t>(proteins.size()));
@@ -345,25 +291,12 @@ util::Result<IntegratedDataset> Mediator::IntegrateAll(
   {
     DT_SPAN("integrate.fetch_ligands");
     if (options.batch_requests) {
-      ligands = ligand_source_->FetchAll();
-    } else if (overlapped) {
-      FetchWindow window(network(), options.max_concurrency);
-      for (const auto& id : ligand_source_->ListIds()) {
-        window.Acquire();
-        DRUGTREE_ASSIGN_OR_RETURN(Deferred<LigandEntry> d,
-                                  ligand_source_->FetchByIdAsync(id));
-        window.Track(d.ready_micros);
-        ++async_stats_.async_requests;
-        ligands.push_back(std::move(d.value));
-      }
-      window.Drain();
-      async_stats_.peak_in_flight =
-          std::max(async_stats_.peak_in_flight, window.peak_in_flight());
+      ligands = Await(net, ligand_source_->FetchAll());
     } else {
-      for (const auto& id : ligand_source_->ListIds()) {
-        DRUGTREE_ASSIGN_OR_RETURN(LigandEntry e, ligand_source_->FetchById(id));
-        ligands.push_back(std::move(e));
-      }
+      DRUGTREE_RETURN_IF_ERROR(FetchEach(
+          Await(net, ligand_source_->ListIds()),
+          [&](const std::string& id) { return ligand_source_->FetchById(id); },
+          [&](LigandEntry e) { ligands.push_back(std::move(e)); }));
     }
   }
   ligand_fetches->Add(static_cast<int64_t>(ligands.size()));
@@ -379,37 +312,18 @@ util::Result<IntegratedDataset> Mediator::IntegrateAll(
   {
     DT_SPAN("integrate.fetch_activities");
     if (options.batch_requests) {
-      activities = activity_source_->FetchAll();
-    } else if (overlapped) {
-      FetchWindow window(network(), options.max_concurrency);
-      for (const auto& p : proteins) {
-        const std::string key =
-            SemanticCache::ActivitiesByProteinKey(p.accession);
-        if (CacheEnabled(options)) {
-          if (auto blob = cache_->Get(key)) {
-            DRUGTREE_ASSIGN_OR_RETURN(std::vector<ActivityRecord> a,
-                                      DecodeActivities(*blob));
-            activities.insert(activities.end(), a.begin(), a.end());
-            continue;
-          }
-        }
-        window.Acquire();
-        Deferred<std::vector<ActivityRecord>> d =
-            activity_source_->FetchByAccessionAsync(p.accession);
-        window.Track(d.ready_micros);
-        ++async_stats_.async_requests;
-        if (CacheEnabled(options)) cache_->Put(key, EncodeActivities(d.value));
-        activities.insert(activities.end(), d.value.begin(), d.value.end());
-      }
-      window.Drain();
-      async_stats_.peak_in_flight =
-          std::max(async_stats_.peak_in_flight, window.peak_in_flight());
+      activities = Await(net, activity_source_->FetchAll());
     } else {
-      for (const auto& p : proteins) {
-        DRUGTREE_ASSIGN_OR_RETURN(std::vector<ActivityRecord> a,
-                                  GetActivities(p.accession, options));
-        activities.insert(activities.end(), a.begin(), a.end());
-      }
+      DRUGTREE_RETURN_IF_ERROR(FetchEach(
+          proteins,
+          [&](const ProteinRecord& p) {
+            return GetActivities(p.accession, options);
+          },
+          [&](std::vector<ActivityRecord> a) {
+            activities.insert(activities.end(),
+                              std::make_move_iterator(a.begin()),
+                              std::make_move_iterator(a.end()));
+          }));
     }
   }
   activity_fetches->Add(static_cast<int64_t>(activities.size()));

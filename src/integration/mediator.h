@@ -3,6 +3,12 @@
 // tables the query engine runs over. The fetch strategy (per-record vs
 // batched, cached vs not) is configurable — this is exactly the axis
 // experiment E3 sweeps.
+//
+// Each cached fetch (GetProtein, GetActivities, GetFamily) has one form: it
+// returns a Deferred that lands at once on a cache hit and when the source's
+// request completes on a miss. Callers block with Await or overlap fetches
+// through a FetchWindow; per-record integration runs every record through a
+// window as wide as the link's channels, so one channel is the serial path.
 
 #ifndef DRUGTREE_INTEGRATION_MEDIATOR_H_
 #define DRUGTREE_INTEGRATION_MEDIATOR_H_
@@ -31,11 +37,6 @@ struct MediatorOptions {
   /// Consult / populate the semantic cache (may be null in which case this
   /// is ignored).
   bool use_cache = true;
-
-  /// Maximum number of overlapped in-flight requests for per-record fetch
-  /// paths. 1 reproduces the historical serial behaviour exactly; higher
-  /// values pipeline fetches over the simulated link's channels.
-  int max_concurrency = 1;
 };
 
 /// The integrated relational snapshot. Schemas:
@@ -56,11 +57,11 @@ storage::Schema ProteinTableSchema();
 storage::Schema LigandTableSchema();
 storage::Schema ActivityTableSchema();
 
-/// Bookkeeping from the most recent overlapped integration run.
+/// Bookkeeping of IntegrateAll's per-record fetch windows.
 struct MediatorAsyncStats {
   /// Highest number of simultaneously in-flight requests observed.
   int peak_in_flight = 0;
-  /// Requests issued through the overlapped (windowed) path.
+  /// Requests issued through the fetch window (cache hits issue none).
   uint64_t async_requests = 0;
 };
 
@@ -82,35 +83,24 @@ class Mediator {
   util::Result<IntegratedDataset> IntegrateAll(const MediatorOptions& options);
 
   /// Fetches one protein record, via cache when enabled.
-  util::Result<ProteinRecord> GetProtein(const std::string& accession,
-                                         const MediatorOptions& options);
+  Deferred<util::Result<ProteinRecord>> GetProtein(
+      const std::string& accession, const MediatorOptions& options);
 
   /// Fetches the activity list of one protein, via cache when enabled.
-  util::Result<std::vector<ActivityRecord>> GetActivities(
+  Deferred<util::Result<std::vector<ActivityRecord>>> GetActivities(
       const std::string& accession, const MediatorOptions& options);
 
   /// Fetches all proteins of a family in one batched request and caches each
   /// member under its fine-grained key (the containment trick the semantic
-  /// cache exists for).
-  util::Result<std::vector<ProteinRecord>> GetFamily(
+  /// cache exists for). The cache is populated at once: in the simulation
+  /// the payload is known at submit time, only its arrival is deferred.
+  Deferred<util::Result<std::vector<ProteinRecord>>> GetFamily(
       const std::string& family, const MediatorOptions& options);
-
-  /// Overlapped variant of GetFamily: the request is scheduled on the
-  /// simulated link without advancing the clock; the caller decides when to
-  /// wait on `ready_micros`. Cache hits return ready_micros = 0 (no request).
-  /// The cache is populated immediately — in the simulation the payload is
-  /// known at submit time, only its arrival time is deferred.
-  util::Result<Deferred<std::vector<ProteinRecord>>> GetFamilyAsync(
-      const std::string& family, const MediatorOptions& options);
-
-  /// Overlapped variant of GetActivities; same semantics as GetFamilyAsync.
-  util::Result<Deferred<std::vector<ActivityRecord>>> GetActivitiesAsync(
-      const std::string& accession, const MediatorOptions& options);
 
   /// The simulated link shared by the wrapped sources (may be null).
   SimulatedNetwork* network() const { return protein_source_->network(); }
 
-  /// Stats from the last IntegrateAll run that used max_concurrency > 1.
+  /// Stats from the last IntegrateAll run (zero when it fetched in bulk).
   const MediatorAsyncStats& async_stats() const { return async_stats_; }
 
   /// Accounts IntegrateAll's transient fetch buffers (the record vectors
@@ -129,6 +119,12 @@ class Mediator {
   bool CacheEnabled(const MediatorOptions& options) const {
     return options.use_cache && cache_ != nullptr;
   }
+
+  /// Runs `fetch` on every key, in order, through a window as wide as the
+  /// link's channels (1 without a link), handing each payload to `take`;
+  /// the first failed fetch ends the run with its error.
+  template <typename Keys, typename Fetch, typename Take>
+  util::Status FetchEach(const Keys& keys, Fetch fetch, Take take);
 
   ProteinSource* protein_source_;
   LigandSource* ligand_source_;

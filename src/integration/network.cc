@@ -21,15 +21,20 @@ const SimulatedNetwork::Metrics& SimulatedNetwork::SharedMetrics() {
   return metrics;
 }
 
+int64_t SimulatedNetwork::BaseMicros(const NetworkParams& params,
+                                     uint64_t payload_bytes, int busy) {
+  int64_t transfer =
+      params.bandwidth_bytes_per_sec > 0
+          ? static_cast<int64_t>(
+                payload_bytes * 1'000'000 * static_cast<uint64_t>(busy) /
+                static_cast<uint64_t>(params.bandwidth_bytes_per_sec))
+          : 0;
+  return params.latency_micros + transfer;
+}
+
 int64_t SimulatedNetwork::EstimateMicros(uint64_t payload_bytes) const {
   std::lock_guard<std::mutex> lock(mu_);
-  int64_t transfer =
-      params_.bandwidth_bytes_per_sec > 0
-          ? static_cast<int64_t>(payload_bytes * 1'000'000 /
-                                 static_cast<uint64_t>(
-                                     params_.bandwidth_bytes_per_sec))
-          : 0;
-  return params_.latency_micros + transfer;
+  return BaseMicros(params_, payload_bytes, /*busy=*/1);
 }
 
 SimulatedNetwork::Completion SimulatedNetwork::SubmitLocked(
@@ -78,13 +83,7 @@ SimulatedNetwork::Completion SimulatedNetwork::SubmitLocked(
                     << params_.timeout_micros << "us charged)";
       continue;
     }
-    int64_t transfer =
-        params_.bandwidth_bytes_per_sec > 0
-            ? static_cast<int64_t>(
-                  payload_bytes * 1'000'000 * static_cast<uint64_t>(busy) /
-                  static_cast<uint64_t>(params_.bandwidth_bytes_per_sec))
-            : 0;
-    int64_t base = params_.latency_micros + transfer;
+    int64_t base = BaseMicros(params_, payload_bytes, busy);
     int64_t jitter = 0;
     if (params_.jitter_fraction > 0) {
       double j = rng_.UniformDouble(-params_.jitter_fraction,
@@ -116,8 +115,7 @@ SimulatedNetwork::Completion SimulatedNetwork::SubmitRequest(
   return SubmitLocked(payload_bytes);
 }
 
-void SimulatedNetwork::WaitUntil(int64_t ready_micros) {
-  std::lock_guard<std::mutex> lock(mu_);
+void SimulatedNetwork::WaitLocked(int64_t ready_micros) {
   int64_t now = clock_->NowMicros();
   if (ready_micros > now) {
     clock_->AdvanceMicros(ready_micros - now);
@@ -126,6 +124,11 @@ void SimulatedNetwork::WaitUntil(int64_t ready_micros) {
                               ready_micros - now);
     }
   }
+}
+
+void SimulatedNetwork::WaitUntil(int64_t ready_micros) {
+  std::lock_guard<std::mutex> lock(mu_);
+  WaitLocked(ready_micros);
 }
 
 void SimulatedNetwork::Quiesce() {
@@ -137,61 +140,10 @@ void SimulatedNetwork::Quiesce() {
 }
 
 int64_t SimulatedNetwork::Request(uint64_t payload_bytes) {
-  Completion done;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    done = SubmitLocked(payload_bytes);
-    int64_t now = clock_->NowMicros();
-    if (done.ready_micros > now) {
-      clock_->AdvanceMicros(done.ready_micros - now);
-      if (obs::TraceContext* trace = obs::TraceContext::Current()) {
-        trace->AddBlockedMicros(obs::TracePhase::kFetchBlocked,
-                                done.ready_micros - now);
-      }
-    }
-  }
-  return done.charged_micros;
-}
-
-bool SimulatedNetwork::TryRequest(uint64_t payload_bytes,
-                                  int64_t* charged_micros) {
-  const Metrics& metrics = SharedMetrics();
   std::lock_guard<std::mutex> lock(mu_);
-  num_requests_.fetch_add(1, std::memory_order_relaxed);
-  metrics.requests->Increment();
-  if (params_.failure_probability > 0 &&
-      rng_.Bernoulli(params_.failure_probability)) {
-    num_failures_.fetch_add(1, std::memory_order_relaxed);
-    metrics.failures->Increment();
-    clock_->AdvanceMicros(params_.timeout_micros);
-    busy_micros_.fetch_add(params_.timeout_micros, std::memory_order_relaxed);
-    metrics.busy_micros->Add(params_.timeout_micros);
-    if (charged_micros != nullptr) *charged_micros = params_.timeout_micros;
-    DT_LOG(DEBUG) << "request timed out (" << payload_bytes << " bytes, "
-                  << params_.timeout_micros << "us charged)";
-    return false;
-  }
-  int64_t transfer =
-      params_.bandwidth_bytes_per_sec > 0
-          ? static_cast<int64_t>(payload_bytes * 1'000'000 /
-                                 static_cast<uint64_t>(
-                                     params_.bandwidth_bytes_per_sec))
-          : 0;
-  int64_t base = params_.latency_micros + transfer;
-  int64_t jitter = 0;
-  if (params_.jitter_fraction > 0) {
-    double j = rng_.UniformDouble(-params_.jitter_fraction,
-                                  params_.jitter_fraction);
-    jitter = static_cast<int64_t>(params_.latency_micros * j);
-  }
-  int64_t total = std::max<int64_t>(0, base + jitter);
-  clock_->AdvanceMicros(total);
-  bytes_.fetch_add(payload_bytes, std::memory_order_relaxed);
-  busy_micros_.fetch_add(total, std::memory_order_relaxed);
-  metrics.bytes->Add(static_cast<int64_t>(payload_bytes));
-  metrics.busy_micros->Add(total);
-  if (charged_micros != nullptr) *charged_micros = total;
-  return true;
+  Completion done = SubmitLocked(payload_bytes);
+  WaitLocked(done.ready_micros);
+  return done.charged_micros;
 }
 
 }  // namespace integration

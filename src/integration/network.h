@@ -10,8 +10,13 @@
 // the clock; WaitUntil advances the clock to a completion. Latencies of
 // concurrent requests overlap; transfers share link bandwidth (a transfer
 // that starts while k channels are busy runs at bandwidth/k). At
-// max_concurrency = 1 the blocking Request path is bit-identical to the
+// max_concurrency = 1 every request waits for the one before it, the
 // historical serial model.
+//
+// Every federated fetch is scheduled: it returns a Deferred (payload plus
+// ready time). A caller that needs the payload now blocks through Await; a
+// caller that overlaps fetches runs them through a FetchWindow as wide as
+// the link's channels, so one channel is the serial path.
 
 #ifndef DRUGTREE_INTEGRATION_NETWORK_H_
 #define DRUGTREE_INTEGRATION_NETWORK_H_
@@ -82,17 +87,13 @@ class SimulatedNetwork {
   /// Advances the clock past every scheduled completion (drains the link).
   void Quiesce();
 
-  /// Blocking request: SubmitRequest + WaitUntil. Returns the microseconds
-  /// charged. Bit-identical to the historical serial path when
-  /// max_concurrency == 1.
+  /// Blocking request: SubmitRequest + WaitUntil under one lock hold, so
+  /// no other caller's request lands between the two. Returns the
+  /// microseconds charged.
   int64_t Request(uint64_t payload_bytes);
 
-  /// One blocking attempt: returns false (charging timeout_micros) with
-  /// probability failure_probability, true (charging the normal cost)
-  /// otherwise. `charged_micros` may be null.
-  bool TryRequest(uint64_t payload_bytes, int64_t* charged_micros);
-
-  /// Cost model without advancing time (used by the prefetcher's budgeter).
+  /// Cost of one attempt alone on the link, without jitter and without
+  /// advancing time (the shard router prices its hops with it).
   int64_t EstimateMicros(uint64_t payload_bytes) const;
 
   uint64_t num_requests() const {
@@ -123,8 +124,17 @@ class SimulatedNetwork {
  private:
   static const Metrics& SharedMetrics();
 
+  /// Latency plus the transfer of `payload_bytes` while `busy` channels
+  /// share the bandwidth: one successful attempt before jitter.
+  static int64_t BaseMicros(const NetworkParams& params,
+                            uint64_t payload_bytes, int busy);
+
   /// Schedules one reliable request; assumes mu_ is held.
   Completion SubmitLocked(uint64_t payload_bytes);
+
+  /// Advances the clock to `ready_micros` if it lies ahead; assumes mu_ is
+  /// held.
+  void WaitLocked(int64_t ready_micros);
 
   util::Clock* clock_;
   mutable std::mutex mu_;        // guards params_, rng_, channels_
@@ -137,11 +147,33 @@ class SimulatedNetwork {
   std::atomic<int64_t> busy_micros_{0};
 };
 
-/// Bounded in-flight window over async submissions, the mediator's and
-/// prefetcher's batching primitive. Callers Acquire() a slot before
+/// A fetch whose response payload is known at submit time (the data is
+/// simulated) but whose network completion lies in the virtual future.
+/// `ready_micros` is the absolute virtual time the response lands; 0 when
+/// no request was made (a cache hit, or a source without a link). A failed
+/// lookup carries its error in `value` and still lands at `ready_micros`:
+/// error responses cost a round trip too.
+template <typename T>
+struct Deferred {
+  T value;
+  int64_t ready_micros = 0;
+};
+
+/// Blocks (in virtual time) until `fetch` has landed and returns its
+/// payload: the one way to wait on a single fetch. `network` may be null
+/// (nothing to wait for).
+template <typename T>
+T Await(SimulatedNetwork* network, Deferred<T> fetch) {
+  if (network != nullptr) network->WaitUntil(fetch.ready_micros);
+  return std::move(fetch.value);
+}
+
+/// Bounded in-flight window over scheduled fetches, the mediator's
+/// per-record batching primitive. Callers Acquire() a slot before
 /// submitting (which, when the window is full, waits — in virtual time —
 /// for the earliest outstanding completion), then Track() the new
-/// completion, and Drain() once the batch is issued.
+/// completion, and Drain() once the batch is issued. A window of 1 waits
+/// for each fetch before submitting the next: the serial path.
 class FetchWindow {
  public:
   /// `network` may be null (no virtual-time accounting; everything is
@@ -161,9 +193,15 @@ class FetchWindow {
     }
   }
 
-  /// Records a submission's completion time.
+  /// Records a submission's completion time. One the clock has already
+  /// passed (a cache hit made no request) is not outstanding.
   void Track(int64_t ready_micros) {
+    if (network_ == nullptr ||
+        ready_micros <= network_->clock()->NowMicros()) {
+      return;
+    }
     outstanding_.push(ready_micros);
+    ++submissions_;
     int depth = static_cast<int>(outstanding_.size());
     if (depth > peak_in_flight_) peak_in_flight_ = depth;
   }
@@ -182,6 +220,9 @@ class FetchWindow {
   /// bounded-window tests assert on).
   int peak_in_flight() const { return peak_in_flight_; }
 
+  /// Completions tracked as outstanding: the requests this window issued.
+  uint64_t submissions() const { return submissions_; }
+
  private:
   /// Drops completions the clock has already passed.
   void Prune() {
@@ -195,6 +236,7 @@ class FetchWindow {
   SimulatedNetwork* network_;
   int window_;
   int peak_in_flight_ = 0;
+  uint64_t submissions_ = 0;
   std::priority_queue<int64_t, std::vector<int64_t>, std::greater<int64_t>>
       outstanding_;
 };

@@ -56,59 +56,45 @@ void TreeAwarePrefetcher::AccountRequest(const std::string& cache_key,
   }
 }
 
+void TreeAwarePrefetcher::Settle(int64_t ready_micros) {
+  if (options_.async_prefetch) {
+    pending_ready_micros_ = std::max(pending_ready_micros_, ready_micros);
+  } else if (SimulatedNetwork* net = mediator_->network()) {
+    net->WaitUntil(ready_micros);
+  }
+}
+
 util::Result<ProteinRecord> TreeAwarePrefetcher::GetProtein(
     const std::string& accession) {
   const std::string key = SemanticCache::ProteinKey(accession);
   MediatorOptions mopts;  // cache on, batch on
   bool hit = cache_->Contains(key);
   AccountRequest(key, hit);
-  if (hit) return mediator_->GetProtein(accession, mopts);
+  SimulatedNetwork* net = mediator_->network();
+  if (hit) return Await(net, mediator_->GetProtein(accession, mopts));
 
   // Miss: demand-fetch the record itself first so the caller is not blocked
   // on widening failures.
-  DRUGTREE_ASSIGN_OR_RETURN(ProteinRecord rec,
-                            mediator_->GetProtein(accession, mopts));
-  if (options_.widen_to_family) {
-    if (options_.async_prefetch && mediator_->network() != nullptr) {
-      // Overlapped widening: schedule the family (and activity) fetches on
-      // spare link channels without advancing the clock. The payloads are
-      // installed into the cache immediately; the time cost is deferred
-      // until Quiesce() or the natural serialization of a later request.
-      DRUGTREE_ASSIGN_OR_RETURN(Deferred<std::vector<ProteinRecord>> family,
-                                mediator_->GetFamilyAsync(rec.family, mopts));
-      pending_ready_micros_ =
-          std::max(pending_ready_micros_, family.ready_micros);
-      for (const auto& member : family.value) {
-        if (member.accession == accession) continue;
-        MarkPrefetched(SemanticCache::ProteinKey(member.accession));
-        if (options_.prefetch_activities) {
-          const std::string akey =
-              SemanticCache::ActivitiesByProteinKey(member.accession);
-          if (!cache_->Contains(akey)) {
-            DRUGTREE_ASSIGN_OR_RETURN(
-                Deferred<std::vector<ActivityRecord>> acts,
-                mediator_->GetActivitiesAsync(member.accession, mopts));
-            pending_ready_micros_ =
-                std::max(pending_ready_micros_, acts.ready_micros);
-            MarkPrefetched(akey);
-          }
-        }
-      }
-    } else {
-      DRUGTREE_ASSIGN_OR_RETURN(std::vector<ProteinRecord> family,
-                                mediator_->GetFamily(rec.family, mopts));
-      for (const auto& member : family) {
-        if (member.accession == accession) continue;
-        MarkPrefetched(SemanticCache::ProteinKey(member.accession));
-        if (options_.prefetch_activities) {
-          const std::string akey =
-              SemanticCache::ActivitiesByProteinKey(member.accession);
-          if (!cache_->Contains(akey)) {
-            DRUGTREE_RETURN_IF_ERROR(
-                mediator_->GetActivities(member.accession, mopts).status());
-            MarkPrefetched(akey);
-          }
-        }
+  DRUGTREE_ASSIGN_OR_RETURN(
+      ProteinRecord rec, Await(net, mediator_->GetProtein(accession, mopts)));
+  if (!options_.widen_to_family) return rec;
+  // The payloads land in the cache at once; only their arrival time is
+  // waited on now or deferred (Settle).
+  auto family = mediator_->GetFamily(rec.family, mopts);
+  Settle(family.ready_micros);
+  DRUGTREE_ASSIGN_OR_RETURN(std::vector<ProteinRecord> members,
+                            std::move(family.value));
+  for (const auto& member : members) {
+    if (member.accession == accession) continue;
+    MarkPrefetched(SemanticCache::ProteinKey(member.accession));
+    if (options_.prefetch_activities) {
+      const std::string akey =
+          SemanticCache::ActivitiesByProteinKey(member.accession);
+      if (!cache_->Contains(akey)) {
+        auto acts = mediator_->GetActivities(member.accession, mopts);
+        Settle(acts.ready_micros);
+        DRUGTREE_RETURN_IF_ERROR(acts.value.status());
+        MarkPrefetched(akey);
       }
     }
   }
@@ -129,7 +115,8 @@ util::Result<std::vector<ActivityRecord>> TreeAwarePrefetcher::GetActivities(
   bool hit = cache_->Contains(key);
   AccountRequest(key, hit);
   MediatorOptions mopts;
-  return mediator_->GetActivities(accession, mopts);
+  return Await(mediator_->network(),
+               mediator_->GetActivities(accession, mopts));
 }
 
 }  // namespace integration

@@ -7,6 +7,10 @@
 // every member — plus their activity lists, optionally — into the semantic
 // cache. Experiment E3 measures the effect; usefulness accounting
 // (prefetched entries that were later actually requested) is tracked here.
+//
+// Demand fetches block on the mediator's Deferred responses (Await). The
+// widening fetches are the same calls; async_prefetch only decides whether
+// each one is waited on at once or at Quiesce().
 
 #ifndef DRUGTREE_INTEGRATION_PREFETCHER_H_
 #define DRUGTREE_INTEGRATION_PREFETCHER_H_
@@ -40,10 +44,10 @@ struct PrefetcherOptions {
   bool widen_to_family = true;
   /// Also prefetch the activity lists of the widened members.
   bool prefetch_activities = false;
-  /// Issue the widening fetches as overlapped requests on spare link
-  /// channels instead of blocking the demand fetch on them. The caller (or
-  /// the next demand fetch) pays the wait via Quiesce(). Off by default so
-  /// the serial timing of existing sessions is unchanged.
+  /// Leave the widening fetches in flight on spare link channels instead
+  /// of waiting on each at once. The caller (or the next demand fetch)
+  /// pays the wait via Quiesce(). Off by default so the serial timing of
+  /// existing sessions is unchanged.
   bool async_prefetch = false;
 };
 
@@ -72,6 +76,9 @@ class TreeAwarePrefetcher {
  private:
   void MarkPrefetched(const std::string& cache_key);
   void AccountRequest(const std::string& cache_key, bool was_hit);
+  /// Waits for a widening fetch landing at `ready_micros` now, or with
+  /// async_prefetch leaves it to Quiesce().
+  void Settle(int64_t ready_micros);
 
   Mediator* mediator_;
   SemanticCache* cache_;

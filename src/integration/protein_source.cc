@@ -43,65 +43,19 @@ util::Result<ProteinSource> ProteinSource::Create(
   return src;
 }
 
-util::Result<ProteinRecord> ProteinSource::FetchByAccession(
+Deferred<util::Result<ProteinRecord>> ProteinSource::FetchByAccession(
     const std::string& accession) {
   auto it = by_accession_.find(accession);
   if (it == by_accession_.end()) {
-    Charge(64);  // error responses still cost a round trip
-    return util::Status::NotFound("no protein with accession " + accession);
+    // Error responses still cost a round trip.
+    return {util::Status::NotFound("no protein with accession " + accession),
+            Charge(64)};
   }
   const ProteinRecord& rec = records_[it->second];
-  Charge(rec.ApproxBytes());
-  return rec;
+  return {rec, Charge(rec.ApproxBytes())};
 }
 
-util::Result<Deferred<ProteinRecord>> ProteinSource::FetchByAccessionAsync(
-    const std::string& accession) {
-  auto it = by_accession_.find(accession);
-  if (it == by_accession_.end()) {
-    ChargeAsync(64);  // error responses still cost a round trip
-    return util::Status::NotFound("no protein with accession " + accession);
-  }
-  Deferred<ProteinRecord> out;
-  out.value = records_[it->second];
-  out.ready_micros = ChargeAsync(out.value.ApproxBytes());
-  return out;
-}
-
-std::vector<ProteinRecord> ProteinSource::FetchBatch(
-    const std::vector<std::string>& accs) {
-  std::vector<ProteinRecord> out;
-  uint64_t bytes = 64;
-  for (const auto& a : accs) {
-    auto it = by_accession_.find(a);
-    if (it == by_accession_.end()) continue;
-    out.push_back(records_[it->second]);
-    bytes += out.back().ApproxBytes();
-  }
-  Charge(bytes);
-  return out;
-}
-
-std::vector<ProteinRecord> ProteinSource::FetchAll() {
-  uint64_t bytes = 64;
-  for (const auto& r : records_) bytes += r.ApproxBytes();
-  Charge(bytes);
-  return records_;
-}
-
-std::vector<std::string> ProteinSource::ListAccessions() {
-  std::vector<std::string> out;
-  uint64_t bytes = 16;
-  out.reserve(records_.size());
-  for (const auto& r : records_) {
-    out.push_back(r.accession);
-    bytes += r.accession.size();
-  }
-  Charge(bytes);
-  return out;
-}
-
-std::vector<ProteinRecord> ProteinSource::FetchFamily(
+Deferred<std::vector<ProteinRecord>> ProteinSource::FetchFamily(
     const std::string& family) {
   std::vector<ProteinRecord> out;
   uint64_t bytes = 64;
@@ -111,22 +65,24 @@ std::vector<ProteinRecord> ProteinSource::FetchFamily(
       bytes += r.ApproxBytes();
     }
   }
-  Charge(bytes);
-  return out;
+  return {std::move(out), Charge(bytes)};
 }
 
-Deferred<std::vector<ProteinRecord>> ProteinSource::FetchFamilyAsync(
-    const std::string& family) {
-  Deferred<std::vector<ProteinRecord>> out;
+Deferred<std::vector<ProteinRecord>> ProteinSource::FetchAll() {
   uint64_t bytes = 64;
+  for (const auto& r : records_) bytes += r.ApproxBytes();
+  return {records_, Charge(bytes)};
+}
+
+Deferred<std::vector<std::string>> ProteinSource::ListAccessions() {
+  std::vector<std::string> out;
+  uint64_t bytes = 16;
+  out.reserve(records_.size());
   for (const auto& r : records_) {
-    if (r.family == family) {
-      out.value.push_back(r);
-      bytes += r.ApproxBytes();
-    }
+    out.push_back(r.accession);
+    bytes += r.accession.size();
   }
-  out.ready_micros = ChargeAsync(bytes);
-  return out;
+  return {std::move(out), Charge(bytes)};
 }
 
 }  // namespace integration

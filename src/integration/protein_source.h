@@ -1,5 +1,6 @@
 // Simulated protein database (UniProt-style): serves ProteinRecords for an
-// evolved synthetic family set, with per-request network charges.
+// evolved synthetic family set, with per-request network charges. Each
+// fetch schedules one request and returns its Deferred response.
 
 #ifndef DRUGTREE_INTEGRATION_PROTEIN_SOURCE_H_
 #define DRUGTREE_INTEGRATION_PROTEIN_SOURCE_H_
@@ -32,31 +33,19 @@ class ProteinSource : public RemoteSource {
                                             SimulatedNetwork* network,
                                             util::Rng* rng);
 
-  /// One accession. Charges one request.
-  util::Result<ProteinRecord> FetchByAccession(const std::string& accession);
-
-  /// One accession, scheduled without blocking: the record is returned
-  /// immediately, the network charge completes at `ready_micros`.
-  util::Result<Deferred<ProteinRecord>> FetchByAccessionAsync(
+  /// One accession. An unknown accession is a NotFound that still costs a
+  /// round trip.
+  Deferred<util::Result<ProteinRecord>> FetchByAccession(
       const std::string& accession);
 
-  /// All records of one family, scheduled without blocking.
-  Deferred<std::vector<ProteinRecord>> FetchFamilyAsync(
-      const std::string& family);
-
-  /// A batch of accessions in one request (one latency charge, summed
-  /// payload) — the batching optimization E3 measures. Unknown accessions
-  /// are skipped.
-  std::vector<ProteinRecord> FetchBatch(const std::vector<std::string>& accs);
+  /// All records of one family, one request.
+  Deferred<std::vector<ProteinRecord>> FetchFamily(const std::string& family);
 
   /// Every record, one request (bulk export).
-  std::vector<ProteinRecord> FetchAll();
+  Deferred<std::vector<ProteinRecord>> FetchAll();
 
   /// All accessions in one cheap catalog request.
-  std::vector<std::string> ListAccessions();
-
-  /// All records of one family, one request.
-  std::vector<ProteinRecord> FetchFamily(const std::string& family);
+  Deferred<std::vector<std::string>> ListAccessions();
 
   size_t NumRecords() const { return records_.size(); }
 

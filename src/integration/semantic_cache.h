@@ -34,14 +34,8 @@ class SemanticCache {
   static std::string FamilyKey(const std::string& family) {
     return "proteins:family:" + family;
   }
-  static std::string LigandKey(const std::string& ligand_id) {
-    return "ligand:id:" + ligand_id;
-  }
   static std::string ActivitiesByProteinKey(const std::string& accession) {
     return "activities:acc:" + accession;
-  }
-  static std::string ActivitiesByLigandKey(const std::string& ligand_id) {
-    return "activities:lig:" + ligand_id;
   }
 
   /// Stores a payload under a key (charge = payload size, minimum 1).

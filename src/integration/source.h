@@ -4,6 +4,10 @@
 // remote service: it owns synthetic ground-truth data and charges the
 // SimulatedNetwork for every request (per-request latency + payload bytes),
 // so the federation costs behave like the real system's.
+//
+// Every source fetch has one form: it schedules its request and returns a
+// Deferred (network.h) holding the payload and the virtual time it lands.
+// Callers block on it with Await or overlap several through a FetchWindow.
 
 #ifndef DRUGTREE_INTEGRATION_SOURCE_H_
 #define DRUGTREE_INTEGRATION_SOURCE_H_
@@ -41,16 +45,6 @@ struct ActivityRecord {
   uint64_t ApproxBytes() const;
 };
 
-/// A fetch whose response payload is known (the data is simulated) but
-/// whose network completion lies in the virtual future. `ready_micros` is
-/// the absolute virtual time the response lands; callers overlap fetches by
-/// submitting several before waiting on any (see FetchWindow).
-template <typename T>
-struct Deferred {
-  T value{};
-  int64_t ready_micros = 0;
-};
-
 /// Common behaviour of a simulated remote source.
 class RemoteSource {
  public:
@@ -65,16 +59,10 @@ class RemoteSource {
   SimulatedNetwork* network() { return network_; }
 
  protected:
-  /// Charges one request of `payload_bytes` to the network (blocking in
-  /// virtual time).
-  void Charge(uint64_t payload_bytes) {
-    ++requests_;
-    if (network_ != nullptr) network_->Request(payload_bytes);
-  }
-
-  /// Schedules one request without blocking; returns the absolute virtual
-  /// completion time (0 when there is no network).
-  int64_t ChargeAsync(uint64_t payload_bytes) {
+  /// Schedules one request of `payload_bytes` on the network without
+  /// advancing the clock; returns the absolute virtual completion time (0
+  /// when there is no network).
+  int64_t Charge(uint64_t payload_bytes) {
     ++requests_;
     if (network_ == nullptr) return 0;
     return network_->SubmitRequest(payload_bytes).ready_micros;

@@ -246,10 +246,5 @@ int64_t MetricsSampler::samples() const {
   return samples_;
 }
 
-int64_t MetricsSampler::last_sample_micros() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return last_sample_micros_;
-}
-
 }  // namespace obs
 }  // namespace drugtree

@@ -74,7 +74,6 @@ class TimeSeriesStore {
   bool WindowAverage(const std::string& series, int64_t now_micros,
                      int64_t window_micros, double* out) const;
 
-  size_t capacity_per_series() const { return capacity_; }
   size_t num_series() const;
   /// Total points ever observed (including evicted ones).
   int64_t total_points() const;
@@ -139,11 +138,10 @@ class MetricsSampler {
   /// (always samples the first call). Returns whether a sample was taken.
   bool SampleIfDue();
 
-  /// Unconditional sample (tests, Statusz with a stale timeline).
+  /// Unconditional sample (tests).
   void SampleNow();
 
   int64_t samples() const;
-  int64_t last_sample_micros() const;  // -1 before the first sample
 
   const SamplerOptions& options() const { return options_; }
 

@@ -65,12 +65,7 @@ class TraceStore {
 
   /// Threshold a completed request must reach (total micros) to be treated
   /// as a slow-query offender. 0 disables slow-query capture.
-  void set_slow_threshold_micros(int64_t micros) {
-    slow_threshold_micros_.store(micros, std::memory_order_relaxed);
-  }
-  int64_t slow_threshold_micros() const {
-    return slow_threshold_micros_.load(std::memory_order_relaxed);
-  }
+  int64_t slow_threshold_micros() const { return slow_threshold_micros_; }
 
   /// Files a completed record. Marks it slow (and retains it in the
   /// slow-query log, logging a WARNING with the full timeline) when its
@@ -105,7 +100,7 @@ class TraceStore {
   };
 
   size_t per_shard_capacity_;
-  std::atomic<int64_t> slow_threshold_micros_;
+  const int64_t slow_threshold_micros_;
   std::array<Shard, kShards> shards_;
   std::atomic<int64_t> total_recorded_{0};
   std::atomic<int64_t> dropped_{0};

@@ -8,22 +8,37 @@ namespace drugtree {
 namespace query {
 namespace {
 
-void CollectOrdinals(const Expr& expr, std::vector<bool>* present) {
-  if (expr.kind == ExprKind::kLiteral && expr.param_index >= 0 &&
-      static_cast<size_t>(expr.param_index) < present->size()) {
-    (*present)[static_cast<size_t>(expr.param_index)] = true;
+/// Marks the ordinal of every tagged literal below `expr` in `present`,
+/// and appends each one that stands for a tree node's interval bound to
+/// `node_ordinals`, once.
+void CollectOrdinals(const Expr& expr, std::vector<bool>* present,
+                     std::vector<int>* node_ordinals) {
+  if (expr.kind == ExprKind::kLiteral && expr.param_index >= 0) {
+    if (static_cast<size_t>(expr.param_index) < present->size()) {
+      (*present)[static_cast<size_t>(expr.param_index)] = true;
+    }
+    if (expr.param_role != ParamRole::kValue &&
+        std::find(node_ordinals->begin(), node_ordinals->end(),
+                  expr.param_index) == node_ordinals->end()) {
+      node_ordinals->push_back(expr.param_index);
+    }
   }
-  for (const auto& c : expr.children) CollectOrdinals(*c, present);
+  for (const auto& c : expr.children) {
+    CollectOrdinals(*c, present, node_ordinals);
+  }
 }
 
 /// True iff every ordinal 0..n-1 survived optimization. A missing ordinal
 /// means a rewrite consumed that literal while planning (folded it or
 /// dropped its conjunct), so the template only reproduces correct results
-/// for its own parameter values.
-bool ComputeRebindable(const LogicalNode& plan, size_t num_params) {
+/// for its own parameter values. The same walk records the plan's node
+/// ordinals.
+bool ComputeRebindable(const LogicalNode& plan, size_t num_params,
+                       std::vector<int>* node_ordinals) {
   std::vector<bool> present(num_params, false);
-  ForEachExpr(plan,
-              [&present](const Expr& e) { CollectOrdinals(e, &present); });
+  ForEachExpr(plan, [&](const Expr& e) {
+    CollectOrdinals(e, &present, node_ordinals);
+  });
   return std::all_of(present.begin(), present.end(), [](bool p) { return p; });
 }
 
@@ -101,14 +116,14 @@ std::vector<int> PlanCache::Classify(Entry* entry, const LogicalNode& plan,
 
 util::Result<PlanCache::Lookup> PlanCache::Choose(
     Entry* entry, const std::vector<storage::Value>& params,
-    const Binder& bind, const Catalog& catalog,
-    const obs::CalibratedCosts& costs) {
+    const Catalog& catalog, const obs::CalibratedCosts& costs) {
   Lookup lookup;
   std::optional<ParamBindings> bindings;
   if (entry->versions.tables.size() > 1) {
-    const LogicalNode& first = *entry->variants[0].plan;
-    DRUGTREE_ASSIGN_OR_RETURN(bindings, bind(first));
-    lookup.classes = Classify(entry, first, *bindings, catalog, costs);
+    const Template& first = entry->variants[0];
+    DRUGTREE_ASSIGN_OR_RETURN(
+        bindings, BindParams(first.node_ordinals, params, catalog));
+    lookup.classes = Classify(entry, *first.plan, *bindings, catalog, costs);
   }
   auto v = std::find_if(
       entry->variants.begin(), entry->variants.end(),
@@ -122,7 +137,8 @@ util::Result<PlanCache::Lookup> PlanCache::Choose(
   // reusing it could return wrong results, so re-plan.
   if (!v->rebindable || !SameTypes(v->params, params)) return lookup;
   if (!bindings) {
-    DRUGTREE_ASSIGN_OR_RETURN(bindings, bind(*v->plan));
+    DRUGTREE_ASSIGN_OR_RETURN(bindings,
+                              BindParams(v->node_ordinals, params, catalog));
   }
   lookup.plan = v->plan;
   lookup.bindings = std::move(bindings);
@@ -131,7 +147,7 @@ util::Result<PlanCache::Lookup> PlanCache::Choose(
 
 util::Result<PlanCache::Lookup> PlanCache::Get(
     const Key& key, const Catalog& catalog, const obs::CalibratedCosts& costs,
-    const std::vector<storage::Value>& params, const Binder& bind) {
+    const std::vector<storage::Value>& params) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   if (it != entries_.end() &&
@@ -143,7 +159,7 @@ util::Result<PlanCache::Lookup> PlanCache::Get(
   }
   util::Result<Lookup> lookup =
       it == entries_.end() ? Lookup{}
-                           : Choose(&it->second, params, bind, catalog, costs);
+                           : Choose(&it->second, params, catalog, costs);
   if (!lookup.ok() || lookup->plan == nullptr) {
     ++stats_.misses;
     return lookup;
@@ -156,11 +172,11 @@ util::Result<PlanCache::Lookup> PlanCache::Get(
 
 void PlanCache::Install(const Key& key, LogicalPtr plan,
                         std::vector<storage::Value> params,
-                        VersionSignature versions, const Binder& bind,
-                        const Catalog& catalog,
+                        VersionSignature versions, const Catalog& catalog,
                         const obs::CalibratedCosts& costs) {
   Template tmpl;
-  tmpl.rebindable = ComputeRebindable(*plan, params.size());
+  tmpl.rebindable =
+      ComputeRebindable(*plan, params.size(), &tmpl.node_ordinals);
   tmpl.plan = std::move(plan);
   tmpl.params = std::move(params);
 
@@ -173,11 +189,12 @@ void PlanCache::Install(const Key& key, LogicalPtr plan,
   if (versions.tables.size() > 1) {
     // Classify the way Get will: through the entry's first template, so a
     // template that consumed a literal still lands where lookups find it.
-    const LogicalNode& first =
-        fresh ? *it->second.variants[0].plan : *tmpl.plan;
-    util::Result<ParamBindings> bindings = bind(first);
+    const Template& first = fresh ? it->second.variants[0] : tmpl;
+    util::Result<ParamBindings> bindings =
+        BindParams(first.node_ordinals, tmpl.params, catalog);
     if (!bindings.ok()) return;
-    tmpl.classes = Classify(classifying, first, *bindings, catalog, costs);
+    tmpl.classes =
+        Classify(classifying, *first.plan, *bindings, catalog, costs);
   }
   if (it != entries_.end() && !fresh) {
     // The entry went stale between this planner's Get and Install (or a

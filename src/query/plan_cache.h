@@ -17,13 +17,14 @@
 // it. The tree-predicate rewrite keeps SUBTREE/ANCESTOR_OF node literals
 // as parameters: each interval bound it synthesizes carries the node
 // literal's ordinal and its role (pre or post), and binding re-resolves
-// the node (rules.h BindParams). Rewrites that *consume* a literal
-// (constant folding collapses literal-only trees; TRUE-conjunct
-// elimination drops them) leave untagged literals, so a template is
-// re-bindable only when every ordinal appears in the optimized plan. A
-// template that consumed a literal is reused only for identical parameter
-// values: a stale or unusable template can cost a re-plan, never a wrong
-// result.
+// the node (rules.h BindParams). A template's node ordinals are recorded
+// when it is installed, so a lookup resolves them without walking it.
+// Rewrites that *consume* a literal (constant folding collapses
+// literal-only trees; TRUE-conjunct elimination drops them) leave
+// untagged literals, so a template is re-bindable only when every ordinal
+// appears in the optimized plan. A template that consumed a literal is
+// reused only for identical parameter values: a stale or unusable
+// template can cost a re-plan, never a wrong result.
 //
 // Parametric variants: a statement over one table has one template, since
 // no plan choice depends on its literals. A multi-scan statement's join
@@ -50,7 +51,6 @@
 
 #include <compare>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -105,13 +105,6 @@ class PlanCache {
                                           const SelectStatement& stmt,
                                           uint64_t cost_version);
 
-  /// Binds the statement's literals for running a template of its entry
-  /// (BindParams). Every template of an entry reads the same node literals,
-  /// so one binding serves them all. An error (an unknown tree node) fails
-  /// the lookup.
-  using Binder =
-      std::function<util::Result<ParamBindings>(const LogicalNode&)>;
-
   struct Stats {
     int64_t hits = 0;           // template reused
     int64_t rebinds = 0;        // subset of hits: planned for other literals
@@ -139,24 +132,25 @@ class PlanCache {
   /// Looks up `key`. A stored entry whose signature no longer matches
   /// `catalog` and `costs` is evicted wholesale (invalidation) — the caller
   /// re-plans. On a match, a multi-table entry's variant is picked by the
-  /// cardinality classes of the statement under `bind`'s bindings (priced
+  /// cardinality classes of the statement under `params`' bindings (priced
   /// with `costs`); it is reused when it was planned for `params` or is
   /// re-bindable to them (same arity and literal types), and the lookup
-  /// misses otherwise. A binding error (an unknown tree node) counts as a
-  /// miss and is returned.
+  /// misses otherwise. Binding resolves the template's recorded node
+  /// ordinals (BindParams); every template of an entry reads the same node
+  /// literals, so one binding serves them all. A binding error (an unknown
+  /// tree node) counts as a miss and is returned.
   util::Result<Lookup> Get(const Key& key, const Catalog& catalog,
                            const obs::CalibratedCosts& costs,
-                           const std::vector<storage::Value>& params,
-                           const Binder& bind);
+                           const std::vector<storage::Value>& params);
 
   /// Installs `plan`, freshly optimized for `params` with its ordinal tags
   /// intact, as the variant of its class (replacing the whole entry when
   /// its signature is stale). `versions` (CaptureVersions, taken before
-  /// planning) names the entry's tables.
+  /// planning) names the entry's tables. Records the plan's node ordinals
+  /// in the walk that decides whether it is re-bindable.
   void Install(const Key& key, LogicalPtr plan,
                std::vector<storage::Value> params, VersionSignature versions,
-               const Binder& bind, const Catalog& catalog,
-               const obs::CalibratedCosts& costs);
+               const Catalog& catalog, const obs::CalibratedCosts& costs);
 
   void Clear();
   size_t size() const;
@@ -177,6 +171,8 @@ class PlanCache {
     LogicalPtr plan;
     std::vector<storage::Value> params;
     bool rebindable = false;
+    /// Ordinals of the literals the plan reads as tree nodes (BindParams).
+    std::vector<int> node_ordinals;
   };
 
   struct Entry {
@@ -203,7 +199,6 @@ class PlanCache {
   /// The variant of `entry` that `params` may reuse; a null plan when none.
   static util::Result<Lookup> Choose(Entry* entry,
                                      const std::vector<storage::Value>& params,
-                                     const Binder& bind,
                                      const Catalog& catalog,
                                      const obs::CalibratedCosts& costs);
 

@@ -408,12 +408,6 @@ util::Result<QueryOutcome> Planner::Run(const std::string& sql,
   }
   QueryOutcome outcome;
   PlanCache::Key key;
-  // A cached template re-resolves this statement's tree nodes; a
-  // multi-table statement's variant is chosen by its scans' cardinality
-  // classes under those bindings.
-  const PlanCache::Binder bind = [this, &lexed](const LogicalNode& plan) {
-    return BindParams(plan, lexed.params, *catalog_);
-  };
   LogicalPtr optimized;
   // Set when `optimized` was planned for other literals: this statement's.
   std::optional<ParamBindings> params;
@@ -423,7 +417,7 @@ util::Result<QueryOutcome> Planner::Run(const std::string& sql,
     key = {std::move(lexed.fingerprint), PlanCache::RuleFlags(optimizer)};
     DRUGTREE_ASSIGN_OR_RETURN(
         PlanCache::Lookup lookup,
-        plan_cache_->Get(key, *catalog_, costs, lexed.params, bind));
+        plan_cache_->Get(key, *catalog_, costs, lexed.params));
     if (lookup.plan != nullptr) {
       optimized = std::move(lookup.plan);
       params = std::move(lookup.bindings);
@@ -454,7 +448,7 @@ util::Result<QueryOutcome> Planner::Run(const std::string& sql,
     }());
     if (plan_cache_ != nullptr) {
       plan_cache_->Install(key, optimized, lexed.params, std::move(versions),
-                           bind, *catalog_, costs);
+                           *catalog_, costs);
     }
   }
   const ParamBindings* bindings = params ? &*params : nullptr;

@@ -432,17 +432,6 @@ util::Result<LogicalPtr> OptimizeLogicalPlan(const LogicalPtr& plan,
 
 namespace {
 
-/// Appends the ordinal of every literal below `e` that stands for a tree
-/// node's interval bound, once each.
-void CollectNodeOrdinals(const Expr& e, std::vector<int>* out) {
-  if (e.kind == ExprKind::kLiteral && e.param_index >= 0 &&
-      e.param_role != ParamRole::kValue &&
-      std::find(out->begin(), out->end(), e.param_index) == out->end()) {
-    out->push_back(e.param_index);
-  }
-  for (const auto& c : e.children) CollectNodeOrdinals(*c, out);
-}
-
 void CollectScans(const LogicalNode& node,
                   std::vector<const LogicalNode*>* out) {
   if (node.kind == LogicalKind::kScan) out->push_back(&node);
@@ -451,16 +440,12 @@ void CollectScans(const LogicalNode& node,
 
 }  // namespace
 
-util::Result<ParamBindings> BindParams(const LogicalNode& plan,
+util::Result<ParamBindings> BindParams(std::span<const int> node_ordinals,
                                        std::span<const Value> params,
                                        const Catalog& catalog) {
   ParamBindings bindings;
   bindings.values = params;
-  std::vector<int> ordinals;
-  ForEachExpr(plan, [&ordinals](const Expr& e) {
-    CollectNodeOrdinals(e, &ordinals);
-  });
-  for (int ordinal : ordinals) {
+  for (int ordinal : node_ordinals) {
     if (static_cast<size_t>(ordinal) >= params.size()) {
       return util::Status::InvalidArgument("plan parameter out of range");
     }

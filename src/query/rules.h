@@ -76,11 +76,14 @@ util::Result<LogicalPtr> OptimizeLogicalPlan(const LogicalPtr& plan,
                                              const Catalog& catalog,
                                              const OptimizerOptions& options);
 
-/// Binds `params`, a statement's literals by ordinal, for running `plan`,
-/// which was optimized for other literals of the same statement shape:
-/// resolves the interval of every literal that a rewritten tree predicate
-/// of `plan` reads as a node. The bindings borrow `params`.
-util::Result<ParamBindings> BindParams(const LogicalNode& plan,
+/// Binds `params`, a statement's literals by ordinal, for running a plan
+/// optimized for other literals of the same statement shape:
+/// `node_ordinals` are the ordinals of the literals that the plan's
+/// rewritten tree predicates read as nodes (interval bounds tagged kPre or
+/// kPost), once each, and each one's interval is resolved. The plan cache
+/// records a template's node ordinals when it installs it. The bindings
+/// borrow `params`.
+util::Result<ParamBindings> BindParams(std::span<const int> node_ordinals,
                                        std::span<const storage::Value> params,
                                        const Catalog& catalog);
 

@@ -7,12 +7,24 @@
 namespace drugtree {
 namespace server {
 
+namespace {
+
+/// p99 above kHighRatio * target steps analytic width down immediately.
+constexpr double kHighRatio = 0.9;
+/// p99 below kLowRatio * target is a "comfortable" window.
+constexpr double kLowRatio = 0.5;
+/// Bounds for the analytic parallelism the controller walks between.
+constexpr int kMinParallelism = 1;
+constexpr int kMaxParallelism = 4;
+
+}  // namespace
+
 AdaptiveController::AdaptiveController(const AdaptiveOptions& options)
     : options_(options) {
   window_.reserve(static_cast<size_t>(std::max(1, options_.window)));
   // Analytic starts wide: an unloaded server should soak every spare slot.
   // The first pressured window walks it down.
-  analytic_.parallelism = options_.max_parallelism;
+  analytic_.parallelism = kMaxParallelism;
 }
 
 void AdaptiveController::Record(QueryClass cls, int64_t latency_micros) {
@@ -28,10 +40,10 @@ void AdaptiveController::Record(QueryClass cls, int64_t latency_micros) {
   ++decisions_;
   const double target = static_cast<double>(options_.target_micros);
   const double p99 = static_cast<double>(last_p99_micros_);
-  if (p99 > options_.high_ratio * target) {
+  if (p99 > kHighRatio * target) {
     low_streak_ = 0;
     StepDownLocked();
-  } else if (p99 < options_.low_ratio * target) {
+  } else if (p99 < kLowRatio * target) {
     if (++low_streak_ >= std::max(1, options_.hysteresis)) {
       low_streak_ = 0;
       StepUpLocked();
@@ -42,14 +54,14 @@ void AdaptiveController::Record(QueryClass cls, int64_t latency_micros) {
 }
 
 void AdaptiveController::StepDownLocked() {
-  if (analytic_.parallelism > options_.min_parallelism) {
+  if (analytic_.parallelism > kMinParallelism) {
     --analytic_.parallelism;
     ++steps_down_;
   }
 }
 
 void AdaptiveController::StepUpLocked() {
-  if (analytic_.parallelism < options_.max_parallelism) {
+  if (analytic_.parallelism < kMaxParallelism) {
     ++analytic_.parallelism;
     ++steps_up_;
   }

@@ -36,17 +36,13 @@ struct AdaptiveOptions {
   /// Interactive completions per control decision.
   int window = 64;
   /// Interactive p99 target the controller defends (distinct from the SLO
-  /// target, which is enqueue->completion at a coarser bound).
+  /// target, which is enqueue->completion at a coarser bound). A p99 above
+  /// 0.9 * target steps analytic width down immediately; one below
+  /// 0.5 * target is a "comfortable" window, and after `hysteresis`
+  /// consecutive ones analytic width steps back up, between parallelism 1
+  /// and 4 (adaptive.cc).
   int64_t target_micros = 2'000;
-  /// p99 above high_ratio * target steps analytic width down immediately.
-  double high_ratio = 0.9;
-  /// p99 below low_ratio * target is a "comfortable" window; after
-  /// `hysteresis` consecutive ones, analytic width steps back up.
-  double low_ratio = 0.5;
   int hysteresis = 2;
-  /// Bounds for the analytic parallelism the controller walks between.
-  int min_parallelism = 1;
-  int max_parallelism = 4;
 };
 
 /// The execution knob the controller owns per class.

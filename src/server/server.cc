@@ -15,6 +15,10 @@ namespace server {
 
 namespace {
 
+/// The analytic class's SLO target and both classes' SLO objective.
+constexpr int64_t kAnalyticSloMicros = 1'000'000;
+constexpr double kSloObjective = 0.99;
+
 /// DRUGTREE_SLOW_QUERY_MICROS overrides ServerOptions::slow_query_micros so
 /// operators can arm the slow-query log on a deployed binary without a
 /// rebuild. Unset / unparsable -> the configured value.
@@ -92,8 +96,8 @@ DrugTreeServer::DrugTreeServer(query::Catalog* catalog, util::Clock* clock,
     obs::SloOptions slo_opts;
     slo_opts.target_latency_micros = qc == QueryClass::kInteractive
                                          ? options_.interactive_slo_micros
-                                         : options_.analytic_slo_micros;
-    slo_opts.objective = options_.slo_objective;
+                                         : kAnalyticSloMicros;
+    slo_opts.objective = kSloObjective;
     slo_opts.window_micros = options_.slo_window_micros;
     slo_[static_cast<size_t>(c)] = std::make_unique<obs::SloTracker>(
         QueryClassName(qc), slo_opts, clock_);
@@ -365,17 +369,6 @@ bool DrugTreeServer::TelemetryTick() {
           obs::DeriveHealth(alerts_->Statuses(), HealthBaseline()).overall),
       std::memory_order_relaxed);
   return true;
-}
-
-void DrugTreeServer::ForceTelemetrySample() {
-  if (sampler_ == nullptr) return;
-  std::lock_guard<std::mutex> lock(telemetry_mu_);
-  sampler_->SampleNow();
-  alerts_->Evaluate();
-  overall_health_.store(
-      static_cast<int>(
-          obs::DeriveHealth(alerts_->Statuses(), HealthBaseline()).overall),
-      std::memory_order_relaxed);
 }
 
 obs::HealthSnapshot DrugTreeServer::HealthSnapshotNow() const {

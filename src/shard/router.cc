@@ -18,6 +18,9 @@ namespace shard {
 
 namespace {
 
+/// Payload of a request hop (the serialized sub-request).
+constexpr uint64_t kHopRequestBytes = 256;
+
 /// The partitioned relations and, per relation, the columns an equi-join may
 /// use without crossing shards: equal values imply the same owner shard
 /// (accession via the activities co-partition; node_id / pre because a
@@ -452,7 +455,7 @@ server::QueryRequest ShardRouter::MakeSubRequest(
     int64_t hop = shards_[static_cast<size_t>(shard)]->hop_cost_ewma.load(
         std::memory_order_relaxed);
     if (hop == 0) {
-      hop = 2 * hop_network_->EstimateMicros(options_.hop_request_bytes);
+      hop = 2 * hop_network_->EstimateMicros(kHopRequestBytes);
     }
     sub.deadline_micros = request.deadline_micros - hop;
   }
@@ -594,7 +597,7 @@ util::Result<query::QueryOutcome> ShardRouter::ScatterGather(
     sub.shard = s;
     sub.replica = shard.replicas[static_cast<size_t>(ri)].get();
     sub.start_micros = clock_->NowMicros();
-    auto hop = hop_network_->SubmitRequest(options_.hop_request_bytes);
+    auto hop = hop_network_->SubmitRequest(kHopRequestBytes);
     sub.hop_charged = hop.charged_micros;
     max_ready = std::max(max_ready, hop.ready_micros);
     subs.push_back(std::move(sub));
@@ -632,7 +635,7 @@ util::Result<query::QueryOutcome> ShardRouter::ScatterGather(
         std::lock_guard<std::mutex> lock(counters_mu_);
         ++shard_counters_[static_cast<size_t>(sub.shard)].failovers;
       }
-      auto hop = hop_network_->SubmitRequest(options_.hop_request_bytes);
+      auto hop = hop_network_->SubmitRequest(kHopRequestBytes);
       hop_network_->WaitUntil(hop.ready_micros);
       sub.hop_charged += hop.charged_micros;
       sub.handle = SubmitTracked(

@@ -89,9 +89,8 @@ struct RouterOptions {
   /// Inter-shard hop cost model; rides a router-owned SimulatedNetwork so
   /// virtual-clock determinism and net-channel trace lanes survive. The
   /// channel count is sized to the replica fleet automatically.
+  /// A request hop carries a 256-byte serialized sub-request (router.cc).
   integration::NetworkParams hop;
-  /// Request-hop payload (the serialized sub-request).
-  uint64_t hop_request_bytes = 256;
   /// Retained router-side traces (kRoute/kGather phases + hop fetch events).
   size_t trace_store_capacity = 4096;
 };
@@ -140,7 +139,6 @@ class ShardRouter {
   std::vector<ShardRange> ranges() const;
   server::DrugTreeServer* replica_server(int shard, int replica);
   server::DrugTreeServer* coordinator() { return coordinator_.get(); }
-  integration::SimulatedNetwork* hop_network() { return hop_network_.get(); }
   util::Clock* clock() const { return clock_; }
 
   /// Router-side completed request traces (route/gather timelines).

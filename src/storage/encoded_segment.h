@@ -156,11 +156,6 @@ class EncodedColumn {
   uint64_t EncodedBytes() const { return encoded_bytes_; }
   uint64_t PlainBytes() const { return plain_bytes_; }
 
-  /// Dictionary size (kDictionary only; 0 otherwise).
-  size_t DictionarySize() const { return dict_.size(); }
-  /// Run count (kRunLength only; 0 otherwise).
-  size_t RunCount() const { return run_values_.size(); }
-
  private:
   friend class SnapshotAppender;
 
@@ -209,7 +204,7 @@ class EncodedColumn {
   BitPackedArray codes_;
 
   // kRunLength: runs_starts_[r] .. run_starts_[r+1]-1 hold run_values_[r];
-  // run_starts_ has RunCount()+1 entries, the last one == size().
+  // run_starts_ has one entry per run plus one, the last one == size().
   std::vector<Value> run_values_;
   std::vector<uint32_t> run_starts_;
 

@@ -71,10 +71,6 @@ void SetLogLevel(LogLevel level) {
   MinLevel().store(static_cast<int>(level), std::memory_order_relaxed);
 }
 
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(MinLevel().load(std::memory_order_relaxed));
-}
-
 LogMessage::LogMessage(LogLevel level, const char* file, int line)
     : level_(level),
       file_(file),

@@ -25,9 +25,6 @@ enum class LogLevel : int {
 /// Sets the process-wide minimum level that is actually emitted.
 void SetLogLevel(LogLevel level);
 
-/// Current process-wide minimum emitted level.
-LogLevel GetLogLevel();
-
 /// Parses a level name (DEBUG/INFO/WARNING/ERROR, case-insensitive; WARN
 /// accepted). Returns false and leaves `out` untouched on anything else.
 bool ParseLogLevel(const char* name, LogLevel* out);

@@ -1,11 +1,13 @@
-// Tests for the overlapped (multi-channel) federated fetch path: virtual-time
-// request scheduling on SimulatedNetwork, the bounded FetchWindow, the
-// mediator's windowed IntegrateAll, and asynchronous prefetch widening.
+// Tests for the scheduled federated fetch path: virtual-time request
+// scheduling on SimulatedNetwork, the bounded FetchWindow, the mediator's
+// windowed IntegrateAll, asynchronous prefetch widening, and the pinned
+// virtual time of every fetch path.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "integration/activity_source.h"
@@ -158,9 +160,13 @@ Stack MakeStack(const NetworkParams& params) {
   s.ligands = std::make_unique<LigandSource>(std::move(*ls));
   ActivityGenParams ap;
   std::vector<std::string> accs;
-  for (const auto& r : s.proteins->FetchAll()) accs.push_back(r.accession);
+  for (const auto& r : Await(s.network.get(), s.proteins->FetchAll())) {
+    accs.push_back(r.accession);
+  }
   std::vector<std::string> ids;
-  for (const auto& e : s.ligands->FetchAll()) ids.push_back(e.record.ligand_id);
+  for (const auto& e : Await(s.network.get(), s.ligands->FetchAll())) {
+    ids.push_back(e.record.ligand_id);
+  }
   auto as = ActivitySource::Create(accs, ids, ap, s.network.get(), &rng);
   EXPECT_TRUE(as.ok());
   s.activities = std::make_unique<ActivitySource>(std::move(*as));
@@ -193,19 +199,18 @@ TEST(MediatorAsyncTest, OverlappedResultsIdenticalToSerial) {
   Stack serial = MakeStack(ComparableParams(1));
   Stack overlapped = MakeStack(ComparableParams(4));
 
-  MediatorOptions serial_opts;
-  serial_opts.batch_requests = false;
-  serial_opts.use_cache = false;
-  MediatorOptions overlapped_opts = serial_opts;
-  overlapped_opts.max_concurrency = 4;
+  // The window is as wide as each stack's link: 1 and 4 channels.
+  MediatorOptions opts;
+  opts.batch_requests = false;
+  opts.use_cache = false;
 
   int64_t serial_start = serial.clock->NowMicros();
-  auto serial_ds = serial.mediator->IntegrateAll(serial_opts);
+  auto serial_ds = serial.mediator->IntegrateAll(opts);
   ASSERT_TRUE(serial_ds.ok());
   int64_t serial_elapsed = serial.clock->NowMicros() - serial_start;
 
   int64_t over_start = overlapped.clock->NowMicros();
-  auto over_ds = overlapped.mediator->IntegrateAll(overlapped_opts);
+  auto over_ds = overlapped.mediator->IntegrateAll(opts);
   ASSERT_TRUE(over_ds.ok());
   int64_t over_elapsed = overlapped.clock->NowMicros() - over_start;
 
@@ -219,16 +224,17 @@ TEST(MediatorAsyncTest, OverlappedResultsIdenticalToSerial) {
   // The window actually filled and overlap paid off substantially.
   EXPECT_EQ(overlapped.mediator->async_stats().peak_in_flight, 4);
   EXPECT_GT(overlapped.mediator->async_stats().async_requests, 0u);
+  EXPECT_EQ(serial.mediator->async_stats().peak_in_flight, 1);
   EXPECT_GE(static_cast<double>(serial_elapsed),
             2.0 * static_cast<double>(over_elapsed));
 }
 
 TEST(MediatorAsyncTest, WindowNeverExceedsConfiguredConcurrency) {
-  Stack s = MakeStack(ComparableParams(8));
+  // The window is sized through the link: 3 channels.
+  Stack s = MakeStack(ComparableParams(3));
   MediatorOptions opts;
   opts.batch_requests = false;
   opts.use_cache = false;
-  opts.max_concurrency = 3;
   ASSERT_TRUE(s.mediator->IntegrateAll(opts).ok());
   EXPECT_LE(s.mediator->async_stats().peak_in_flight, 3);
   EXPECT_EQ(s.mediator->async_stats().peak_in_flight, 3);
@@ -238,7 +244,6 @@ TEST(MediatorAsyncTest, OverlappedPathHonorsCache) {
   Stack s = MakeStack(ComparableParams(4));
   MediatorOptions opts;
   opts.batch_requests = false;
-  opts.max_concurrency = 4;
   ASSERT_TRUE(s.mediator->IntegrateAll(opts).ok());
   uint64_t after_first = s.network->num_requests();
   // Proteins and activities were cached by the first pass; a second
@@ -257,7 +262,6 @@ TEST(MediatorAsyncTest, FailureInjectionConvergesUnderConcurrency) {
   MediatorOptions opts;
   opts.batch_requests = false;
   opts.use_cache = false;
-  opts.max_concurrency = 4;
   auto ds = s.mediator->IntegrateAll(opts);
   ASSERT_TRUE(ds.ok());
   // Retries happened, yet every record arrived exactly once.
@@ -265,13 +269,95 @@ TEST(MediatorAsyncTest, FailureInjectionConvergesUnderConcurrency) {
   EXPECT_EQ(ds->proteins->NumRows(), 12);
   EXPECT_EQ(ds->ligands->NumRows(), 40);
   Stack clean = MakeStack(ComparableParams(1));
-  MediatorOptions serial_opts;
-  serial_opts.batch_requests = false;
-  serial_opts.use_cache = false;
-  auto clean_ds = clean.mediator->IntegrateAll(serial_opts);
+  auto clean_ds = clean.mediator->IntegrateAll(opts);
   ASSERT_TRUE(clean_ds.ok());
   EXPECT_EQ(EncodedRows(*ds->proteins), EncodedRows(*clean_ds->proteins));
   EXPECT_EQ(EncodedRows(*ds->activities), EncodedRows(*clean_ds->activities));
+}
+
+// The exact virtual time and request count of every fetch path, recorded
+// while each fetch still had a blocking and a deferred copy. The link is
+// jittery and drops 5% of attempts, so the RNG draw order (failure coin,
+// then jitter, per attempt) is pinned along with scheduling and caching.
+NetworkParams PinnedParams(int channels) {
+  NetworkParams p = ComparableParams(channels);
+  p.jitter_fraction = 0.1;
+  p.failure_probability = 0.05;
+  p.timeout_micros = 200'000;
+  return p;
+}
+
+TEST(PinnedFetchTimeTest, PerRecordIntegration) {
+  struct Pass {
+    int channels;
+    bool use_cache;
+    std::vector<std::pair<int64_t, uint64_t>> micros_and_requests;
+  };
+  const Pass kPasses[] = {
+      {1, false, {{3'697'533, 68}}},
+      {1, true, {{3'697'533, 68}, {2'495'040, 44}}},
+      {4, false, {{1'014'151, 68}}},
+      {4, true, {{1'014'151, 68}, {713'971, 44}}},
+  };
+  for (const Pass& pass : kPasses) {
+    Stack s = MakeStack(PinnedParams(pass.channels));
+    MediatorOptions opts;
+    opts.batch_requests = false;
+    opts.use_cache = pass.use_cache;
+    for (const auto& [micros, requests] : pass.micros_and_requests) {
+      int64_t t0 = s.clock->NowMicros();
+      uint64_t r0 = s.network->num_requests();
+      ASSERT_TRUE(s.mediator->IntegrateAll(opts).ok());
+      EXPECT_EQ(s.clock->NowMicros() - t0, micros)
+          << pass.channels << " channels, cache " << pass.use_cache;
+      EXPECT_EQ(s.network->num_requests() - r0, requests)
+          << pass.channels << " channels, cache " << pass.use_cache;
+    }
+  }
+}
+
+TEST(PinnedFetchTimeTest, PrefetchDrillDown) {
+  struct Mode {
+    bool async_prefetch;
+    int64_t before_quiesce;
+    int64_t after_quiesce;
+  };
+  for (const Mode& mode : {Mode{false, 737'979, 737'979},
+                           Mode{true, 192'755, 300'786}}) {
+    Stack s = MakeStack(PinnedParams(4));
+    PrefetcherOptions popts;
+    popts.prefetch_activities = true;
+    popts.async_prefetch = mode.async_prefetch;
+    TreeAwarePrefetcher prefetcher(s.mediator.get(), s.cache.get(), popts);
+    int64_t t0 = s.clock->NowMicros();
+    uint64_t r0 = s.network->num_requests();
+    std::vector<std::string> accs =
+        Await(s.network.get(), s.proteins->ListAccessions());
+    // Misses on 0 and 7 widen to families 0 and 1; 1, 2 and 8 then hit.
+    for (size_t i : {0, 1, 2, 7, 8}) {
+      ASSERT_TRUE(prefetcher.GetProtein(accs[i]).ok());
+    }
+    ASSERT_TRUE(prefetcher.GetActivities(accs[1]).ok());
+    EXPECT_EQ(s.clock->NowMicros() - t0, mode.before_quiesce)
+        << "async " << mode.async_prefetch;
+    prefetcher.Quiesce();
+    EXPECT_EQ(s.clock->NowMicros() - t0, mode.after_quiesce)
+        << "async " << mode.async_prefetch;
+    EXPECT_EQ(s.network->num_requests() - r0, 15u);
+  }
+}
+
+TEST(PinnedFetchTimeTest, UnknownAccessionCostsOneRoundTrip) {
+  Stack s = MakeStack(ComparableParams(1));
+  int64_t t0 = s.clock->NowMicros();
+  uint64_t r0 = s.network->num_requests();
+  auto rec = Await(s.network.get(),
+                   s.mediator->GetProtein("NOPE", MediatorOptions()));
+  EXPECT_TRUE(rec.status().IsNotFound());
+  // 50 ms latency plus a 64-byte error response at 1 B/us, paid before the
+  // NotFound is returned.
+  EXPECT_EQ(s.clock->NowMicros() - t0, 50'064);
+  EXPECT_EQ(s.network->num_requests() - r0, 1u);
 }
 
 TEST(PrefetcherAsyncTest, AsyncWideningInstallsSameCacheEntries) {
@@ -288,8 +374,10 @@ TEST(PrefetcherAsyncTest, AsyncWideningInstallsSameCacheEntries) {
   TreeAwarePrefetcher async_pf(async_stack.mediator.get(),
                                async_stack.cache.get(), async_opts);
 
-  std::string acc = sync_stack.proteins->ListAccessions()[0];
-  async_stack.proteins->ListAccessions();  // keep request streams aligned
+  std::string acc = Await(sync_stack.network.get(),
+                          sync_stack.proteins->ListAccessions())[0];
+  // Keep the request streams aligned.
+  Await(async_stack.network.get(), async_stack.proteins->ListAccessions());
 
   int64_t sync_start = sync_stack.clock->NowMicros();
   ASSERT_TRUE(sync_pf.GetProtein(acc).ok());
@@ -304,7 +392,8 @@ TEST(PrefetcherAsyncTest, AsyncWideningInstallsSameCacheEntries) {
   // Same speculative installs either way.
   EXPECT_EQ(async_pf.stats().prefetched_records,
             sync_pf.stats().prefetched_records);
-  for (const auto& rec : sync_stack.proteins->FetchAll()) {
+  for (const auto& rec :
+       Await(sync_stack.network.get(), sync_stack.proteins->FetchAll())) {
     EXPECT_EQ(
         async_stack.cache->Contains(SemanticCache::ProteinKey(rec.accession)),
         sync_stack.cache->Contains(SemanticCache::ProteinKey(rec.accession)))

@@ -87,13 +87,23 @@ class SourcesTest : public ::testing::Test {
 
   std::vector<std::string> CollectAccessions() {
     std::vector<std::string> out;
-    for (const auto& r : proteins_->FetchAll()) out.push_back(r.accession);
+    for (const auto& r : Fetch(proteins_->FetchAll())) {
+      out.push_back(r.accession);
+    }
     return out;
   }
   std::vector<std::string> CollectLigandIds() {
     std::vector<std::string> out;
-    for (const auto& e : ligands_->FetchAll()) out.push_back(e.record.ligand_id);
+    for (const auto& e : Fetch(ligands_->FetchAll())) {
+      out.push_back(e.record.ligand_id);
+    }
     return out;
+  }
+
+  /// Blocks on one scheduled fetch, as every blocking caller does.
+  template <typename T>
+  T Fetch(Deferred<T> fetch) {
+    return Await(network_.get(), std::move(fetch));
   }
 
   std::unique_ptr<util::SimulatedClock> clock_;
@@ -108,46 +118,47 @@ class SourcesTest : public ::testing::Test {
 TEST_F(SourcesTest, ProteinSourcePopulation) {
   EXPECT_EQ(proteins_->NumRecords(), 12u);
   EXPECT_EQ(proteins_->true_trees().size(), 2u);
-  auto accs = proteins_->ListAccessions();
+  auto accs = Fetch(proteins_->ListAccessions());
   EXPECT_EQ(accs.size(), 12u);
-  auto rec = proteins_->FetchByAccession(accs[0]);
+  auto rec = Fetch(proteins_->FetchByAccession(accs[0]));
   ASSERT_TRUE(rec.ok());
   EXPECT_EQ(rec->accession, accs[0]);
   EXPECT_FALSE(rec->sequence.empty());
-  EXPECT_TRUE(proteins_->FetchByAccession("NOPE").status().IsNotFound());
+  EXPECT_TRUE(
+      Fetch(proteins_->FetchByAccession("NOPE")).status().IsNotFound());
 }
 
 TEST_F(SourcesTest, FetchFamilyFiltersCorrectly) {
-  auto fam0 = proteins_->FetchFamily("family-0");
+  auto fam0 = Fetch(proteins_->FetchFamily("family-0"));
   EXPECT_EQ(fam0.size(), 6u);
   for (const auto& r : fam0) EXPECT_EQ(r.family, "family-0");
-  EXPECT_TRUE(proteins_->FetchFamily("family-99").empty());
+  EXPECT_TRUE(Fetch(proteins_->FetchFamily("family-99")).empty());
 }
 
 TEST_F(SourcesTest, BatchVsPerRecordRequestCounts) {
   uint64_t before = proteins_->num_requests();
-  auto accs = proteins_->ListAccessions();
-  proteins_->FetchBatch(accs);
+  auto accs = Fetch(proteins_->ListAccessions());
+  Fetch(proteins_->FetchAll());
   uint64_t batched = proteins_->num_requests() - before;
-  EXPECT_EQ(batched, 2u);  // list + one batch
+  EXPECT_EQ(batched, 2u);  // list + one bulk request
   before = proteins_->num_requests();
   for (const auto& a : accs) {
-    ASSERT_TRUE(proteins_->FetchByAccession(a).ok());
+    ASSERT_TRUE(Fetch(proteins_->FetchByAccession(a)).ok());
   }
   EXPECT_EQ(proteins_->num_requests() - before, accs.size());
 }
 
 TEST_F(SourcesTest, LigandSourceServesProperties) {
-  auto ids = ligands_->ListIds();
+  auto ids = Fetch(ligands_->ListIds());
   ASSERT_EQ(ids.size(), 50u);
-  auto entry = ligands_->FetchById(ids[3]);
+  auto entry = Fetch(ligands_->FetchById(ids[3]));
   ASSERT_TRUE(entry.ok());
   EXPECT_GT(entry->properties.molecular_weight, 0.0);
-  EXPECT_TRUE(ligands_->FetchById("LX").status().IsNotFound());
+  EXPECT_TRUE(Fetch(ligands_->FetchById("LX")).status().IsNotFound());
 }
 
 TEST_F(SourcesTest, ActivitySourceLinksKnownEntities) {
-  auto all = activities_->FetchAll();
+  auto all = Fetch(activities_->FetchAll());
   EXPECT_GT(all.size(), 10u);
   auto accs = CollectAccessions();
   std::set<std::string> acc_set(accs.begin(), accs.end());
@@ -156,7 +167,7 @@ TEST_F(SourcesTest, ActivitySourceLinksKnownEntities) {
     EXPECT_GE(a.affinity_nm, 1.0);
     EXPECT_LE(a.affinity_nm, 100'000.0);
   }
-  auto one = activities_->FetchByAccession(accs[0]);
+  auto one = Fetch(activities_->FetchByAccession(accs[0]));
   EXPECT_GE(one.size(), 1u);
   for (const auto& a : one) EXPECT_EQ(a.accession, accs[0]);
 }
@@ -207,10 +218,10 @@ TEST_F(SourcesTest, MediatorCachesPointRequests) {
   auto accs = CollectAccessions();
   MediatorOptions opts;
   uint64_t before = proteins_->num_requests();
-  ASSERT_TRUE(mediator_->GetProtein(accs[0], opts).ok());
+  ASSERT_TRUE(Fetch(mediator_->GetProtein(accs[0], opts)).ok());
   EXPECT_EQ(proteins_->num_requests(), before + 1);
   // Second request is served from cache: no new source request.
-  ASSERT_TRUE(mediator_->GetProtein(accs[0], opts).ok());
+  ASSERT_TRUE(Fetch(mediator_->GetProtein(accs[0], opts)).ok());
   EXPECT_EQ(proteins_->num_requests(), before + 1);
   EXPECT_GT(cache_->stats().hits, 0u);
 }
@@ -220,24 +231,24 @@ TEST_F(SourcesTest, MediatorCacheDisabledAlwaysFetches) {
   MediatorOptions opts;
   opts.use_cache = false;
   uint64_t before = proteins_->num_requests();
-  ASSERT_TRUE(mediator_->GetProtein(accs[0], opts).ok());
-  ASSERT_TRUE(mediator_->GetProtein(accs[0], opts).ok());
+  ASSERT_TRUE(Fetch(mediator_->GetProtein(accs[0], opts)).ok());
+  ASSERT_TRUE(Fetch(mediator_->GetProtein(accs[0], opts)).ok());
   EXPECT_EQ(proteins_->num_requests(), before + 2);
 }
 
 TEST_F(SourcesTest, FamilyFetchServesLaterPointRequests) {
   MediatorOptions opts;
-  auto fam = mediator_->GetFamily("family-1", opts);
+  auto fam = Fetch(mediator_->GetFamily("family-1", opts));
   ASSERT_TRUE(fam.ok());
   ASSERT_FALSE(fam->empty());
   uint64_t before = proteins_->num_requests();
   // Members were installed under fine-grained keys: no new requests.
   for (const auto& rec : *fam) {
-    ASSERT_TRUE(mediator_->GetProtein(rec.accession, opts).ok());
+    ASSERT_TRUE(Fetch(mediator_->GetProtein(rec.accession, opts)).ok());
   }
   EXPECT_EQ(proteins_->num_requests(), before);
   // The family itself is also served from cache.
-  auto again = mediator_->GetFamily("family-1", opts);
+  auto again = Fetch(mediator_->GetFamily("family-1", opts));
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(proteins_->num_requests(), before);
   EXPECT_EQ(again->size(), fam->size());
@@ -245,7 +256,7 @@ TEST_F(SourcesTest, FamilyFetchServesLaterPointRequests) {
 
 TEST_F(SourcesTest, ProteinBlobRoundTrip) {
   auto accs = CollectAccessions();
-  auto rec = proteins_->FetchByAccession(accs[0]);
+  auto rec = Fetch(proteins_->FetchByAccession(accs[0]));
   ASSERT_TRUE(rec.ok());
   std::string blob = Mediator::EncodeProtein(*rec);
   auto back = Mediator::DecodeProtein(blob);
@@ -257,7 +268,7 @@ TEST_F(SourcesTest, ProteinBlobRoundTrip) {
 
 TEST_F(SourcesTest, ActivitiesBlobRoundTrip) {
   auto accs = CollectAccessions();
-  auto recs = activities_->FetchByAccession(accs[0]);
+  auto recs = Fetch(activities_->FetchByAccession(accs[0]));
   std::string blob = Mediator::EncodeActivities(recs);
   auto back = Mediator::DecodeActivities(blob);
   ASSERT_TRUE(back.ok());
@@ -278,7 +289,8 @@ TEST_F(SourcesTest, PrefetcherWidensToFamilyAndIsUseful) {
   EXPECT_GT(prefetcher.stats().prefetched_records, 0u);
   uint64_t requests_before = proteins_->num_requests();
   // Now touching its family mates hits the cache.
-  auto fam = proteins_->FetchFamily(first->family);  // (costs one request)
+  // (costs one request)
+  auto fam = Fetch(proteins_->FetchFamily(first->family));
   for (const auto& rec : fam) {
     ASSERT_TRUE(prefetcher.GetProtein(rec.accession).ok());
   }

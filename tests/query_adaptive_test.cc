@@ -148,6 +148,25 @@ std::string WithoutTimes(std::string analyzed) {
   return analyzed;
 }
 
+/// `params` bound for `plan` from scratch: the ordinals of the literals its
+/// tree predicates read as nodes (interval bounds), found by walking it.
+util::Result<ParamBindings> BindFromScratch(
+    const LogicalNode& plan, const std::vector<storage::Value>& params,
+    const Catalog& catalog) {
+  std::vector<int> node_ordinals;
+  std::function<void(const Expr&)> collect = [&](const Expr& e) {
+    if (e.kind == ExprKind::kLiteral && e.param_index >= 0 &&
+        e.param_role != ParamRole::kValue &&
+        std::find(node_ordinals.begin(), node_ordinals.end(),
+                  e.param_index) == node_ordinals.end()) {
+      node_ordinals.push_back(e.param_index);
+    }
+    for (const auto& c : e.children) collect(*c);
+  };
+  ForEachExpr(plan, collect);
+  return BindParams(node_ordinals, params, catalog);
+}
+
 /// The from-scratch reference for the classes the plan cache computes:
 /// each scan's pushed-down predicate copied under `bindings` and estimated
 /// by a cost model built for the statement's aliases.
@@ -714,13 +733,10 @@ TEST_F(AdaptiveTest, PreparedPlansDieWithTheirTemplates) {
   ASSERT_TRUE(lexed.ok());
   const PlanCache::Key key{lexed->fingerprint,
                            PlanCache::RuleFlags(OptimizerOptions())};
-  const PlanCache::Binder bind = [&](const LogicalNode& plan) {
-    return BindParams(plan, lexed->params, *dt->catalog());
-  };
   std::weak_ptr<LogicalNode> old_template;
   {
     auto lookup = cache.Get(key, *dt->catalog(), obs::CalibratedCosts(),
-                            lexed->params, bind);
+                            lexed->params);
     ASSERT_TRUE(lookup.ok() && lookup->plan != nullptr);
     old_template = lookup->plan;
   }
@@ -761,12 +777,9 @@ TEST_F(AdaptiveTest, CacheClassesMatchFromScratchClasses) {
     ASSERT_TRUE(planner.Run(sql, PlannerOptions()).ok()) << sql;
     auto lexed = Lex(sql);
     ASSERT_TRUE(lexed.ok()) << lexed.status();
-    const PlanCache::Binder bind = [&](const LogicalNode& plan) {
-      return BindParams(plan, lexed->params, catalog);
-    };
     auto lookup = cache.Get(
         {lexed->fingerprint, PlanCache::RuleFlags(OptimizerOptions())},
-        catalog, obs::CalibratedCosts(), lexed->params, bind);
+        catalog, obs::CalibratedCosts(), lexed->params);
     ASSERT_TRUE(lookup.ok()) << lookup.status();
     EXPECT_NE(lookup->plan, nullptr) << sql;
 
@@ -782,7 +795,7 @@ TEST_F(AdaptiveTest, CacheClassesMatchFromScratchClasses) {
     ASSERT_TRUE(logical.ok()) << logical.status();
     auto optimized = OptimizeLogicalPlan(*logical, catalog, OptimizerOptions());
     ASSERT_TRUE(optimized.ok()) << optimized.status();
-    auto bindings = BindParams(**optimized, norm.params, catalog);
+    auto bindings = BindFromScratch(**optimized, norm.params, catalog);
     ASSERT_TRUE(bindings.ok()) << bindings.status();
     EXPECT_EQ(lookup->classes,
               CardinalityClasses(**optimized, *bindings, catalog))
@@ -881,7 +894,7 @@ std::vector<int> ClassesOf(const std::string& sql, const Catalog& catalog) {
   EXPECT_TRUE(logical.ok()) << logical.status();
   auto optimized = OptimizeLogicalPlan(*logical, catalog, OptimizerOptions());
   EXPECT_TRUE(optimized.ok()) << optimized.status();
-  auto bindings = BindParams(**optimized, norm.params, catalog);
+  auto bindings = BindFromScratch(**optimized, norm.params, catalog);
   EXPECT_TRUE(bindings.ok()) << bindings.status();
   return CardinalityClasses(**optimized, *bindings, catalog);
 }
@@ -1038,12 +1051,9 @@ TEST_F(AdaptiveTest, SharedTemplatesAreNeverBound) {
       // The key Planner::Run looks up: the lexer's fingerprint and literals.
       auto lexed = Lex(sql);
       ASSERT_TRUE(lexed.ok()) << lexed.status();
-      const PlanCache::Binder bind = [&](const LogicalNode& plan) {
-        return BindParams(plan, lexed->params, *dt_->catalog());
-      };
       auto lookup = cache.Get(
           {lexed->fingerprint, PlanCache::RuleFlags(OptimizerOptions())},
-          *dt_->catalog(), obs::CalibratedCosts(), lexed->params, bind);
+          *dt_->catalog(), obs::CalibratedCosts(), lexed->params);
       ASSERT_TRUE(lookup.ok()) << lookup.status();
       ASSERT_NE(lookup->plan, nullptr) << sql;
       EXPECT_TRUE(Unbound(*lookup->plan)) << sql;

@@ -160,18 +160,6 @@ TEST(FailureInjectionTest, FailuresChargeTimeoutAndRetry) {
   EXPECT_EQ(clock.NowMicros(), expected);
 }
 
-TEST(FailureInjectionTest, TryRequestReportsOutcome) {
-  util::SimulatedClock clock;
-  NetworkParams params;
-  params.failure_probability = 1.0;
-  params.timeout_micros = 500;
-  SimulatedNetwork net(&clock, params);
-  int64_t charged = 0;
-  EXPECT_FALSE(net.TryRequest(10, &charged));
-  EXPECT_EQ(charged, 500);
-  EXPECT_EQ(net.num_failures(), 1u);
-}
-
 TEST(FailureInjectionTest, AlwaysFailingLinkStillTerminates) {
   util::SimulatedClock clock;
   NetworkParams params;
@@ -197,8 +185,8 @@ TEST(FailureInjectionTest, SourcesSurviveFlakyLink) {
   auto src = ProteinSource::Create(pp, &net, &rng);
   ASSERT_TRUE(src.ok());
   // Every fetch succeeds despite the 30% failure rate (retries absorb it).
-  for (const auto& acc : src->ListAccessions()) {
-    EXPECT_TRUE(src->FetchByAccession(acc).ok());
+  for (const auto& acc : Await(&net, src->ListAccessions())) {
+    EXPECT_TRUE(Await(&net, src->FetchByAccession(acc)).ok());
   }
   EXPECT_GT(net.num_failures(), 0u);
 }
