@@ -1,12 +1,7 @@
-// E15: the observe->plan feedback loop — plan-cache efficacy, calibration
-// movement, and per-class adaptive knob retuning.
+// E15: adaptive planning — plan-cache efficacy and per-class adaptive knob
+// retuning.
 //
-// Phase A (virtual clock): determinism guard. On a SimulatedClock every
-// operator elapsed is zero, so the cost calibrator must refuse every
-// observation and the coefficient version must stay 0 — simulation replays
-// stay bit-exact with calibration compiled in and enabled.
-//
-// Phase B (real clock): plan-cache efficacy on a skewed serving mix —
+// E15b (real clock): plan-cache efficacy on a skewed serving mix —
 // repeated overlay shapes and parameterized analytic joins. Two identical
 // servers run the identical request stream, one with the plan cache off.
 // Gates (tier-1, Release, --gate):
@@ -16,7 +11,7 @@
 //     reported too, but not gated: parse and physical planning run on hits
 //     as well, so the phase total is noise-bounded around ~2x on this mix.
 //
-// Phase C (real clock): a closed-loop mixed fleet with the adaptive
+// E15c (real clock): a closed-loop mixed fleet with the adaptive
 // controller enabled. The controller may only trade analytic parallelism
 // for interactive latency, so the gate is the serving floor itself:
 // interactive p99 <= 2ms while analytic work keeps completing.
@@ -30,7 +25,6 @@
 
 #include "bench_util.h"
 #include "core/drugtree.h"
-#include "obs/cost_calibrator.h"
 #include "obs/trace.h"
 #include "obs/trace_context.h"
 #include "obs/trace_store.h"
@@ -90,48 +84,6 @@ Workload MakeWorkload(core::DrugTree* dt, int hot_nodes, int variants) {
   return w;
 }
 
-int RunCalibrationDeterminism() {
-  bench::Banner("E15a", "calibration determinism: virtual clock is a no-op");
-  util::SimulatedClock clock;
-  auto dt = MakeInstance(&clock);
-  obs::Tracer::Default()->set_clock(&clock);
-
-  server::ServerOptions sopts;
-  sopts.worker_threads = 2;
-  auto server = dt->MakeServer(sopts);
-  Workload w = MakeWorkload(dt.get(), 4, 4);
-  int requests = 0;
-  for (int round = 0; round < 3; ++round) {
-    for (const std::string& sql : w.overlay) {
-      server::QueryRequest r;
-      r.sql = sql;
-      DT_CHECK(server->Submit(std::move(r)).ok());
-      ++requests;
-    }
-    for (const std::string& sql : w.analytic) {
-      server::QueryRequest r;
-      r.sql = sql;
-      r.query_class = server::QueryClass::kAnalytic;
-      DT_CHECK(server->Submit(std::move(r)).ok());
-      ++requests;
-    }
-  }
-  server->Drain();
-  obs::Tracer::Default()->set_clock(nullptr);
-
-  obs::CalibratedCosts costs = server->cost_calibrator()->snapshot();
-  std::printf("%d requests on the virtual clock: calibrator version %llu, "
-              "effective updates %lld\n",
-              requests, (unsigned long long)costs.version,
-              (long long)server->cost_calibrator()->effective_updates());
-  DT_CHECK(costs.version == 0)
-      << "virtual-clock serving moved cost coefficients — simulation "
-         "replays are no longer deterministic";
-  std::printf("PASS: zero-elapsed observations rejected, coefficients "
-              "untouched\n");
-  return 0;
-}
-
 /// Sums the planning phase across every completed trace record.
 int64_t TotalPlanMicros(server::DrugTreeServer* server) {
   int64_t total = 0;
@@ -158,7 +110,6 @@ int RunPlanCacheEfficacy(core::DrugTree* dt, bool enforce) {
   on.trace_store_capacity = 16384;
   server::ServerOptions off = on;
   off.enable_plan_cache = false;
-  off.enable_cost_calibration = false;
 
   struct Lane {
     const char* name;
@@ -373,14 +324,11 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--gate") == 0) gate = true;
   }
 
-  int rc = RunCalibrationDeterminism();
-  if (rc != 0) return rc;
-
   util::SimulatedClock build_clock;
   auto dt = MakeInstance(&build_clock);
   std::printf("tree: %zu nodes, %zu leaves\n", dt->tree().NumNodes(),
               dt->tree().NumLeaves());
-  rc = RunPlanCacheEfficacy(dt.get(), gate);
+  int rc = RunPlanCacheEfficacy(dt.get(), gate);
   if (rc != 0) return rc;
   rc = RunAdaptiveFleet(dt.get(), gate);
   drugtree::bench::DumpMetrics(metrics_flag);

@@ -1,6 +1,5 @@
 // E8 (Table 3): storage microbenchmarks — B+-tree vs hash index for point
-// and range access, bloom-filter probe cost, and buffer-pool hit behaviour
-// under skewed page access.
+// and range access, and buffer-pool hit behaviour under skewed page access.
 
 #include <benchmark/benchmark.h>
 
@@ -8,7 +7,6 @@
 #include <map>
 
 #include "bench_util.h"
-#include "storage/bloom.h"
 #include "storage/bptree.h"
 #include "storage/buffer_pool.h"
 #include "storage/hash_index.h"
@@ -102,19 +100,6 @@ void BM_HashRangeVia100Probes(benchmark::State& state) {
   }
 }
 
-void BM_BloomProbe(benchmark::State& state) {
-  static storage::BloomFilter* bloom = [] {
-    auto* b = new storage::BloomFilter(100'000, 10);
-    for (int i = 0; i < 100'000; ++i) b->Add(Value::Int64(i));
-    return b;
-  }();
-  util::Rng rng(7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        bloom->MayContain(Value::Int64(rng.UniformRange(0, 200'000))));
-  }
-}
-
 void BM_BufferPoolSkewedReads(benchmark::State& state) {
   // 400 pages, pool of state.range(0) frames, Zipf access.
   static storage::DiskManager* disk = [] {
@@ -152,13 +137,12 @@ BENCHMARK(BM_BTreePointLookup)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_HashPointLookup)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_BTreeRangeScan100)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_HashRangeVia100Probes)->Arg(10000)->Arg(100000);
-BENCHMARK(BM_BloomProbe);
 BENCHMARK(BM_BufferPoolSkewedReads)->Arg(40)->Arg(100)->Arg(400);
 
 int main(int argc, char** argv) {
   drugtree::bench::Banner(
       "E8 (Table 3)",
-      "storage microbenchmarks: B+-tree vs hash, bloom, buffer pool");
+      "storage microbenchmarks: B+-tree vs hash, buffer pool");
   auto metrics_flag = drugtree::bench::ParseMetricsFlag(&argc, argv);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -105,9 +105,10 @@ EOF
 # best-of-N like the tracing gate; the probe prints one machine-readable
 # `abprobe_micros:` wall total per run.
 TELEMETRY_BUDGET="${DRUGTREE_TELEMETRY_BUDGET_PCT:-5}"
-# The serving probe is short (~20ms) so per-run scheduler jitter is large
-# relative to the budget; more interleaved reps than the tracing gate let
-# the best-of-N min actually converge.
+# The serving probe times 4000 requests (about 0.12 s on a shared 4-vCPU
+# host); per-run scheduler jitter is still large relative to the budget, so
+# more interleaved reps than the tracing gate let the best-of-N min
+# converge.
 TELEMETRY_REPS="${DRUGTREE_TELEMETRY_AB_REPS:-10}"
 echo "== telemetry on/off gate: ${TELEMETRY_REPS} interleaved reps, budget +${TELEMETRY_BUDGET}%"
 for i in $(seq 1 "${TELEMETRY_REPS}"); do

@@ -53,8 +53,8 @@ cmake --build build-asan -j "$(nproc)" \
 # engine equivalence corpus under parallelism + mid-query cancellation, and
 # the sharded scatter-gather tier (replica failover races, per-shard
 # deadline cancellation, cross-replica handle tracking), and the adaptive
-# planning loop (shared plan cache / cost calibrator / adaptive controller
-# hit from every serving slot), the continuous-telemetry stack (gauge
+# planning loop (shared plan cache / adaptive controller hit from every
+# serving slot), the continuous-telemetry stack (gauge
 # Set vs Snapshot hammer, sampler/alert engine ticked from serving threads),
 # and the index nested-loop join under parallelism and sharded serving.
 cmake -B build-tsan -S . -DDRUGTREE_SANITIZE=thread
@@ -100,10 +100,10 @@ cmake --build build-rel -j "$(nproc)" \
 # interactive path must keep its p99 inside the 2ms mobile budget.
 ./build-rel/bench/bench_shard --gate
 
-# Adaptive-planning gate (E15): the virtual clock must leave calibration
-# untouched, the plan cache must serve >= 90% of the skewed mix and cut
-# optimizer (re-plan) time at least in half, and the adaptive controller
-# must hold the interactive p99 inside the 2ms budget under analytic load.
+# Adaptive-planning gate (E15): the plan cache must serve >= 90% of the
+# skewed mix and cut optimizer (re-plan) time at least in half, and the
+# adaptive controller must hold the interactive p99 inside the 2ms budget
+# under analytic load.
 ./build-rel/bench/bench_adaptive --gate
 
 # Tracing overhead A/B gate: the instrumented Release build (spans compiled

@@ -131,14 +131,6 @@ void SimulatedNetwork::WaitUntil(int64_t ready_micros) {
   WaitLocked(ready_micros);
 }
 
-void SimulatedNetwork::Quiesce() {
-  std::lock_guard<std::mutex> lock(mu_);
-  int64_t latest = clock_->NowMicros();
-  for (int64_t free_at : channels_) latest = std::max(latest, free_at);
-  int64_t now = clock_->NowMicros();
-  if (latest > now) clock_->AdvanceMicros(latest - now);
-}
-
 int64_t SimulatedNetwork::Request(uint64_t payload_bytes) {
   std::lock_guard<std::mutex> lock(mu_);
   Completion done = SubmitLocked(payload_bytes);

@@ -84,9 +84,6 @@ class SimulatedNetwork {
   /// past it).
   void WaitUntil(int64_t ready_micros);
 
-  /// Advances the clock past every scheduled completion (drains the link).
-  void Quiesce();
-
   /// Blocking request: SubmitRequest + WaitUntil under one lock hold, so
   /// no other caller's request lands between the two. Returns the
   /// microseconds charged.

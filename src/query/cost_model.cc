@@ -20,10 +20,9 @@ std::string Unqualified(std::string_view qualified) {
 
 }  // namespace
 
-CostModel::CostModel(const Catalog* catalog,
-                     const std::map<std::string, std::string>& alias_to_table,
-                     const obs::CalibratedCosts* costs) {
-  if (costs != nullptr) costs_ = *costs;
+CostModel::CostModel(
+    const Catalog* catalog,
+    const std::map<std::string, std::string>& alias_to_table) {
   for (const auto& [alias, name] : alias_to_table) {
     auto table = catalog->Lookup(name);
     if (!table.ok()) continue;
@@ -110,11 +109,11 @@ double CostModel::ConjunctSelectivity(const Expr& conjunct,
             break;
         }
       }
-      // No stats: coefficient defaults.
+      // No stats: the priors.
       switch (op) {
-        case BinaryOp::kEq: return costs_.eq_default_selectivity;
-        case BinaryOp::kNe: return costs_.ne_default_selectivity;
-        default: return costs_.range_default_selectivity;
+        case BinaryOp::kEq: return kEqDefaultSelectivity;
+        case BinaryOp::kNe: return kNeDefaultSelectivity;
+        default: return kRangeDefaultSelectivity;
       }
     }
     if (conjunct.bin_op == BinaryOp::kAnd) {
@@ -129,11 +128,9 @@ double CostModel::ConjunctSelectivity(const Expr& conjunct,
   }
   if (conjunct.kind == ExprKind::kFunction) {
     // Tree predicates before rewriting: the interval-index priors.
-    if (conjunct.function == "SUBTREE") return costs_.subtree_selectivity;
-    if (conjunct.function == "ANCESTOR_OF") {
-      return costs_.ancestor_selectivity;
-    }
-    if (conjunct.function == "IS_NULL") return costs_.is_null_selectivity;
+    if (conjunct.function == "SUBTREE") return kSubtreeSelectivity;
+    if (conjunct.function == "ANCESTOR_OF") return kAncestorSelectivity;
+    if (conjunct.function == "IS_NULL") return kIsNullSelectivity;
   }
   if (conjunct.kind == ExprKind::kUnary &&
       conjunct.un_op == UnaryOp::kNot) {
@@ -181,7 +178,7 @@ double CostModel::IntervalSelectivity(std::string_view qualified,
     return stats->RangeSelectivity(iv.lo, iv.lo_inclusive, iv.hi,
                                    iv.hi_inclusive);
   }
-  return costs_.range_default_selectivity;
+  return kRangeDefaultSelectivity;
 }
 
 double CostModel::EstimateScanRows(const std::string& alias,
@@ -209,10 +206,10 @@ double CostModel::EstimateScanRows(std::string_view alias,
 }
 
 double CostModel::ScanCost(const std::string& alias) const {
-  double per_row = costs_.seq_scan_row;
+  double per_row = kSeqScanRowCost;
   const storage::Table* table = TableFor(alias);
   if (table != nullptr && table->encoded() != nullptr) {
-    per_row *= costs_.encoded_scan_discount;
+    per_row *= kEncodedScanDiscount;
   }
   return per_row * TableRows(alias);
 }
@@ -231,7 +228,7 @@ double CostModel::AccessCost(const std::string& alias, const ExprPtr& pred,
                               ? table->HasIndex(column)
                               : !cmp.literal->literal.is_null() &&
                                     table->GetBTreeIndex(column) != nullptr;
-      if (usable) return costs_.index_probe + costs_.index_row * rows;
+      if (usable) return kIndexProbeCost + kIndexRowCost * rows;
     }
   }
   return ScanCost(alias);
@@ -254,8 +251,8 @@ CostModel::JoinPricing CostModel::PriceJoin(
     const std::vector<std::string>& inner_keys) const {
   JoinPricing price;
   price.hash = AccessCost(inner_alias, inner_pred, inner_rows) +
-               costs_.hash_build_row * inner_rows +
-               costs_.hash_probe_row * (outer_rows + output_rows);
+               kHashBuildRowCost * inner_rows +
+               kHashProbeRowCost * (outer_rows + output_rows);
   const storage::Table* table = TableFor(inner_alias);
   if (table == nullptr) return price;
   for (const std::string& key : inner_keys) {
@@ -267,8 +264,8 @@ CostModel::JoinPricing CostModel::PriceJoin(
         index->NumKeys() == 0 ? 0.0
                               : static_cast<double>(index->size()) /
                                     static_cast<double>(index->NumKeys());
-    const double cost = costs_.hash_probe_row * outer_rows +
-                        costs_.index_row * outer_rows * per_probe;
+    const double cost = kHashProbeRowCost * outer_rows +
+                        kIndexRowCost * outer_rows * per_probe;
     if (cost < price.index_nested_loop) {
       price.index_nested_loop = cost;
       price.index_column = column;

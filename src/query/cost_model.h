@@ -1,9 +1,7 @@
 // Cardinality and cost estimation over table statistics — the "standard"
 // half of the poster's optimization story. Cost and selectivity constants
-// live in one named-coefficient object (obs::CalibratedCosts) instead of
-// being scattered as literals; the serving layer's obs::CostCalibrator
-// re-estimates them from EXPLAIN ANALYZE capture, and the defaults
-// reproduce the historical constants bit-for-bit.
+// are named coefficients of CostModel, defined once, and every plan is
+// priced with them.
 
 #ifndef DRUGTREE_QUERY_COST_MODEL_H_
 #define DRUGTREE_QUERY_COST_MODEL_H_
@@ -15,7 +13,6 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/cost_calibrator.h"
 #include "query/catalog.h"
 #include "query/expr.h"
 #include "util/result.h"
@@ -26,24 +23,18 @@ namespace query {
 /// Estimates selectivities and cardinalities. Alias-aware: expressions use
 /// qualified names ("p.family"), and the estimator is constructed with the
 /// alias -> table mapping of the current query, which it resolves against
-/// the catalog once. An optional coefficient snapshot overrides the default
-/// cost constants (null = defaults, which match the pre-calibration engine
-/// exactly).
+/// the catalog once.
 class CostModel {
  public:
   CostModel(const Catalog* catalog,
-            const std::map<std::string, std::string>& alias_to_table,
-            const obs::CalibratedCosts* costs = nullptr);
-
-  /// The coefficient snapshot this model prices with.
-  const obs::CalibratedCosts& costs() const { return costs_; }
+            const std::map<std::string, std::string>& alias_to_table);
 
   /// Base row count of the table behind `alias`.
   double TableRows(std::string_view alias) const;
 
   /// Selectivity in [0,1] of one conjunct. Handles col-vs-literal
-  /// comparisons via column statistics; unknown shapes get the coefficient
-  /// defaults (range/eq priors, interval-index SUBTREE/ANCESTOR_OF priors).
+  /// comparisons via column statistics; unknown shapes get the selectivity
+  /// priors (range/eq priors, interval-index SUBTREE/ANCESTOR_OF priors).
   /// Tagged literals read their values under `bindings` (BoundValue).
   double ConjunctSelectivity(const Expr& conjunct,
                              const ParamBindings* bindings = nullptr) const;
@@ -67,8 +58,8 @@ class CostModel {
 
   /// Estimated cost of producing the `rows` (EstimateScanRows) of `alias`
   /// under `pred` the way physical planning does: an index scan
-  /// (index_probe plus index_row per row) when a conjunct compares an
-  /// indexed column with a literal, else ScanCost.
+  /// (kIndexProbeCost plus kIndexRowCost per row) when a conjunct compares
+  /// an indexed column with a literal, else ScanCost.
   double AccessCost(const std::string& alias, const ExprPtr& pred,
                     double rows) const;
 
@@ -79,13 +70,13 @@ class CostModel {
 
   /// One join step priced both ways.
   struct JoinPricing {
-    /// Hash join: AccessCost of the inner scan and hash_build_row per
-    /// inner row to build, then hash_probe_row per outer row and per match
-    /// (every candidate's key is re-evaluated and compared).
+    /// Hash join: AccessCost of the inner scan and kHashBuildRowCost per
+    /// inner row to build, then kHashProbeRowCost per outer row and per
+    /// match (every candidate's key is re-evaluated and compared).
     double hash = 0.0;
-    /// Index nested-loop join: hash_probe_row per outer row plus index_row
-    /// per fetched row (a key's whole posting list, which the inner
-    /// predicate filters after the fetch; the lookup itself is exact).
+    /// Index nested-loop join: kHashProbeRowCost per outer row plus
+    /// kIndexRowCost per fetched row (a key's whole posting list, which the
+    /// inner predicate filters after the fetch; the lookup itself is exact).
     /// Infinite when no inner key column has a hash index.
     double index_nested_loop = std::numeric_limits<double>::infinity();
     /// The unqualified inner column whose hash index prices cheapest.
@@ -102,14 +93,26 @@ class CostModel {
                         const ExprPtr& inner_pred, double inner_rows,
                         const std::vector<std::string>& inner_keys) const;
 
-  /// Historical per-operator cost constants (arbitrary units ~ row touches).
-  /// Kept as the documented defaults of the named coefficients.
+  /// Per-row operator costs, in sequential-scan row units (scanning one
+  /// plain row costs kSeqScanRowCost = 1).
   static constexpr double kSeqScanRowCost = 1.0;
-  static constexpr double kIndexProbeCost = 4.0;   // traversal overhead
+  static constexpr double kIndexProbeCost = 4.0;   // traversal per probe
   static constexpr double kIndexRowCost = 1.5;     // fetch per matching row
   static constexpr double kHashBuildRowCost = 1.5;
   static constexpr double kHashProbeRowCost = 1.0;
-  static constexpr double kNestedLoopRowCost = 0.6;
+  /// Fraction of kSeqScanRowCost an encoded (compressed columnar) scan
+  /// pays per row.
+  static constexpr double kEncodedScanDiscount = 0.6;
+  /// Join-order step multiplier for a cross product (no connecting edge).
+  static constexpr double kCrossProductPenalty = 10.0;
+
+  /// Selectivity priors, used where column statistics cannot answer.
+  static constexpr double kSubtreeSelectivity = 0.2;     // SUBTREE clade
+  static constexpr double kAncestorSelectivity = 0.01;   // ANCESTOR_OF path
+  static constexpr double kIsNullSelectivity = 0.05;
+  static constexpr double kEqDefaultSelectivity = 0.1;
+  static constexpr double kNeDefaultSelectivity = 0.9;
+  static constexpr double kRangeDefaultSelectivity = 0.33;
 
  private:
   /// Each column's range, folded from a conjunction's comparisons, by
@@ -147,7 +150,6 @@ class CostModel {
   const storage::ColumnStats* StatsFor(std::string_view qualified) const;
 
   std::map<std::string, Relation, std::less<>> relations_;
-  obs::CalibratedCosts costs_;
 };
 
 }  // namespace query

@@ -109,8 +109,7 @@ JoinOrderResult GreedyOrder(const std::vector<JoinRelation>& relations,
 }
 
 JoinOrderResult DpOrder(const std::vector<JoinRelation>& relations,
-                        const std::vector<JoinEdge>& edges,
-                        const obs::CalibratedCosts& costs) {
+                        const std::vector<JoinEdge>& edges) {
   const size_t n = relations.size();
   const uint32_t full = (1u << n) - 1;
   struct State {
@@ -135,8 +134,9 @@ JoinOrderResult DpOrder(const std::vector<JoinRelation>& relations,
       // Connected steps pay the per-row probe coefficient; cross products
       // pay the penalty so connected orders win ties decisively.
       bool connected = (neighbors[i] & mask) != 0;
-      double step_cost = out_rows * (connected ? costs.hash_probe_row
-                                               : costs.cross_product_penalty);
+      double step_cost =
+          out_rows * (connected ? CostModel::kHashProbeRowCost
+                                : CostModel::kCrossProductPenalty);
       double total = dp[mask].cost + step_cost;
       if (total < dp[next].cost) {
         dp[next].cost = total;
@@ -168,8 +168,7 @@ JoinOrderResult DpOrder(const std::vector<JoinRelation>& relations,
 
 util::Result<JoinOrderResult> ChooseJoinOrder(
     const std::vector<JoinRelation>& relations,
-    const std::vector<JoinEdge>& edges, bool enable_reordering,
-    const obs::CalibratedCosts& costs) {
+    const std::vector<JoinEdge>& edges, bool enable_reordering) {
   if (relations.empty()) {
     return util::Status::InvalidArgument("no relations to order");
   }
@@ -185,7 +184,7 @@ util::Result<JoinOrderResult> ChooseJoinOrder(
   if (!enable_reordering || relations.size() == 1) {
     result = FixedOrder(relations, edges);
   } else if (relations.size() <= kDpTableLimit) {
-    result = DpOrder(relations, edges, costs);
+    result = DpOrder(relations, edges);
   } else {
     result = GreedyOrder(relations, edges);
   }

@@ -50,13 +50,12 @@ inline constexpr size_t kDpTableLimit = 12;
 
 /// Chooses a join order. With `enable_reordering` false, keeps the textual
 /// order (still attaching conditions at the right steps) — the E2 baseline.
-/// `costs` prices each join step: connected steps pay hash_probe_row per
-/// intermediate row, cross products pay cross_product_penalty. The default
-/// coefficients reproduce the historical ordering exactly.
+/// Each join step is priced per intermediate row: a connected step pays
+/// CostModel::kHashProbeRowCost, a cross product
+/// CostModel::kCrossProductPenalty.
 util::Result<JoinOrderResult> ChooseJoinOrder(
     const std::vector<JoinRelation>& relations,
-    const std::vector<JoinEdge>& edges, bool enable_reordering,
-    const obs::CalibratedCosts& costs = obs::CalibratedCosts());
+    const std::vector<JoinEdge>& edges, bool enable_reordering);
 
 }  // namespace query
 }  // namespace drugtree

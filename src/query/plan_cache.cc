@@ -76,11 +76,9 @@ uint8_t PlanCache::RuleFlags(const OptimizerOptions& options) {
 }
 
 PlanCache::VersionSignature PlanCache::CaptureVersions(
-    const Catalog& catalog, const SelectStatement& stmt,
-    uint64_t cost_version) {
+    const Catalog& catalog, const SelectStatement& stmt) {
   VersionSignature sig;
   sig.catalog_epoch = catalog.epoch();
-  sig.cost_version = cost_version;
   sig.tables.reserve(stmt.tables.size());
   for (const TableRef& ref : stmt.tables) {
     auto table = catalog.Lookup(ref.table);
@@ -91,11 +89,8 @@ PlanCache::VersionSignature PlanCache::CaptureVersions(
 }
 
 bool PlanCache::IsCurrent(const VersionSignature& versions,
-                          const Catalog& catalog, uint64_t cost_version) {
-  if (versions.catalog_epoch != catalog.epoch() ||
-      versions.cost_version != cost_version) {
-    return false;
-  }
+                          const Catalog& catalog) {
+  if (versions.catalog_epoch != catalog.epoch()) return false;
   for (const auto& [name, version] : versions.tables) {
     auto table = catalog.Lookup(name);
     if ((table.ok() ? (*table)->plan_version() : 0) != version) return false;
@@ -105,25 +100,23 @@ bool PlanCache::IsCurrent(const VersionSignature& versions,
 
 std::vector<int> PlanCache::Classify(Entry* entry, const LogicalNode& plan,
                                      const ParamBindings& bindings,
-                                     const Catalog& catalog,
-                                     const obs::CalibratedCosts& costs) {
+                                     const Catalog& catalog) {
   if (entry->classifier == nullptr) {
-    entry->classifier =
-        std::make_unique<ScanClassifier>(plan, catalog, &costs);
+    entry->classifier = std::make_unique<ScanClassifier>(plan, catalog);
   }
   return entry->classifier->Classify(bindings);
 }
 
 util::Result<PlanCache::Lookup> PlanCache::Choose(
     Entry* entry, const std::vector<storage::Value>& params,
-    const Catalog& catalog, const obs::CalibratedCosts& costs) {
+    const Catalog& catalog) {
   Lookup lookup;
   std::optional<ParamBindings> bindings;
   if (entry->versions.tables.size() > 1) {
     const Template& first = entry->variants[0];
     DRUGTREE_ASSIGN_OR_RETURN(
         bindings, BindParams(first.node_ordinals, params, catalog));
-    lookup.classes = Classify(entry, *first.plan, *bindings, catalog, costs);
+    lookup.classes = Classify(entry, *first.plan, *bindings, catalog);
   }
   auto v = std::find_if(
       entry->variants.begin(), entry->variants.end(),
@@ -146,20 +139,18 @@ util::Result<PlanCache::Lookup> PlanCache::Choose(
 }
 
 util::Result<PlanCache::Lookup> PlanCache::Get(
-    const Key& key, const Catalog& catalog, const obs::CalibratedCosts& costs,
+    const Key& key, const Catalog& catalog,
     const std::vector<storage::Value>& params) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
-  if (it != entries_.end() &&
-      !IsCurrent(it->second.versions, catalog, costs.version)) {
+  if (it != entries_.end() && !IsCurrent(it->second.versions, catalog)) {
     lru_.erase(it->second.lru_it);
     entries_.erase(it);
     it = entries_.end();
     ++stats_.invalidations;
   }
   util::Result<Lookup> lookup =
-      it == entries_.end() ? Lookup{}
-                           : Choose(&it->second, params, catalog, costs);
+      it == entries_.end() ? Lookup{} : Choose(&it->second, params, catalog);
   if (!lookup.ok() || lookup->plan == nullptr) {
     ++stats_.misses;
     return lookup;
@@ -172,8 +163,7 @@ util::Result<PlanCache::Lookup> PlanCache::Get(
 
 void PlanCache::Install(const Key& key, LogicalPtr plan,
                         std::vector<storage::Value> params,
-                        VersionSignature versions, const Catalog& catalog,
-                        const obs::CalibratedCosts& costs) {
+                        VersionSignature versions, const Catalog& catalog) {
   Template tmpl;
   tmpl.rebindable =
       ComputeRebindable(*plan, params.size(), &tmpl.node_ordinals);
@@ -193,8 +183,7 @@ void PlanCache::Install(const Key& key, LogicalPtr plan,
     util::Result<ParamBindings> bindings =
         BindParams(first.node_ordinals, tmpl.params, catalog);
     if (!bindings.ok()) return;
-    tmpl.classes =
-        Classify(classifying, *first.plan, *bindings, catalog, costs);
+    tmpl.classes = Classify(classifying, *first.plan, *bindings, catalog);
   }
   if (it != entries_.end() && !fresh) {
     // The entry went stale between this planner's Get and Install (or a

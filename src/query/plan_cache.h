@@ -36,12 +36,11 @@
 // mutex.
 //
 // Invalidation: each entry records its tables and captures a version
-// signature — the catalog data epoch, each table's plan_version()
+// signature — the catalog data epoch and each table's plan_version()
 // (mutations, Analyze stats refreshes, index creation, encoded-segment
-// builds/drops; a rebuild that keeps a fresh snapshot bumps nothing), and
-// the cost-calibrator coefficient version. A lookup compares the entry's
-// signature against the catalog directly, so it needs no parsed statement,
-// and any bump makes it evict and re-plan.
+// builds/drops; a rebuild that keeps a fresh snapshot bumps nothing). A
+// lookup compares the entry's signature against the catalog directly, so
+// it needs no parsed statement, and any bump makes it evict and re-plan.
 //
 // Thread-safe: one cache serves every planner slot of a server, and each
 // DrugTree instance has its own for its direct queries.
@@ -60,7 +59,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/cost_calibrator.h"
 #include "query/catalog.h"
 #include "query/logical_plan.h"
 #include "query/parser.h"
@@ -88,22 +86,17 @@ class PlanCache {
   /// Everything a cached plan's validity depends on.
   struct VersionSignature {
     uint64_t catalog_epoch = 0;
-    uint64_t cost_version = 0;  // calibrated-coefficient version
     /// Each referenced table with its plan_version(), in statement order:
     /// the tables an entry records.
     std::vector<std::pair<std::string, uint64_t>> tables;
 
-    bool operator==(const VersionSignature& o) const {
-      return catalog_epoch == o.catalog_epoch &&
-             cost_version == o.cost_version && tables == o.tables;
-    }
+    bool operator==(const VersionSignature&) const = default;
   };
 
   /// Snapshot of the statement tables' current versions. Unregistered
   /// tables record version 0 (planning will fail later anyway).
   static VersionSignature CaptureVersions(const Catalog& catalog,
-                                          const SelectStatement& stmt,
-                                          uint64_t cost_version);
+                                          const SelectStatement& stmt);
 
   struct Stats {
     int64_t hits = 0;           // template reused
@@ -130,17 +123,16 @@ class PlanCache {
       : capacity_(capacity_entries > 0 ? capacity_entries : 1) {}
 
   /// Looks up `key`. A stored entry whose signature no longer matches
-  /// `catalog` and `costs` is evicted wholesale (invalidation) — the caller
-  /// re-plans. On a match, a multi-table entry's variant is picked by the
-  /// cardinality classes of the statement under `params`' bindings (priced
-  /// with `costs`); it is reused when it was planned for `params` or is
-  /// re-bindable to them (same arity and literal types), and the lookup
-  /// misses otherwise. Binding resolves the template's recorded node
+  /// `catalog` is evicted wholesale (invalidation) — the caller re-plans.
+  /// On a match, a multi-table entry's variant is picked by the
+  /// cardinality classes of the statement under `params`' bindings; it is
+  /// reused when it was planned for `params` or is re-bindable to them
+  /// (same arity and literal types), and the lookup misses otherwise.
+  /// Binding resolves the template's recorded node
   /// ordinals (BindParams); every template of an entry reads the same node
   /// literals, so one binding serves them all. A binding error (an unknown
   /// tree node) counts as a miss and is returned.
   util::Result<Lookup> Get(const Key& key, const Catalog& catalog,
-                           const obs::CalibratedCosts& costs,
                            const std::vector<storage::Value>& params);
 
   /// Installs `plan`, freshly optimized for `params` with its ordinal tags
@@ -150,7 +142,7 @@ class PlanCache {
   /// in the walk that decides whether it is re-bindable.
   void Install(const Key& key, LogicalPtr plan,
                std::vector<storage::Value> params, VersionSignature versions,
-               const Catalog& catalog, const obs::CalibratedCosts& costs);
+               const Catalog& catalog);
 
   void Clear();
   size_t size() const;
@@ -185,22 +177,20 @@ class PlanCache {
     std::list<Key>::iterator lru_it;
   };
 
-  /// True iff `versions` still describes `catalog` and `cost_version`.
+  /// True iff `versions` still describes `catalog`.
   static bool IsCurrent(const VersionSignature& versions,
-                        const Catalog& catalog, uint64_t cost_version);
+                        const Catalog& catalog);
 
   /// The classes of `plan`'s statement under `bindings`, through `entry`'s
   /// classifier (built from `plan` if it has none).
   static std::vector<int> Classify(Entry* entry, const LogicalNode& plan,
                                    const ParamBindings& bindings,
-                                   const Catalog& catalog,
-                                   const obs::CalibratedCosts& costs);
+                                   const Catalog& catalog);
 
   /// The variant of `entry` that `params` may reuse; a null plan when none.
   static util::Result<Lookup> Choose(Entry* entry,
                                      const std::vector<storage::Value>& params,
-                                     const Catalog& catalog,
-                                     const obs::CalibratedCosts& costs);
+                                     const Catalog& catalog);
 
   mutable std::mutex mu_;
   size_t capacity_;

@@ -396,16 +396,6 @@ util::Result<QueryOutcome> Planner::Run(const std::string& sql,
     }
     if (trace != nullptr) trace->BumpCounter("result_cache_miss");
   }
-  // Optimization prices plans with the calibrator's current coefficient
-  // snapshot (defaults when no calibrator is attached). The snapshot's
-  // version is part of the plan-cache signature, so a recalibration
-  // invalidates plans priced under the old coefficients.
-  obs::CalibratedCosts costs;
-  OptimizerOptions optimizer = options.optimizer;
-  if (calibrator_ != nullptr) {
-    costs = calibrator_->snapshot();
-    optimizer.costs = &costs;
-  }
   QueryOutcome outcome;
   PlanCache::Key key;
   LogicalPtr optimized;
@@ -414,10 +404,10 @@ util::Result<QueryOutcome> Planner::Run(const std::string& sql,
   if (plan_cache_ != nullptr) {
     obs::TracePhaseScope plan_phase(obs::TracePhase::kPlan);
     DT_SPAN("query.plan.cache");
-    key = {std::move(lexed.fingerprint), PlanCache::RuleFlags(optimizer)};
-    DRUGTREE_ASSIGN_OR_RETURN(
-        PlanCache::Lookup lookup,
-        plan_cache_->Get(key, *catalog_, costs, lexed.params));
+    key = {std::move(lexed.fingerprint),
+           PlanCache::RuleFlags(options.optimizer)};
+    DRUGTREE_ASSIGN_OR_RETURN(PlanCache::Lookup lookup,
+                              plan_cache_->Get(key, *catalog_, lexed.params));
     if (lookup.plan != nullptr) {
       optimized = std::move(lookup.plan);
       params = std::move(lookup.bindings);
@@ -437,18 +427,18 @@ util::Result<QueryOutcome> Planner::Run(const std::string& sql,
     }());
     PlanCache::VersionSignature versions;
     if (plan_cache_ != nullptr) {
-      versions = PlanCache::CaptureVersions(*catalog_, stmt, costs.version);
+      versions = PlanCache::CaptureVersions(*catalog_, stmt);
     }
     DRUGTREE_ASSIGN_OR_RETURN(optimized, [&] {
       obs::TracePhaseScope plan_phase(obs::TracePhase::kPlan);
       DT_SPAN("query.optimize");
       util::Result<LogicalPtr> logical = BuildLogicalPlan(stmt, *catalog_);
       if (!logical.ok()) return logical;
-      return OptimizeLogicalPlan(*logical, *catalog_, optimizer);
+      return OptimizeLogicalPlan(*logical, *catalog_, options.optimizer);
     }());
     if (plan_cache_ != nullptr) {
       plan_cache_->Install(key, optimized, lexed.params, std::move(versions),
-                           *catalog_, costs);
+                           *catalog_);
     }
   }
   const ParamBindings* bindings = params ? &*params : nullptr;
@@ -507,12 +497,8 @@ util::Result<QueryOutcome> Planner::Run(const std::string& sql,
   }
   if (prepared != nullptr) outcome.stats = prepared->stats;
   if (analyze) {
-    obs::ExplainNode analyzed = physical->AnalyzeTree();
-    outcome.analyzed_plan = obs::RenderExplainTree(analyzed);
+    outcome.analyzed_plan = obs::RenderExplainTree(physical->AnalyzeTree());
     if (trace != nullptr) trace->set_analyzed_plan(outcome.analyzed_plan);
-    // Close the loop: fold the observed per-operator timings back into the
-    // cost coefficients future optimizations will price plans with.
-    if (calibrator_ != nullptr) calibrator_->Observe(analyzed);
   }
   if (use_cache) {
     result_cache_->Put(cache_key, outcome.result);

@@ -31,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/cost_calibrator.h"
 #include "query/catalog.h"
 #include "query/executor.h"
 #include "query/logical_plan.h"
@@ -96,21 +95,17 @@ struct QueryOutcome {
 
 class Planner {
  public:
-  /// `catalog` is borrowed; the caches and the calibrator may be null (and
-  /// are shared across planners when the serving layer passes the same
-  /// instances to every slot). With a `plan_cache`, optimized logical plans
-  /// are cached as parameterized templates keyed by the statement's
-  /// structural fingerprint, and this planner keeps a prepared physical
-  /// plan per template it runs; with a `calibrator`, optimization prices
-  /// plans with its latest calibrated coefficients and every analyzed
-  /// execution feeds observations back.
+  /// `catalog` is borrowed; the caches may be null (and are shared across
+  /// planners when the serving layer passes the same instances to every
+  /// slot). With a `plan_cache`, optimized logical plans are cached as
+  /// parameterized templates keyed by the statement's structural
+  /// fingerprint, and this planner keeps a prepared physical plan per
+  /// template it runs.
   explicit Planner(Catalog* catalog, ResultCache* result_cache = nullptr,
-                   PlanCache* plan_cache = nullptr,
-                   obs::CostCalibrator* calibrator = nullptr)
+                   PlanCache* plan_cache = nullptr)
       : catalog_(catalog),
         result_cache_(result_cache),
-        plan_cache_(plan_cache),
-        calibrator_(calibrator) {}
+        plan_cache_(plan_cache) {}
 
   /// Lexes + optimizes + plans + executes one statement. A plan-cache hit
   /// is looked up by the lexer's fingerprint and does not parse; it
@@ -178,7 +173,6 @@ class Planner {
   Catalog* catalog_;
   ResultCache* result_cache_;
   PlanCache* plan_cache_;
-  obs::CostCalibrator* calibrator_;
   std::unique_ptr<util::ThreadPool> pool_;
   int pool_workers_ = 0;
   // Declared after the pool: destroyed before the pool its plans run on.

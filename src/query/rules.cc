@@ -319,7 +319,7 @@ util::Result<LogicalPtr> OptimizeLogicalPlan(const LogicalPtr& plan,
   std::vector<std::vector<ExprPtr>> scan_preds(n);
   std::vector<ExprPtr> residual;
   std::vector<JoinEdge> edges;
-  CostModel cost(&catalog, alias_to_table, options.costs);
+  CostModel cost(&catalog, alias_to_table);
   std::vector<std::string_view> aliases;
   for (auto& c : conjuncts) {
     aliases.clear();
@@ -356,8 +356,7 @@ util::Result<LogicalPtr> OptimizeLogicalPlan(const LogicalPtr& plan,
 
   DRUGTREE_ASSIGN_OR_RETURN(JoinOrderResult order, [&] {
     DT_SPAN("query.join_order");
-    return ChooseJoinOrder(relations, edges, options.enable_join_reorder,
-                           cost.costs());
+    return ChooseJoinOrder(relations, edges, options.enable_join_reorder);
   }());
 
   // Projection pruning: each scan keeps only the columns read above it, by
@@ -480,9 +479,8 @@ std::map<std::string, std::string> AliasTables(const LogicalNode& plan) {
 
 }  // namespace
 
-ScanClassifier::ScanClassifier(const LogicalNode& plan, const Catalog& catalog,
-                               const obs::CalibratedCosts* costs)
-    : cost_(&catalog, AliasTables(plan), costs) {
+ScanClassifier::ScanClassifier(const LogicalNode& plan, const Catalog& catalog)
+    : cost_(&catalog, AliasTables(plan)) {
   for (const LogicalNode* s : ScansByAlias(plan)) {
     scans_.push_back({s->alias, SplitConjuncts(s->scan_predicate)});
   }

@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/cost_calibrator.h"
 #include "query/catalog.h"
 #include "query/cost_model.h"
 #include "query/expr.h"
@@ -31,13 +30,9 @@ struct OptimizerOptions {
   /// region, the residual filter or a join condition reads; off, every
   /// scan emits every column (the unpruned reference of Naive()).
   bool enable_projection_pruning = true;
-  /// Borrowed calibrated cost coefficients for the CostModel / join
-  /// ordering. Null = the built-in defaults (bit-identical to the
-  /// pre-calibration planner). The planner stamps a fresh snapshot per run.
-  const obs::CalibratedCosts* costs = nullptr;
 
   static OptimizerOptions AllOff() {
-    return {false, false, false, false, false, nullptr};
+    return {false, false, false, false, false};
   }
   static OptimizerOptions AllOn() { return {}; }
 };
@@ -95,12 +90,11 @@ util::Result<ParamBindings> BindParams(std::span<const int> node_ordinals,
 /// keeps one multi-scan plan per class vector. Built once per plan-cache
 /// entry: it resolves the scans' tables and splits their predicates once,
 /// and Classify() reads tagged literals through the bindings, so it builds
-/// no alias map and copies no expression. It holds table pointers and
-/// cost coefficients, valid while the entry's version signature holds.
+/// no alias map and copies no expression. It holds table pointers, valid
+/// while the entry's version signature holds.
 class ScanClassifier {
  public:
-  ScanClassifier(const LogicalNode& plan, const Catalog& catalog,
-                 const obs::CalibratedCosts* costs);
+  ScanClassifier(const LogicalNode& plan, const Catalog& catalog);
 
   std::vector<int> Classify(const ParamBindings& bindings) const;
 

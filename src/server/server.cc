@@ -122,18 +122,16 @@ DrugTreeServer::DrugTreeServer(query::Catalog* catalog, util::Clock* clock,
     result_cache_->AttachMemoryTracker(
         memory_root_.GetOrCreateChild("result_cache"));
   }
-  // Plan cache / calibrator / adaptive controller are always constructed
-  // (Statusz shows an all-zero block when a feature is off) but only wired
-  // into the planners when enabled.
+  // The plan cache and the adaptive controller are always constructed
+  // (Statusz shows an all-zero block when a feature is off); the cache is
+  // only wired into the planners when enabled.
   plan_cache_ = std::make_unique<query::PlanCache>();
-  calibrator_ = std::make_unique<obs::CostCalibrator>();
   adaptive_ = std::make_unique<AdaptiveController>(options_.adaptive);
   int slots = std::max(1, options_.scheduler.total_slots);
   for (int s = 0; s < slots; ++s) {
     planners_.push_back(std::make_unique<query::Planner>(
         catalog_, result_cache_.get(),
-        options_.enable_plan_cache ? plan_cache_.get() : nullptr,
-        options_.enable_cost_calibration ? calibrator_.get() : nullptr));
+        options_.enable_plan_cache ? plan_cache_.get() : nullptr));
     free_slots_.push_back(s);
   }
   auto* registry = obs::MetricRegistry::Default();
@@ -466,8 +464,6 @@ std::string DrugTreeServer::Statusz() {
   }
   out += ",\"plan_cache\":";
   out += plan_cache_->StatszJson();
-  out += ",\"cost_calibrator\":";
-  out += calibrator_->StatszJson();
   out += ",\"adaptive\":";
   out += adaptive_->StatszJson();
   out += util::StringPrintf(

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "obs/alerts.h"
-#include "obs/cost_calibrator.h"
 #include "obs/metrics.h"
 #include "obs/resource_tracker.h"
 #include "obs/slo_tracker.h"
@@ -113,9 +112,6 @@ struct ServerOptions {
   /// Invalidation is version-driven, so the cache stays correct across
   /// catalog mutations, Analyze, and encoded-segment builds/drops.
   bool enable_plan_cache = true;
-  /// Fold observed per-operator timings (from analyzed executions) back
-  /// into the optimizer's cost coefficients (see obs::CostCalibrator).
-  bool enable_cost_calibration = true;
   /// Closed-loop retuning of per-class parallelism from interactive tail
   /// latency. Disabled by default.
   AdaptiveOptions adaptive;
@@ -217,7 +213,6 @@ class DrugTreeServer {
   /// ServerOptions flag is on, so a disabled feature reads as all-zero
   /// stats rather than a missing block.
   query::PlanCache* plan_cache() { return plan_cache_.get(); }
-  obs::CostCalibrator* cost_calibrator() { return calibrator_.get(); }
   const AdaptiveController* adaptive() const { return adaptive_.get(); }
 
   /// Completed per-request traces (slow-query log, Chrome export, tail
@@ -343,7 +338,6 @@ class DrugTreeServer {
   std::array<std::unique_ptr<obs::SloTracker>, kNumQueryClasses> slo_;
   std::unique_ptr<query::ResultCache> result_cache_;
   std::unique_ptr<query::PlanCache> plan_cache_;
-  std::unique_ptr<obs::CostCalibrator> calibrator_;
   std::unique_ptr<AdaptiveController> adaptive_;
   /// One planner per scheduler slot: a slot is an exclusive token, so its
   /// planner (and any lazily created morsel pool) is never shared.

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -42,7 +43,7 @@ TEST(NetworkConcurrencyTest, OverlappedLatenciesShareChannels) {
   // A fifth request queues behind the earliest channel.
   auto fifth = net.SubmitRequest(0);
   EXPECT_EQ(fifth.ready_micros, 2000);
-  net.Quiesce();
+  net.WaitUntil(fifth.ready_micros);
   EXPECT_EQ(clock.NowMicros(), 2000);
 }
 
@@ -60,7 +61,7 @@ TEST(NetworkConcurrencyTest, TransfersShareBandwidth) {
   // Second transfer starts while the first is still running: half bandwidth.
   auto b = net.SubmitRequest(1000);
   EXPECT_EQ(b.ready_micros, 2000);
-  net.Quiesce();
+  net.WaitUntil(b.ready_micros);
   EXPECT_EQ(clock.NowMicros(), 2000);
 }
 
@@ -102,11 +103,14 @@ TEST(NetworkConcurrencyTest, FailedAttemptsChargeTimeoutOnChannel) {
   params.timeout_micros = 10'000;
   params.max_concurrency = 2;
   SimulatedNetwork net(&clock, params, /*seed=*/123);
-  for (int i = 0; i < 50; ++i) net.SubmitRequest(0);
+  int64_t latest = 0;
+  for (int i = 0; i < 50; ++i) {
+    latest = std::max(latest, net.SubmitRequest(0).ready_micros);
+  }
   EXPECT_GT(net.num_failures(), 0u);
   // Every completion is a success: charged = retries * timeout + cost.
   EXPECT_EQ(net.num_requests(), 50u + net.num_failures());
-  net.Quiesce();
+  net.WaitUntil(latest);
   EXPECT_GT(clock.NowMicros(), 0);
 }
 

@@ -1,11 +1,10 @@
 // Adaptive-planning tests: literal normalization agrees across the result
 // and plan caches, the parameterized plan cache hits / re-binds / re-plans
 // soundly, version bumps (mutations, Analyze, encoded builds/drops)
-// invalidate templates, the cost calibrator seeds, clamps, and stays put on
-// a virtual clock, the adaptive controller walks analytic knobs with
-// hysteresis, and the full corpus stays bit-identical with every adaptive
-// feature armed — across parallelism, concurrent serving, and sharded
-// topologies.
+// invalidate templates and nothing else does, the adaptive controller
+// walks analytic knobs with hysteresis, and the full corpus stays
+// bit-identical with every adaptive feature armed — across parallelism,
+// concurrent serving, and sharded topologies.
 
 #include <gtest/gtest.h>
 
@@ -22,10 +21,9 @@
 #include "clades.h"
 #include "core/drugtree.h"
 #include "core/workload.h"
-#include "obs/cost_calibrator.h"
-#include "obs/explain.h"
 #include "obs/metrics.h"
 #include "obs/resource_tracker.h"
+#include "obs/trace_store.h"
 #include "query/cost_model.h"
 #include "query/lexer.h"
 #include "query/normalize.h"
@@ -186,7 +184,7 @@ std::vector<int> CardinalityClasses(const LogicalNode& plan,
             });
   std::map<std::string, std::string> alias_to_table;
   for (const LogicalNode* s : scans) alias_to_table[s->alias] = s->table;
-  CostModel cost(&catalog, alias_to_table, nullptr);
+  CostModel cost(&catalog, alias_to_table);
   std::vector<int> classes;
   for (const LogicalNode* s : scans) {
     ExprPtr pred =
@@ -735,8 +733,7 @@ TEST_F(AdaptiveTest, PreparedPlansDieWithTheirTemplates) {
                            PlanCache::RuleFlags(OptimizerOptions())};
   std::weak_ptr<LogicalNode> old_template;
   {
-    auto lookup = cache.Get(key, *dt->catalog(), obs::CalibratedCosts(),
-                            lexed->params);
+    auto lookup = cache.Get(key, *dt->catalog(), lexed->params);
     ASSERT_TRUE(lookup.ok() && lookup->plan != nullptr);
     old_template = lookup->plan;
   }
@@ -779,7 +776,7 @@ TEST_F(AdaptiveTest, CacheClassesMatchFromScratchClasses) {
     ASSERT_TRUE(lexed.ok()) << lexed.status();
     auto lookup = cache.Get(
         {lexed->fingerprint, PlanCache::RuleFlags(OptimizerOptions())},
-        catalog, obs::CalibratedCosts(), lexed->params);
+        catalog, lexed->params);
     ASSERT_TRUE(lookup.ok()) << lookup.status();
     EXPECT_NE(lookup->plan, nullptr) << sql;
 
@@ -1053,7 +1050,7 @@ TEST_F(AdaptiveTest, SharedTemplatesAreNeverBound) {
       ASSERT_TRUE(lexed.ok()) << lexed.status();
       auto lookup = cache.Get(
           {lexed->fingerprint, PlanCache::RuleFlags(OptimizerOptions())},
-          *dt_->catalog(), obs::CalibratedCosts(), lexed->params);
+          *dt_->catalog(), lexed->params);
       ASSERT_TRUE(lookup.ok()) << lookup.status();
       ASSERT_NE(lookup->plan, nullptr) << sql;
       EXPECT_TRUE(Unbound(*lookup->plan)) << sql;
@@ -1140,105 +1137,50 @@ TEST_F(AdaptiveTest, PlanCacheInvalidationEdges) {
   EXPECT_TRUE(run().from_plan_cache);
 }
 
-// ---------------------------------------------------------------------------
-// Cost calibrator: seeding, clamping, versioning, virtual-clock no-op.
-
-obs::ExplainNode MakeNode(std::string label, int64_t rows, int64_t micros) {
-  obs::ExplainNode n;
-  n.label = std::move(label);
-  n.rows_out = rows;
-  n.elapsed_micros = micros;
-  return n;
-}
-
-TEST(CostCalibratorTest, VirtualClockObservationsAreNoOps) {
-  obs::CostCalibrator cal;
-  // elapsed_micros == 0 is exactly what a SimulatedClock produces.
-  cal.Observe(MakeNode("SeqScan proteins", 100, 0));
-  cal.Observe(MakeNode("HashJoin [x = y]", 0, 500));  // zero rows: unusable
-  cal.Observe(MakeNode("IndexNestedLoopJoin activities AS a ON x = a.y", 100,
-                       0));
-  EXPECT_EQ(cal.observations(), 0);
-  EXPECT_EQ(cal.effective_updates(), 0);
-  obs::CalibratedCosts defaults;
-  obs::CalibratedCosts got = cal.snapshot();
-  EXPECT_EQ(got.version, 0u);
-  EXPECT_EQ(got.hash_probe_row, defaults.hash_probe_row);
-  EXPECT_EQ(got.nested_loop_row, defaults.nested_loop_row);
-  EXPECT_EQ(got.index_row, defaults.index_row);
-}
-
-TEST(CostCalibratorTest, SeqScanSeedsTheUnitAndCoefficientsClamp) {
-  obs::CostCalibrator cal;
-  // 1000 rows in 2000us: the sequential-scan unit is 2us/row. Alone it
-  // changes nothing (every coefficient is relative to it).
-  cal.Observe(MakeNode("SeqScan proteins AS p", 1000, 2000));
-  EXPECT_EQ(cal.observations(), 1);
-  EXPECT_EQ(cal.snapshot().version, 0u);
-
-  // Hash join at 20us/row = 10 units/row, clamped to 4x the 1.0 default.
-  obs::ExplainNode join =
-      MakeNode("HashJoin [p.accession = a.accession]", 100, 6000);
-  join.children.push_back(MakeNode("SeqScan proteins AS p", 1000, 2000));
-  join.children.push_back(MakeNode("SeqScan activities AS a", 1000, 2000));
-  cal.Observe(join);
-  obs::CalibratedCosts got = cal.snapshot();
-  EXPECT_DOUBLE_EQ(got.hash_probe_row, 4.0);
-  EXPECT_EQ(got.version, 1u);
-  EXPECT_EQ(cal.effective_updates(), 1);
-
-  // Absurdly fast nested loop (0.001us/row) clamps at default / 4.
-  obs::ExplainNode nl = MakeNode("NestedLoopJoin", 1000, 2001);
-  nl.children.push_back(MakeNode("SeqScan proteins AS p", 1000, 2000));
-  cal.Observe(nl);
-  got = cal.snapshot();
-  EXPECT_DOUBLE_EQ(got.nested_loop_row, 0.6 / 4.0);
-  EXPECT_EQ(got.version, 2u);
-
-  // Defaults a calibrator never touches stay put.
-  obs::CalibratedCosts defaults;
-  EXPECT_EQ(got.seq_scan_row, defaults.seq_scan_row);
-  EXPECT_EQ(got.cross_product_penalty, defaults.cross_product_penalty);
-  EXPECT_EQ(got.subtree_selectivity, defaults.subtree_selectivity);
-}
-
-TEST(CostCalibratorTest, IndexJoinsCalibrateTheIndexRowCost) {
-  obs::CostCalibrator cal;
-  cal.Observe(MakeNode("SeqScan proteins AS p", 1000, 2000));  // 2us/row
-
-  // The join's own time (its probes and fetches) is 600us over 100 rows:
-  // 6us/row = 3 units, the per-fetched-row cost the planner prices the
-  // index nested-loop join with.
-  obs::ExplainNode join = MakeNode(
-      "IndexNestedLoopJoin activities AS a ON p.accession = a.accession", 100,
-      2600);
-  join.children.push_back(MakeNode("SeqScan proteins AS p", 1000, 2000));
-  cal.Observe(join);
-  obs::CalibratedCosts got = cal.snapshot();
-  EXPECT_DOUBLE_EQ(got.index_row, 3.0);
-  EXPECT_EQ(got.version, 1u);
-  EXPECT_EQ(cal.effective_updates(), 1);
-  // The hash-join coefficients it is weighed against stay put.
-  obs::CalibratedCosts defaults;
-  EXPECT_EQ(got.hash_probe_row, defaults.hash_probe_row);
-  EXPECT_EQ(got.hash_build_row, defaults.hash_build_row);
-
-  // Absurdly slow joins clamp at 4x the 1.5 default.
-  obs::ExplainNode slow = MakeNode(
-      "IndexNestedLoopJoin ligands AS l ON a.ligand_id = l.ligand_id", 10,
-      2000 + 100000);
-  slow.children.push_back(MakeNode("SeqScan proteins AS p", 1000, 2000));
-  cal.Observe(slow);
-  EXPECT_DOUBLE_EQ(cal.snapshot().index_row, 1.5 * 4.0);
-}
-
-TEST(CostCalibratorTest, EncodedScansCalibrateTheDiscount) {
-  obs::CostCalibrator cal;
-  cal.Observe(MakeNode("SeqScan proteins AS p", 1000, 2000));
-  // Encoded scan at half the plain per-row cost -> discount 0.5.
-  cal.Observe(
-      MakeNode("SeqScan proteins AS p [encoded: dict(family)]", 1000, 1000));
-  EXPECT_DOUBLE_EQ(cal.snapshot().encoded_scan_discount, 0.5);
+// Serving with every request analyzed (slow-query forensics armed with a
+// threshold no request reaches) keeps its cached plans: operator timings
+// price nothing, so no lookup is invalidated and every request after a
+// template's install hits it. Once over encoded snapshots, and once over
+// plain tables, whose scans are timed as plain scans.
+TEST_F(AdaptiveTest, AnalyzedServingKeepsCachedPlans) {
+  util::SimulatedClock clock;
+  std::unique_ptr<core::DrugTree> dt = BuildSmallInstance(&clock);
+  ASSERT_NE(dt, nullptr);
+  const Clades clades = PickClades(*dt);
+  std::vector<std::string> statements;
+  for (core::QueryKind kind :
+       {core::QueryKind::kScreeningJoin, core::QueryKind::kFamilyAggregate}) {
+    for (phylo::NodeId node : {clades.root, clades.mid, clades.leaf_parent}) {
+      statements.push_back(
+          core::MakeQuerySql(kind, node, dt->tree(), core::WorkloadParams()));
+    }
+  }
+  for (bool snapshots : {true, false}) {
+    SCOPED_TRACE(snapshots ? "encoded snapshots" : "plain tables");
+    if (!snapshots) dt->DropEncodedSegments();
+    server::ServerOptions options;
+    options.worker_threads = 2;
+    options.slow_query_micros = int64_t{1} << 40;  // analyzed, never logged
+    auto server = dt->MakeServer(options, util::RealClock::Instance());
+    int64_t requests = 0;
+    for (int round = 0; round < 20; ++round) {
+      for (const std::string& sql : statements) {
+        server::QueryRequest r;
+        r.sql = sql;
+        auto got = server->Submit(std::move(r));
+        ASSERT_TRUE(got.ok()) << sql << ": " << got.status();
+        ++requests;
+      }
+    }
+    server->Drain();
+    for (const obs::TraceRecord& record : server->trace_store()->Snapshot()) {
+      EXPECT_FALSE(record.analyzed_plan.empty());
+    }
+    EXPECT_EQ(server->trace_store()->slow_count(), 0);
+    const PlanCache::Stats stats = server->plan_cache()->stats();
+    EXPECT_EQ(stats.invalidations, 0);
+    EXPECT_EQ(stats.hits, requests - stats.installs);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1301,19 +1243,18 @@ TEST(AdaptiveControllerTest, DisabledControllerIgnoresRecords) {
 }
 
 // ---------------------------------------------------------------------------
-// Invariance: cache + calibration on vs off, across execution knobs.
+// Invariance: cache on vs off, across execution knobs.
 
-TEST_F(AdaptiveTest, CorpusBitIdenticalWithCacheAndCalibrationArmed) {
+TEST_F(AdaptiveTest, CorpusBitIdenticalWithCacheArmed) {
   PlanCache cache;
-  obs::CostCalibrator calibrator;
-  Planner armed(dt_->catalog(), nullptr, &cache, &calibrator);
+  Planner armed(dt_->catalog(), nullptr, &cache);
   Planner plain(dt_->catalog());
   for (const std::string& sql : Corpus()) {
     PlannerOptions ref_opts;
     auto reference = plain.Run(sql, ref_opts);
     ASSERT_TRUE(reference.ok()) << sql << ": " << reference.status();
-    // Feed the calibrator real observations first (the analyze clock is the
-    // tracer's, i.e. real time), so later plans run with moved coefficients.
+    // An analyzed run first (the analyze clock is the tracer's, i.e. real
+    // time); the later runs reuse the plan it installed.
     auto analyzed = armed.Run("EXPLAIN ANALYZE " + sql, ref_opts);
     ASSERT_TRUE(analyzed.ok()) << sql << ": " << analyzed.status();
     ExpectSameRows(reference->result, analyzed->result, "analyze " + sql);
@@ -1330,13 +1271,11 @@ TEST_F(AdaptiveTest, CorpusBitIdenticalWithCacheAndCalibrationArmed) {
     }
   }
   EXPECT_GT(cache.stats().hits, 0);
-  EXPECT_GT(calibrator.observations(), 0);
 }
 
 // ---------------------------------------------------------------------------
 // Serving layer: concurrent submissions with every feature armed (TSan
-// exercises PlanCache / CostCalibrator / AdaptiveController sharing), and
-// Statusz surfacing.
+// exercises PlanCache / AdaptiveController sharing), and Statusz surfacing.
 
 TEST_F(AdaptiveTest, ConcurrentServingWithAllAdaptiveFeaturesArmed) {
   server::ServerOptions options;
@@ -1345,7 +1284,7 @@ TEST_F(AdaptiveTest, ConcurrentServingWithAllAdaptiveFeaturesArmed) {
   options.scheduler.interactive_slots = 4;
   options.admission.interactive_queue_capacity = 64;
   options.admission.analytic_queue_capacity = 64;
-  options.slow_query_micros = 1;  // collect analyze -> calibrator observes
+  options.slow_query_micros = 1;  // every request runs analyzed
   options.adaptive.enabled = true;
   options.adaptive.window = 4;
   auto server = dt_->MakeServer(options);
@@ -1398,17 +1337,15 @@ TEST_F(AdaptiveTest, ConcurrentServingWithAllAdaptiveFeaturesArmed) {
   EXPECT_GT(stats.hits, 0);
   EXPECT_GT(stats.installs, 0);
 
-  // Statusz surfaces all three adaptive blocks.
+  // Statusz surfaces both adaptive blocks.
   std::string statusz = server->Statusz();
   EXPECT_NE(statusz.find("\"plan_cache\":{"), std::string::npos);
-  EXPECT_NE(statusz.find("\"cost_calibrator\":{"), std::string::npos);
   EXPECT_NE(statusz.find("\"adaptive\":{"), std::string::npos);
 }
 
-TEST_F(AdaptiveTest, DisablingPlanCacheAndCalibrationMatchesEnabled) {
+TEST_F(AdaptiveTest, DisablingPlanCacheMatchesEnabled) {
   server::ServerOptions off;
   off.enable_plan_cache = false;
-  off.enable_cost_calibration = false;
   auto server_off = dt_->MakeServer(off);
   auto server_on = dt_->MakeServer();
   for (const std::string& sql : Corpus()) {

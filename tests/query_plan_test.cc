@@ -309,8 +309,8 @@ TEST_F(PlanTest, PruningOffKeepsFullSchemas) {
 }
 
 TEST_F(PlanTest, PruningKeepsOperatorLabelsAndEncodedMarkers) {
-  // The perfbench ledger and CostCalibrator::Classify key operators by the
-  // first word of their EXPLAIN line, and encoded scans by " [encoded: ".
+  // The perfbench ledger keys operators by the first word of their EXPLAIN
+  // line, and encoded scans by " [encoded: ".
   // Pruning only appends a column list: the same plan with and without it
   // has the same operators, line for line, and the same markers.
   ASSERT_TRUE(proteins_->CreateIndex("acc", IndexKind::kHash).ok());

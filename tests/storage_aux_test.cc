@@ -1,8 +1,7 @@
-// Hash index, bloom filter, and LRU cache tests.
+// Hash index and LRU cache tests.
 
 #include <gtest/gtest.h>
 
-#include "storage/bloom.h"
 #include "storage/hash_index.h"
 #include "storage/lru_cache.h"
 #include "util/rng.h"
@@ -49,39 +48,6 @@ TEST(HashIndexTest, MixedValueTypes) {
   EXPECT_EQ(idx.Find(Value::String("42")), (std::vector<RowId>{2}));
   // Int64 42 and Double 42.0 are equal values, so they share an entry list.
   EXPECT_EQ(idx.Find(Value::Double(42.0)), (std::vector<RowId>{1}));
-}
-
-TEST(BloomFilterTest, NoFalseNegatives) {
-  BloomFilter bloom(1000, 10);
-  util::Rng rng(3);
-  std::vector<Value> added;
-  for (int i = 0; i < 1000; ++i) {
-    added.push_back(Value::Int64(rng.UniformRange(0, 1000000)));
-    bloom.Add(added.back());
-  }
-  for (const auto& v : added) {
-    EXPECT_TRUE(bloom.MayContain(v));
-  }
-}
-
-TEST(BloomFilterTest, FalsePositiveRateReasonable) {
-  BloomFilter bloom(1000, 10);
-  for (int i = 0; i < 1000; ++i) bloom.Add(Value::Int64(i));
-  int fp = 0;
-  const int probes = 10000;
-  for (int i = 0; i < probes; ++i) {
-    if (bloom.MayContain(Value::Int64(1'000'000 + i))) ++fp;
-  }
-  // 10 bits/key should give roughly 1% false positives; allow generous slack.
-  EXPECT_LT(double(fp) / probes, 0.05);
-  EXPECT_LT(bloom.EstimatedFalsePositiveRate(), 0.05);
-}
-
-TEST(BloomFilterTest, StringKeys) {
-  BloomFilter bloom(100);
-  bloom.Add(Value::String("P0001"));
-  EXPECT_TRUE(bloom.MayContain(Value::String("P0001")));
-  EXPECT_EQ(bloom.items_added(), 1u);
 }
 
 TEST(LruCacheTest, BasicPutGet) {
