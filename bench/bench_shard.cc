@@ -240,6 +240,10 @@ int RunThroughput(core::DrugTree* dt, bool enforce) {
                 "scale-out capacity: closed-loop fleets, real clock");
   constexpr int kAnalyticClients = 8;
   constexpr int64_t kDuration = 1'000'000;  // 1s per topology point
+  // The routed p99 is gated, and one scheduler hiccup can stall a few dozen
+  // of the ~2900 requests a 1s run completes: 3s puts the p99 three times
+  // as many requests above a stall of that size.
+  constexpr int64_t kRoutedDuration = 3'000'000;
 
   // B1: analytic capacity. The naive nested-loop join makes per-shard work
   // shrink quadratically with partition size, so the scatter tier wins
@@ -277,13 +281,14 @@ int RunThroughput(core::DrugTree* dt, bool enforce) {
   // would fold OS timeslice noise, not serving behaviour, into a
   // contended wall-clock tail.)
   std::printf("\nrouted path (4x1): 2 interactive clients, leaf subtree\n"
-              "scans, single-shard routing\n");
+              "scans, single-shard routing, %.1fs\n",
+              static_cast<double>(kRoutedDuration) / 1e6);
   auto router = dt->MakeShardRouter(RealClockTopology(4, 1),
                                     util::RealClock::Instance());
   DT_CHECK(router.ok()) << router.status();
   FleetResult iso = RunFleet(dt, router->get(), /*analytic_clients=*/0,
                              /*interactive_clients=*/2,
-                             /*heavy_analytic=*/false, kDuration);
+                             /*heavy_analytic=*/false, kRoutedDuration);
   (*router)->Drain();
   std::printf("interactive: %lld completed, %s\n",
               (long long)iso.interactive_completed,

@@ -1,16 +1,13 @@
 // E8 (Table 3): storage microbenchmarks — B+-tree vs hash index for point
-// and range access, and buffer-pool hit behaviour under skewed page access.
+// and range access.
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
 #include <map>
 
 #include "bench_util.h"
 #include "storage/bptree.h"
-#include "storage/buffer_pool.h"
 #include "storage/hash_index.h"
-#include "storage/heap_file.h"
 
 namespace {
 
@@ -100,36 +97,6 @@ void BM_HashRangeVia100Probes(benchmark::State& state) {
   }
 }
 
-void BM_BufferPoolSkewedReads(benchmark::State& state) {
-  // 400 pages, pool of state.range(0) frames, Zipf access.
-  static storage::DiskManager* disk = [] {
-    auto dm = storage::DiskManager::Open("/tmp/drugtree_bench_storage.db");
-    DT_CHECK(dm.ok());
-    storage::DiskManager* d = dm->release();
-    for (int i = 0; i < 400; ++i) DT_CHECK(d->AllocatePage().ok());
-    return d;
-  }();
-  storage::BufferPool pool(disk, static_cast<size_t>(state.range(0)));
-  // Pre-generate the Zipf access sequence (Zipf sampling is slow).
-  static std::vector<storage::PageId> sequence = [] {
-    util::Rng zipf_rng(13);
-    std::vector<storage::PageId> s;
-    for (int i = 0; i < 20000; ++i) {
-      s.push_back(static_cast<storage::PageId>(zipf_rng.Zipf(400, 0.9)));
-    }
-    return s;
-  }();
-  size_t cursor = 0;
-  for (auto _ : state) {
-    auto page = pool.Fetch(sequence[cursor++ % sequence.size()]);
-    DT_CHECK(page.ok());
-    benchmark::DoNotOptimize(page->get()->data()[0]);
-  }
-  state.counters["hit_rate"] = benchmark::Counter(
-      double(pool.hits()) / double(std::max<uint64_t>(1, pool.hits() +
-                                                              pool.misses())));
-}
-
 }  // namespace
 
 BENCHMARK(BM_BTreeInsert)->Arg(10000)->Unit(benchmark::kMillisecond);
@@ -137,16 +104,14 @@ BENCHMARK(BM_BTreePointLookup)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_HashPointLookup)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_BTreeRangeScan100)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_HashRangeVia100Probes)->Arg(10000)->Arg(100000);
-BENCHMARK(BM_BufferPoolSkewedReads)->Arg(40)->Arg(100)->Arg(400);
 
 int main(int argc, char** argv) {
   drugtree::bench::Banner(
       "E8 (Table 3)",
-      "storage microbenchmarks: B+-tree vs hash, buffer pool");
+      "storage microbenchmarks: B+-tree vs hash");
   auto metrics_flag = drugtree::bench::ParseMetricsFlag(&argc, argv);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  std::remove("/tmp/drugtree_bench_storage.db");
   drugtree::bench::DumpMetrics(metrics_flag);
   return 0;
 }

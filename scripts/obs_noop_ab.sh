@@ -17,8 +17,8 @@
 # A second gate covers the memory-tracker fast path: bench_encoding in
 # tracked mode (DRUGTREE_ENCODED_TRACKED=1) runs the same scan query with
 # and without a per-query tracker hierarchy attached, over encoded segments
-# and over plain rows, and fails if charging costs more than
-# DRUGTREE_TRACKER_BUDGET_PCT percent on either.
+# and over plain rows, best of 25 interleaved rounds each, and fails if
+# charging costs more than DRUGTREE_TRACKER_BUDGET_PCT percent on either.
 #
 # Usage: scripts/obs_noop_ab.sh [instrumented-build-dir] [noop-build-dir]
 # Env:

@@ -15,7 +15,8 @@ cmake --build build-asan -j "$(nproc)" \
            storage_encoding_test query_adaptive_test query_index_join_test \
            query_plan_test core_test storage_table_test \
            query_lexer_parser_test server_test query_parallel_test \
-           integration_test integration_async_test
+           integration_test integration_async_test core_snapshot_test \
+           storage_value_test
 ./build-asan/tests/obs_test
 ./build-asan/tests/obs_telemetry_test
 ./build-asan/tests/query_equiv_test
@@ -46,6 +47,12 @@ cmake --build build-asan -j "$(nproc)" \
 # (TSan runs integration_async_test too, for the shared link's races).
 ./build-asan/tests/integration_test
 ./build-asan/tests/integration_async_test
+# Hostile snapshot bytes: seeded truncations and byte flips of a saved
+# snapshot, and crafted value and row encodings, must each fail with a
+# Status; a length read from the file that is trusted past its bytes is an
+# out-of-bounds read only this lane reports.
+./build-asan/tests/core_snapshot_test
+./build-asan/tests/storage_value_test
 
 # TSan smoke of the concurrency-bearing paths: the thread pool itself, the
 # multi-channel network + windowed mediator, morsel-parallel execution, the

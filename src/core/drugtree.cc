@@ -1,13 +1,15 @@
 #include "core/drugtree.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include "bio/distance.h"
 #include "bio/sequence.h"
 #include "phylo/newick.h"
-#include "storage/buffer_pool.h"
-#include "storage/heap_file.h"
 #include "util/string_util.h"
 
 namespace drugtree {
@@ -176,49 +178,152 @@ void DrugTree::DropEncodedSegments() {
 
 namespace {
 
-// Snapshot superblock layout on page 0:
-//   [u32 magic][u32 meta_dir][u32 proteins_dir][u32 ligands_dir]
-//   [u32 activities_dir]
+// Snapshot file, all integers little-endian:
+//   [u32 magic][u32 format version]
+//   four sections, in order the Newick tree, proteins, ligands, activities,
+//   each [u64 payload length][u32 CRC-32 of the payload][payload].
+// A table payload is a u64 row count, then storage::EncodeRow of each live
+// row in LiveRows() order. A version-1 (page) file has 1 in the version
+// word, so it is refused as version 1.
 constexpr uint32_t kSnapshotMagic = 0xD27C7263;
+constexpr uint32_t kSnapshotVersion = 2;
+
+/// CRC-32 (IEEE 802.3, the zlib checksum: reflected polynomial 0xEDB88320).
+uint32_t Crc32(const std::string& data) {
+  static const std::array<uint32_t, 256> kTable = [] {
+    std::array<uint32_t, 256> table{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int bit = 0; bit < 8; ++bit) c = (c >> 1) ^ (c & 1 ? 0xEDB88320 : 0);
+      table[i] = c;
+    }
+    return table;
+  }();
+  uint32_t crc = 0xFFFFFFFFu;
+  for (char byte : data) {
+    crc = kTable[(crc ^ static_cast<uint8_t>(byte)) & 0xFF] ^ (crc >> 8);
+  }
+  return ~crc;
+}
+
+void PutFixed(uint64_t v, size_t bytes, std::string* out) {
+  for (size_t i = 0; i < bytes; ++i) {
+    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+  }
+}
+
+/// Reads a `bytes`-wide integer at *offset (<= data.size()) and advances
+/// past it; false when fewer bytes are left.
+bool GetFixed(const std::string& data, size_t bytes, size_t* offset,
+              uint64_t* v) {
+  if (data.size() - *offset < bytes) return false;
+  *v = 0;
+  for (size_t i = 0; i < bytes; ++i) {
+    *v |= uint64_t{static_cast<uint8_t>(data[*offset + i])} << (8 * i);
+  }
+  *offset += bytes;
+  return true;
+}
+
+void PutSection(const std::string& payload, std::string* out) {
+  PutFixed(payload.size(), 8, out);
+  PutFixed(Crc32(payload), 4, out);
+  out->append(payload);
+}
+
+std::string EncodeTable(const storage::Table& table) {
+  std::vector<storage::RowId> live = table.LiveRows();
+  std::string out;
+  PutFixed(live.size(), 8, &out);
+  for (storage::RowId id : live) storage::EncodeRow(table.row(id), &out);
+  return out;
+}
+
+/// Reads the section at *offset: its length must fit the file and its
+/// payload must match its checksum.
+util::Result<std::string> GetSection(const std::string& file, const char* name,
+                                     size_t* offset) {
+  uint64_t length = 0;
+  uint64_t crc = 0;
+  if (!GetFixed(file, 8, offset, &length) || !GetFixed(file, 4, offset, &crc)) {
+    return util::Status::ParseError(
+        util::StringPrintf("snapshot: truncated %s section header", name));
+  }
+  if (length > file.size() - *offset) {
+    return util::Status::ParseError(util::StringPrintf(
+        "snapshot: %s section runs past the end of the file", name));
+  }
+  std::string payload = file.substr(*offset, length);
+  *offset += length;
+  if (Crc32(payload) != crc) {
+    return util::Status::ParseError(
+        util::StringPrintf("snapshot: %s section checksum mismatch", name));
+  }
+  return payload;
+}
+
+/// Appends the rows of a table section to `table`, each through Insert's
+/// schema check; the rows must fill the payload exactly.
+util::Status DecodeTable(const std::string& payload, storage::Table* table) {
+  size_t offset = 0;
+  uint64_t rows = 0;
+  if (!GetFixed(payload, 8, &offset, &rows)) {
+    return util::Status::ParseError("snapshot: " + table->name() +
+                                    " section has no row count");
+  }
+  for (uint64_t r = 0; r < rows; ++r) {
+    DRUGTREE_ASSIGN_OR_RETURN(storage::Row row,
+                              storage::DecodeRow(payload, &offset));
+    DRUGTREE_RETURN_IF_ERROR(table->Insert(std::move(row)).status());
+  }
+  if (offset != payload.size()) {
+    return util::Status::ParseError("snapshot: " + table->name() +
+                                    " section has bytes after its rows");
+  }
+  return util::Status::OK();
+}
+
+/// Writes `data` to `path + ".tmp"`, then renames it over `path`, so a
+/// failed save leaves the file at `path` as it was.
+util::Status ReplaceFile(const std::string& path, const std::string& data) {
+  const std::string tmp = path + ".tmp";
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+  if (!out) return util::Status::IoError("cannot create " + tmp);
+  out.write(data.data(), static_cast<std::streamsize>(data.size()));
+  out.close();  // sets failbit when the buffered bytes cannot be written
+  if (!out || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return util::Status::IoError("cannot write " + path);
+  }
+  return util::Status::OK();
+}
+
+/// The whole file at `path`; NotFound, creating nothing, when there is none.
+util::Result<std::string> ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    std::error_code ec;
+    if (!std::filesystem::exists(path, ec)) {
+      return util::Status::NotFound("no snapshot at " + path);
+    }
+    return util::Status::IoError("cannot open " + path);
+  }
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
 
 }  // namespace
 
 util::Status DrugTree::SaveSnapshot(const std::string& path) {
-  std::remove(path.c_str());
-  DRUGTREE_ASSIGN_OR_RETURN(std::unique_ptr<storage::DiskManager> disk,
-                            storage::DiskManager::Open(path));
-  storage::BufferPool pool(disk.get(), 64);
-  DRUGTREE_ASSIGN_OR_RETURN(storage::PageGuard super, pool.Allocate());
-  if (super->id() != 0) {
-    return util::Status::Internal("snapshot superblock must be page 0");
+  std::string file;
+  PutFixed(kSnapshotMagic, 4, &file);
+  PutFixed(kSnapshotVersion, 4, &file);
+  PutSection(phylo::WriteNewick(tree_), &file);
+  for (const storage::Table* table : {dataset_.proteins.get(),
+                                      dataset_.ligands.get(),
+                                      dataset_.activities.get()}) {
+    PutSection(EncodeTable(*table), &file);
   }
-
-  // Metadata heap: record 0 is the tree in Newick form.
-  DRUGTREE_ASSIGN_OR_RETURN(storage::HeapFile meta,
-                            storage::HeapFile::Create(&pool));
-  std::string newick = phylo::WriteNewick(tree_);
-  // Large trees exceed one page; chunk the Newick string.
-  constexpr size_t kChunk = 3000;
-  uint32_t chunks = 0;
-  for (size_t off = 0; off < newick.size() || chunks == 0; off += kChunk) {
-    DRUGTREE_RETURN_IF_ERROR(
-        meta.Insert(newick.substr(off, kChunk)).status());
-    ++chunks;
-  }
-
-  DRUGTREE_ASSIGN_OR_RETURN(storage::PageId p_dir,
-                            dataset_.proteins->SaveTo(&pool));
-  DRUGTREE_ASSIGN_OR_RETURN(storage::PageId l_dir,
-                            dataset_.ligands->SaveTo(&pool));
-  DRUGTREE_ASSIGN_OR_RETURN(storage::PageId a_dir,
-                            dataset_.activities->SaveTo(&pool));
-
-  super->WriteAt<uint32_t>(0, kSnapshotMagic);
-  super->WriteAt<uint32_t>(4, meta.directory_page());
-  super->WriteAt<uint32_t>(8, p_dir);
-  super->WriteAt<uint32_t>(12, l_dir);
-  super->WriteAt<uint32_t>(16, a_dir);
-  return pool.FlushAll();
+  return ReplaceFile(path, file);
 }
 
 util::Result<std::unique_ptr<DrugTree>> DrugTree::LoadSnapshot(
@@ -226,46 +331,47 @@ util::Result<std::unique_ptr<DrugTree>> DrugTree::LoadSnapshot(
   if (clock == nullptr) {
     return util::Status::InvalidArgument("clock must not be null");
   }
-  DRUGTREE_ASSIGN_OR_RETURN(std::unique_ptr<storage::DiskManager> disk,
-                            storage::DiskManager::Open(path));
-  if (disk->NumPages() == 0) {
-    return util::Status::NotFound("no snapshot at " + path);
+  DRUGTREE_ASSIGN_OR_RETURN(std::string file, ReadFile(path));
+  size_t offset = 0;
+  uint64_t magic = 0;
+  uint64_t version = 0;
+  if (!GetFixed(file, 4, &offset, &magic) ||
+      !GetFixed(file, 4, &offset, &version)) {
+    return util::Status::ParseError("truncated snapshot header in " + path);
   }
-  storage::BufferPool pool(disk.get(), 64);
-  uint32_t meta_dir, p_dir, l_dir, a_dir;
-  {
-    DRUGTREE_ASSIGN_OR_RETURN(storage::PageGuard super, pool.Fetch(0));
-    if (super->ReadAt<uint32_t>(0) != kSnapshotMagic) {
-      return util::Status::ParseError("bad snapshot magic in " + path);
-    }
-    meta_dir = super->ReadAt<uint32_t>(4);
-    p_dir = super->ReadAt<uint32_t>(8);
-    l_dir = super->ReadAt<uint32_t>(12);
-    a_dir = super->ReadAt<uint32_t>(16);
+  if (magic != kSnapshotMagic) {
+    return util::Status::ParseError("bad snapshot magic in " + path);
+  }
+  if (version != kSnapshotVersion) {
+    return util::Status::ParseError(util::StringPrintf(
+        "snapshot %s has format version %llu; this build reads version %u",
+        path.c_str(), static_cast<unsigned long long>(version),
+        kSnapshotVersion));
+  }
+  std::string sections[4];
+  const char* names[4] = {"newick", "proteins", "ligands", "activities"};
+  for (int s = 0; s < 4; ++s) {
+    DRUGTREE_ASSIGN_OR_RETURN(sections[s], GetSection(file, names[s], &offset));
+  }
+  if (offset != file.size()) {
+    return util::Status::ParseError("bytes after the last section of " + path);
   }
 
   auto dt = std::unique_ptr<DrugTree>(new DrugTree());
   dt->clock_ = clock;
-
-  DRUGTREE_ASSIGN_OR_RETURN(storage::HeapFile meta,
-                            storage::HeapFile::Open(&pool, meta_dir));
-  std::string newick;
-  DRUGTREE_RETURN_IF_ERROR(
-      meta.Scan([&newick](const storage::RecordId&, const std::string& rec) {
-        newick += rec;
-        return util::Status::OK();
-      }));
-  DRUGTREE_ASSIGN_OR_RETURN(dt->tree_, phylo::ParseNewick(newick));
-
+  DRUGTREE_ASSIGN_OR_RETURN(dt->tree_, phylo::ParseNewick(sections[0]));
   dt->dataset_.proteins = std::make_unique<storage::Table>(
       "proteins", integration::ProteinTableSchema());
-  DRUGTREE_RETURN_IF_ERROR(dt->dataset_.proteins->LoadFrom(&pool, p_dir));
+  DRUGTREE_RETURN_IF_ERROR(
+      DecodeTable(sections[1], dt->dataset_.proteins.get()));
   dt->dataset_.ligands = std::make_unique<storage::Table>(
       "ligands", integration::LigandTableSchema());
-  DRUGTREE_RETURN_IF_ERROR(dt->dataset_.ligands->LoadFrom(&pool, l_dir));
+  DRUGTREE_RETURN_IF_ERROR(
+      DecodeTable(sections[2], dt->dataset_.ligands.get()));
   dt->dataset_.activities = std::make_unique<storage::Table>(
       "activities", integration::ActivityTableSchema());
-  DRUGTREE_RETURN_IF_ERROR(dt->dataset_.activities->LoadFrom(&pool, a_dir));
+  DRUGTREE_RETURN_IF_ERROR(
+      DecodeTable(sections[3], dt->dataset_.activities.get()));
 
   DRUGTREE_RETURN_IF_ERROR(
       dt->FinishWiring(BuildOptions().result_cache_bytes));

@@ -107,14 +107,17 @@ class DrugTree {
 
   // Persistence ---------------------------------------------------------
 
-  /// Writes a self-contained snapshot (the three integrated base tables
-  /// plus the tree in Newick form) to a single page file at `path`,
-  /// overwriting any existing snapshot.
+  /// Writes a self-contained snapshot (the tree in Newick form plus the
+  /// three integrated base tables, each section checksummed) to `path`. The
+  /// file is written to `path + ".tmp"` and renamed over `path`, so a failed
+  /// save (IoError) leaves an existing snapshot intact.
   util::Status SaveSnapshot(const std::string& path);
 
   /// Reconstructs a queryable DrugTree from a snapshot. The loaded instance
   /// has no remote sources (protein_source() etc. return null); the query,
-  /// overlay, update, and mobile APIs are fully functional.
+  /// overlay, update, and mobile APIs are fully functional. NotFound when
+  /// there is no file at `path` (none is created); ParseError for a file
+  /// that is not an intact snapshot of the current format version.
   static util::Result<std::unique_ptr<DrugTree>> LoadSnapshot(
       const std::string& path, util::Clock* clock);
 

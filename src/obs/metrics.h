@@ -5,9 +5,10 @@
 // here so benches and EXPLAIN-style tooling see one unified snapshot.
 //
 // Naming scheme: dot-separated "<layer>.<component>.<event>", e.g.
-// "network.requests", "storage.buffer_pool.hits", "query.result_cache.misses",
-// "span.query.execute.total_micros". Labels (optional, ordered key=value)
-// discriminate instances: GetCounter("network.requests", {{"link","3g"}}).
+// "network.requests", "integration.semantic_cache.hits",
+// "query.result_cache.misses", "span.query.execute.total_micros". Labels
+// (optional, ordered key=value) discriminate instances:
+// GetCounter("network.requests", {{"link","3g"}}).
 //
 // Counters are sharded atomics (write-mostly, read-rarely); gauges are single
 // atomics; histograms reuse util::Histogram under a mutex. Metric pointers

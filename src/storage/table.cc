@@ -241,30 +241,5 @@ std::vector<RowId> Table::LiveRows() const {
   return out;
 }
 
-util::Result<PageId> Table::SaveTo(BufferPool* pool) const {
-  DRUGTREE_ASSIGN_OR_RETURN(HeapFile hf, HeapFile::Create(pool));
-  for (const Row& r : rows_) {
-    if (r.empty()) continue;
-    std::string encoded;
-    EncodeRow(r, &encoded);
-    DRUGTREE_RETURN_IF_ERROR(hf.Insert(encoded).status());
-  }
-  DRUGTREE_RETURN_IF_ERROR(pool->FlushAll());
-  return hf.directory_page();
-}
-
-util::Status Table::LoadFrom(BufferPool* pool, PageId directory_page) {
-  DRUGTREE_ASSIGN_OR_RETURN(HeapFile hf, HeapFile::Open(pool, directory_page));
-  util::Status insert_status;
-  DRUGTREE_RETURN_IF_ERROR(hf.Scan(
-      [&](const RecordId&, const std::string& rec) -> util::Status {
-        size_t offset = 0;
-        DRUGTREE_ASSIGN_OR_RETURN(Row row, DecodeRow(rec, &offset));
-        DRUGTREE_RETURN_IF_ERROR(Insert(std::move(row)).status());
-        return util::Status::OK();
-      }));
-  return util::Status::OK();
-}
-
 }  // namespace storage
 }  // namespace drugtree

@@ -1,6 +1,5 @@
 // Table: the in-memory row store the query engine scans, with optional
-// secondary indexes (B+-tree or hash) per column, computed statistics, and
-// heap-file persistence.
+// secondary indexes (B+-tree or hash) per column and computed statistics.
 
 #ifndef DRUGTREE_STORAGE_TABLE_H_
 #define DRUGTREE_STORAGE_TABLE_H_
@@ -13,7 +12,6 @@
 #include "storage/bptree.h"
 #include "storage/encoded_segment.h"
 #include "storage/hash_index.h"
-#include "storage/heap_file.h"
 #include "storage/schema.h"
 #include "storage/statistics.h"
 #include "util/result.h"
@@ -154,13 +152,6 @@ class Table {
 
   /// Live (non-deleted) row ids in insertion order.
   std::vector<RowId> LiveRows() const;
-
-  /// Persists all live rows into a heap file; returns the directory page so
-  /// the table can be reloaded later.
-  util::Result<PageId> SaveTo(BufferPool* pool) const;
-
-  /// Loads rows from a heap file written by SaveTo (appending to this table).
-  util::Status LoadFrom(BufferPool* pool, PageId directory_page);
 
  private:
   /// The live rows in insertion order, borrowed.

@@ -197,7 +197,8 @@ util::Result<Value> Value::DecodeFrom(const std::string& data, size_t* offset) {
     }
     case ValueType::kString: {
       DRUGTREE_ASSIGN_OR_RETURN(uint64_t len, ReadFixed64(data, offset));
-      if (*offset + len > data.size()) {
+      // `*offset + len` would wrap for a length near 2^64.
+      if (len > data.size() - *offset) {
         return util::Status::ParseError("value decode: truncated string");
       }
       std::string s = data.substr(*offset, len);
@@ -216,7 +217,9 @@ void EncodeRow(const Row& row, std::string* out) {
 
 util::Result<Row> DecodeRow(const std::string& data, size_t* offset) {
   DRUGTREE_ASSIGN_OR_RETURN(uint64_t count, ReadFixed64(data, offset));
-  if (count > 1'000'000) {
+  // Every value takes at least its one-byte tag, so a count beyond the bytes
+  // left cannot decode; refuse it before reserving.
+  if (count > 1'000'000 || count > data.size() - *offset) {
     return util::Status::ParseError("row decode: implausible column count");
   }
   Row row;

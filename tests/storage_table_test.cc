@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 #include "util/rng.h"
 
 namespace drugtree {
@@ -245,28 +243,6 @@ TEST(TableTest, RefreshAfterChurnEqualsBuildFromScratch) {
       EXPECT_EQ(row, live.size());
     }
   }
-}
-
-TEST(TableTest, SaveAndLoadRoundTrip) {
-  std::string path = testing::TempDir() + "/drugtree_table_test.db";
-  std::remove(path.c_str());
-  auto disk = DiskManager::Open(path);
-  ASSERT_TRUE(disk.ok());
-  BufferPool pool(disk->get(), 16);
-  Table t = MakeTable(25);
-  ASSERT_TRUE(t.Delete(7).ok());
-  auto dir = t.SaveTo(&pool);
-  ASSERT_TRUE(dir.ok());
-
-  Table loaded("test2", TestSchema());
-  ASSERT_TRUE(loaded.LoadFrom(&pool, *dir).ok());
-  EXPECT_EQ(loaded.NumRows(), 24);  // deleted row not persisted
-  // Spot-check content equality for live rows.
-  auto live = t.LiveRows();
-  for (size_t i = 0; i < live.size(); ++i) {
-    EXPECT_EQ(loaded.row(static_cast<RowId>(i)), t.row(live[i]));
-  }
-  std::remove(path.c_str());
 }
 
 class TableIndexConsistency : public ::testing::TestWithParam<int> {};

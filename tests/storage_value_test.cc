@@ -93,6 +93,38 @@ TEST(ValueTest, DecodeBadTagFails) {
   EXPECT_TRUE(Value::DecodeFrom(buf, &offset).status().IsParseError());
 }
 
+TEST(ValueTest, DecodeStringLengthNearTwoToThe64Fails) {
+  // Offset + length wraps for a length within 9 of 2^64; a wrapped check
+  // accepted it and moved the offset back into bytes already read.
+  std::string buf(1, static_cast<char>(ValueType::kString));
+  buf.append(8, '\xff');  // length 2^64 - 1
+  buf.append("abc");
+  size_t offset = 0;
+  EXPECT_TRUE(Value::DecodeFrom(buf, &offset).status().IsParseError());
+}
+
+TEST(ValueTest, DecodeRowRefusesACountBeyondTheBytesLeft) {
+  // Each value takes at least one byte, so three NULLs fit a count of 3 ...
+  std::string nulls;
+  EncodeRow({Value::Null(), Value::Null(), Value::Null()}, &nulls);
+  size_t offset = 0;
+  auto row = DecodeRow(nulls, &offset);
+  ASSERT_TRUE(row.ok()) << row.status();
+  EXPECT_EQ(row->size(), 3u);
+  EXPECT_EQ(offset, nulls.size());
+  // ... but a count of 1000 over two values is refused as a count, before
+  // any value is decoded or reserved for.
+  std::string buf;
+  EncodeRow({Value::Int64(1), Value::Null()}, &buf);
+  buf[0] = static_cast<char>(1000 & 0xFF);
+  buf[1] = static_cast<char>(1000 >> 8);
+  offset = 0;
+  auto refused = DecodeRow(buf, &offset);
+  ASSERT_TRUE(refused.status().IsParseError());
+  EXPECT_NE(refused.status().message().find("column count"), std::string::npos)
+      << refused.status();
+}
+
 class ValueRoundTrip : public ::testing::TestWithParam<int> {};
 
 TEST_P(ValueRoundTrip, RandomRowsRoundTrip) {
