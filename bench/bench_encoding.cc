@@ -40,7 +40,7 @@ using namespace drugtree;
 
 constexpr int kRows = 256 * 1024;
 constexpr int kRounds = 5;
-// The tracker lane gates a ~3 ms scan at a 5% budget, inside the host's
+// The tracker lane gates a ~2 ms scan at a 5% budget, inside the host's
 // run-to-run jitter; more interleaved rounds let its best-of converge.
 constexpr int kTrackedRounds = 25;
 

@@ -240,9 +240,9 @@ int RunThroughput(core::DrugTree* dt, bool enforce) {
                 "scale-out capacity: closed-loop fleets, real clock");
   constexpr int kAnalyticClients = 8;
   constexpr int64_t kDuration = 1'000'000;  // 1s per topology point
-  // The routed p99 is gated, and one scheduler hiccup can stall a few dozen
-  // of the ~2900 requests a 1s run completes: 3s puts the p99 three times
-  // as many requests above a stall of that size.
+  // The routed p99 is gated: one scheduler hiccup can stall a few dozen of
+  // the ~2900 requests a 1s run completes, about the 29 its p99 leaves
+  // out, so the routed fleet runs 3s.
   constexpr int64_t kRoutedDuration = 3'000'000;
 
   // B1: analytic capacity. The naive nested-loop join makes per-shard work
